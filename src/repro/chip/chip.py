@@ -6,8 +6,12 @@ simulator, the physical design (floorplan, placement, power grid), both
 EM receivers (on-chip spiral sensor and external probe) and the
 precomputed per-cell coupling weights that make trace synthesis cheap.
 
-Building a chip is a few seconds of work (dominated by the Neumann
-coupling integrals), so experiment drivers construct one chip and run
+Building a chip takes one to a few seconds, spread over netlist
+generation, simulator compilation and the coil couplings (Neumann
+integrals plus the per-cell fold); each stage reports its wall time to
+the active metrics registry as ``stage.chip.<stage>.seconds``
+(``netlist``, ``compile``, ``layout``, ``current_map``, ``charges``,
+``coupling``).  Experiment drivers therefore construct one chip and run
 many acquisition campaigns against it — the same economics as taping
 out once and measuring many times.
 """
@@ -37,6 +41,7 @@ from repro.logic.builder import NetlistBuilder
 from repro.logic.netlist import Netlist
 from repro.logic.simulator import CompiledNetlist
 from repro.logic.stats import NetlistStats, netlist_stats
+from repro.obs import active_metrics
 from repro.power.charges import clock_charges, switching_charges
 from repro.trojans.a2 import A2Params, attach_a2
 from repro.trojans.base import AnalogTap, HardwareTrojan
@@ -101,82 +106,86 @@ class Chip:
         aes: AesCircuit,
         trojans: dict[str, HardwareTrojan],
     ) -> None:
-        self.config = config
-        self.seed = seed
-        self.tech = tech
-        self.netlist = netlist
-        self.aes = aes
-        self.trojans = trojans
-
-        self.sim = CompiledNetlist(netlist)
-        self.floorplan: Floorplan = plan_floorplan(
-            netlist, tech, utilization=config.utilization
-        )
-        self.placement: Placement = place_netlist(
-            netlist, self.floorplan, seed=config.placement_seed + seed
-        )
-        self.grid: PowerGrid = build_power_grid(
-            self.floorplan,
-            tile_len=config.tile_len,
-            stripe_pitch=config.stripe_pitch,
-            ring_current_fraction=config.ring_current_fraction,
-        )
-        xs, ys = self.placement.arrays_for(self.sim.instance_names)
-        self.current_map: CurrentMap = build_current_map(self.grid, xs, ys)
-
-        self.sensor = OnChipSensor.design(
-            self.floorplan.die,
-            tech,
-            turns=config.sensor_turns,
-            trace_width=config.sensor_trace_width,
-            edge_margin=config.sensor_edge_margin,
-        )
-        self.probe = ExternalProbe.langer_rf(
-            self.floorplan.die,
-            die_top_z=tech.layer(tech.sensor_layer).z,
-            standoff=config.probe_standoff,
-            radius=config.probe_radius,
-            turns=config.probe_turns,
-        )
-
-        #: Flat list of all analog taps across Trojans.
-        self.taps: list[AnalogTap] = [
-            tap for tr in trojans.values() for tap in tr.analog_taps
-        ]
-
-        self.q_switch = switching_charges(
-            netlist, self.sim.instance_names, tech
-        )
-        self.q_clock = clock_charges(netlist, self.sim.instance_names, tech)
-
-        self.sensor_array: SensorArray | None = None
         if bool(config.sensor_array_rows) != bool(config.sensor_array_cols):
             raise ExperimentError(
                 "sensor_array_rows and sensor_array_cols must both be set "
                 f"(or both 0); got {config.sensor_array_rows}x"
                 f"{config.sensor_array_cols}"
             )
-        if config.sensor_array_rows:
-            self.sensor_array = SensorArray.design_grid(
+        self.config = config
+        self.seed = seed
+        self.tech = tech
+        self.netlist = netlist
+        self.aes = aes
+        self.trojans = trojans
+        metrics = active_metrics()
+
+        with metrics.time("stage.chip.compile.seconds"):
+            self.sim = CompiledNetlist(netlist)
+        with metrics.time("stage.chip.layout.seconds"):
+            self.floorplan: Floorplan = plan_floorplan(
+                netlist, tech, utilization=config.utilization
+            )
+            self.placement: Placement = place_netlist(
+                netlist, self.floorplan, seed=config.placement_seed + seed
+            )
+            self.grid: PowerGrid = build_power_grid(
+                self.floorplan,
+                tile_len=config.tile_len,
+                stripe_pitch=config.stripe_pitch,
+                ring_current_fraction=config.ring_current_fraction,
+            )
+        with metrics.time("stage.chip.current_map.seconds"):
+            xs, ys = self.placement.arrays_for(self.sim.instance_names)
+            self.current_map: CurrentMap = build_current_map(self.grid, xs, ys)
+        with metrics.time("stage.chip.charges.seconds"):
+            self.q_switch = switching_charges(
+                netlist, self.sim.instance_names, tech
+            )
+            self.q_clock = clock_charges(netlist, self.sim.instance_names, tech)
+
+        #: Flat list of all analog taps across Trojans.
+        self.taps: list[AnalogTap] = [
+            tap for tr in trojans.values() for tap in tr.analog_taps
+        ]
+
+        with metrics.time("stage.chip.coupling.seconds"):
+            self.sensor = OnChipSensor.design(
                 self.floorplan.die,
                 tech,
-                rows=config.sensor_array_rows,
-                cols=config.sensor_array_cols,
-                turns=config.sensor_array_turns,
-                trace_width=config.sensor_array_trace_width,
-                edge_margin=config.sensor_array_edge_margin,
+                turns=config.sensor_turns,
+                trace_width=config.sensor_trace_width,
+                edge_margin=config.sensor_edge_margin,
             )
+            self.probe = ExternalProbe.langer_rf(
+                self.floorplan.die,
+                die_top_z=tech.layer(tech.sensor_layer).z,
+                standoff=config.probe_standoff,
+                radius=config.probe_radius,
+                turns=config.probe_turns,
+            )
+            self.sensor_array: SensorArray | None = None
+            if config.sensor_array_rows:
+                self.sensor_array = SensorArray.design_grid(
+                    self.floorplan.die,
+                    tech,
+                    rows=config.sensor_array_rows,
+                    cols=config.sensor_array_cols,
+                    turns=config.sensor_array_turns,
+                    trace_width=config.sensor_array_trace_width,
+                    edge_margin=config.sensor_array_edge_margin,
+                )
 
-        self.receivers: dict[str, Receiver] = {}
-        #: Channel groups: every receiver name appears in exactly one
-        #: group; standalone receivers are singleton groups.
-        self.receiver_groups: dict[str, tuple[str, ...]] = {}
-        self._install_receiver("sensor", self.sensor, external=False)
-        self._install_receiver("probe", self.probe, external=True)
-        if config.include_power_monitor:
-            self._install_power_monitor()
-        if self.sensor_array is not None:
-            self._install_channel_group("array", self.sensor_array)
+            self.receivers: dict[str, Receiver] = {}
+            #: Channel groups: every receiver name appears in exactly one
+            #: group; standalone receivers are singleton groups.
+            self.receiver_groups: dict[str, tuple[str, ...]] = {}
+            self._install_receiver("sensor", self.sensor, external=False)
+            self._install_receiver("probe", self.probe, external=True)
+            if config.include_power_monitor:
+                self._install_power_monitor()
+            if self.sensor_array is not None:
+                self._install_channel_group("array", self.sensor_array)
 
     # ------------------------------------------------------------------
     # Construction
@@ -214,13 +223,14 @@ class Chip:
             raise ExperimentError(
                 f"unknown trojans {sorted(unknown)}; valid: {list(ALL_TROJANS)}"
             )
-        b = NetlistBuilder("die")
-        aes = build_aes_circuit(b)
-        attached: dict[str, HardwareTrojan] = {}
-        for name in trojans:
-            attach, _params_cls = _ATTACHERS[name]
-            attached[name] = attach(b, aes, trojan_params.get(name))
-        netlist = b.build()
+        with active_metrics().time("stage.chip.netlist.seconds"):
+            b = NetlistBuilder("die")
+            aes = build_aes_circuit(b)
+            attached: dict[str, HardwareTrojan] = {}
+            for name in trojans:
+                attach, _params_cls = _ATTACHERS[name]
+                attached[name] = attach(b, aes, trojan_params.get(name))
+            netlist = b.build()
         return cls(
             config=config,
             seed=seed,

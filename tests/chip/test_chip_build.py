@@ -6,6 +6,7 @@ import pytest
 from repro.chip import Chip
 from repro.chip.chip import ALL_TROJANS
 from repro.errors import ExperimentError
+from repro.obs import use_metrics
 
 
 def test_chip_has_all_trojans(chip):
@@ -80,6 +81,17 @@ def test_describe_is_informative(chip):
 def test_golden_chip_excludes_trojan_groups(golden_chip):
     assert golden_chip.trojans == {}
     assert golden_chip.netlist.groups() == ["aes"]
+
+
+def test_build_records_each_stage_timer_once():
+    stages = ("netlist", "compile", "layout", "current_map", "coupling", "charges")
+    with use_metrics() as metrics:
+        Chip.build(seed=1, trojans=())
+    histograms = metrics.snapshot()["histograms"]
+    for stage in stages:
+        name = f"stage.chip.{stage}.seconds"
+        assert histograms[name]["count"] == 1, name
+        assert histograms[name]["sum"] > 0, name
 
 
 def test_sensor_coil_stays_on_top_layer(chip):
