@@ -29,6 +29,7 @@ from repro.em.mutual import (
     mutual_inductance_to_loop,
 )
 from repro.experiments import campaign_spec, run_campaigns
+from tests.chip.reference_fold import ReferenceFoldEngine
 
 N_SEGMENTS = 2000
 N_POINTS = 1600  # 40 x 40 surface grid
@@ -156,15 +157,14 @@ def test_packed_backend_speedup(benchmark, chip, sim_scenario):
         rng_role="bench/packed",
     )
 
-    def acquire(backend=None, **extra):
+    def acquire(backend=None, on=engine):
         prev = os.environ.get(BACKEND_ENV_VAR)
         if backend is not None:
             os.environ[BACKEND_ENV_VAR] = backend
         try:
-            return engine.acquire(
+            return on.acquire(
                 EncryptionWorkload(chip.aes, b"\x2b" * 16, period=12),
                 **kw,
-                **extra,
             )
         finally:
             if backend is not None:
@@ -177,7 +177,8 @@ def test_packed_backend_speedup(benchmark, chip, sim_scenario):
     t_packed = _best_of(lambda: acquire("packed"), repeats=1)
     t_packed = min(t_packed, benchmark.stats.stats.mean)
     boolr = acquire("bool")
-    t_reference = _best_of(lambda: acquire(reference_fold=True), repeats=1)
+    reference = ReferenceFoldEngine(chip, sim_scenario)
+    t_reference = _best_of(lambda: acquire(on=reference), repeats=1)
 
     assert np.array_equal(
         packed.traces["sensor"], boolr.traces["sensor"]

@@ -271,7 +271,6 @@ class AcquisitionEngine:
         include_noise: bool = True,
         rng_role: str = "acquire",
         workload_role: str | None = None,
-        reference_fold: bool = False,
     ) -> AcquisitionResult:
         """Run *workload* for *n_cycles* and return receiver traces.
 
@@ -301,120 +300,27 @@ class AcquisitionEngine:
             *rng_role*; pass the same value across two campaigns to
             replay the identical plaintext sequence (the paper's
             golden-vs-Trojan spectra compare "the same operation").
-        reference_fold:
-            Run the retained pre-bit-slicing loop instead: bool
-            backend, per-cycle float64 activity fold.  Kept as the
-            numerical baseline the blocked float32 fold is benchmarked
-            and regression-tested against (agreement is ~1e-5 relative,
-            the float32 fold's rounding over ~35 k-term sums).
 
-        The cycle loop runs on the backend :func:`repro.logic.
-        simulator.resolve_backend` picks for *batch* (``packed`` from
-        64 up, overridable via ``REPRO_SIM_BACKEND``); both backends
-        share one blocked float32 fold and produce bit-identical
-        traces, toggles and recorded nets for the same RNG streams.
+        A solo acquisition is a lane group of one: it runs the same
+        body as :meth:`acquire_group`.  The cycle loop runs on the
+        backend :func:`repro.logic.simulator.resolve_backend` picks for
+        *batch* (``packed`` from 64 up, overridable via
+        ``REPRO_SIM_BACKEND``); both backends share one blocked float32
+        fold and produce bit-identical traces, toggles and recorded
+        nets for the same RNG streams.
         """
-        chip = self.chip
-        cfg = chip.config
-        sim = chip.sim
-        if n_cycles <= 0:
-            raise MeasurementError(f"n_cycles must be positive, got {n_cycles}")
-        names = receivers if receivers is not None else tuple(chip.receivers)
-        for name in names:
-            if name not in chip.receivers:
-                raise MeasurementError(f"unknown receiver {name!r}")
-
-        rng = derive(chip.seed ^ self.scenario.seed, f"{rng_role}/{self.scenario.name}")
-        wl_role = workload_role if workload_role is not None else rng_role
-        workload.begin(batch, derive(chip.seed, f"{wl_role}/workload"))
-
-        enable_inputs = {}
-        for tr_name in trojan_enables:
-            if tr_name not in chip.trojans:
-                raise MeasurementError(
-                    f"chip has no trojan {tr_name!r}; present: "
-                    f"{sorted(chip.trojans)}"
-                )
-            enable_inputs[chip.trojans[tr_name].enable_pin] = np.ones(
-                batch, dtype=bool
-            )
-        # Deassert enables of all other embedded Trojans explicitly.
-        for tr_name, tr in chip.trojans.items():
-            if tr_name not in trojan_enables:
-                enable_inputs[tr.enable_pin] = np.zeros(batch, dtype=bool)
-
-        first_inputs = dict(enable_inputs)
-        wl0 = workload.inputs(0, batch)
-        if wl0:
-            first_inputs.update(wl0)
-        backend = "bool" if reference_fold else resolve_backend(batch)
-        state = sim.reset(batch=batch, inputs=first_inputs, backend=backend)
-
-        levels = sim.instance_levels
-        fold_dtype = np.float64 if reference_fold else np.float32
-        accumulators = {
-            name: ActivityAccumulator(
-                self._w_data[name], levels, dtype=fold_dtype
-            )
-            for name in names
-        }
-        acc_list = list(accumulators.values())
-        watch: dict[str, str] = dict(record_nets or {})
-        for i, tap in enumerate(chip.taps):
-            watch[f"__tap{i}_net"] = tap.net
-            if tap.gate_by is not None:
-                watch[f"__tap{i}_gate"] = tap.gate_by
-        watch_labels = list(watch)
-        watch_idx = np.array(
-            [sim.net_index[net] for net in watch.values()], dtype=np.int64
+        member = GroupMember(
+            name="acquire",
+            workload=workload,
+            batch=batch,
+            trojan_enables=trojan_enables,
+            rng_role=rng_role,
+            workload_role=workload_role,
         )
-
-        # Per-stage observability: which backend ran, and how long the
-        # cycle loop took, land in the active metrics registry (and so
-        # in every saved RunResult artifact).
-        metrics = active_metrics()
-        metrics.counter(f"sim.backend.{backend}").inc()
-        metrics.counter("acquire.cycles").inc(n_cycles * batch)
-
-        run = self._run_cycles_reference if reference_fold else (
-            self._run_cycles_blocked
+        (result,) = self._acquire_lanes(
+            (member,), n_cycles, record_nets, receivers, include_noise, None
         )
-        with metrics.time("stage.sim_cycles.seconds"):
-            clock_en, rec_full = run(
-                state, workload, n_cycles, batch, acc_list, watch_idx
-            )
-
-        n_samples = (n_cycles + 1) * cfg.samples_per_cycle
-        rec_arrays = {
-            label: rec_full[:, j] for j, label in enumerate(watch_labels)
-        }
-
-        traces: dict[str, np.ndarray] = {}
-        with metrics.time("stage.synthesize.seconds"):
-            for name in names:
-                traces[name] = self._synthesize_receiver(
-                    name,
-                    accumulators[name].result(),
-                    clock_en,
-                    rec_arrays,
-                    n_cycles,
-                    n_samples,
-                    batch,
-                    include_noise,
-                    self._channel_rng(name, rng, rng_role),
-                )
-        public_recorded = {
-            label: arr
-            for label, arr in rec_arrays.items()
-            if not label.startswith("__tap")
-        }
-        return AcquisitionResult(
-            traces=traces,
-            fs=cfg.fs,
-            n_cycles=n_cycles,
-            samples_per_cycle=cfg.samples_per_cycle,
-            recorded=public_recorded,
-        )
+        return result
 
     # ------------------------------------------------------------------
     def acquire_group(
@@ -466,9 +372,6 @@ class AcquisitionEngine:
         dict
             ``{member.name: AcquisitionResult}`` in member order.
         """
-        chip = self.chip
-        cfg = chip.config
-        sim = chip.sim
         members = tuple(members)
         if not members:
             raise MeasurementError("acquire_group needs at least one member")
@@ -479,6 +382,34 @@ class AcquisitionEngine:
                 "group members must not share workload instances "
                 "(workloads hold per-campaign state)"
             )
+        results = self._acquire_lanes(
+            members, n_cycles, record_nets, receivers, include_noise, backend
+        )
+        metrics = active_metrics()
+        metrics.counter("acquire.group.chips").inc(len(members))
+        metrics.counter("acquire.group.lanes").inc(
+            sum(m.batch for m in members)
+        )
+        return {m.name: r for m, r in zip(members, results)}
+
+    # ------------------------------------------------------------------
+    def _acquire_lanes(
+        self,
+        members: tuple[GroupMember, ...],
+        n_cycles: int,
+        record_nets: dict[str, str] | None,
+        receivers: tuple[str, ...] | None,
+        include_noise: bool,
+        backend: str | None,
+    ) -> list[AcquisitionResult]:
+        """The one acquisition body behind :meth:`acquire` and
+        :meth:`acquire_group`: validate, derive every member's RNG
+        streams, reset the lane-packed state, run the cycle loop once
+        and synthesise each member's traces from its lane slice.
+        Returns one result per member, in member order."""
+        chip = self.chip
+        cfg = chip.config
+        sim = chip.sim
         if n_cycles <= 0:
             raise MeasurementError(f"n_cycles must be positive, got {n_cycles}")
         names = receivers if receivers is not None else tuple(chip.receivers)
@@ -486,6 +417,11 @@ class AcquisitionEngine:
             if name not in chip.receivers:
                 raise MeasurementError(f"unknown receiver {name!r}")
         for m in members:
+            if m.batch <= 0:
+                raise MeasurementError(
+                    f"batch must be positive, got {m.batch} "
+                    f"(member {m.name!r})"
+                )
             for tr_name in m.trojan_enables:
                 if tr_name not in chip.trojans:
                     raise MeasurementError(
@@ -495,8 +431,8 @@ class AcquisitionEngine:
         slices = lane_slices([m.batch for m in members])
         total = slices[-1].stop
 
-        # Identical RNG derivations to solo acquire() calls with the
-        # same roles — lane packing changes the compute layout only.
+        # Each member's streams are derived from its roles alone, so a
+        # lane-packed member sees exactly its solo acquisition's streams.
         rngs = []
         for m in members:
             rngs.append(
@@ -548,11 +484,12 @@ class AcquisitionEngine:
             [sim.net_index[net] for net in watch.values()], dtype=np.int64
         )
 
+        # Per-stage observability: which backend ran, and how long the
+        # cycle loop took, land in the active metrics registry (and so
+        # in every saved RunResult artifact).
         metrics = active_metrics()
         metrics.counter(f"sim.backend.{resolved}").inc()
         metrics.counter("acquire.cycles").inc(n_cycles * total)
-        metrics.counter("acquire.group.chips").inc(len(members))
-        metrics.counter("acquire.group.lanes").inc(total)
 
         with metrics.time("stage.sim_cycles.seconds"):
             clock_en, rec_full = self._run_cycles_blocked(
@@ -562,7 +499,7 @@ class AcquisitionEngine:
         n_samples = (n_cycles + 1) * cfg.samples_per_cycle
         folded = {name: accumulators[name].result() for name in names}
 
-        results: dict[str, AcquisitionResult] = {}
+        results: list[AcquisitionResult] = []
         with metrics.time("stage.synthesize.seconds"):
             for m, sl, rng in zip(members, slices, rngs):
                 rec_arrays = {
@@ -583,7 +520,7 @@ class AcquisitionEngine:
                         include_noise,
                         self._channel_rng(name, rng, m.rng_role),
                     )
-                results[m.name] = AcquisitionResult(
+                results.append(AcquisitionResult(
                     traces=traces,
                     fs=cfg.fs,
                     n_cycles=n_cycles,
@@ -593,7 +530,7 @@ class AcquisitionEngine:
                         for label, arr in rec_arrays.items()
                         if not label.startswith("__tap")
                     },
-                )
+                ))
         return results
 
     # ------------------------------------------------------------------
@@ -724,38 +661,6 @@ class AcquisitionEngine:
                 unpack_bits(clock_en_words, batch)
             )
             rec_buf = np.ascontiguousarray(unpack_bits(rec_words, batch))
-        return clock_en, rec_buf
-
-    def _run_cycles_reference(
-        self,
-        state,
-        workload,
-        n_cycles: int,
-        batch: int,
-        acc_list: list[ActivityAccumulator],
-        watch_idx: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Retained pre-bit-slicing cycle loop (per-cycle float64 fold).
-
-        The baseline implementation the blocked fold is benchmarked
-        against, same idiom as the loop references in ``repro.em``.
-        """
-        sim = self.chip.sim
-        n_seq = sim.seq_instance_idx.size
-        clock_en = np.empty((n_cycles, n_seq, batch), dtype=bool)
-        rec_buf = np.empty((n_cycles + 1, watch_idx.size, batch), dtype=bool)
-        if watch_idx.size:
-            rec_buf[0] = state.values[watch_idx]
-        for k in range(1, n_cycles + 1):
-            clock_en[k - 1] = sim.clock_enable_values(state)
-            toggles = sim.step(state, workload.inputs(k, batch))
-            rising = toggles & sim.output_values(state)
-            weighted = toggles * FALL_CURRENT_FRACTION + rising * (
-                1.0 - FALL_CURRENT_FRACTION
-            )
-            ActivityAccumulator.record_all(acc_list, weighted)
-            if watch_idx.size:
-                rec_buf[k] = state.values[watch_idx]
         return clock_en, rec_buf
 
     # ------------------------------------------------------------------

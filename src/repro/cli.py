@@ -15,8 +15,7 @@ One entry point for everything the repo reproduces:
     the CI ``cli-smoke`` sweep — every registered experiment at
     reduced sizes;
 ``repro fleet ...``
-    the fleet monitoring campaign (the old ``repro-fleet`` script,
-    which remains as a deprecated alias).
+    the fleet monitoring campaign.
 
 ``--workers``/``--smoke`` are conveniences over the ``REPRO_*``
 environment (see ``docs/CONFIG.md``); an explicit flag always beats
@@ -42,7 +41,7 @@ def _parser() -> argparse.ArgumentParser:
         description=(
             "Reproduce the paper's tables and figures. "
             "`repro fleet ...` forwards to the fleet monitoring "
-            "campaign (formerly the repro-fleet script)."
+            "campaign."
         ),
     )
     sub = p.add_subparsers(dest="command", required=True)

@@ -238,24 +238,24 @@ def collect_attack_traces(
     plaintexts ``(n_traces, 16)`` — row ``i`` of each corresponds to the
     same encryption.
     """
-    spc = chip.config.samples_per_cycle
-    window = ED_PERIOD * spc
     windows_per_col = -(-n_traces // batch) + WARMUP_WINDOWS
-    n_cycles = windows_per_col * ED_PERIOD
     engine = acquisition_engine(chip, scenario)
     workload = EncryptionWorkload(chip.aes, key, period=ED_PERIOD)
     result = engine.acquire(
         workload,
-        n_cycles=n_cycles,
+        n_cycles=windows_per_col * ED_PERIOD,
         batch=batch,
         receivers=(receiver,),
         rng_role=rng_role,
     )
+    traces = segment_ed_windows(
+        result.traces[receiver],
+        batch=batch,
+        n_traces=n_traces,
+        spc=chip.config.samples_per_cycle,
+        decimate=1,
+    )
     usable = windows_per_col - WARMUP_WINDOWS
-    rec = result.traces[receiver]
-    segs = rec[:, WARMUP_WINDOWS * window : (WARMUP_WINDOWS + usable) * window]
-    segs = segs.reshape(batch, usable, window).transpose(1, 0, 2)
-    traces = segs.reshape(batch * usable, window)[:n_traces]
     # workload.plaintexts[w] holds the (batch, 16) block of window w.
     pts = np.concatenate(
         [workload.plaintexts[WARMUP_WINDOWS + w] for w in range(usable)],

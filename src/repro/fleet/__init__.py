@@ -32,7 +32,7 @@ output" — scaled out to a fleet of deployed chips:
   p50/p95/p99 latency histograms, per-stage timing hooks and an
   atomically flushed JSONL event journal;
 * :func:`~repro.fleet.campaign.run_fleet_campaign` and the
-  ``repro-fleet`` console script — the simulated golden + T1–T4 + A2
+  ``repro fleet`` command — the simulated golden + T1–T4 + A2
   fleet campaign with combined time/spectral verdicts.
 
 See ``docs/FLEET.md`` for the architecture, the backpressure policy,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from dataclasses import asdict
 
 # SMOKE_ENV_VAR is re-exported here for backwards compatibility; its
@@ -206,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         unknown = [c for c in wanted if c not in known]
         if unknown:
             print(
-                f"repro-fleet: unknown chips {unknown}; "
+                f"repro fleet: unknown chips {unknown}; "
                 f"valid: {sorted(known)}",
                 file=sys.stderr,
             )
@@ -229,27 +228,12 @@ def main(argv: list[str] | None = None) -> int:
             c for c, v in result.verdicts.items() if not v.matches_oneshot
         ]
         print(
-            f"repro-fleet: streaming vs one-shot verdict mismatch on "
+            f"repro fleet: streaming vs one-shot verdict mismatch on "
             f"{mismatched}",
             file=sys.stderr,
         )
         return 2
     return 0
-
-
-def deprecated_main(argv: list[str] | None = None) -> int:
-    """Entry point of the legacy ``repro-fleet`` console script.
-
-    ``repro-fleet`` became ``repro fleet`` when the unified ``repro``
-    CLI landed; the old script keeps working as an alias but emits one
-    ``DeprecationWarning`` per invocation.
-    """
-    warnings.warn(
-        "the repro-fleet script is deprecated; use `repro fleet`",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return main(argv)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CI job

@@ -23,10 +23,6 @@ the **active** registry:
 Instrumentation recorded inside :mod:`repro.experiments.parallel`
 worker *processes* stays in those processes; only the coordinating
 process's registry lands in the artifact.
-
-The old import paths ``repro.fleet.metrics`` and
-``repro.fleet.journal`` remain as deprecated aliases (one
-``DeprecationWarning`` at import).
 """
 
 from __future__ import annotations

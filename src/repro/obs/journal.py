@@ -1,8 +1,5 @@
 """JSONL event journal for instrumented runs.
 
-(This module previously lived at ``repro.fleet.journal``; that import
-path remains as a deprecated alias.)
-
 Every noteworthy fleet event — an alarm, a checkpoint, a dropped
 window, a spectral-sweep verdict — is one JSON object per line.
 Events carry **no wall-clock timestamps or global counters** by

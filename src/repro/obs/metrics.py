@@ -22,8 +22,6 @@ p50/p95/p99 in their summaries.
 Code that wants to report without threading a registry through every
 call reads the *active* registry via :func:`repro.obs.active_metrics`;
 :func:`repro.obs.use_metrics` scopes a fresh registry to one run.
-(This module previously lived at ``repro.fleet.metrics``; that import
-path remains as a deprecated alias.)
 """
 
 from __future__ import annotations

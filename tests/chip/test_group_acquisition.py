@@ -5,7 +5,9 @@ Trojan variants) into one stepping pass and one blocked activity fold;
 because every per-member RNG stream is derived exactly as the solo
 ``acquire`` call derives it, each member's traces, recorded nets and
 plaintext log must be **bit-identical** to its solo acquisition —
-including ragged (non-uniform, non-word-aligned) batch sizes.
+including ragged (non-uniform, non-word-aligned) batch sizes.  A solo
+``acquire`` is itself a lane group of one: it runs the same body
+without going through ``acquire_group``.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.logic.simulator import (
     pack_bits,
     unpack_bits,
 )
+from repro.obs import use_metrics
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
@@ -131,6 +134,67 @@ def test_group_validation(chip, engine):
         engine.acquire_group(
             [_member(chip, "a", 4, ("nosuch",))], n_cycles=16
         )
+    # Bad batch sizes raise the same typed error from both fronts.
+    for batch in (0, -1):
+        with pytest.raises(MeasurementError, match="batch"):
+            engine.acquire(
+                EncryptionWorkload(chip.aes, KEY), n_cycles=16, batch=batch
+            )
+    with pytest.raises(MeasurementError, match="batch"):
+        engine.acquire_group(
+            [_member(chip, "a", 4), _member(chip, "b", 0)], n_cycles=16
+        )
+
+
+def test_solo_with_workload_role_equals_group_of_one(chip, engine):
+    kw = dict(n_cycles=32, record_nets={"busy": chip.aes.busy})
+    solo = engine.acquire(
+        EncryptionWorkload(chip.aes, KEY),
+        batch=6,
+        trojan_enables=("trojan1",),
+        rng_role="solo-eq/noise",
+        workload_role="solo-eq/stimulus",
+        **kw,
+    )
+    member = GroupMember(
+        name="only",
+        workload=EncryptionWorkload(chip.aes, KEY),
+        batch=6,
+        trojan_enables=("trojan1",),
+        rng_role="solo-eq/noise",
+        workload_role="solo-eq/stimulus",
+    )
+    got = engine.acquire_group([member], **kw)["only"]
+    assert set(got.traces) == set(solo.traces)
+    for rcv in solo.traces:
+        assert np.array_equal(got.traces[rcv], solo.traces[rcv]), rcv
+    assert set(got.recorded) == set(solo.recorded) == {"busy"}
+    assert np.array_equal(got.recorded["busy"], solo.recorded["busy"])
+
+
+def test_solo_acquire_does_not_call_acquire_group(chip, engine, monkeypatch):
+    """No nested call, so a span around both fronts counts a solo once."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("acquire must not route through acquire_group")
+
+    monkeypatch.setattr(AcquisitionEngine, "acquire_group", refuse)
+    result = engine.acquire(
+        EncryptionWorkload(chip.aes, KEY), n_cycles=16, batch=2
+    )
+    assert result.traces["sensor"].shape == (2, result.n_samples)
+
+
+def test_solo_acquire_metrics(chip, engine):
+    n_cycles, batch = 24, 3
+    with use_metrics() as metrics:
+        engine.acquire(
+            EncryptionWorkload(chip.aes, KEY), n_cycles=n_cycles, batch=batch
+        )
+    counters = metrics.snapshot()["counters"]
+    assert counters["acquire.cycles"] == n_cycles * batch
+    backends = [n for n in counters if n.startswith("sim.backend.")]
+    assert len(backends) == 1 and counters[backends[0]] == 1
+    assert not [n for n in counters if n.startswith("acquire.group.")]
 
 
 # ----------------------------------------------------------------------

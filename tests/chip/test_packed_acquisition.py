@@ -2,9 +2,9 @@
 
 The packed backend must be *bit-identical* to the bool backend — same
 traces, same recorded nets, for every Trojan — because both feed the
-same blocked float32 activity fold.  The legacy per-cycle float64 fold
-(``reference_fold=True``) is kept as a numerical baseline and is only
-required to agree to float32 round-off.
+same blocked float32 activity fold.  The per-cycle float64 reference
+fold (:class:`tests.chip.reference_fold.ReferenceFoldEngine`) is a
+numerical baseline and is only required to agree to float32 round-off.
 """
 
 import gc
@@ -19,6 +19,7 @@ from repro.chip.chip import Chip
 from repro.chip.scenario import simulation_scenario
 from repro.experiments import clear_campaign_caches
 from repro.logic.simulator import BACKEND_ENV_VAR
+from tests.chip.reference_fold import ReferenceFoldEngine
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
@@ -71,15 +72,16 @@ def test_trojan_campaign_bit_identity(chip, engine, monkeypatch, trojans):
     _assert_identical(packed, boolr)
 
 
-def test_reference_fold_tolerance(chip, engine, monkeypatch):
-    """The retained float64 per-cycle fold agrees to float32 round-off."""
+def test_reference_fold_tolerance(chip, sim_scenario, engine, monkeypatch):
+    """The float64 per-cycle reference fold agrees to float32 round-off."""
     monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
     kw = dict(n_cycles=48, batch=64, receivers=("sensor",),
               include_noise=False, rng_role="packed-eq/reference")
     fast = engine.acquire(EncryptionWorkload(chip.aes, KEY), **kw)
-    ref = engine.acquire(
-        EncryptionWorkload(chip.aes, KEY), reference_fold=True, **kw
+    ref = ReferenceFoldEngine(chip, sim_scenario).acquire(
+        EncryptionWorkload(chip.aes, KEY), **kw
     )
+    assert not np.array_equal(fast.traces["sensor"], ref.traces["sensor"])
     for name in ref.traces:
         scale = np.max(np.abs(ref.traces[name])) or 1.0
         err = np.max(np.abs(fast.traces[name] - ref.traces[name])) / scale
