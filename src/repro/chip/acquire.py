@@ -65,6 +65,62 @@ FALL_CURRENT_FRACTION = 0.35
 FOLD_BLOCK_COLS = 256
 
 
+@lru_cache(maxsize=1)
+def _lane_weight_lut() -> np.ndarray:
+    """Fold weights of 8 lanes, looked up by ``(rise_byte << 8) | toggle_byte``.
+
+    Row ``code`` of the ``(65536, 8)`` float32 table holds, per lane of
+    the byte pair, ``1.0`` where the rise bit is set,
+    ``FALL_CURRENT_FRACTION`` where only the toggle bit is set and
+    ``0.0`` otherwise — the float32 values ``s * fall + r`` produces for
+    the disjoint toggled-and-fell (``s``) and rising (``r``) masks.
+    Built on first use (about 2 MB), read-only, shared by every engine.
+    """
+    code = np.arange(1 << 16, dtype=np.uint32)[:, None]
+    lane = np.arange(8, dtype=np.uint32)
+    toggle = ((code >> lane) & 1).astype(bool)
+    rise = ((code >> (lane + 8)) & 1).astype(bool)
+    lut = np.where(
+        rise,
+        np.float32(1.0),
+        np.where(toggle, np.float32(FALL_CURRENT_FRACTION), np.float32(0.0)),
+    )
+    lut.flags.writeable = False
+    return lut
+
+
+def _lookup_weights(
+    tog_bytes: np.ndarray,
+    ris_bytes: np.ndarray,
+    codes: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Fill a fold weight block from toggle and rise lane bytes.
+
+    *tog_bytes* and *ris_bytes* are ``(n_inst, cycles, ceil(batch/8))``
+    uint8 views of little-endian lane words, *codes* a uint16 scratch of
+    the same shape and *out* the ``(n_inst, cycles, batch)`` float32
+    block, which may be a view into a wider buffer.  Whole bytes are
+    looked up into a ``(..., 8)`` view of *out*; a ragged last byte
+    takes the table's first ``batch % 8`` columns.
+    """
+    np.left_shift(ris_bytes, 8, out=codes, dtype=np.uint16)
+    np.bitwise_or(codes, tog_bytes, out=codes)
+    n_inst, cycles, batch = out.shape
+    full, rem = divmod(batch, 8)
+    lut = _lane_weight_lut()
+    if full:
+        np.take(
+            lut, codes[..., :full], axis=0, mode="clip",
+            out=out[..., : 8 * full].reshape(n_inst, cycles, full, 8),
+        )
+    if rem:
+        np.take(
+            lut[:, :rem], codes[..., full], axis=0, mode="clip",
+            out=out[..., 8 * full :],
+        )
+
+
 @lru_cache(maxsize=16)
 def _butter_lowpass(order: int, cutoff_frac: float):
     """Shared Butterworth design, keyed on ``(order, cutoff_frac)``.
@@ -304,10 +360,13 @@ class AcquisitionEngine:
         A solo acquisition is a lane group of one: it runs the same
         body as :meth:`acquire_group`.  The cycle loop runs on the
         backend :func:`repro.logic.simulator.resolve_backend` picks for
-        *batch* (``packed`` from 64 up, overridable via
-        ``REPRO_SIM_BACKEND``); both backends share one blocked float32
-        fold and produce bit-identical traces, toggles and recorded
-        nets for the same RNG streams.
+        *batch* (``packed`` from 2 up, overridable via
+        ``REPRO_SIM_BACKEND``); both backends fill the same blocked
+        float32 fold and produce bit-identical traces, toggles and
+        recorded nets for the same RNG streams.  Empty or repeated
+        *receivers* and unknown *record_nets* nets raise
+        :class:`~repro.errors.MeasurementError` before anything is
+        simulated.
         """
         member = GroupMember(
             name="acquire",
@@ -413,9 +472,21 @@ class AcquisitionEngine:
         if n_cycles <= 0:
             raise MeasurementError(f"n_cycles must be positive, got {n_cycles}")
         names = receivers if receivers is not None else tuple(chip.receivers)
+        if not names:
+            raise MeasurementError("receivers must name at least one receiver")
         for name in names:
             if name not in chip.receivers:
                 raise MeasurementError(f"unknown receiver {name!r}")
+        if len(set(names)) != len(names):
+            # A repeated receiver would draw the shared noise stream
+            # twice and silently return a different trace.
+            dup = sorted({n for n in names if names.count(n) > 1})
+            raise MeasurementError(f"receivers repeats {dup}")
+        for label, net in (record_nets or {}).items():
+            if net not in sim.net_index:
+                raise MeasurementError(
+                    f"record_nets[{label!r}] names unknown net {net!r}"
+                )
         for m in members:
             if m.batch <= 0:
                 raise MeasurementError(
@@ -568,11 +639,13 @@ class AcquisitionEngine:
 
         Buffers up to ``FOLD_BLOCK_COLS // batch`` cycles of toggle
         data, then folds the whole block through one stacked GEMM.  The
-        bool and packed backends fill byte-for-byte identical weight
-        blocks (``toggled-and-fell * FALL_CURRENT_FRACTION + rising``)
-        and issue identical BLAS calls, so their folded frames — and
-        therefore the traces — are bit-identical by construction, not
-        by floating-point luck.
+        bool backend computes the weight block as ``toggled-and-fell *
+        FALL_CURRENT_FRACTION + rising``; the packed backend looks the
+        same float32 values up 8 lanes at a time from the toggle and
+        rise lane bytes (:func:`_lane_weight_lut`).  Both fill
+        byte-for-byte identical blocks and issue identical BLAS calls,
+        so their folded frames — and therefore the traces — are
+        bit-identical by construction, not by floating-point luck.
 
         Returns ``(clock_en, recorded)`` as bool arrays of shapes
         ``(n_cycles, n_seq, batch)`` and
@@ -584,11 +657,17 @@ class AcquisitionEngine:
         packed = isinstance(state, PackedState)
         block = max(1, min(n_cycles, FOLD_BLOCK_COLS // batch))
         w_block = np.empty((n_inst, block * batch), dtype=np.float32)
-        fall = np.float32(FALL_CURRENT_FRACTION)
         if packed:
             nwords = state.nwords
-            tog_words = np.empty((block, n_inst, nwords), dtype=np.uint64)
+            # Little-endian words, so a uint8 view walks the lanes in
+            # order: byte j of a row holds lanes 8j .. 8j + 7.
+            tog_words = np.empty((n_inst, block, nwords), dtype="<u8")
             ris_words = np.empty_like(tog_words)
+            n_bytes = -(-batch // 8)
+            tog_bytes = tog_words.view(np.uint8)[..., :n_bytes]
+            ris_bytes = ris_words.view(np.uint8)[..., :n_bytes]
+            codes = np.empty((n_inst, block, n_bytes), dtype=np.uint16)
+            w_lanes = w_block.reshape(n_inst, block, batch)
             clock_en_words = np.empty(
                 (n_cycles, n_seq, nwords), dtype=np.uint64
             )
@@ -598,6 +677,7 @@ class AcquisitionEngine:
             if watch_idx.size:
                 rec_words[0] = state.words[watch_idx]
         else:
+            fall = np.float32(FALL_CURRENT_FRACTION)
             s_block = np.empty((n_inst, block * batch), dtype=bool)
             r_block = np.empty((n_inst, block * batch), dtype=bool)
             clock_en = np.empty((n_cycles, n_seq, batch), dtype=bool)
@@ -608,23 +688,17 @@ class AcquisitionEngine:
                 rec_buf[0] = state.values[watch_idx]
 
         def flush(c: int) -> None:
+            wv = w_block[:, : c * batch]
             if packed:
-                tog = tog_words[:c].transpose(1, 0, 2)
-                ris = ris_words[:c].transpose(1, 0, 2)
+                _lookup_weights(
+                    tog_bytes[:, :c], ris_bytes[:, :c], codes[:, :c],
+                    w_lanes[:, :c],
+                )
+            else:
                 # s = toggled-and-fell, r = rising: disjoint masks, so
                 # the weight block is exactly s*0.35 + r*1.0 per lane.
-                s_bits = np.ascontiguousarray(
-                    unpack_bits(tog ^ ris, batch)
-                ).reshape(n_inst, c * batch)
-                r_bits = np.ascontiguousarray(
-                    unpack_bits(ris, batch)
-                ).reshape(n_inst, c * batch)
-            else:
-                s_bits = s_block[:, : c * batch]
-                r_bits = r_block[:, : c * batch]
-            wv = w_block[:, : c * batch]
-            np.multiply(s_bits, fall, out=wv)
-            np.add(wv, r_bits, out=wv)
+                np.multiply(s_block[:, : c * batch], fall, out=wv)
+                np.add(wv, r_block[:, : c * batch], out=wv)
             ActivityAccumulator.record_all_blocks(acc_list, wv, c, batch)
 
         fill = 0
@@ -632,9 +706,10 @@ class AcquisitionEngine:
             if packed:
                 clock_en_words[k - 1] = sim.clock_enable_values(state)
                 toggles = sim.step(state, workload.inputs(k, batch))
-                tog_words[fill] = toggles
+                tog_words[:, fill] = toggles
                 np.bitwise_and(
-                    toggles, sim.output_values(state), out=ris_words[fill]
+                    toggles, sim.output_values(state),
+                    out=ris_words[:, fill],
                 )
                 if watch_idx.size:
                     rec_words[k] = state.words[watch_idx]
@@ -657,10 +732,8 @@ class AcquisitionEngine:
             flush(fill)
 
         if packed:
-            clock_en = np.ascontiguousarray(
-                unpack_bits(clock_en_words, batch)
-            )
-            rec_buf = np.ascontiguousarray(unpack_bits(rec_words, batch))
+            clock_en = unpack_bits(clock_en_words, batch)
+            rec_buf = unpack_bits(rec_words, batch)
         return clock_en, rec_buf
 
     # ------------------------------------------------------------------

@@ -200,7 +200,7 @@ class ReproConfig:
     #: Keep the process pool even where the single-CPU auto-degrade
     #: heuristic would run serially.
     force_pool: bool = False
-    #: Logic-simulation backend (``auto`` picks packed from batch 64).
+    #: Logic-simulation backend (``auto`` picks packed from batch 2).
     sim_backend: str = "auto"
     #: EM-kernel transient-buffer budget [bytes].
     em_chunk_bytes: int = DEFAULT_CHUNK_BYTES

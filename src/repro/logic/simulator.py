@@ -23,10 +23,10 @@ Two execution backends share one compiled netlist:
   arrays (:class:`SimulationState`).  The default for direct callers.
 * ``packed`` — bit-sliced: 64 batch lanes per ``uint64`` word,
   ``(num_nets, ceil(batch/64))`` arrays (:class:`PackedState`), gates
-  evaluated with bitwise ops on whole words.  8× smaller state and
-  ~4× faster stepping at large batches; selected by the acquisition
-  engine via :func:`resolve_backend` (``REPRO_SIM_BACKEND`` overrides,
-  else packed when ``batch >= 64``).  Both backends follow the
+  evaluated with bitwise ops on whole words.  Up to 8× smaller state
+  and about 3× faster stepping from batch 2 up; the acquisition engine
+  picks it via :func:`resolve_backend` (``REPRO_SIM_BACKEND``
+  overrides, else packed when ``batch >= 2``).  Both backends follow the
   identical per-cycle toggle contract — unpacking a packed toggle word
   with :func:`unpack_bits` yields exactly the bool backend's matrix.
 """
@@ -49,9 +49,10 @@ BoolArray = np.ndarray
 #: Batch lanes per machine word in the packed backend.
 WORD_BITS = 64
 
-#: Smallest batch at which ``auto`` resolves to the packed backend —
-#: below one full word per net the packing overhead cannot pay off.
-PACKED_BATCH_THRESHOLD = 64
+#: Smallest batch at which ``auto`` resolves to the packed backend.  A
+#: single lane gains nothing from packing: its word is 8× the bool
+#: state's byte, and the bool cycle loop is the faster one there.
+PACKED_BATCH_THRESHOLD = 2
 
 #: Little-endian word dtype the pack/unpack helpers round-trip through,
 #: so the lane order is fixed regardless of host byte order.
@@ -110,20 +111,21 @@ def pack_bits(values: np.ndarray) -> np.ndarray:
 def unpack_bits(words: np.ndarray, batch: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`: lane words back to a bool array.
 
-    ``(..., nwords)`` uint64 → ``(..., batch)`` bool.  The result may be
-    a view into a freshly allocated buffer; copy before mutating.
+    ``(..., nwords)`` uint64 → ``(..., batch)`` bool, a fresh
+    contiguous array.  Only the ``ceil(batch / 8)`` bytes holding valid
+    lanes are unpacked, so padding lanes cost no memory.
     """
-    w = np.ascontiguousarray(words)
+    w = np.ascontiguousarray(words).astype(_WORD_LE, copy=False)
     nwords = w.shape[-1]
     if w.ndim > 1 and batch == nwords * WORD_BITS:
         # No padding lanes: flatten to 2-D so unpackbits runs one long
         # row per item instead of many short last-axis segments.
-        flat = w.reshape(-1, nwords).astype(_WORD_LE, copy=False)
-        bits = np.unpackbits(flat.view(np.uint8), axis=-1, bitorder="little")
+        flat = w.reshape(-1, nwords).view(np.uint8)
+        bits = np.unpackbits(flat, axis=-1, bitorder="little")
         return bits.reshape(w.shape[:-1] + (batch,)).view(np.bool_)
-    by = w.astype(_WORD_LE, copy=False).view(np.uint8)
-    bits = np.unpackbits(by, axis=-1, bitorder="little")
-    return bits[..., :batch].view(np.bool_)
+    by = w.view(np.uint8)[..., : -(-batch // 8)]
+    bits = np.unpackbits(by, axis=-1, count=batch, bitorder="little")
+    return bits.view(np.bool_)
 
 
 def _lane_mask(batch: int) -> np.ndarray:
@@ -565,9 +567,7 @@ class CompiledNetlist:
     ) -> BoolArray:
         """Current value of one net across the batch."""
         if isinstance(state, PackedState):
-            return unpack_bits(
-                state.words[self.net_index[net]], state.batch
-            ).copy()
+            return unpack_bits(state.words[self.net_index[net]], state.batch)
         return state.values[self.net_index[net]].copy()
 
     def read_bus(
@@ -596,9 +596,7 @@ class CompiledNetlist:
         """Bus values as a bool array of shape ``(width, batch)``, MSB first."""
         idx = [self.net_index[n] for n in bus]
         if isinstance(state, PackedState):
-            return np.ascontiguousarray(
-                unpack_bits(state.words[idx], state.batch)
-            )
+            return unpack_bits(state.words[idx], state.batch)
         return state.values[idx].copy()
 
     # ------------------------------------------------------------------

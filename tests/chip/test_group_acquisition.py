@@ -145,6 +145,29 @@ def test_group_validation(chip, engine):
             [_member(chip, "a", 4), _member(chip, "b", 0)], n_cycles=16
         )
 
+    # Empty or repeated receivers and unknown recorded nets raise a
+    # typed error from both fronts, before a single cycle is stepped.
+    bad_arguments = [
+        (dict(receivers=()), "at least one receiver"),
+        (dict(receivers=("sensor", "sensor")), "repeats.*'sensor'"),
+        (dict(receivers=("sensor", "probe", "probe")), "repeats.*'probe'"),
+        (dict(record_nets={"bogus": "no_such_net"}), "'bogus'.*'no_such_net'"),
+    ]
+    with use_metrics() as metrics:
+        for kwargs, match in bad_arguments:
+            with pytest.raises(MeasurementError, match=match):
+                engine.acquire(
+                    EncryptionWorkload(chip.aes, KEY), n_cycles=16, batch=4,
+                    **kwargs,
+                )
+            with pytest.raises(MeasurementError, match=match):
+                engine.acquire_group(
+                    [_member(chip, "a", 4), _member(chip, "b", 3)],
+                    n_cycles=16,
+                    **kwargs,
+                )
+    assert "acquire.cycles" not in metrics.snapshot()["counters"]
+
 
 def test_solo_with_workload_role_equals_group_of_one(chip, engine):
     kw = dict(n_cycles=32, record_nets={"busy": chip.aes.busy})

@@ -13,12 +13,16 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.chip import AcquisitionEngine, EncryptionWorkload
-from repro.chip.acquire import acquisition_engine
+from repro.chip import AcquisitionEngine, EncryptionWorkload, GroupMember
+from repro.chip.acquire import (
+    FALL_CURRENT_FRACTION,
+    _lookup_weights,
+    acquisition_engine,
+)
 from repro.chip.chip import Chip
 from repro.chip.scenario import simulation_scenario
 from repro.experiments import clear_campaign_caches
-from repro.logic.simulator import BACKEND_ENV_VAR
+from repro.logic.simulator import BACKEND_ENV_VAR, packed_words, unpack_bits
 from tests.chip.reference_fold import ReferenceFoldEngine
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -53,7 +57,7 @@ def _assert_identical(a, b):
         assert np.array_equal(a.recorded[name], b.recorded[name]), name
 
 
-@pytest.mark.parametrize("batch", (64, 65))
+@pytest.mark.parametrize("batch", (1, 8, 32, 33, 64, 65))
 def test_golden_campaign_bit_identity(chip, engine, monkeypatch, batch):
     """Noise, both receivers, recorded nets — exact equality end to end."""
     packed = _campaign(chip, engine, "packed", monkeypatch, batch=batch)
@@ -70,6 +74,67 @@ def test_trojan_campaign_bit_identity(chip, engine, monkeypatch, trojans):
     boolr = _campaign(chip, engine, "bool", monkeypatch,
                       batch=64, trojans=trojans)
     _assert_identical(packed, boolr)
+
+
+def test_lane_group_bit_identity(chip, engine, monkeypatch):
+    """Three 5-lane members share one word: packed equals bool per member."""
+    def group(backend):
+        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+        members = [
+            GroupMember(
+                name=name,
+                workload=EncryptionWorkload(chip.aes, KEY),
+                batch=5,
+                trojan_enables=trojans,
+                rng_role=f"packed-eq/group/{name}",
+            )
+            for name, trojans in (
+                ("golden", ()), ("t1", ("trojan1",)), ("a2", ("a2",))
+            )
+        ]
+        return engine.acquire_group(
+            members, n_cycles=48, record_nets={"busy": chip.aes.busy}
+        )
+
+    packed, boolr = group("packed"), group("bool")
+    assert list(packed) == list(boolr)
+    for name in packed:
+        _assert_identical(packed[name], boolr[name])
+
+
+@pytest.mark.parametrize("batch", (1, 7, 8, 9, 32, 63, 64, 65, 130))
+def test_lookup_block_equals_bool_formula(batch):
+    """The byte-lookup weight block holds exactly the float32 values of
+    the bool backend's ``s * fall + r``, also for a partial last block
+    written into a wider buffer."""
+    rng = np.random.default_rng(batch)
+    n_inst, block, cycles = 37, 5, 3
+    nwords = packed_words(batch)
+    shape = (n_inst, block, nwords)
+    top = np.iinfo(np.uint64).max
+    tog = rng.integers(0, top, size=shape, dtype=np.uint64, endpoint=True)
+    ris = tog & rng.integers(0, top, size=shape, dtype=np.uint64,
+                             endpoint=True)
+    tog_le, ris_le = tog.astype("<u8"), ris.astype("<u8")
+    n_bytes = -(-batch // 8)
+    w_block = np.full((n_inst, block * batch), np.nan, dtype=np.float32)
+    _lookup_weights(
+        tog_le.view(np.uint8)[:, :cycles, :n_bytes],
+        ris_le.view(np.uint8)[:, :cycles, :n_bytes],
+        np.empty((n_inst, cycles, n_bytes), dtype=np.uint16),
+        w_block.reshape(n_inst, block, batch)[:, :cycles],
+    )
+
+    t_bits = unpack_bits(tog[:, :cycles], batch).reshape(n_inst, -1)
+    r_bits = unpack_bits(ris[:, :cycles], batch).reshape(n_inst, -1)
+    expected = np.empty((n_inst, cycles * batch), dtype=np.float32)
+    np.multiply(t_bits ^ r_bits, np.float32(FALL_CURRENT_FRACTION),
+                out=expected)
+    np.add(expected, r_bits, out=expected)
+    got = w_block[:, : cycles * batch]
+    assert got.tobytes() == expected.tobytes()
+    # Columns past the partial block are left alone.
+    assert np.isnan(w_block[:, cycles * batch :]).all()
 
 
 def test_reference_fold_tolerance(chip, sim_scenario, engine, monkeypatch):

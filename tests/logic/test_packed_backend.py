@@ -18,22 +18,40 @@ from repro.logic.simulator import (
     unpack_bits,
 )
 
-# Batch sizes straddling every packing edge case: single lane, partial
-# word, word-boundary-minus-one, exact words, and a ragged tail word.
-BATCHES = (1, 7, 63, 64, 65, 100, 128, 256)
-
-
 # ----------------------------------------------------------------------
 # pack/unpack primitives
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("batch", (*range(1, 131), 256))
 def test_pack_unpack_roundtrip(batch):
+    """2-D and 3-D round trips at every batch up to 130; padding bits
+    set in the words never leak into the unpacked lanes."""
     rng = np.random.default_rng(batch)
-    values = rng.integers(0, 2, size=(5, batch)).astype(bool)
-    words = pack_bits(values)
-    assert words.shape == (5, packed_words(batch))
-    assert words.dtype == np.uint64
-    assert np.array_equal(unpack_bits(words, batch), values)
+    valid = pack_bits(np.ones(batch, dtype=bool))
+    for shape in ((5, batch), (4, 3, batch)):
+        values = rng.integers(0, 2, size=shape).astype(bool)
+        words = pack_bits(values)
+        assert words.shape == shape[:-1] + (packed_words(batch),)
+        assert words.dtype == np.uint64
+        got = unpack_bits(words | ~valid, batch)
+        assert got.shape == shape
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, values)
+
+
+def test_unpack_allocates_only_valid_lane_bytes():
+    """Unpacking batch 8 from one-word rows touches one byte per row, not
+    all 64 lanes (a 64x transient on long clock-enable records)."""
+    import tracemalloc
+
+    words = np.zeros((64, 4352, 1), dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        got = unpack_bits(words, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (64, 4352, 8)
+    assert peak < 2 * got.nbytes
 
 
 def test_pack_pads_with_zero_lanes():
@@ -47,6 +65,10 @@ def test_resolve_backend_threshold_and_env(monkeypatch):
     monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
     assert resolve_backend(PACKED_BATCH_THRESHOLD - 1) == "bool"
     assert resolve_backend(PACKED_BATCH_THRESHOLD) == "packed"
+    # ``auto`` is bool for a single lane and packed from batch 2 up.
+    assert resolve_backend(1, backend="auto") == "bool"
+    for batch in (2, 8, 63, 64, 4096):
+        assert resolve_backend(batch) == "packed"
     monkeypatch.setenv(BACKEND_ENV_VAR, "bool")
     assert resolve_backend(4096) == "bool"
     monkeypatch.setenv(BACKEND_ENV_VAR, "packed")

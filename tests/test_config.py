@@ -252,6 +252,11 @@ class TestActiveConfig:
         with use_config(pinned):
             assert resolve_chunk_bytes() == 42
             assert resolve_backend(512) == "bool"
+        # ``auto`` is bool for a single lane, packed from batch 2 up.
+        with use_config(ReproConfig(sim_backend="auto")):
+            assert resolve_backend(1) == "bool"
+            assert resolve_backend(2) == "packed"
+            assert resolve_backend(8) == "packed"
 
 
 class TestPoolDegrade:
