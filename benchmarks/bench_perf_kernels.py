@@ -20,16 +20,14 @@ from conftest import record_timing, run_once
 
 from repro.chip.acquire import AcquisitionEngine, EncryptionWorkload
 from repro.logic.simulator import BACKEND_ENV_VAR
-from repro.em.biot_savart import (
-    _b_field_of_segments_loop,
-    b_field_of_segments,
-)
-from repro.em.mutual import (
-    _mutual_inductance_to_loop_loop,
-    mutual_inductance_to_loop,
-)
+from repro.em.biot_savart import b_field_of_segments
+from repro.em.mutual import mutual_inductance_to_loop
 from repro.experiments import campaign_spec, run_campaigns
 from tests.chip.reference_fold import ReferenceFoldEngine
+from tests.em.reference_kernels import (
+    b_field_of_segments_loop,
+    mutual_inductance_to_loop_loop,
+)
 
 N_SEGMENTS = 2000
 N_POINTS = 1600  # 40 x 40 surface grid
@@ -69,9 +67,9 @@ def test_biot_savart_kernel(benchmark):
     field = run_once(benchmark, b_field_of_segments, s, e, currents, points)
     t_vec = _best_of(lambda: b_field_of_segments(s, e, currents, points))
     t_loop = _best_of(
-        lambda: _b_field_of_segments_loop(s, e, currents, points), repeats=1
+        lambda: b_field_of_segments_loop(s, e, currents, points), repeats=1
     )
-    reference = _b_field_of_segments_loop(s, e, currents, points)
+    reference = b_field_of_segments_loop(s, e, currents, points)
 
     speedup = t_loop / t_vec
     record_timing("biot_savart_loop_reference", t_loop, speedup=speedup)
@@ -102,9 +100,9 @@ def test_mutual_inductance_kernel(benchmark):
     m = run_once(benchmark, mutual_inductance_to_loop, s, e, coil)
     t_vec = _best_of(lambda: mutual_inductance_to_loop(s, e, coil))
     t_loop = _best_of(
-        lambda: _mutual_inductance_to_loop_loop(s, e, coil), repeats=1
+        lambda: mutual_inductance_to_loop_loop(s, e, coil), repeats=1
     )
-    reference = _mutual_inductance_to_loop_loop(s, e, coil)
+    reference = mutual_inductance_to_loop_loop(s, e, coil)
 
     speedup = t_loop / t_vec
     record_timing("mutual_inductance_loop_reference", t_loop, speedup=speedup)

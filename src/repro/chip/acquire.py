@@ -569,6 +569,7 @@ class AcquisitionEngine:
 
         n_samples = (n_cycles + 1) * cfg.samples_per_cycle
         folded = {name: accumulators[name].result() for name in names}
+        groups = self._synthesis_groups(names)
 
         results: list[AcquisitionResult] = []
         with metrics.time("stage.synthesize.seconds"):
@@ -578,19 +579,21 @@ class AcquisitionEngine:
                     for j, label in enumerate(watch_labels)
                 }
                 member_clock = np.ascontiguousarray(clock_en[:, :, sl])
-                traces: dict[str, np.ndarray] = {}
-                for name in names:
-                    traces[name] = self._synthesize_receiver(
-                        name,
-                        np.ascontiguousarray(folded[name][:, :, sl]),
-                        member_clock,
-                        rec_arrays,
-                        n_cycles,
-                        n_samples,
-                        m.batch,
-                        include_noise,
+                signal: dict[str, np.ndarray] = {}
+                for group in groups:
+                    signal.update(self._synthesize_group(
+                        group, folded, sl, member_clock, rec_arrays,
+                        n_cycles, n_samples, m.batch,
+                    ))
+                # Noise and scope consume the member's shared stream in
+                # receiver order, exactly as each receiver's solo pass.
+                traces = {
+                    name: self._finish_receiver(
+                        name, signal[name], include_noise,
                         self._channel_rng(name, rng, m.rng_role),
                     )
+                    for name in names
+                }
                 results.append(AcquisitionResult(
                     traces=traces,
                     fs=cfg.fs,
@@ -737,87 +740,141 @@ class AcquisitionEngine:
         return clock_en, rec_buf
 
     # ------------------------------------------------------------------
-    def _synthesize_receiver(
+    def _synthesis_groups(
+        self, names: tuple[str, ...]
+    ) -> list[tuple[str, ...]]:
+        """Partition *names* into synthesis groups, in first-seen order.
+
+        Receivers sharing ``group``, ``sense`` and ``external`` share
+        event times and kernels, so one convolution per event kind
+        serves them all; standalone receivers are groups of one.
+        """
+        groups: dict[object, list[str]] = {}
+        for name in names:
+            rcv = self.chip.receivers[name]
+            key = (
+                name if rcv.group is None
+                else (rcv.group, rcv.sense, rcv.external)
+            )
+            groups.setdefault(key, []).append(name)
+        return [tuple(g) for g in groups.values()]
+
+    # ------------------------------------------------------------------
+    def _synthesize_group(
         self,
-        name: str,
-        data_amps: np.ndarray,  # (cycles, bins, batch)
+        names: tuple[str, ...],
+        folded: dict[str, np.ndarray],  # name -> (cycles, bins, total)
+        lanes: slice,
         clock_en: np.ndarray,  # (cycles, n_seq, batch)
         recorded: dict[str, np.ndarray],
         n_cycles: int,
         n_samples: int,
         batch: int,
-        include_noise: bool,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
+    ) -> dict[str, np.ndarray]:
+        """Noise-free signal of every receiver in one synthesis group.
+
+        Each receiver's event amplitudes fill its own ``batch`` columns
+        of one ``(events, len(names) * batch)`` matrix, so the group
+        convolves once per event kind: the data and clock train, then
+        each analog tap.  A tap whose events (or level transitions) are
+        all zero on these lanes contributes nothing and is skipped.
+        Returns ``{name: (batch, n_samples)}`` row slices of the group
+        waveform.
+        """
         chip = self.chip
         cfg = chip.config
-        rcv = chip.receivers[name]
         t_clk = cfg.t_clk
+        sense = chip.receivers[names[0]].sense
+        passes = active_metrics().counter("acquire.synth.passes")
 
-        n_bins = data_amps.shape[1]
+        def convolve(times, amps, kern):
+            passes.inc()
+            return synthesize_events(times, amps, kern, n_samples, cfg.fs)
+
+        n_bins = folded[names[0]].shape[1]
+        n_data = n_cycles * n_bins
         edge_times = (np.arange(n_cycles) + 1) * t_clk
 
-        # Data events: cycle edge + per-level stagger.
+        # Data events: cycle edge + per-level stagger; clock events at
+        # the edges proper.
         data_times = (
             edge_times[:, None] + (np.arange(n_bins) * cfg.gate_delay)[None, :]
         ).reshape(-1)
-        data_flat = data_amps.reshape(n_cycles * n_bins, batch)
-
-        # Clock events at the edges proper.
-        w_clk = self._w_clock_seq[name]
-        clock_amps = np.einsum("s,csb->cb", w_clk, clock_en)
-
         times = np.concatenate([data_times, edge_times])
-        amps = np.concatenate([data_flat, clock_amps], axis=0)
-        if rcv.sense == "current":
+        amps = np.empty((n_data + n_cycles, len(names) * batch))
+        data_amps = amps[:n_data].reshape(n_cycles, n_bins, -1)
+        for j, name in enumerate(names):
+            cols = slice(j * batch, (j + 1) * batch)
+            data_amps[:, :, cols] = folded[name][:, :, lanes]
+            amps[n_data:, cols] = np.einsum(
+                "s,csb->cb", self._w_clock_seq[name], clock_en
+            )
+        if sense == "current":
             # A shunt monitor sees the current pulses themselves.
             kern = current_kernel(cfg.fs, cfg.pulse_width)
         else:
             kern = emf_kernel(cfg.fs, cfg.pulse_width)
-        wave = synthesize_events(times, amps, kern, n_samples, cfg.fs)
+        wave = convolve(times, amps, kern)
 
-        # Analog taps.
+        # Analog taps: the events are shared, each receiver scales them
+        # by its own coupling.
         for i, tap in enumerate(chip.taps):
-            coupling = rcv.tap_coupling[i]
-            vals = recorded[f"__tap{i}_net"].astype(np.float64)
-            if tap.gate_by is not None:
-                vals = vals * recorded[f"__tap{i}_gate"]
+            scale = np.array(
+                [chip.receivers[n].tap_coupling[i] * tap.amplitude for n in names]
+            )
+            net = recorded[f"__tap{i}_net"]
+            gate = (
+                recorded[f"__tap{i}_gate"] if tap.gate_by is not None else None
+            )
             if tap.mode in (TapMode.PULSE_ON_TOGGLE, TapMode.PULSE_ON_RISE):
-                deltas = np.diff(recorded[f"__tap{i}_net"].astype(np.int8), axis=0)
+                deltas = np.diff(net.astype(np.int8), axis=0)
                 if tap.mode is TapMode.PULSE_ON_RISE:
                     events = (deltas > 0).astype(np.float64)
                 else:
                     events = np.abs(deltas).astype(np.float64)
-                if tap.gate_by is not None:
-                    events = events * recorded[f"__tap{i}_gate"][1:]
-                amps_tap = coupling * tap.amplitude * events
-                wave += synthesize_events(
-                    edge_times, amps_tap, kern, n_samples, cfg.fs
-                )
+                if gate is not None:
+                    events = events * gate[1:]
+                s_kern = kern
             else:
-                level = vals if tap.mode is TapMode.CURRENT_WHEN_HIGH else (
-                    (1.0 - recorded[f"__tap{i}_net"].astype(np.float64))
-                )
-                if tap.mode is TapMode.CURRENT_WHEN_LOW and tap.gate_by is not None:
-                    level = level * recorded[f"__tap{i}_gate"]
-                if rcv.sense == "current":
+                level = net.astype(np.float64)
+                if tap.mode is TapMode.CURRENT_WHEN_LOW:
+                    level = 1.0 - level
+                if gate is not None:
+                    level = level * gate
+                if sense == "current":
                     # The shunt sees the static level itself: a box
                     # waveform, amp x level, held for each cycle.
                     spc = cfg.samples_per_cycle
                     box = np.repeat(level.T, spc, axis=1)
                     box = box[:, : n_samples - spc]
                     pad = np.zeros((box.shape[0], n_samples - box.shape[1]))
-                    wave += coupling * tap.amplitude * np.concatenate(
-                        [box, pad], axis=1
-                    )
-                else:
-                    delta = np.diff(level, axis=0)  # transitions at edges
-                    amps_tap = coupling * tap.amplitude * delta
-                    s_kern = step_kernel(cfg.fs, tap.rise_time)
-                    wave += synthesize_events(
-                        edge_times, amps_tap, s_kern, n_samples, cfg.fs
-                    )
+                    box = np.concatenate([box, pad], axis=1)
+                    for j in range(len(names)):
+                        wave[j * batch : (j + 1) * batch] += scale[j] * box
+                    continue
+                events = np.diff(level, axis=0)  # transitions at edges
+                s_kern = step_kernel(cfg.fs, tap.rise_time)
+            if not events.any():
+                continue
+            amps_tap = (events[:, None, :] * scale[None, :, None]).reshape(
+                n_cycles, -1
+            )
+            wave += convolve(edge_times, amps_tap, s_kern)
+        return {
+            name: wave[j * batch : (j + 1) * batch]
+            for j, name in enumerate(names)
+        }
 
+    # ------------------------------------------------------------------
+    def _finish_receiver(
+        self,
+        name: str,
+        wave: np.ndarray,
+        include_noise: bool,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Probe attenuation and drift, noise and the scope for *name*."""
+        rcv = self.chip.receivers[name]
         if rcv.external:
             wave = wave * self.scenario.probe_attenuation
             # Positional drift distorts the *signal* path (it scales
@@ -842,7 +899,7 @@ class AcquisitionEngine:
 
         scope = self.scenario.oscilloscope
         if scope is not None:
-            wave = scope.digitize(wave, cfg.fs, rng)
+            wave = scope.digitize(wave, self.chip.config.fs, rng)
         return wave
 
     def _probe_drift(

@@ -229,48 +229,6 @@ def _b_generic(
         field += np.einsum("sp,spk->pk", magnitude, phi)
 
 
-def _b_field_of_segments_loop(
-    seg_start: np.ndarray,
-    seg_end: np.ndarray,
-    currents: np.ndarray,
-    points: np.ndarray,
-    min_distance: float = 0.1 * UM,
-) -> np.ndarray:
-    """Reference per-segment-loop implementation.
-
-    Kept as the ground truth for the vectorised kernel's equivalence
-    tests and the perf benchmark's baseline; not part of the public API.
-    """
-    a = np.asarray(seg_start, dtype=np.float64)
-    b = np.asarray(seg_end, dtype=np.float64)
-    i_seg = np.asarray(currents, dtype=np.float64)
-    pts = np.asarray(points, dtype=np.float64)
-
-    field = np.zeros_like(pts)
-    axis = b - a  # (N, 3)
-    length = np.linalg.norm(axis, axis=1)
-    ok = length > 0
-    for idx in np.nonzero(ok)[0]:
-        u = axis[idx] / length[idx]
-        ap = pts - a[idx]  # (P, 3)
-        proj = ap @ u  # (P,)
-        radial = ap - proj[:, None] * u[None, :]
-        d = np.linalg.norm(radial, axis=1)
-        d = np.maximum(d, min_distance)
-        bp_proj = proj - length[idx]
-        ra = np.sqrt(proj**2 + d**2)
-        rb = np.sqrt(bp_proj**2 + d**2)
-        cos1 = proj / ra
-        cos2 = bp_proj / rb
-        magnitude = MU_0 * i_seg[idx] / (4.0 * math.pi * d) * (cos1 - cos2)
-        phi = np.cross(np.broadcast_to(u, radial.shape), radial)
-        norm = np.linalg.norm(phi, axis=1)
-        safe = norm > 0
-        phi[safe] /= norm[safe, None]
-        field += magnitude[:, None] * phi
-    return field
-
-
 def flux_through_polygon(
     seg_start: np.ndarray,
     seg_end: np.ndarray,

@@ -288,47 +288,3 @@ def mutual_inductance_to_loops(
         per_loop = np.add.reduceat(contrib, starts, axis=1)  # (S, n_live)
         result[np.ix_(live, np.arange(lo, min(hi, n_src)))] = per_loop.T
     return MU_0 / (4.0 * math.pi) * result
-
-
-def _mutual_inductance_to_loop_loop(
-    seg_start: np.ndarray,
-    seg_end: np.ndarray,
-    loop_points: np.ndarray,
-    n_quad: int = 4,
-    min_distance: float = 0.5 * UM,
-) -> np.ndarray:
-    """Reference per-coil-segment-loop implementation.
-
-    Kept as the ground truth for the vectorised kernel's equivalence
-    tests and the perf benchmark's baseline; not part of the public API.
-    """
-    s0 = np.asarray(seg_start, dtype=np.float64)
-    s1 = np.asarray(seg_end, dtype=np.float64)
-    loop = np.asarray(loop_points, dtype=np.float64)
-
-    u, w = _gauss01(n_quad)
-    n_src = s0.shape[0]
-    result = np.zeros(n_src)
-    if n_src == 0:
-        return result
-
-    d_src = s1 - s0  # (N, 3), includes length
-    p_src = s0[:, None, :] + u[None, :, None] * d_src[:, None, :]
-
-    c0_all, c1_all = loop[:-1], loop[1:]
-    for c0, c1 in zip(c0_all, c1_all):
-        d_coil = c1 - c0
-        coil_len = float(np.linalg.norm(d_coil))
-        if coil_len == 0.0:
-            continue
-        dots = d_src @ d_coil  # (N,)
-        active = np.abs(dots) > 0.0
-        if not active.any():
-            continue
-        p_coil = c0[None, :] + u[:, None] * d_coil[None, :]  # (B, 3)
-        diff = p_src[active][:, :, None, :] - p_coil[None, None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)  # (n_active, A, B)
-        np.maximum(dist, min_distance, out=dist)
-        kernel = (w[None, :, None] * w[None, None, :] / dist).sum(axis=(1, 2))
-        result[active] += dots[active] * kernel
-    return MU_0 / (4.0 * math.pi) * result

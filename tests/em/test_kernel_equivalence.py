@@ -3,7 +3,8 @@
 The vectorised :func:`b_field_of_segments` (axis-aligned fast branch +
 generic broadcast) and :func:`mutual_inductance_to_loop` (GEMM distance
 expansion with exact recompute of near-coincident pairs) must agree
-with the retained per-segment loop implementations to 1e-12 relative
+with the per-segment loop references in
+:mod:`tests.em.reference_kernels` to 1e-12 relative
 error — on randomised oblique segments, on power-grid-style axis
 geometry, with the distance clamp active, and independently of the
 chunk size.
@@ -14,21 +15,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.em.biot_savart import (
-    _b_field_of_segments_loop,
-    b_field_of_segments,
-)
+from repro.em.biot_savart import b_field_of_segments
 from repro.em.chunking import (
     CHUNK_ENV_VAR,
     DEFAULT_CHUNK_BYTES,
     resolve_chunk_bytes,
     rows_per_chunk,
 )
-from repro.em.mutual import (
-    _mutual_inductance_to_loop_loop,
-    mutual_inductance_to_loop,
-)
+from repro.em.mutual import mutual_inductance_to_loop
 from repro.errors import EmModelError
+from tests.em.reference_kernels import (
+    b_field_of_segments_loop,
+    mutual_inductance_to_loop_loop,
+)
 
 TOL = 1e-12
 
@@ -72,7 +71,7 @@ def test_biot_savart_matches_loop_random_orientations(seed):
     s, e, cur = _random_segments(rng, 300)
     pts = rng.normal(size=(200, 3)) * 1e-3
     got = b_field_of_segments(s, e, cur, pts)
-    ref = _b_field_of_segments_loop(s, e, cur, pts)
+    ref = b_field_of_segments_loop(s, e, cur, pts)
     assert _rel_err(got, ref) <= TOL
 
 
@@ -82,7 +81,7 @@ def test_biot_savart_matches_loop_grid_geometry(seed):
     s, e, cur = _grid_segments(rng, 500)
     pts = _surface_points(rng, 300)
     got = b_field_of_segments(s, e, cur, pts)
-    ref = _b_field_of_segments_loop(s, e, cur, pts)
+    ref = b_field_of_segments_loop(s, e, cur, pts)
     assert _rel_err(got, ref) <= TOL
 
 
@@ -93,7 +92,7 @@ def test_biot_savart_matches_loop_with_clamp_active():
     pts = _surface_points(rng, 150, z=0.0)
     pts[:50] = s[:50]  # points exactly on segment start points
     got = b_field_of_segments(s, e, cur, pts)
-    ref = _b_field_of_segments_loop(s, e, cur, pts)
+    ref = b_field_of_segments_loop(s, e, cur, pts)
     assert _rel_err(got, ref) <= TOL
 
 
@@ -111,7 +110,7 @@ def test_biot_savart_mixed_orientations_and_degenerate_segments():
     cur = np.concatenate([ca, cr, rng.normal(size=10), rng.normal(size=5)])
     pts = _surface_points(rng, 120)
     got = b_field_of_segments(s, e, cur, pts)
-    ref = _b_field_of_segments_loop(s, e, cur, pts)
+    ref = b_field_of_segments_loop(s, e, cur, pts)
     assert _rel_err(got, ref) <= TOL
 
 
@@ -136,7 +135,7 @@ def test_mutual_matches_loop_random_orientations(seed):
         axis=1,
     )
     got = mutual_inductance_to_loop(s, e, coil)
-    ref = _mutual_inductance_to_loop_loop(s, e, coil)
+    ref = mutual_inductance_to_loop_loop(s, e, coil)
     assert _rel_err(got, ref) <= TOL
 
 
@@ -154,7 +153,7 @@ def test_mutual_matches_loop_grid_geometry_with_clamp():
         axis=1,
     )
     got = mutual_inductance_to_loop(s, e, coil)
-    ref = _mutual_inductance_to_loop_loop(s, e, coil)
+    ref = mutual_inductance_to_loop_loop(s, e, coil)
     assert _rel_err(got, ref) <= TOL
 
 
