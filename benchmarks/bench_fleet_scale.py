@@ -20,14 +20,6 @@ fleet size — the speedup is only admissible because the answers are
 exactly the same, which the sweep asserts via complete end-to-end
 scheduler runs in both modes before timing anything.
 
-A second sweep scales the same fleets across shard worker processes
-(:class:`~repro.fleet.ingest.ShardedFleetScheduler`, socket transport)
-and records end-to-end ingest windows/s and alarm-latency p99 per
-shard count.  Every sharded run must be bit-identical to the 1-shard
-(plain scheduler) run; the >= 3x at-4-shards speedup floor only
-applies on a multi-core host (the repo's single-CPU degrade
-convention — forked workers cannot beat serial on one core).
-
 Run with ``--bench-json BENCH_fleet_scale.json`` to append the scaling
 record; ``REPRO_BENCH_SMOKE=1`` selects the reduced CI sweep and floor.
 """
@@ -49,7 +41,6 @@ from repro.fleet import (
     FleetScheduler,
     MetricsRegistry,
     MonitorSession,
-    ShardedFleetScheduler,
     StreamingTraceProducer,
     TraceFeed,
 )
@@ -230,113 +221,6 @@ def test_fleet_scale(capsys):
         f"batched speedup peaked at {best:.1f}x, below the {floor:.1f}x "
         f"floor (fleet sizes >= {at_scale[0][0]} chips)"
     )
-
-
-# ---------------------------------------------------------------------
-# Shard scale-out sweep (the sharded multi-process fleet service).
-
-#: Shard worker counts of the scale-out sweep.
-SHARD_COUNTS = (1, 2, 4)
-
-#: Minimum 4-shard-over-1-shard end-to-end windows/s ratio at the
-#: largest fleet size.  Only enforced on hosts with at least 4 CPUs:
-#: on fewer cores the forked workers time-slice one another and the
-#: sweep records the (honest, <1x) numbers without gating on them.
-SHARD_SPEEDUP_FLOOR = 3.0
-
-#: End-to-end runs per (fleet size, shard count); best-of wall time.
-SHARD_REPS = 2
-
-
-def _run_shard_topology(ev, streams, n_shards: int):
-    """One end-to-end run at *n_shards* (1 = the plain serial path)."""
-    if n_shards == 1:
-        scheduler = FleetScheduler(
-            _sessions(ev, streams), scoring="batched"
-        )
-    else:
-        scheduler = ShardedFleetScheduler(
-            _sessions(ev, streams),
-            scoring="batched",
-            shards=n_shards,
-            transport="socket",
-        )
-    start = time.perf_counter()
-    result = scheduler.run(_feeds(streams))
-    return result, time.perf_counter() - start
-
-
-def test_fleet_shard_scale(capsys):
-    smoke = active_config().bench_smoke
-    chip_counts = (12,) if smoke else (24, 96)
-    host_cpus = active_config().host_cpus
-    rows = []
-    for n_chips in chip_counts:
-        ev, streams = _fleet_inputs(n_chips)
-        reference = None
-        baseline_wps = None
-        for n_shards in SHARD_COUNTS:
-            best = float("inf")
-            result = None
-            for _ in range(SHARD_REPS):
-                result, wall = _run_shard_topology(ev, streams, n_shards)
-                best = min(best, wall)
-            if reference is None:
-                reference = result
-            else:
-                # Scale-out is only admissible with identical answers.
-                for chip in streams:
-                    assert (
-                        result.reports[chip].alarms
-                        == reference.reports[chip].alarms
-                    ), f"{chip}: {n_shards} shards diverged from serial"
-            latencies = [
-                r.first_alarm_window
-                for r in result.reports.values()
-                if r.first_alarm_window is not None
-            ]
-            assert latencies, "no chip alarmed; the sweep lost its signal"
-            p99 = float(np.percentile(latencies, 99.0))
-            wps = result.windows_ingested / best
-            if baseline_wps is None:
-                baseline_wps = wps
-            speedup = wps / baseline_wps
-            rows.append((n_chips, n_shards, wps, speedup, p99))
-            record_timing(
-                f"fleet_shard_scale[{n_chips}chips x{n_shards}shards]",
-                best,
-                chips=n_chips,
-                shards=n_shards,
-                windows=result.windows_ingested,
-                windows_per_s=wps,
-                speedup_vs_single_process=speedup,
-                alarm_latency_p99_windows=p99,
-                host_cpus=host_cpus,
-            )
-
-    with capsys.disabled():
-        print("\n=== fleet scale-out: shard workers (socket) ===")
-        print(f"  {'chips':>5} {'shards':>6} {'w/s':>10} "
-              f"{'vs 1-shard':>10} {'alarm p99':>10}")
-        for n_chips, n_shards, wps, speedup, p99 in rows:
-            print(f"  {n_chips:>5} {n_shards:>6} {wps:>10.0f} "
-                  f"{speedup:>9.2f}x {p99:>9.0f}w")
-        if host_cpus < 4:
-            print(f"  ({host_cpus}-CPU host: shard speedup floor not "
-                  f"enforced)")
-
-    # The >= 3x floor needs 4 cores to be physically reachable; the
-    # bit-identity assertions above gate every host.
-    if not smoke and host_cpus >= 4:
-        at_scale = max(cc for cc, *_ in rows)
-        best = max(
-            speedup for cc, ns, _, speedup, _ in rows
-            if cc == at_scale and ns == max(SHARD_COUNTS)
-        )
-        assert best >= SHARD_SPEEDUP_FLOOR, (
-            f"4-shard speedup peaked at {best:.1f}x, below the "
-            f"{SHARD_SPEEDUP_FLOOR:.1f}x floor at {at_scale} chips"
-        )
 
 
 # ---------------------------------------------------------------------

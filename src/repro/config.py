@@ -69,15 +69,6 @@ SMOKE_ENV_VAR = "REPRO_BENCH_SMOKE"
 #: Fleet scoring engine: ``batched`` (default) or ``sequential``.
 FLEET_SCORING_ENV_VAR = "REPRO_FLEET_SCORING"
 
-#: Fleet shard-worker count (``1`` = single-process, today's path).
-FLEET_SHARDS_ENV_VAR = "REPRO_FLEET_SHARDS"
-
-#: Per-shard ingest queue depth (frames buffered per shard link).
-FLEET_INGEST_DEPTH_ENV_VAR = "REPRO_FLEET_INGEST_DEPTH"
-
-#: Shard transport: ``auto`` (default), ``socket`` or ``inline``.
-FLEET_TRANSPORT_ENV_VAR = "REPRO_FLEET_TRANSPORT"
-
 #: Fleet trace ingest mode: ``replay`` (prematerialise every campaign
 #: up front, then stream it) or ``stream`` (generate chunks live,
 #: overlapped with scoring).
@@ -103,15 +94,6 @@ SIM_BACKENDS = ("auto", "bool", "packed")
 
 #: Valid fleet scoring modes.
 FLEET_SCORING_MODES = ("batched", "sequential")
-
-#: Valid shard transports.  ``auto`` picks ``socket`` (real processes
-#: + framed unix-socket links) when shards > 1, ``inline`` runs the
-#: shard engines in-process over the same wire encoding (CI-friendly
-#: determinism checks without fork); forcing either is for tests.
-FLEET_TRANSPORTS = ("auto", "socket", "inline")
-
-#: Default per-shard ingest queue depth [frames].
-DEFAULT_FLEET_INGEST_DEPTH = 16
 
 #: Valid fleet trace ingest modes.  ``replay`` prematerialises every
 #: chip's campaign before the first window is scored; ``stream``
@@ -173,17 +155,6 @@ def parse_sensor_array(raw: str) -> str | None:
     return f"{rows}x{cols}"
 
 
-def _parse_int_env(env_var: str):
-    def parse(raw: str) -> int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ExperimentError(
-                f"{env_var}={raw!r} is not an integer"
-            ) from None
-    return parse
-
-
 @dataclass(frozen=True)
 class ReproConfig:
     """Frozen, validated snapshot of every runtime knob.
@@ -216,16 +187,11 @@ class ReproConfig:
     #: BatchedFleetMonitor`; ``sequential`` keeps the per-session
     #: Python loop.  Both produce bit-identical alarms.
     fleet_scoring: str = "batched"
-    #: Fleet shard-worker count.  ``1`` (the default) runs the classic
-    #: single-process scheduler; ``N > 1`` spreads chips across N
-    #: shard engines behind the framed ingest front-end.
+    #: Fleet shard count, fixed at ``1``: the sharded transport was
+    #: removed and every fleet run takes the single-process
+    #: scheduler.  The field stays only because pinned configs still
+    #: name it; any other value is rejected.
     fleet_shards: int = 1
-    #: Per-shard ingest queue depth — frames buffered on a shard link
-    #: before the front-end awaits drain (flow control, distinct from
-    #: the per-chip window-batch queue_depth backpressure).
-    fleet_ingest_depth: int = DEFAULT_FLEET_INGEST_DEPTH
-    #: Shard transport: ``auto`` / ``socket`` / ``inline``.
-    fleet_transport: str = "auto"
     #: Fleet trace ingest mode: ``replay`` (prematerialised campaigns)
     #: or ``stream`` (live chunked generation overlapping scoring).
     fleet_ingest: str = "replay"
@@ -295,20 +261,11 @@ class ReproConfig:
                 f"unknown fleet scoring mode {self.fleet_scoring!r}; "
                 f"expected one of {FLEET_SCORING_MODES}"
             )
-        for name, floor in (("fleet_shards", 1), ("fleet_ingest_depth", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(
-                    f"{name} must be an int, got {value!r}"
-                )
-            if value < floor:
-                raise ExperimentError(
-                    f"{name} must be >= {floor}, got {value}"
-                )
-        if self.fleet_transport not in FLEET_TRANSPORTS:
-            raise ExperimentError(
-                f"unknown fleet transport {self.fleet_transport!r}; "
-                f"expected one of {FLEET_TRANSPORTS}"
+        if type(self.fleet_shards) is not int or self.fleet_shards != 1:
+            raise ConfigError(
+                f"fleet_shards must be 1, got {self.fleet_shards!r}: the "
+                "sharded fleet transport was removed and every fleet run "
+                "takes the single-process scheduler"
             )
         if self.fleet_ingest not in FLEET_INGEST_MODES:
             raise ExperimentError(
@@ -381,17 +338,6 @@ class ReproConfig:
         from_env("cache_mb", CACHE_MB_ENV, _parse_cache_mb)
         from_env("bench_smoke", SMOKE_ENV_VAR, lambda raw: raw == "1")
         from_env("fleet_scoring", FLEET_SCORING_ENV_VAR, str)
-        from_env(
-            "fleet_shards",
-            FLEET_SHARDS_ENV_VAR,
-            _parse_int_env(FLEET_SHARDS_ENV_VAR),
-        )
-        from_env(
-            "fleet_ingest_depth",
-            FLEET_INGEST_DEPTH_ENV_VAR,
-            _parse_int_env(FLEET_INGEST_DEPTH_ENV_VAR),
-        )
-        from_env("fleet_transport", FLEET_TRANSPORT_ENV_VAR, str)
         from_env("fleet_ingest", FLEET_INGEST_ENV_VAR, str)
         from_env("detector", DETECTOR_ENV_VAR, str)
         from_env("sensor_array", SENSOR_ARRAY_ENV_VAR, parse_sensor_array)

@@ -23,12 +23,23 @@ pool at all on a single-CPU host (where fork + pickle overhead measured
 0.79× of serial; ``REPRO_FORCE_POOL=1`` overrides, for tests that
 exercise the pool itself).  See ``docs/PERFORMANCE.md`` for when the
 fan-out actually pays off.
+
+Instrumentation survives the pool: each worker runs its campaign under
+a fresh :func:`repro.obs.use_metrics` registry and returns that
+registry's :meth:`~repro.obs.metrics.MetricsRegistry.state_dict` with
+the result; the parent folds it into :func:`repro.obs.active_metrics`
+through :meth:`~repro.obs.metrics.MetricsRegistry.merge_state`, so
+counters and histogram samples match the serial run's.  A worker that
+dies (killed, out of memory) fails the run with an
+:class:`~repro.errors.ExperimentError` naming the campaign, instead of
+a bare ``BrokenProcessPool``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -43,6 +54,7 @@ from repro.experiments.campaign import (
     get_or_generate_traces,
     shared_chip,
 )
+from repro.obs import active_metrics, use_metrics
 
 #: Campaign kinds understood by the runner (the collector registry).
 CAMPAIGN_KINDS = tuple(TRACE_COLLECTORS)
@@ -147,6 +159,13 @@ def _run_one(spec: CampaignSpec) -> Any:
     )
 
 
+def _run_in_worker(spec: CampaignSpec) -> tuple[Any, dict]:
+    """Pool entry point: one campaign plus the metrics it recorded."""
+    with use_metrics() as registry:
+        result = _run_one(spec)
+    return result, registry.state_dict()
+
+
 def run_campaigns(
     specs: Iterable[CampaignSpec],
     workers: int | None = None,
@@ -155,7 +174,14 @@ def run_campaigns(
 
     Results are bit-identical to running the specs serially in a loop:
     campaigns share nothing, and all randomness is seeded from the spec
-    itself.  The returned dict preserves the input order.
+    itself.  The returned dict preserves the input order.  Metrics the
+    pool workers record are merged into the active registry.
+
+    Raises
+    ------
+    ExperimentError
+        If a pool worker process dies; the message names the campaign
+        whose result was lost.
     """
     spec_list = list(specs)
     names = [spec.name for spec in spec_list]
@@ -173,9 +199,17 @@ def run_campaigns(
         return {spec.name: _run_one(spec) for spec in spec_list}
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    metrics = active_metrics()
+    results: dict[str, Any] = {}
     with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
-        futures = [pool.submit(_run_one, spec) for spec in spec_list]
-        return {
-            spec.name: fut.result()
-            for spec, fut in zip(spec_list, futures)
-        }
+        futures = [pool.submit(_run_in_worker, spec) for spec in spec_list]
+        for spec, fut in zip(spec_list, futures):
+            try:
+                results[spec.name], state = fut.result()
+            except BrokenProcessPool as exc:
+                raise ExperimentError(
+                    f"campaign {spec.name!r}: a pool worker process died "
+                    "before returning its result"
+                ) from exc
+            metrics.merge_state(state)
+    return results

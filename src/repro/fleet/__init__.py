@@ -9,20 +9,14 @@ output" — scaled out to a fleet of deployed chips:
 * :class:`~repro.fleet.session.MonitorSession` — a checkpointable,
   instrumented :class:`~repro.framework.monitor.RuntimeMonitor`
   wrapper with bit-identical ``state_dict()``/``from_state`` resume;
-* :class:`~repro.fleet.scheduler.FleetScheduler` — bounded per-chip
+* :class:`~repro.fleet.scheduler.FleetScheduler` — the one
+  single-process tick loop every fleet run takes: bounded per-chip
   queues, an explicit backpressure policy (``block`` /
-  ``drop_oldest``, drop counts always surfaced), and worker fan-out
-  following the :mod:`repro.experiments.parallel` conventions;
-* :class:`~repro.fleet.ingest.ShardedFleetScheduler` — the
-  multi-process sharded front-end: consistent-hash chip placement
-  (:func:`~repro.fleet.shard.shard_assignments`), a length-prefixed
-  framed wire protocol (:mod:`repro.fleet.wire`), memmapped
-  zero-copy trace hand-off, and per-shard journals/metrics merged
-  back bit-identically to the serial run;
+  ``drop_oldest``, drop counts always surfaced), batched scoring and
+  checkpoint/resume;
 * :class:`~repro.fleet.producer.StreamingTraceProducer` — live
   ``--ingest=stream`` trace generation: chunked, double-buffered
-  acquisition overlapped with scoring (chunks reach shard workers as
-  incremental ``APPEND`` stream-store segments), bit-identical to the
+  acquisition overlapped with scoring, bit-identical to the
   pre-materialised replay because the
   :class:`~repro.fleet.producer.ChunkPlan` and its per-chunk RNG
   roles define the campaign in both modes;
@@ -49,7 +43,6 @@ from repro.fleet.scheduler import (
     FleetScheduler,
 )
 from repro.fleet.session import MonitorSession, floor_scaled_threshold
-from repro.fleet.ingest import ShardedFleetScheduler
 from repro.fleet.producer import (
     ArrayChunkSource,
     ChunkPlan,
@@ -58,7 +51,6 @@ from repro.fleet.producer import (
     StreamingTraceProducer,
     chunk_role,
 )
-from repro.fleet.shard import HashRing, shard_assignments
 from repro.fleet.campaign import (
     DEFAULT_FLEET,
     ChipVerdict,
@@ -81,15 +73,12 @@ __all__ = [
     "FleetScheduler",
     "MonitorSession",
     "floor_scaled_threshold",
-    "ShardedFleetScheduler",
     "ArrayChunkSource",
     "ChunkPlan",
     "GroupChunkSource",
     "ProducerTraceSource",
     "StreamingTraceProducer",
     "chunk_role",
-    "HashRing",
-    "shard_assignments",
     "DEFAULT_FLEET",
     "ChipVerdict",
     "FleetCampaignResult",

@@ -48,7 +48,6 @@ from repro.fleet.producer import (
 )
 from repro.obs.journal import EventJournal
 from repro.obs.metrics import MetricsRegistry
-from repro.fleet.ingest import ShardedFleetScheduler
 from repro.fleet.scheduler import FleetResult, FleetScheduler
 from repro.fleet.session import MonitorSession
 from repro.framework.evaluator import EvaluatorConfig, RuntimeTrustEvaluator
@@ -95,15 +94,6 @@ class FleetConfig:
     #: Scoring engine: ``"batched"``/``"sequential"``, or ``None`` to
     #: defer to the active config (``REPRO_FLEET_SCORING``).
     scoring: str | None = None
-    #: Shard-worker count, or ``None`` to defer to the active config
-    #: (``REPRO_FLEET_SHARDS``).  An effective count of 1 keeps the
-    #: campaign on the plain :class:`~repro.fleet.scheduler.
-    #: FleetScheduler` path, byte-identical to a build without the
-    #: sharded service.
-    shards: int | None = None
-    #: Shard transport (``"auto"``/``"socket"``/``"inline"``), or
-    #: ``None`` to defer to ``REPRO_FLEET_TRANSPORT``.
-    transport: str | None = None
     #: Trace ingest: ``"replay"`` pre-materialises every chip's whole
     #: campaign before scoring starts; ``"stream"`` overlaps
     #: generation with scoring through a live chunked producer.
@@ -557,38 +547,16 @@ def run_fleet_campaign(
             }
         )
         producer.start()
-    shards = (
-        config.shards
-        if config.shards is not None
-        else active_config().fleet_shards
+    scheduler = FleetScheduler(
+        sessions,
+        queue_depth=config.queue_depth,
+        policy=config.policy,
+        workers=config.workers,
+        consume_every=config.consume_every,
+        scoring=config.scoring,
+        journal=journal,
+        metrics=metrics,
     )
-    if min(shards, len(ids)) > 1:
-        # Sharded service: the multi-process front-end owns the tick
-        # loop, shard workers own the scoring (so the thread fan-out
-        # knob does not apply).  Alarms, counters and journal content
-        # are bit-identical to the serial path by construction.
-        scheduler = ShardedFleetScheduler(
-            sessions,
-            queue_depth=config.queue_depth,
-            policy=config.policy,
-            consume_every=config.consume_every,
-            scoring=config.scoring,
-            shards=shards,
-            transport=config.transport,
-            journal=journal,
-            metrics=metrics,
-        )
-    else:
-        scheduler = FleetScheduler(
-            sessions,
-            queue_depth=config.queue_depth,
-            policy=config.policy,
-            workers=config.workers,
-            consume_every=config.consume_every,
-            scoring=config.scoring,
-            journal=journal,
-            metrics=metrics,
-        )
     try:
         fleet_result = scheduler.run(feeds)
         if producer is not None:

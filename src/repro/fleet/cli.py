@@ -17,7 +17,6 @@ reduced CI configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
@@ -76,14 +75,6 @@ def _parser() -> argparse.ArgumentParser:
                    default=None,
                    help="scoring engine (default: REPRO_FLEET_SCORING, "
                         "i.e. batched)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="shard worker processes (default: "
-                        "REPRO_FLEET_SHARDS, i.e. 1 = the serial "
-                        "single-process path)")
-    p.add_argument("--transport", choices=("auto", "socket", "inline"),
-                   default=None,
-                   help="shard transport (default: "
-                        "REPRO_FLEET_TRANSPORT, i.e. auto)")
     p.add_argument("--ingest", choices=("replay", "stream"),
                    default=None,
                    help="trace ingest: pre-materialise campaigns "
@@ -128,8 +119,6 @@ def _config_from(args: argparse.Namespace) -> FleetConfig:
         ("campaign_workers", "campaign_workers"),
         ("consume_every", "consume_every"),
         ("scoring", "scoring"),
-        ("shards", "shards"),
-        ("transport", "transport"),
         ("ingest", "ingest"),
         ("chunk", "chunk"),
         ("spectral_cycles", "spectral_cycles"),
@@ -160,11 +149,6 @@ def _summary(result: FleetCampaignResult) -> dict:
         or active_config().fleet_scoring,
         "ingest_mode": result.config.ingest
         or active_config().fleet_ingest,
-        "shards": (
-            result.config.shards
-            if result.config.shards is not None
-            else active_config().fleet_shards
-        ),
         "throughput_windows_per_s": fleet.throughput,
         "elapsed_seconds": fleet.elapsed_seconds,
         "windows_ingested": fleet.windows_ingested,

@@ -20,13 +20,11 @@ Where the rows themselves come from is a :class:`TraceSource`.  The
 classic mode wraps a prematerialised campaign matrix
 (:class:`MatrixTraceSource` — memmapped cache hits included); the
 streaming mode pulls rows on demand from a live producer
-(:class:`~repro.fleet.producer.ProducerTraceSource`) or, shard-side,
-from incrementally appended stream-store segments
-(:class:`~repro.io.store.SegmentedStream`).  The schedule is a pure
-function of ``(n_windows, faults, seed, chip_id)`` — no trace bytes
-involved — so every source yields the same delivery order and the
-same accounting, which is what makes ``--ingest=stream`` bit-identical
-to ``--ingest=replay``.
+(:class:`~repro.fleet.producer.ProducerTraceSource`).  The schedule is
+a pure function of ``(n_windows, faults, seed, chip_id)`` — no trace
+bytes involved — so every source yields the same delivery order and
+the same accounting, which is what makes ``--ingest=stream``
+bit-identical to ``--ingest=replay``.
 """
 
 from __future__ import annotations
@@ -191,8 +189,8 @@ class TraceFeed:
         traces:
             ``(n_windows, samples)`` campaign matrix (memmapped cache
             hits work unchanged; rows are only read), or any
-            :class:`TraceSource` — a live producer, shard-side
-            segments, ... — serving the same windows.
+            :class:`TraceSource` — such as a live producer — serving
+            the same windows.
         batch:
             Windows per arrival batch (the last batch may be short).
         faults:
@@ -203,12 +201,11 @@ class TraceFeed:
         """
         if batch < 1:
             raise ExperimentError(f"batch must be >= 1, got {batch}")
-        # Structural typing on purpose: repro.io.store.SegmentedStream
-        # fulfils the source contract without importing the fleet layer.
-        is_source = isinstance(traces, TraceSource) or (
-            hasattr(traces, "gather") and hasattr(traces, "n_windows")
+        source = (
+            traces
+            if isinstance(traces, TraceSource)
+            else MatrixTraceSource(traces)
         )
-        source = traces if is_source else MatrixTraceSource(traces)
         if source.n_windows < 1:
             raise ExperimentError(
                 f"feed needs at least one window, got {source.n_windows}"
@@ -246,25 +243,6 @@ class TraceFeed:
             self._suffix_min = self._delivered_arr
 
     @property
-    def source_traces(self) -> np.ndarray:
-        """The underlying campaign matrix (pre-fault, read-only use).
-
-        The sharded front-end persists this once per chip through
-        :func:`repro.io.store.save_stream_store`; a shard rebuilding
-        the feed from the saved matrix with the same ``(batch, faults,
-        seed)`` recovers the identical delivery schedule.  Only
-        matrix-backed feeds have one — a streaming source deliberately
-        never holds the whole campaign.
-        """
-        if not isinstance(self.source, MatrixTraceSource):
-            raise ExperimentError(
-                f"feed {self.chip_id!r} is not matrix-backed "
-                f"({type(self.source).__name__}); streaming feeds hand "
-                "traces over as incremental segments, not one store"
-            )
-        return self.source.matrix
-
-    @property
     def n_source_windows(self) -> int:
         """Windows in the underlying campaign (pre-fault)."""
         return self.source.n_windows
@@ -299,25 +277,12 @@ class TraceFeed:
             seq_array=sel,
         )
 
-    def low_watermark(self, index: int) -> int:
-        """Lowest source seq any batch ``>= index`` still references.
-
-        ``n_source_windows`` once *index* is past the last batch.  This
-        is the cursor a mid-stream checkpoint records per chip: a
-        resumed producer may start at the chunk holding the fleet-wide
-        minimum, and no remaining delivery will look below it.
-        """
-        lo = index * self.batch
-        if lo >= len(self._delivered_arr):
-            return self.source.n_windows
-        return int(self._suffix_min[lo])
-
     def seqs_at(self, index: int) -> tuple[int, ...]:
         """The *index*-th batch's sequence numbers, without trace rows.
 
-        Drop accounting and the sharded front-end only need the seqs;
-        this skips the fancy-indexed row copy :meth:`batch_at` pays
-        (which materialises memmapped rows into memory).
+        Drop accounting only needs the seqs; this skips the
+        fancy-indexed row copy :meth:`batch_at` pays (which
+        materialises memmapped rows into memory).
         """
         if not 0 <= index < self.n_batches:
             raise ExperimentError(

@@ -31,7 +31,7 @@ freed once every chip's future deliveries lie past it, so the
 steady-state footprint is ``prefetch + 1`` chunks, not the campaign.
 
 Observability: ``producer.chunks`` / ``producer.windows`` counters
-(deterministic — identical across topologies), ``producer.chunk.
+(deterministic — identical across runs), ``producer.chunk.
 seconds`` / ``producer.wait.seconds`` histograms (generation cost and
 consumer stall time), and ``producer.buffered_windows`` /
 ``producer.buffered_chunks`` high-water gauges.
@@ -437,21 +437,6 @@ class StreamingTraceProducer:
                 )
 
     # -- the consumer side ---------------------------------------------
-    def chunk(self, index: int) -> dict[str, np.ndarray]:
-        """One whole chunk (every chip), blocking on generation.
-
-        The sharded front-end's hand-off: it pulls chunks in order,
-        persists them as lane-stacked stream-store segments and ships
-        the refs in ``APPEND`` frames.
-        """
-        if not 0 <= index < self.plan.n_chunks:
-            raise ExperimentError(
-                f"chunk index {index} out of range "
-                f"[0, {self.plan.n_chunks})"
-            )
-        self._await_generated(index)
-        return self._chunk_data(index)
-
     def join(self) -> None:
         """Block until every chunk has been generated.
 
@@ -508,16 +493,6 @@ class StreamingTraceProducer:
                 ]:
                     del self._chunks[k]
                 self._cond.notify_all()
-
-    def release_through(self, watermark: int) -> None:
-        """Every chip is done with windows below *watermark*.
-
-        The sharded front-end calls this after persisting a chunk as a
-        segment file — from then on the shards read the memmap, so the
-        producer's in-memory copy can go.
-        """
-        for chip_id in self.chip_ids:
-            self.advance(chip_id, watermark)
 
     # -- checkpointing -------------------------------------------------
     def state_dict(self) -> dict:

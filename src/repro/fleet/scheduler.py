@@ -62,59 +62,6 @@ from repro.framework.monitor import AlarmEvent
 POLICIES = ("block", "drop_oldest")
 
 
-def journal_queue_drop(
-    journal: EventJournal,
-    metrics: MetricsRegistry,
-    chip_id: str,
-    batch_index: int,
-    seqs: tuple[int, ...],
-) -> None:
-    """Account one ``drop_oldest`` queue eviction — loudly.
-
-    Shared by the classic scheduler and the sharded ingest front-end
-    (:mod:`repro.fleet.ingest`) so both emit byte-identical ``drop``
-    events and the same counters for the same eviction.
-    """
-    metrics.counter("fleet.queue.dropped_windows").inc(len(seqs))
-    metrics.counter(f"chip.{chip_id}.queue_dropped").inc(len(seqs))
-    journal.record(
-        "drop", chip=chip_id, batch=batch_index, seqs=list(seqs)
-    )
-
-
-def chip_report_from(
-    chip_id: str,
-    feed: TraceFeed,
-    session: MonitorSession,
-    dropped_batches: list[int],
-    metrics: MetricsRegistry,
-) -> ChipReport:
-    """Build one chip's :class:`ChipReport` from its run artifacts.
-
-    Factored out of the scheduler so the sharded topology produces the
-    exact same per-chip report rows from merged shard state.
-    """
-    dropped_windows = sum(
-        len(feed.seqs_at(i)) for i in dropped_batches
-    )
-    return ChipReport(
-        chip_id=chip_id,
-        windows_delivered=feed.n_delivered,
-        windows_ingested=session.windows_ingested,
-        feed_dropped=len(feed.dropped_seqs),
-        feed_duplicated=feed.duplicated,
-        feed_reordered=feed.reordered,
-        queue_dropped_batches=len(dropped_batches),
-        queue_dropped_windows=dropped_windows,
-        gaps=session.gaps,
-        out_of_order=session.out_of_order,
-        scoring_p99_s=metrics.histogram(
-            f"chip.{chip_id}.scoring.seconds"
-        ).percentile(99.0),
-        alarms=list(session.monitor.alarms),
-    )
-
-
 class BoundedQueue:
     """Thread-safe bounded FIFO with an explicit overflow policy."""
 
@@ -428,12 +375,11 @@ class FleetScheduler:
     def _drop_batch(self, chip_id: str, batch_index: int, feed: TraceFeed):
         """Account one queue eviction (drop_oldest) — loudly."""
         self._queue_dropped[chip_id].append(batch_index)
-        journal_queue_drop(
-            self.journal,
-            self.metrics,
-            chip_id,
-            batch_index,
-            feed.seqs_at(batch_index),
+        seqs = feed.seqs_at(batch_index)
+        self.metrics.counter("fleet.queue.dropped_windows").inc(len(seqs))
+        self.metrics.counter(f"chip.{chip_id}.queue_dropped").inc(len(seqs))
+        self.journal.record(
+            "drop", chip=chip_id, batch=batch_index, seqs=list(seqs)
         )
 
     def _note_ttfv(self, alarmed: bool) -> None:
@@ -441,7 +387,7 @@ class FleetScheduler:
 
         Driven by the ingest return values (not the alarm counter), so
         an all-clear run creates no instrument — snapshot parity with
-        pre-TTFV checkpoints and across topologies.
+        pre-TTFV checkpoints and with the replay ingest.
         """
         if alarmed and not self._ttfv_done:
             self._ttfv_done = True
@@ -626,6 +572,28 @@ class FleetScheduler:
         raise ExperimentError("batch does not belong to this feed")
 
     # ------------------------------------------------------------------
+    def _chip_report(self, chip_id: str, feed: TraceFeed) -> ChipReport:
+        session = self.sessions[chip_id]
+        dropped_batches = self._queue_dropped[chip_id]
+        return ChipReport(
+            chip_id=chip_id,
+            windows_delivered=feed.n_delivered,
+            windows_ingested=session.windows_ingested,
+            feed_dropped=len(feed.dropped_seqs),
+            feed_duplicated=feed.duplicated,
+            feed_reordered=feed.reordered,
+            queue_dropped_batches=len(dropped_batches),
+            queue_dropped_windows=sum(
+                len(feed.seqs_at(i)) for i in dropped_batches
+            ),
+            gaps=session.gaps,
+            out_of_order=session.out_of_order,
+            scoring_p99_s=self.metrics.histogram(
+                f"chip.{chip_id}.scoring.seconds"
+            ).percentile(99.0),
+            alarms=list(session.monitor.alarms),
+        )
+
     def _result(
         self,
         feed_map: dict[str, TraceFeed],
@@ -633,13 +601,7 @@ class FleetScheduler:
         elapsed: float,
     ) -> FleetResult:
         reports = {
-            chip_id: chip_report_from(
-                chip_id,
-                feed_map[chip_id],
-                self.sessions[chip_id],
-                self._queue_dropped[chip_id],
-                self.metrics,
-            )
+            chip_id: self._chip_report(chip_id, feed_map[chip_id])
             for chip_id in self.order
         }
         return FleetResult(

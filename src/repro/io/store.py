@@ -33,7 +33,6 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -283,262 +282,6 @@ def load_traces(
     if verify and bundle.digest() != bundle.stored_digest:
         raise MeasurementError(f"{target}: trace digest mismatch (corrupt file)")
     return bundle
-
-
-@dataclass(frozen=True)
-class StreamStoreRef:
-    """Wire-portable handle to a memmapped per-chip trace stream.
-
-    The sharded fleet service hands trace batches to shard workers by
-    *reference*: the front-end saves each chip's full trace matrix once
-    through :func:`save_stream_store`, and ingest frames then carry
-    this ref (a path plus the expected shape/dtype) instead of payload
-    bytes.  A shard opens the ref with :func:`open_stream_store` as a
-    read-only memory map, so every process shares the same page-cache
-    copy of the traces — zero serialisation, zero duplication.
-
-    The shape/dtype fields double as an integrity contract: a ref only
-    opens if the file on disk still matches what the producer wrote.
-    """
-
-    path: str
-    rows: int
-    samples: int
-    dtype: str
-
-    def as_dict(self) -> dict:
-        """JSON-encodable form (what actually crosses the wire)."""
-        return {
-            "path": self.path,
-            "rows": self.rows,
-            "samples": self.samples,
-            "dtype": self.dtype,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "StreamStoreRef":
-        return cls(
-            path=str(data["path"]),
-            rows=int(data["rows"]),
-            samples=int(data["samples"]),
-            dtype=str(data["dtype"]),
-        )
-
-
-def save_stream_store(
-    traces: np.ndarray,
-    path: str | Path,
-    *,
-    chip_id: str,
-    fs: float = 0.0,
-    receiver: str = "stream",
-) -> StreamStoreRef:
-    """Persist a chip's stream traces for shared-memmap hand-off.
-
-    Wraps the matrix in a v2 :class:`TraceBundle` (raw ``.npy`` +
-    sidecar, atomic writes) and returns the :class:`StreamStoreRef`
-    a fleet ingest frame would carry.  ``chip_id`` lands in the
-    manifest's ``scenario`` field so the sidecar stays self-describing.
-    """
-    if traces.ndim != 2:
-        raise MeasurementError(
-            f"stream traces must be 2-D, got shape {traces.shape}"
-        )
-    bundle = TraceBundle(
-        traces=np.ascontiguousarray(traces),
-        receiver=receiver,
-        fs=float(fs),
-        chip_seed=0,
-        scenario=chip_id,
-        extras={"stream_chip": chip_id},
-    )
-    written = save_traces(bundle, path, fmt="v2")
-    return StreamStoreRef(
-        path=str(written),
-        rows=int(traces.shape[0]),
-        samples=int(traces.shape[1]),
-        dtype=str(np.ascontiguousarray(traces).dtype),
-    )
-
-
-def open_stream_store(ref: StreamStoreRef | Mapping) -> np.ndarray:
-    """Open a :class:`StreamStoreRef` as a read-only memmapped matrix.
-
-    Raises
-    ------
-    MeasurementError
-        If the payload is missing or its shape/dtype disagrees with
-        the ref — a shard must never silently score the wrong traces.
-    """
-    if not isinstance(ref, StreamStoreRef):
-        ref = StreamStoreRef.from_dict(ref)
-    bundle = load_traces(ref.path, mmap=True)
-    traces = bundle.traces
-    expected = (ref.rows, ref.samples)
-    if tuple(traces.shape) != expected:
-        raise MeasurementError(
-            f"{ref.path}: stream store shape {tuple(traces.shape)} does not "
-            f"match ref {expected}"
-        )
-    if str(traces.dtype) != ref.dtype:
-        raise MeasurementError(
-            f"{ref.path}: stream store dtype {traces.dtype} does not match "
-            f"ref {ref.dtype}"
-        )
-    return traces
-
-
-class StreamSegmentWriter:
-    """Append-side of an incremental (chunked) stream store.
-
-    The streaming fleet front-end hands trace chunks to shard workers
-    the same way the one-shot path hands whole campaigns: by memmap
-    reference, never by payload bytes.  Each :meth:`append` persists
-    one chunk as its own v2 store file (``segment-00000.npy``, ...)
-    and returns the :class:`StreamStoreRef` an ``APPEND`` frame
-    carries.  Segments are immutable once written — "appendable"
-    means the *stream* grows by whole segments, which is what keeps
-    every write atomic (the store layer's temp-file + rename) and lets
-    readers map each segment read-only the moment its frame arrives.
-    """
-
-    def __init__(self, directory: str | Path, prefix: str = "segment") -> None:
-        self.directory = Path(directory)
-        self.prefix = prefix
-        self.appended = 0
-
-    def append(
-        self, traces: np.ndarray, *, label: str = "stream"
-    ) -> StreamStoreRef:
-        """Persist one chunk; returns its wire ref (segments number up)."""
-        index = self.appended
-        ref = save_stream_store(
-            traces,
-            self.directory / f"{self.prefix}-{index:05d}.npy",
-            chip_id=f"{label}/{index}",
-        )
-        self.appended += 1
-        return ref
-
-
-class SegmentedStream:
-    """Read-side of an incremental stream store: a virtual matrix.
-
-    Covers source windows ``[0, n_windows)`` of one chip; rows arrive
-    as memmapped segments (:meth:`append`, strictly in order) and are
-    served by source sequence number (:meth:`gather`).  Implements the
-    :class:`repro.fleet.feed.TraceSource` contract structurally, so a
-    shard-side :class:`~repro.fleet.feed.TraceFeed` can replay its
-    deterministic delivery schedule over rows that do not all exist
-    yet — asking for a row beyond what has been appended is a protocol
-    violation and raises, never blocks (the front-end orders ``APPEND``
-    before any frame referencing the segment).  :meth:`advance` drops
-    fully consumed segments so a long stream maps only its recent tail.
-    """
-
-    def __init__(self, n_windows: int, samples: int, dtype: str) -> None:
-        if n_windows < 1:
-            raise MeasurementError(
-                f"segmented stream needs >= 1 window, got {n_windows}"
-            )
-        self._n_windows = int(n_windows)
-        self.samples = int(samples)
-        self.dtype = str(dtype)
-        # Per segment: [lo, hi) in source seqs + that chip's row block,
-        # kept as a read-only memmap slice (None once advanced past).
-        self._bounds: list[tuple[int, int]] = []
-        self._rows: list[np.ndarray | None] = []
-
-    @property
-    def n_windows(self) -> int:
-        return self._n_windows
-
-    @property
-    def appended_through(self) -> int:
-        """Source windows covered so far (``hi`` of the last segment)."""
-        return self._bounds[-1][1] if self._bounds else 0
-
-    def append(
-        self,
-        ref: StreamStoreRef | Mapping,
-        lo: int,
-        hi: int,
-        row_offset: int = 0,
-    ) -> None:
-        """Attach the segment holding source windows ``[lo, hi)``.
-
-        *row_offset* locates this chip's block inside the (possibly
-        multi-chip) segment file.
-        """
-        lo, hi = int(lo), int(hi)
-        if lo != self.appended_through:
-            raise MeasurementError(
-                f"segment [{lo}, {hi}) does not extend the stream at "
-                f"{self.appended_through}; segments append in order"
-            )
-        if not lo <= hi <= self._n_windows:
-            raise MeasurementError(
-                f"segment [{lo}, {hi}) out of range for "
-                f"{self._n_windows} windows"
-            )
-        block = open_stream_store(ref)
-        rows = block[row_offset:row_offset + (hi - lo)]
-        if rows.shape != (hi - lo, self.samples):
-            raise MeasurementError(
-                f"segment rows {rows.shape} do not cover [{lo}, {hi}) x "
-                f"{self.samples} samples at offset {row_offset}"
-            )
-        if str(rows.dtype) != self.dtype:
-            raise MeasurementError(
-                f"segment dtype {rows.dtype} does not match stream "
-                f"dtype {self.dtype}"
-            )
-        self._bounds.append((lo, hi))
-        self._rows.append(rows)
-
-    def gather(self, seqs: np.ndarray) -> np.ndarray:
-        seqs = np.asarray(seqs, dtype=np.intp)
-        n = seqs.shape[0]
-        if n == 0:
-            return np.empty((0, self.samples), dtype=self.dtype)
-        if int(seqs.max()) >= self.appended_through:
-            raise MeasurementError(
-                f"gather references window {int(seqs.max())} but only "
-                f"[0, {self.appended_through}) has been appended"
-            )
-        los = np.asarray([lo for lo, _ in self._bounds])
-        owner = np.searchsorted(los, seqs, side="right") - 1
-        first = int(owner[0])
-        if (owner == first).all():
-            rows = self._segment_rows(first)
-            local = seqs - self._bounds[first][0]
-            if int(local[-1]) - int(local[0]) == n - 1 and np.array_equal(
-                local, np.arange(local[0], local[0] + n)
-            ):
-                return rows[int(local[0]):int(local[0]) + n]
-            return rows[local]
-        out = np.empty((n, self.samples), dtype=self.dtype)
-        for seg in np.unique(owner):
-            mask = owner == seg
-            rows = self._segment_rows(int(seg))
-            out[mask] = rows[seqs[mask] - self._bounds[int(seg)][0]]
-        return out
-
-    def _segment_rows(self, index: int) -> np.ndarray:
-        rows = self._rows[index]
-        if rows is None:
-            lo, hi = self._bounds[index]
-            raise MeasurementError(
-                f"segment [{lo}, {hi}) was already advanced past; "
-                "gather order violated the watermark contract"
-            )
-        return rows
-
-    def advance(self, watermark: int) -> None:
-        """Release segments no future gather can reference."""
-        for i, (lo, hi) in enumerate(self._bounds):
-            if self._rows[i] is not None and hi <= int(watermark):
-                self._rows[i] = None
 
 
 def save_json_report(report: dict, path: str | Path) -> None:

@@ -21,8 +21,12 @@ the **active** registry:
   exactly the metrics of its own run.
 
 Instrumentation recorded inside :mod:`repro.experiments.parallel`
-worker *processes* stays in those processes; only the coordinating
-process's registry lands in the artifact.
+worker *processes* is not lost: each worker records into its own
+scoped registry and returns its
+:meth:`~repro.obs.metrics.MetricsRegistry.state_dict` with the
+campaign result, and :func:`~repro.experiments.parallel.run_campaigns`
+folds it into the coordinating process's active registry with
+:meth:`~repro.obs.metrics.MetricsRegistry.merge_state`.
 """
 
 from __future__ import annotations

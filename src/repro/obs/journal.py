@@ -16,7 +16,6 @@ reader or a crash mid-flush can never observe a torn line.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import threading
 from pathlib import Path
@@ -42,12 +41,6 @@ class EventJournal:
         """
         self.path = Path(path) if path is not None else None
         self._events: list[dict] = []
-        # Parallel per-event ordering tags (``annotate``).  Tags are
-        # bookkeeping *outside* the journal content: they never appear
-        # in the event dictionaries and are never flushed, so tagging
-        # cannot change a single journal byte.
-        self._tags: list[dict | None] = []
-        self._context: dict | None = None
         self._lock = threading.Lock()
 
     def record(self, kind: str, **fields) -> dict:
@@ -57,48 +50,7 @@ class EventJournal:
         event = {"kind": kind, **fields}
         with self._lock:
             self._events.append(event)
-            self._tags.append(self._context)
         return event
-
-    @contextlib.contextmanager
-    def annotate(self, **tags):
-        """Tag every event recorded in the block with ordering metadata.
-
-        The sharded fleet runtime uses this to stamp each event with
-        the global scheduler tick and phase it belongs to, so per-shard
-        journals can later be merged back into the exact event order a
-        single-process run would have produced (see
-        :meth:`repro.fleet.ingest.ShardedFleetScheduler`).  Tags live
-        next to the events, not inside them — flushed bytes are
-        unaffected.  Nesting replaces the context for the inner block.
-        """
-        with self._lock:
-            previous = self._context
-            self._context = dict(tags)
-        try:
-            yield self
-        finally:
-            with self._lock:
-                self._context = previous
-
-    def tagged(self) -> list[tuple[dict | None, dict]]:
-        """Snapshot of ``(tag, event)`` pairs in insertion order."""
-        with self._lock:
-            return list(zip(self._tags, self._events))
-
-    def rewrite(self, events: list[dict]) -> None:
-        """Replace the event list wholesale (tags are cleared).
-
-        This exists for exactly one consumer: the sharded fleet
-        front-end, which collects tagged events from every shard,
-        sorts them into the global (tick, phase, chip) order and
-        installs the merged stream here so the flushed journal is
-        byte-identical to a single-process run.  Any other use would
-        break the append-only reading of a journal — don't.
-        """
-        with self._lock:
-            self._events = list(events)
-            self._tags = [None] * len(self._events)
 
     @property
     def events(self) -> list[dict]:

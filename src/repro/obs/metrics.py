@@ -120,11 +120,11 @@ class Histogram:
         concatenation and every percentile of the merged histogram is
         **exact**: ``merged.percentile(q)`` equals ``np.percentile``
         over the concatenated sample list, with no bucket-boundary
-        approximation.  This is what lets per-shard fleet registries
-        roll up into correct fleet-wide p50/p95/p99 — quantiles are
-        not averaged across shards (averaging per-shard percentiles is
-        wrong for any skewed distribution), the samples themselves are
-        pooled.
+        approximation.  This is what lets the registries of campaign
+        pool workers roll up into correct run-wide p50/p95/p99 —
+        quantiles are not averaged across workers (averaging
+        per-worker percentiles is wrong for any skewed distribution),
+        the samples themselves are pooled.
         """
         incoming = other.samples() if isinstance(other, Histogram) else [
             float(v) for v in other
@@ -188,7 +188,8 @@ class MetricsRegistry:
 
         Unlike :meth:`snapshot`, histograms are dumped as their raw
         sample lists, so the state can cross a process boundary (the
-        fleet shard workers ship theirs back over the wire) and be
+        :mod:`repro.experiments.parallel` pool workers return theirs
+        with each campaign result) and be
         folded into another registry with :meth:`merge_state` without
         losing percentile exactness.  JSON-encodable.
         """

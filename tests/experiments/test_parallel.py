@@ -8,16 +8,24 @@ scheduling state.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
+import repro.experiments.parallel as parallel
+from repro.config import CACHE_DIR_ENV, FORCE_POOL_ENV_VAR
 from repro.errors import ExperimentError
 from repro.experiments.parallel import (
     WORKERS_ENV_VAR,
+    CampaignSpec,
     campaign_spec,
     resolve_workers,
     run_campaigns,
 )
+from repro.obs import use_metrics
 
 
 def _small_specs(chip, scenario):
@@ -113,3 +121,61 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers() >= 1
     with pytest.raises(ExperimentError):
         resolve_workers(0)
+
+
+def test_pool_worker_metrics_merge_into_the_active_registry(
+    chip, sim_scenario, monkeypatch
+):
+    # Workers record into their own registries; the parent folds each
+    # returned state in, so the pooled run reports what the serial one
+    # does.  Timings differ, so histograms compare by sample count.
+    monkeypatch.setenv(FORCE_POOL_ENV_VAR, "1")
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    specs = _small_specs(chip, sim_scenario)
+    with use_metrics() as serial:
+        run_campaigns(specs, workers=1)
+    with use_metrics() as pooled:
+        run_campaigns(specs, workers=2)
+    s_state, p_state = serial.state_dict(), pooled.state_dict()
+    assert s_state["counters"]
+    assert p_state["counters"] == s_state["counters"]
+    assert {n: len(v) for n, v in p_state["histograms"].items()} == {
+        n: len(v) for n, v in s_state["histograms"].items()
+    }
+
+
+def test_killed_pool_worker_fails_typed_and_fast(monkeypatch):
+    # A worker SIGKILLed in the middle of its campaign must surface as
+    # an ExperimentError naming the campaign, not a BrokenProcessPool
+    # and not a hang.
+    monkeypatch.setenv(FORCE_POOL_ENV_VAR, "1")
+    monkeypatch.setattr(parallel, "_resolve_chip", lambda spec: None)
+
+    def collector(chip, scenario, kind, **params):
+        if scenario == "victim":
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.2)
+        return {}
+
+    monkeypatch.setattr(parallel, "get_or_generate_traces", collector)
+    specs = [
+        CampaignSpec(
+            name=name, kind="ed", scenario=name,
+            chip_seed=0, chip_trojans=(), params=(),
+        )
+        for name in ("victim", "bystander")
+    ]
+
+    def hung(signum, frame):
+        raise TimeoutError("run_campaigns hung after a worker died")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    start = time.monotonic()
+    try:
+        with pytest.raises(ExperimentError, match="'victim'.*worker"):
+            run_campaigns(specs, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 60

@@ -76,9 +76,9 @@ def test_snapshot_is_json_encodable_and_formats():
 
 
 def test_histogram_merge_matches_concatenated_reference():
-    # The sharded fleet merges per-shard histograms back into one;
+    # The campaign pool merges per-worker histograms back into one;
     # quantiles after the merge must be exact over the union of raw
-    # samples, not an approximation over per-shard summaries.
+    # samples, not an approximation over per-worker summaries.
     rng = np.random.default_rng(7)
     a_samples = [float(x) for x in rng.normal(10.0, 3.0, size=137)]
     b_samples = [float(x) for x in rng.normal(50.0, 1.0, size=61)]
@@ -96,7 +96,7 @@ def test_histogram_merge_matches_concatenated_reference():
     assert summary["sum"] == pytest.approx(sum(combined))
     for q in (50, 95, 99):
         assert summary[f"p{q}"] == float(np.percentile(combined, q))
-    # Raw sample lists merge too (the wire-format form).
+    # Raw sample lists merge too (the state_dict form).
     c = MetricsRegistry().histogram("lat.c")
     c.merge(a_samples)
     c.merge(b_samples)
@@ -188,39 +188,3 @@ def test_in_memory_journal_flush_is_noop():
     j = EventJournal()
     j.record("alarm", chip="a")
     assert j.flush() is None
-
-
-def test_journal_annotate_tags_stay_out_of_events(tmp_path):
-    # The sharded merge orders events by (tick, phase) tags; the tags
-    # are pure bookkeeping and must never leak into journal bytes.
-    j = EventJournal(tmp_path / "events.jsonl")
-    j.record("campaign")
-    with j.annotate(tick=3, phase=1):
-        event = j.record("alarm", chip="a")
-        with j.annotate(tick=4, phase=0):
-            j.record("drop", chip="b", seqs=[1])
-        # The outer annotation is restored after the inner block.
-        j.record("alarm", chip="c")
-    j.record("checkpoint")
-    assert set(event) == {"kind", "chip"}
-    tags = [tag for tag, _ in j.tagged()]
-    assert tags == [
-        None,
-        {"tick": 3, "phase": 1},
-        {"tick": 4, "phase": 0},
-        {"tick": 3, "phase": 1},
-        None,
-    ]
-    j.flush()
-    assert EventJournal.load(j.path) == j.events
-
-
-def test_journal_rewrite_replaces_events_and_clears_tags():
-    j = EventJournal()
-    with j.annotate(tick=0, phase=0):
-        j.record("drop", chip="a", seqs=[0])
-    merged = [{"kind": "drop", "chip": "a", "seqs": [0]},
-              {"kind": "alarm", "chip": "a", "seq": 1}]
-    j.rewrite(merged)
-    assert j.events == merged
-    assert [tag for tag, _ in j.tagged()] == [None, None]

@@ -6,13 +6,12 @@ chunks on a background thread while the scheduler scores.  The feed's
 delivery schedule is a pure function of ``(n_windows, faults, seed,
 chip_id)`` — no trace bytes involved — so the streamed run must
 reproduce the replay run exactly: same alarms, same accounting
-counters, same journal events, at one shard and at many.
+counters, same journal events.
 
 Identity scope: journal events, per-chip reports, and every counter
-except the ``shard.*`` / ``stage.*`` infrastructure ones (excluded by
-the sharded tests already) plus the ``producer.*`` instruments and the
-``fleet.ttfv.seconds`` gauge, which only exist on the streamed side
-and measure wall clock, not campaign content.
+except the ``stage.*`` timing ones plus the ``producer.*`` instruments
+and the ``fleet.ttfv.seconds`` gauge, which only exist on the streamed
+side and measure wall clock, not campaign content.
 """
 
 import json
@@ -29,7 +28,6 @@ from repro.fleet import (
     FleetScheduler,
     MetricsRegistry,
     MonitorSession,
-    ShardedFleetScheduler,
     StreamingTraceProducer,
     TraceFeed,
     chunk_role,
@@ -113,7 +111,7 @@ def _build(cls, synthetic, streams, *, ingest="replay", chunk=16,
 def _clean_counters(metrics):
     return {
         k: v for k, v in metrics.snapshot()["counters"].items()
-        if not k.startswith(("shard.", "stage.", "producer."))
+        if not k.startswith(("stage.", "producer."))
     }
 
 
@@ -181,10 +179,6 @@ def test_producer_serves_exact_rows_and_read_only_views(fleet_rng):
         seqs = np.array([14, 15, 16, 17, 33])
         got = producer.rows("b", seqs)
         assert np.array_equal(got, streams["b"][seqs])
-        # Whole-fleet chunk pull (the sharded hand-off).
-        data = producer.chunk(2)
-        assert set(data) == {"a", "b"}
-        assert np.array_equal(data["a"], streams["a"][32:40])
 
 
 def test_producer_frees_passed_chunks_and_regenerates_on_demand(
@@ -201,7 +195,8 @@ def test_producer_frees_passed_chunks_and_regenerates_on_demand(
         # ...the *fleet minimum* watermark is.
         producer.advance("b", 20)
         assert 0 not in producer._chunks
-        producer.release_through(48)
+        producer.advance("a", 48)
+        producer.advance("b", 48)
         assert not producer._chunks
         # Requests below a freed chunk (the post-run one-shot path)
         # regenerate it on demand — chunks are pure functions of
@@ -263,7 +258,7 @@ def test_producer_metrics_and_cursor(fleet_rng):
         assert producer.state_dict() == {
             "chunk": 16, "n_windows": 40, "next_chunk": 0,
         }
-        producer.release_through(16)
+        producer.advance("a", 16)
         assert producer.state_dict()["next_chunk"] == 1
 
 
@@ -275,7 +270,7 @@ def test_on_chunk_fires_once_per_chunk_in_order(fleet_rng):
         on_chunk=lambda i, lo, hi, data: seen.append((i, lo, hi)),
     ) as producer:
         producer.join()
-        producer.release_through(40)
+        producer.advance("a", 40)
         # Regeneration (a gather below the freed watermark) must NOT
         # re-fire the hook — the accumulator would double-count.
         producer.rows("a", np.arange(0, 16))
@@ -351,45 +346,6 @@ def test_all_clear_stream_creates_no_ttfv_instrument(synthetic):
     assert "fleet.ttfv.seconds" not in metrics.snapshot()["gauges"]
 
 
-@pytest.mark.parametrize("transport", ["inline", "socket"])
-def test_sharded_stream_matches_serial_replay(
-    synthetic, fleet_streams, transport
-):
-    ref, feeds_r, j_ref, m_ref, _ = _build(
-        FleetScheduler, synthetic, fleet_streams, ingest="replay"
-    )
-    r_ref = ref.run(feeds_r)
-    sharded, feeds_s, j_sh, m_sh, producer = _build(
-        ShardedFleetScheduler, synthetic, fleet_streams,
-        ingest="stream", shards=2, transport=transport,
-    )
-    try:
-        r_sh = sharded.run(feeds_s)
-    finally:
-        producer.close()
-    _assert_identical(r_ref, r_sh, fleet_streams)
-    assert j_ref.events == j_sh.events
-    assert _clean_counters(m_ref) == _clean_counters(m_sh)
-    # The fleet alarms, so the earliest shard TTFV surfaces merged.
-    assert m_sh.snapshot()["gauges"]["fleet.ttfv.seconds"] > 0
-
-
-def test_sharded_stream_rejects_mixed_sources(synthetic, fleet_streams):
-    sharded, feeds, _, _, producer = _build(
-        ShardedFleetScheduler, synthetic, fleet_streams,
-        ingest="stream", shards=2, transport="inline",
-    )
-    try:
-        chip = feeds[0].chip_id
-        feeds[0] = TraceFeed(
-            chip, fleet_streams[chip], batch=8, faults=FAULTS, seed=11
-        )
-        with pytest.raises(ExperimentError, match="one producer"):
-            sharded.run(feeds)
-    finally:
-        producer.close()
-
-
 # -- mid-stream checkpoint / resume ------------------------------------
 
 def test_stream_checkpoint_resumes_mid_stream(synthetic, fleet_streams):
@@ -416,67 +372,6 @@ def test_stream_checkpoint_resumes_mid_stream(synthetic, fleet_streams):
     resumed_producer = _producer(
         fleet_streams, chunk=cursor["chunk"],
         start_chunk=cursor["next_chunk"],
-    ).start()
-    try:
-        resumed = FleetScheduler.from_state(
-            state, ev, journal=EventJournal(), metrics=MetricsRegistry()
-        )
-        r_resumed = resumed.run([
-            TraceFeed(
-                c, resumed_producer.source_for(c),
-                batch=8, faults=FAULTS, seed=11,
-            )
-            for c in fleet_streams
-        ])
-    finally:
-        resumed_producer.close()
-    assert r_resumed.complete
-    _assert_identical(r_ref, r_resumed, fleet_streams)
-
-
-def test_sharded_stream_checkpoint_resumes_serial_stream(
-    synthetic, fleet_streams
-):
-    """A sharded streaming checkpoint's cursor comes from the feeds.
-
-    The sharded front-end advances producer watermarks as it *ships*
-    chunks (they land on disk for the shards), so its resume cursor is
-    derived from the still-pending batches — it must point at or below
-    the lowest window any of them references, never past it.
-    """
-    ev, _ = synthetic
-    ref, feeds_r, _, _, _ = _build(
-        FleetScheduler, synthetic, fleet_streams, ingest="replay"
-    )
-    r_ref = ref.run(feeds_r)
-
-    part, feeds_p, _, _, producer = _build(
-        ShardedFleetScheduler, synthetic, fleet_streams,
-        ingest="stream", shards=2, transport="inline",
-    )
-    try:
-        r_part = part.run(feeds_p, max_ticks=5)
-        assert not r_part.complete
-        state = json.loads(json.dumps(part.state_dict()))
-    finally:
-        producer.close()
-    plan = ChunkPlan(96, 16)
-    lowest_pending = min(
-        TraceFeed(
-            c, fleet_streams[c], batch=8, faults=FAULTS, seed=11
-        ).low_watermark(
-            state["pending"][c][0]
-            if state["pending"][c] else state["produced"][c]
-        )
-        for c in fleet_streams
-    )
-    assert state["producer"]["next_chunk"] == plan.chunk_of(
-        lowest_pending
-    )
-
-    resumed_producer = _producer(
-        fleet_streams, chunk=16,
-        start_chunk=state["producer"]["next_chunk"],
     ).start()
     try:
         resumed = FleetScheduler.from_state(

@@ -96,41 +96,13 @@ class TestFleetForwarding:
         assert exc.value.code == 0
         assert "--check-oneshot" in capsys.readouterr().out
 
-    def test_fleet_shards_flag_reaches_the_campaign(
-        self, capsys, monkeypatch
-    ):
-        import repro.fleet.cli as fleet_cli
-
-        seen = {}
-
-        class _Stub:
-            metrics = {"counters": {}, "gauges": {}, "histograms": {}}
-            journal_path = None
-            all_match_oneshot = True
-
-            def format(self):
-                return "stub fleet report"
-
-        def fake_campaign(config, fleet):
-            seen["config"] = config
-            return _Stub()
-
-        monkeypatch.setattr(
-            fleet_cli, "run_fleet_campaign", fake_campaign
-        )
-        # The flag wins over the environment (argument > env), and
-        # --shards 1 pins the serial single-process path regardless of
-        # REPRO_FLEET_SHARDS.
-        monkeypatch.setenv("REPRO_FLEET_SHARDS", "4")
-        assert main(["fleet", "--shards", "1"]) == 0
-        assert seen["config"].shards == 1
-        assert main(
-            ["fleet", "--shards", "2", "--transport", "inline"]
-        ) == 0
-        assert seen["config"].shards == 2
-        assert seen["config"].transport == "inline"
-        # Unset, the config defers to REPRO_FLEET_SHARDS at run time.
-        assert main(["fleet"]) == 0
-        assert seen["config"].shards is None
-        assert seen["config"].transport is None
-        assert "stub fleet report" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv", (["--shards", "2"], ["--transport", "inline"])
+    )
+    def test_fleet_rejects_retired_shard_flags(self, capsys, argv):
+        # The sharded transport and its flags are gone; argparse fails
+        # before any campaign runs.
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -18,11 +18,7 @@ from repro.config import (
     DETECTOR_ENV_VAR,
     DEFAULT_CACHE_MB,
     DEFAULT_CHUNK_BYTES,
-    DEFAULT_FLEET_INGEST_DEPTH,
-    FLEET_INGEST_DEPTH_ENV_VAR,
     FLEET_SCORING_ENV_VAR,
-    FLEET_SHARDS_ENV_VAR,
-    FLEET_TRANSPORT_ENV_VAR,
     FORCE_POOL_ENV_VAR,
     SENSOR_ARRAY_ENV_VAR,
     SMOKE_ENV_VAR,
@@ -55,8 +51,6 @@ class TestPrecedence:
         assert cfg.bench_smoke is False
         assert cfg.fleet_scoring == "batched"
         assert cfg.fleet_shards == 1
-        assert cfg.fleet_ingest_depth == DEFAULT_FLEET_INGEST_DEPTH
-        assert cfg.fleet_transport == "auto"
         assert cfg.detector == "euclidean"
         assert cfg.host_cpus >= 1
 
@@ -70,9 +64,6 @@ class TestPrecedence:
             CACHE_MB_ENV: "64",
             SMOKE_ENV_VAR: "1",
             FLEET_SCORING_ENV_VAR: "sequential",
-            FLEET_SHARDS_ENV_VAR: "4",
-            FLEET_INGEST_DEPTH_ENV_VAR: "32",
-            FLEET_TRANSPORT_ENV_VAR: "inline",
             DETECTOR_ENV_VAR: "spectral_median",
         })
         assert cfg.workers == 3
@@ -83,9 +74,6 @@ class TestPrecedence:
         assert cfg.cache_mb == 64
         assert cfg.bench_smoke is True
         assert cfg.fleet_scoring == "sequential"
-        assert cfg.fleet_shards == 4
-        assert cfg.fleet_ingest_depth == 32
-        assert cfg.fleet_transport == "inline"
         assert cfg.detector == "spectral_median"
 
     def test_detector_argument_beats_environment(self):
@@ -152,24 +140,15 @@ class TestValidation:
             ReproConfig(fleet_scoring="serial")
 
     def test_fleet_shard_knobs(self):
-        with pytest.raises(ExperimentError, match="not an integer"):
-            ReproConfig.resolve(environ={FLEET_SHARDS_ENV_VAR: "many"})
-        with pytest.raises(ExperimentError, match=">= 1"):
-            ReproConfig(fleet_shards=0)
-        with pytest.raises(ExperimentError, match="not an integer"):
-            ReproConfig.resolve(
-                environ={FLEET_INGEST_DEPTH_ENV_VAR: "deep"}
-            )
-        with pytest.raises(ExperimentError, match=">= 1"):
-            ReproConfig(fleet_ingest_depth=0)
-        with pytest.raises(ExperimentError, match="pigeon"):
-            ReproConfig.resolve(
-                environ={FLEET_TRANSPORT_ENV_VAR: "pigeon"}
-            )
-        with pytest.raises(ExperimentError, match="transport"):
-            ReproConfig(fleet_transport="tcp")
-        with pytest.raises(ConfigError):
-            ReproConfig(fleet_shards=True)
+        # The sharded transport is gone: the one remaining shard field
+        # is pinned at 1 and its retired environment variable is inert.
+        assert ReproConfig(fleet_shards=1).fleet_shards == 1
+        for bad in (0, 2, 4, True, 1.0, "1"):
+            with pytest.raises(ConfigError, match="sharded fleet transport"):
+                ReproConfig(fleet_shards=bad)
+        assert ReproConfig.resolve(
+            environ={"REPRO_FLEET_SHARDS": "4"}
+        ).fleet_shards == 1
 
     def test_empty_detector_rejected(self):
         with pytest.raises(ConfigError, match="non-empty"):
