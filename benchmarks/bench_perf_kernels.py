@@ -1,10 +1,10 @@
 """Bench: the performance layer — EM kernels, acquisition, campaigns.
 
 Timings (and speedups against the retained loop reference
-implementations) for the three hot paths every figure funnels through:
-the Biot–Savart field solver, the Neumann mutual-inductance quadrature,
-and the cycle-by-cycle acquisition engine — plus the parallel campaign
-runner.  Sizes mirror real use: a full-die field map is ~2000 power-grid
+implementations) for the hot paths every figure funnels through: the
+Biot–Savart field solver, the Neumann mutual-inductance quadrature,
+the cycle-by-cycle acquisition engine and its activity fold — plus the
+parallel campaign runner.  Sizes mirror real use: a full-die field map is ~2000 power-grid
 segments × a 40×40 surface grid, and the coil couples through a 64-side
 spiral approximation.
 """
@@ -18,12 +18,22 @@ import numpy as np
 
 from conftest import record_timing, run_once
 
-from repro.chip.acquire import AcquisitionEngine, EncryptionWorkload
+from repro.chip.acquire import (
+    FALL_CODE,
+    FALL_CURRENT_FRACTION,
+    RISE_CODE,
+    AcquisitionEngine,
+    EncryptionWorkload,
+)
+from repro.chip.chip import Chip
+from repro.chip.config import ChipConfig
+from repro.chip.scenario import array_scenario
+from repro.logic.activity import ActivityAccumulator
 from repro.logic.simulator import BACKEND_ENV_VAR
 from repro.em.biot_savart import b_field_of_segments
 from repro.em.mutual import mutual_inductance_to_loop
 from repro.experiments import campaign_spec, run_campaigns
-from tests.chip.reference_fold import ReferenceFoldEngine
+from tests.chip.reference_fold import ReferenceFoldEngine, dense_fold_matrix
 from tests.em.reference_kernels import (
     b_field_of_segments_loop,
     mutual_inductance_to_loop_loop,
@@ -198,6 +208,84 @@ def test_packed_backend_speedup(benchmark, chip, sim_scenario):
     )
     if not smoke:
         assert speedup >= 4.0, speedup
+
+
+def _fold_block(chip, batch: int, cycles: int, warmup: int = 8):
+    """``cycles`` AES cycles of toggle and rising masks after *warmup*,
+    as ``(insts, cycles * batch)`` cycle-major column blocks."""
+    sim = chip.sim
+    workload = EncryptionWorkload(chip.aes, b"\x2b" * 16, period=12)
+    workload.begin(batch, np.random.default_rng(2024))
+    state = sim.reset(batch=batch, inputs=workload.inputs(0, batch))
+    tog, ris = [], []
+    for k in range(1, warmup + cycles + 1):
+        toggles = sim.step(state, workload.inputs(k, batch))
+        if k > warmup:
+            tog.append(toggles)
+            ris.append(toggles & sim.output_values(state))
+    return np.hstack(tog), np.hstack(ris)
+
+
+def test_level_fold_kernel(benchmark):
+    """Level fold vs the tests-side dense float64 reference fold.
+
+    One 256-column block (8 AES cycles x batch 32) of the seed-1 4x4
+    array chip, folded for its 16 coils and for one coil.  The level
+    fold gets the engine's inputs — level-ordered integer activity
+    codes and weights per code unit — already materialised, so both
+    sides time the fold alone; it must match the dense
+    ``(receivers x levels, insts) @ (insts, cols)`` float64 product of
+    the unrounded weights and ``toggles * 0.35 + rising * 0.65`` to
+    1e-5 of each receiver's largest frame value.
+    """
+    smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+    chip = Chip.build(
+        config=ChipConfig(sensor_array_rows=4, sensor_array_cols=4), seed=1
+    )
+    engine = AcquisitionEngine(chip, array_scenario(4, 4, seed=1))
+    batch, cycles = 32, 8
+    tog, ris = _fold_block(chip, batch, cycles)
+    codes = FALL_CODE * (tog & ~ris) + RISE_CODE * ris.astype(np.float64)
+    weighted = tog * FALL_CURRENT_FRACTION + ris * (1.0 - FALL_CURRENT_FRACTION)
+    levels = chip.sim.instance_levels
+    coils = chip.receiver_groups["array"]
+    repeats = 2 if smoke else 5
+
+    def level_fold(accs, columns):
+        for acc in accs:
+            acc.clear()
+        ActivityAccumulator.record_all_blocks(accs, columns, cycles, batch)
+        return np.stack([acc.result() for acc in accs])
+
+    for label, names in (("fold_level_16", coils), ("fold_level_1", coils[:1])):
+        accs = [ActivityAccumulator(engine._w_data[n], levels) for n in names]
+        columns = codes[accs[0].level_order]
+        dense = np.vstack([
+            dense_fold_matrix(engine._w_data[n] * RISE_CODE, levels)
+            for n in names
+        ])
+        ref = (dense @ weighted).reshape(len(names), -1, cycles, batch)
+        ref = ref.transpose(0, 2, 1, 3)
+        got = level_fold(accs, columns)
+        t_level = _best_of(lambda: level_fold(accs, columns), repeats)
+        t_dense = _best_of(lambda: dense @ weighted, repeats)
+        err = max(
+            np.max(np.abs(g - r)) / np.max(np.abs(r))
+            for g, r in zip(got, ref)
+        )
+        record_timing(
+            label, t_level, dense_s=t_dense, speedup=t_dense / t_level,
+            receivers=len(names), insts=chip.sim.num_instances,
+            levels=int(levels.max()) + 1, cols=cycles * batch,
+            max_rel_err=float(err), smoke=smoke,
+        )
+        print(
+            f"\n{label} ({len(names)} receivers, {cycles * batch} cols): "
+            f"{t_level * 1e3:.1f} ms vs dense {t_dense * 1e3:.1f} ms "
+            f"-> {t_dense / t_level:.1f}x, max rel err {err:.1e}"
+        )
+        assert err < 1e-5, (label, err)
+    run_once(benchmark, level_fold, accs, columns)
 
 
 def test_parallel_campaign_sweep(benchmark, chip, sim_scenario):

@@ -20,7 +20,9 @@ import os
 import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from repro.chip import silicon_scenario, simulation_scenario
 from repro.chip.calibration import calibrate_scenario
@@ -49,7 +51,12 @@ def pytest_sessionfinish(session, exitstatus):
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cpu": _cpu_model(),
         "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": _blas_build(),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "results": _BENCH_RESULTS,
     }
     target = Path(path)
@@ -63,6 +70,24 @@ def pytest_sessionfinish(session, exitstatus):
             history = [history]
     history.append(snapshot)
     target.write_text(json.dumps(history, indent=2) + "\n")
+
+
+def _cpu_model() -> str:
+    """CPU model name (``/proc/cpuinfo`` on Linux), else the platform's."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def _blas_build() -> str:
+    """Name and version of the BLAS numpy was built against."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,11 @@
 
 The packed backend must be *bit-identical* to the bool backend — same
 traces, same recorded nets, for every Trojan — because both feed the
-same blocked float32 activity fold.  The per-cycle float64 reference
-fold (:class:`tests.chip.reference_fold.ReferenceFoldEngine`) is a
-numerical baseline and is only required to agree to float32 round-off.
+same activity codes to the same exact level fold.  The per-cycle
+float64 dense reference fold
+(:class:`tests.chip.reference_fold.ReferenceFoldEngine`) is a numerical
+baseline and is only required to agree to within 1e-5 of each trace's
+peak.
 """
 
 import gc
@@ -15,8 +17,10 @@ import pytest
 
 from repro.chip import AcquisitionEngine, EncryptionWorkload, GroupMember
 from repro.chip.acquire import (
+    FALL_CODE,
     FALL_CURRENT_FRACTION,
-    _lookup_weights,
+    RISE_CODE,
+    _lookup_codes,
     acquisition_engine,
 )
 from repro.chip.chip import Chip
@@ -104,9 +108,11 @@ def test_lane_group_bit_identity(chip, engine, monkeypatch):
 
 @pytest.mark.parametrize("batch", (1, 7, 8, 9, 32, 63, 64, 65, 130))
 def test_lookup_block_equals_bool_formula(batch):
-    """The byte-lookup weight block holds exactly the float32 values of
-    the bool backend's ``s * fall + r``, also for a partial last block
-    written into a wider buffer."""
+    """The byte-lookup code block holds exactly the bool backend's codes
+    ``FALL_CODE * (t ^ r) + RISE_CODE * r`` (in the ratio
+    ``FALL_CURRENT_FRACTION``), also for a partial last block written
+    into a wider buffer."""
+    assert FALL_CODE / RISE_CODE == FALL_CURRENT_FRACTION
     rng = np.random.default_rng(batch)
     n_inst, block, cycles = 37, 5, 3
     nwords = packed_words(batch)
@@ -117,28 +123,27 @@ def test_lookup_block_equals_bool_formula(batch):
                              endpoint=True)
     tog_le, ris_le = tog.astype("<u8"), ris.astype("<u8")
     n_bytes = -(-batch // 8)
-    w_block = np.full((n_inst, block * batch), np.nan, dtype=np.float32)
-    _lookup_weights(
+    c_block = np.full((n_inst, block * batch), np.nan)
+    _lookup_codes(
         tog_le.view(np.uint8)[:, :cycles, :n_bytes],
         ris_le.view(np.uint8)[:, :cycles, :n_bytes],
         np.empty((n_inst, cycles, n_bytes), dtype=np.uint16),
-        w_block.reshape(n_inst, block, batch)[:, :cycles],
+        c_block.reshape(n_inst, block, batch)[:, :cycles],
     )
 
     t_bits = unpack_bits(tog[:, :cycles], batch).reshape(n_inst, -1)
     r_bits = unpack_bits(ris[:, :cycles], batch).reshape(n_inst, -1)
-    expected = np.empty((n_inst, cycles * batch), dtype=np.float32)
-    np.multiply(t_bits ^ r_bits, np.float32(FALL_CURRENT_FRACTION),
-                out=expected)
-    np.add(expected, r_bits, out=expected)
-    got = w_block[:, : cycles * batch]
+    expected = (FALL_CODE * (t_bits ^ r_bits) + RISE_CODE * r_bits).astype(
+        np.float64
+    )
+    got = c_block[:, : cycles * batch]
     assert got.tobytes() == expected.tobytes()
     # Columns past the partial block are left alone.
-    assert np.isnan(w_block[:, cycles * batch :]).all()
+    assert np.isnan(c_block[:, cycles * batch :]).all()
 
 
 def test_reference_fold_tolerance(chip, sim_scenario, engine, monkeypatch):
-    """The float64 per-cycle reference fold agrees to float32 round-off."""
+    """The float64 per-cycle dense reference fold agrees to 1e-5."""
     monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
     kw = dict(n_cycles=48, batch=64, receivers=("sensor",),
               include_noise=False, rng_role="packed-eq/reference")

@@ -12,6 +12,7 @@ from repro.logic import (
     TraceRecorder,
     netlist_stats,
 )
+from repro.logic.activity import FOLD_ROWS, MAX_ACTIVITY_CODE
 from repro.logic.stats import format_table
 
 
@@ -84,6 +85,90 @@ def test_activity_accumulator_clear():
     acc.record(np.ones((1, 1), dtype=bool))
     acc.clear()
     assert acc.cycles == 0
+
+
+def _fold_case(n_inst=1300, n_cycles=5, batch=7, seed=3):
+    """Random weights over levels 0..5 with level 2 empty and level 4
+    longer than one FOLD_ROWS run, plus bool toggle matrices."""
+    rng = np.random.default_rng(seed)
+    bins = rng.choice([0, 1, 3, 4, 4, 4, 5], size=n_inst)
+    weights = rng.normal(size=n_inst) * 10.0 ** rng.uniform(-3, 3, n_inst)
+    toggles = rng.random((n_cycles, n_inst, batch)) < 0.2
+    return weights, bins, toggles
+
+
+def test_fold_paths_agree_bit_for_bit():
+    weights, bins, toggles = _fold_case()
+    assert np.bincount(bins)[4] > FOLD_ROWS
+    n_cycles, n_inst, batch = toggles.shape
+    solo = ActivityAccumulator(weights, bins)
+    for t in toggles:
+        solo.record(t)
+    group = [ActivityAccumulator(w, bins) for w in (weights[::-1], weights)]
+    for t in toggles:
+        ActivityAccumulator.record_all(group, t)
+    blocked = [ActivityAccumulator(w, bins) for w in (weights, weights * 3)]
+    columns = toggles.transpose(1, 0, 2).reshape(n_inst, -1)
+    ActivityAccumulator.record_all_blocks(
+        blocked, columns[blocked[0].level_order], n_cycles, batch
+    )
+    out = solo.result()
+    assert out.shape == (n_cycles, 6, batch)
+    assert out.tobytes() == group[1].result().tobytes()
+    assert out.tobytes() == blocked[0].result().tobytes()
+
+
+def test_fold_is_exact_for_integer_activity():
+    weights, bins, toggles = _fold_case(seed=4)
+    codes = toggles * np.int64(MAX_ACTIVITY_CODE)
+    acc = ActivityAccumulator(weights, bins)
+    for c in codes:
+        acc.record(c)
+    w_int = np.rint(weights / acc.step).astype(np.int64)
+    for k, c in enumerate(codes):
+        for level in range(acc.num_bins):
+            rows = bins == level
+            exact = (w_int[rows, None] * c[rows]).sum(axis=0)
+            assert np.array_equal(acc.result()[k, level], exact * acc.step)
+    # The rounding moves no weight by more than half a step.
+    assert np.max(np.abs(w_int * acc.step - weights)) <= acc.step / 2
+
+
+def test_fold_empty_level_is_zero():
+    acc = ActivityAccumulator(np.array([1.0, 2.0, 4.0]), np.array([0, 2, 2]))
+    acc.record(np.array([[1, 1], [1, 0], [0, 1]], dtype=bool))
+    out = acc.result()
+    assert out.shape == (1, 3, 2)
+    assert np.array_equal(out[0], [[1.0, 1.0], [0.0, 0.0], [2.0, 4.0]])
+
+
+def test_fold_single_instance():
+    acc = ActivityAccumulator(np.array([0.3]), np.array([2]))
+    acc.record(np.array([[1, 0, 1]], dtype=bool))
+    out = acc.result()
+    assert out.shape == (1, 3, 3)
+    assert np.array_equal(out[0, :2], np.zeros((2, 3)))
+    assert np.allclose(out[0, 2], [0.3, 0.0, 0.3], rtol=1e-12, atol=0)
+
+
+def test_fold_zero_instances():
+    acc = ActivityAccumulator(np.empty(0), np.empty(0, dtype=int))
+    acc.record(np.zeros((0, 4), dtype=bool))
+    assert acc.result().shape == (1, 0, 4)
+    assert acc.cycles == 1
+
+
+def test_fold_requires_shared_bins():
+    weights = np.ones(4)
+    a = ActivityAccumulator(weights, np.array([0, 0, 1, 1]))
+    b = ActivityAccumulator(weights, np.array([0, 1, 1, 1]))
+    toggles = np.ones((4, 2), dtype=bool)
+    with pytest.raises(SimulationError, match="share delay bins"):
+        ActivityAccumulator.record_all([a, b], toggles)
+    with pytest.raises(SimulationError, match="share delay bins"):
+        ActivityAccumulator.record_all_blocks([a, b], toggles, 1, 2)
+    with pytest.raises(SimulationError, match="column block"):
+        ActivityAccumulator.record_all_blocks([a], toggles, 2, 2)
 
 
 def test_trace_recorder_history():
