@@ -9,8 +9,9 @@ digest that moved while the salt stayed put fails with instructions,
 and so does a pin left behind by a salt bump.
 
 The pins cover every :data:`repro.experiments.campaign.TRACE_COLLECTORS`
-kind (``tests/test_trace_pins.py``) and the channel-group synthesis
-layer (``tests/chip/test_group_synthesis.py``).
+kind (``tests/test_trace_pins.py``), the channel-group synthesis
+layer (``tests/chip/test_group_synthesis.py``) and the journal the
+chip-backed fleet campaign flushes (``tests/fleet/test_campaign_pin.py``).
 
 Digests of float64 bytes depend on the numpy/scipy/BLAS build that
 produced them (FFT and GEMM rounding).  :data:`PIN_BUILD` names the
@@ -63,6 +64,9 @@ TRACE_PINS: dict[str, tuple[str, str]] = {
     "acquire/array/subset": ("repro-pipeline-4", "82cf11ac9664319fbb9077ee47bce33193005651fb457f45491b989d64cb71cd"),
     # Power-monitor chip, silicon scenario, Trojan 2 at batch 8.
     "acquire/power": ("repro-pipeline-4", "069271fef3a2cb03fd88f7e533b17025b0feb22cdbb73f3cda34555415dbe7ab"),
+    # Flushed journal of the chip-backed fleet campaign in
+    # tests/fleet/test_campaign_pin.py (SHA-256 of the JSONL bytes).
+    "fleet/campaign-journal": ("repro-pipeline-4", "fce72258257f393e68fd788d04c3639984f46af3340c819abc509626e07197d0"),
 }
 
 
