@@ -441,9 +441,9 @@ class AcquisitionEngine:
         fleet's streaming ingest leans on this: one lane-packed pass
         per campaign *chunk* (members carrying per-chunk ``rng_role``
         values — :func:`repro.fleet.producer.chunk_role`) is bitwise
-        equal to the solo per-chunk campaigns the replay path
-        prematerialises, which is what makes ``--ingest=stream``
-        byte-identical to replay.
+        equal to solo per-chunk ``collect_ed_traces`` campaigns, so
+        the fleet scores the same windows a solo acquisition of each
+        chip would produce.
 
         Parameters
         ----------

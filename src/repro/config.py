@@ -69,11 +69,6 @@ SMOKE_ENV_VAR = "REPRO_BENCH_SMOKE"
 #: Fleet scoring engine: ``batched`` (default) or ``sequential``.
 FLEET_SCORING_ENV_VAR = "REPRO_FLEET_SCORING"
 
-#: Fleet trace ingest mode: ``replay`` (prematerialise every campaign
-#: up front, then stream it) or ``stream`` (generate chunks live,
-#: overlapped with scoring).
-FLEET_INGEST_ENV_VAR = "REPRO_FLEET_INGEST"
-
 #: Default detector plugin name (see ``repro detectors``).
 DETECTOR_ENV_VAR = "REPRO_DETECTOR"
 
@@ -94,13 +89,6 @@ SIM_BACKENDS = ("auto", "bool", "packed")
 
 #: Valid fleet scoring modes.
 FLEET_SCORING_MODES = ("batched", "sequential")
-
-#: Valid fleet trace ingest modes.  ``replay`` prematerialises every
-#: chip's campaign before the first window is scored; ``stream``
-#: drives the acquisition pipeline chunk by chunk while earlier chunks
-#: are being scored.  Both deliver bit-identical windows — the choice
-#: trades time-to-first-verdict and peak memory, never results.
-FLEET_INGEST_MODES = ("replay", "stream")
 
 
 def _parse_workers(raw: str) -> int:
@@ -192,9 +180,6 @@ class ReproConfig:
     #: scheduler.  The field stays only because pinned configs still
     #: name it; any other value is rejected.
     fleet_shards: int = 1
-    #: Fleet trace ingest mode: ``replay`` (prematerialised campaigns)
-    #: or ``stream`` (live chunked generation overlapping scoring).
-    fleet_ingest: str = "replay"
     #: Default detector plugin the framework resolves when no explicit
     #: name is given (``repro detectors`` lists the registry).  The
     #: name is validated against the registry at detector-creation
@@ -267,11 +252,6 @@ class ReproConfig:
                 "sharded fleet transport was removed and every fleet run "
                 "takes the single-process scheduler"
             )
-        if self.fleet_ingest not in FLEET_INGEST_MODES:
-            raise ExperimentError(
-                f"unknown fleet ingest mode {self.fleet_ingest!r}; "
-                f"expected one of {FLEET_INGEST_MODES}"
-            )
         if not isinstance(self.detector, str) or not self.detector:
             raise ConfigError(
                 f"detector must be a non-empty string, got {self.detector!r}"
@@ -338,7 +318,6 @@ class ReproConfig:
         from_env("cache_mb", CACHE_MB_ENV, _parse_cache_mb)
         from_env("bench_smoke", SMOKE_ENV_VAR, lambda raw: raw == "1")
         from_env("fleet_scoring", FLEET_SCORING_ENV_VAR, str)
-        from_env("fleet_ingest", FLEET_INGEST_ENV_VAR, str)
         from_env("detector", DETECTOR_ENV_VAR, str)
         from_env("sensor_array", SENSOR_ARRAY_ENV_VAR, parse_sensor_array)
         return cls(**values)

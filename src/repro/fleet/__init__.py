@@ -14,12 +14,10 @@ output" — scaled out to a fleet of deployed chips:
   queues, an explicit backpressure policy (``block`` /
   ``drop_oldest``, drop counts always surfaced), batched scoring and
   checkpoint/resume;
-* :class:`~repro.fleet.producer.StreamingTraceProducer` — live
-  ``--ingest=stream`` trace generation: chunked, double-buffered
-  acquisition overlapped with scoring, bit-identical to the
-  pre-materialised replay because the
-  :class:`~repro.fleet.producer.ChunkPlan` and its per-chunk RNG
-  roles define the campaign in both modes;
+* :class:`~repro.fleet.producer.StreamingTraceProducer` — live trace
+  generation: chunked, double-buffered acquisition overlapped with
+  scoring, with the :class:`~repro.fleet.producer.ChunkPlan` and its
+  per-chunk RNG roles part of the campaign's definition;
 * :class:`~repro.obs.metrics.MetricsRegistry` and
   :class:`~repro.obs.journal.EventJournal` (shared :mod:`repro.obs`
   package, re-exported here) — counters, gauges,
@@ -37,7 +35,6 @@ from repro.fleet.feed import FaultSpec, NO_FAULTS, TraceFeed, WindowBatch
 from repro.obs.journal import EventJournal
 from repro.obs.metrics import MetricsRegistry, format_snapshot
 from repro.fleet.scheduler import (
-    BoundedQueue,
     ChipReport,
     FleetResult,
     FleetScheduler,
@@ -67,7 +64,6 @@ __all__ = [
     "EventJournal",
     "MetricsRegistry",
     "format_snapshot",
-    "BoundedQueue",
     "ChipReport",
     "FleetResult",
     "FleetScheduler",

@@ -65,25 +65,17 @@ def _parser() -> argparse.ArgumentParser:
                    help="bounded per-chip queue depth [batches]")
     p.add_argument("--policy", choices=("block", "drop_oldest"),
                    default=None, help="backpressure policy")
-    p.add_argument("--workers", type=int, default=None,
-                   help="ingest fan-out (threads; 1 = deterministic serial)")
     p.add_argument("--campaign-workers", type=int, default=None,
-                   help="trace-generation fan-out (processes)")
+                   help="golden/spectral campaign fan-out (processes)")
     p.add_argument("--consume-every", type=int, default=None,
-                   help="serial consumer pacing (ticks per drain)")
+                   help="consumer pacing (ticks per drain)")
     p.add_argument("--scoring", choices=("batched", "sequential"),
                    default=None,
                    help="scoring engine (default: REPRO_FLEET_SCORING, "
                         "i.e. batched)")
-    p.add_argument("--ingest", choices=("replay", "stream"),
-                   default=None,
-                   help="trace ingest: pre-materialise campaigns "
-                        "(replay) or overlap generation with scoring "
-                        "(stream); default: REPRO_FLEET_INGEST, i.e. "
-                        "replay — both score identical bytes")
     p.add_argument("--chunk", type=int, default=None,
-                   help="windows per campaign chunk (one acquisition "
-                        "per chunk; shared by both ingest modes)")
+                   help="windows per streamed campaign chunk (one "
+                        "acquisition per chunk)")
     p.add_argument("--spectral-cycles", type=int, default=None,
                    help="spectral sweep record length [cycles]")
     p.add_argument("--drop", type=float, default=0.0,
@@ -115,11 +107,9 @@ def _config_from(args: argparse.Namespace) -> FleetConfig:
         ("batch", "batch"),
         ("queue_depth", "queue_depth"),
         ("policy", "policy"),
-        ("workers", "workers"),
         ("campaign_workers", "campaign_workers"),
         ("consume_every", "consume_every"),
         ("scoring", "scoring"),
-        ("ingest", "ingest"),
         ("chunk", "chunk"),
         ("spectral_cycles", "spectral_cycles"),
     ):
@@ -147,8 +137,6 @@ def _summary(result: FleetCampaignResult) -> dict:
         },
         "scoring_mode": result.config.scoring
         or active_config().fleet_scoring,
-        "ingest_mode": result.config.ingest
-        or active_config().fleet_ingest,
         "throughput_windows_per_s": fleet.throughput,
         "elapsed_seconds": fleet.elapsed_seconds,
         "windows_ingested": fleet.windows_ingested,

@@ -16,15 +16,15 @@ alone, so two feeds over the same campaign are identical — the
 property the scheduler's checkpoint/resume support leans on
 (:meth:`TraceFeed.batch_at` is random access).
 
-Where the rows themselves come from is a :class:`TraceSource`.  The
-classic mode wraps a prematerialised campaign matrix
-(:class:`MatrixTraceSource` — memmapped cache hits included); the
-streaming mode pulls rows on demand from a live producer
-(:class:`~repro.fleet.producer.ProducerTraceSource`).  The schedule is
-a pure function of ``(n_windows, faults, seed, chip_id)`` — no trace
-bytes involved — so every source yields the same delivery order and
-the same accounting, which is what makes ``--ingest=stream``
-bit-identical to ``--ingest=replay``.
+Where the rows themselves come from is a :class:`TraceSource`: a
+prematerialised trace matrix (:class:`MatrixTraceSource` — memmapped
+cache hits included) or rows pulled on demand from a live producer
+(:class:`~repro.fleet.producer.ProducerTraceSource`, which every fleet
+campaign uses).  The schedule is a pure function of ``(n_windows,
+faults, seed, chip_id)`` — no trace bytes involved — so every source
+yields the same delivery order and the same accounting, and a
+producer-backed feed is bit-identical to a feed over the same rows as
+one matrix.
 """
 
 from __future__ import annotations

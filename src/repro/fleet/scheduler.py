@@ -1,36 +1,25 @@
-"""Fleet scheduler: bounded per-chip queues, backpressure, fan-out.
+"""Fleet scheduler: bounded per-chip queues, backpressure, one tick loop.
 
 The ingestor between the per-chip trace feeds and their monitor
-sessions.  Each chip owns one bounded FIFO; the scheduler produces
-arrival batches round-robin across the fleet and drains each queue
-through its session.  When a queue is full the **backpressure policy**
+sessions.  Each chip owns one bounded FIFO; every tick the scheduler
+produces one arrival batch per chip, round-robin across the fleet, and
+drains the queues through the sessions.  The loop is single-threaded
+and deterministic.  When a queue is full the **backpressure policy**
 decides, explicitly:
 
-* ``"block"`` — the producer waits for the consumer (serially: the
-  oldest batch is drained through the session before the new one is
-  admitted).  Nothing is ever lost.
+* ``"block"`` — the producer waits for the consumer: the oldest batch
+  is drained through its session before the new one is admitted.
+  Nothing is ever lost.
 * ``"drop_oldest"`` — the oldest queued batch is evicted to admit the
   new one.  Every eviction is counted per chip, journalled as a
   ``drop`` event with the lost sequence numbers, and surfaced in the
   fleet report — **never silent**.
 
-Worker fan-out follows the :mod:`repro.experiments.parallel`
-conventions: the effective worker count comes from
-:func:`~repro.experiments.parallel.resolve_workers` (argument →
-``REPRO_WORKERS`` → CPU count), is clamped to the chip count, and
-auto-degrades to the deterministic serial loop on single-CPU hosts
-(``REPRO_FORCE_POOL=1`` overrides, as for the campaign pool).  Workers
-are threads, not processes — sessions are stateful and ingestion is
-NumPy-bound, so the GIL is released where it matters; each worker owns
-a fixed partition of the chips, which keeps per-chip ordering exact
-and makes the threaded run alarm-identical to the serial one under the
-``block`` policy.
-
-Checkpoint/resume (serial mode): :meth:`FleetScheduler.run` with
-``max_ticks`` stops at a tick boundary, :meth:`state_dict` captures
-the sessions plus the production/queue bookkeeping, and
-:meth:`from_state` + a second :meth:`run` over identically rebuilt
-feeds continues **bit-identically** — same alarms, same journal tail.
+Checkpoint/resume: :meth:`FleetScheduler.run` with ``max_ticks``
+stops at a tick boundary, :meth:`state_dict` captures the sessions
+plus the production/queue bookkeeping, and :meth:`from_state` + a
+second :meth:`run` over identically rebuilt feeds continues
+**bit-identically** — same alarms, same journal tail.
 
 Scoring runs in one of two modes (``REPRO_FLEET_SCORING`` or the
 ``scoring`` argument): ``batched`` (default) drains each tick's
@@ -43,14 +32,11 @@ checkpoints); batched is simply faster the more chips share a tick.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.config import FLEET_SCORING_MODES, active_config
 from repro.errors import ExperimentError
-from repro.experiments.parallel import resolve_workers
 from repro.fleet.feed import TraceFeed, WindowBatch
 from repro.obs.journal import EventJournal
 from repro.obs.metrics import MetricsRegistry
@@ -60,72 +46,6 @@ from repro.framework.monitor import AlarmEvent
 
 #: Supported backpressure policies.
 POLICIES = ("block", "drop_oldest")
-
-
-class BoundedQueue:
-    """Thread-safe bounded FIFO with an explicit overflow policy."""
-
-    def __init__(self, depth: int, policy: str) -> None:
-        if depth < 1:
-            raise ExperimentError(f"queue depth must be >= 1, got {depth}")
-        if policy not in POLICIES:
-            raise ExperimentError(
-                f"unknown backpressure policy {policy!r}; "
-                f"expected one of {POLICIES}"
-            )
-        self.depth = depth
-        self.policy = policy
-        self._items: deque = deque()
-        self._cond = threading.Condition()
-        self._closed = False
-        self.dropped: list[WindowBatch] = []
-        self.high_water = 0
-
-    def put(self, item: WindowBatch) -> WindowBatch | None:
-        """Enqueue; returns the batch evicted by ``drop_oldest`` (if any).
-
-        Under the ``block`` policy this waits until a consumer frees a
-        slot.
-        """
-        with self._cond:
-            if self.policy == "block":
-                while len(self._items) >= self.depth:
-                    self._cond.wait()
-                evicted = None
-            else:
-                evicted = (
-                    self._items.popleft()
-                    if len(self._items) >= self.depth
-                    else None
-                )
-                if evicted is not None:
-                    self.dropped.append(evicted)
-            self._items.append(item)
-            self.high_water = max(self.high_water, len(self._items))
-            self._cond.notify_all()
-            return evicted
-
-    def get_nowait(self) -> WindowBatch | None:
-        with self._cond:
-            if not self._items:
-                return None
-            item = self._items.popleft()
-            self._cond.notify_all()
-            return item
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    @property
-    def finished(self) -> bool:
-        """Closed and fully drained."""
-        with self._cond:
-            return self._closed and not self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 @dataclass
@@ -216,7 +136,7 @@ class FleetScheduler:
         sessions: list[MonitorSession],
         queue_depth: int = 8,
         policy: str = "block",
-        workers: int | None = None,
+        workers: int = 1,
         consume_every: int = 1,
         journal: EventJournal | None = None,
         metrics: MetricsRegistry | None = None,
@@ -228,20 +148,19 @@ class FleetScheduler:
         sessions:
             One per chip; their order fixes the round-robin order.
         queue_depth:
-            Bounded per-chip queue capacity, in batches.
+            Bounded per-chip queue capacity, in batches (>= 1).
         policy:
             Backpressure policy, ``"block"`` or ``"drop_oldest"``.
         workers:
-            Ingestion fan-out; resolved through the
-            :mod:`repro.experiments.parallel` conventions.  ``1``
-            forces the deterministic serial loop (required for
-            checkpointing).
+            Fixed at ``1``; any other value is rejected.  The keyword
+            stays only because ``benchmarks/pipeline/workloads.py``
+            still passes it.
         consume_every:
-            Serial-mode consumer pacing: sessions drain one batch per
-            chip every *consume_every* production ticks.  ``1`` keeps
-            consumers in lock-step with producers; larger values
-            emulate a slow consumer and exercise the backpressure
-            policy deterministically.  Ignored by the threaded path.
+            Consumer pacing: sessions drain one batch per chip every
+            *consume_every* production ticks.  ``1`` keeps consumers
+            in lock-step with producers; larger values emulate a slow
+            consumer and exercise the backpressure policy
+            deterministically.
         journal, metrics:
             Shared sinks; default to the first session's.
         scoring:
@@ -255,10 +174,20 @@ class FleetScheduler:
         ids = [s.chip_id for s in sessions]
         if len(set(ids)) != len(ids):
             raise ExperimentError(f"chip ids must be unique, got {ids}")
+        if queue_depth < 1:
+            raise ExperimentError(
+                f"queue depth must be >= 1, got {queue_depth}"
+            )
         if policy not in POLICIES:
             raise ExperimentError(
                 f"unknown backpressure policy {policy!r}; "
                 f"expected one of {POLICIES}"
+            )
+        if type(workers) is not int or workers != 1:
+            raise ExperimentError(
+                f"workers must be 1, got {workers!r}: the threaded "
+                "ingestor was removed and every fleet run takes the "
+                "single-threaded tick loop"
             )
         if consume_every < 1:
             raise ExperimentError(
@@ -274,16 +203,15 @@ class FleetScheduler:
         self.order = ids
         self.queue_depth = queue_depth
         self.policy = policy
-        self.workers = workers
         self.consume_every = consume_every
         self.journal = journal if journal is not None else sessions[0].journal
         self.metrics = metrics if metrics is not None else sessions[0].metrics
-        # Serial-mode bookkeeping (also the checkpointable state).
+        # Tick-loop bookkeeping (also the checkpointable state).
         self._tick = 0
         self._produced: dict[str, int] = {c: 0 for c in ids}
         self._pending: dict[str, list[int]] = {c: [] for c in ids}
         self._queue_dropped: dict[str, list[int]] = {c: [] for c in ids}
-        #: Serial-mode batched scoring engine (built per run).
+        #: Batched scoring engine (built per run).
         self._engine: BatchedFleetMonitor | None = None
         # Time-to-first-verdict bookkeeping + (streaming ingest) the
         # live producer behind the feeds, both bound by run().
@@ -297,20 +225,13 @@ class FleetScheduler:
         if self.scoring is not None:
             return self.scoring
         return active_config().fleet_scoring
-    def _effective_workers(self) -> int:
-        # Single-CPU degrade mirrors run_campaigns: decided once by
-        # ReproConfig (config override > REPRO_FORCE_POOL).
-        n = min(resolve_workers(self.workers), len(self.order))
-        if n > 1 and not active_config().pool_allowed:
-            n = 1
-        return n
 
     def run(
         self, feeds: list[TraceFeed], max_ticks: int | None = None
     ) -> FleetResult:
         """Stream every feed through its session; returns the outcome.
 
-        ``max_ticks`` (serial mode only) stops after that many
+        ``max_ticks`` stops after that many
         *absolute* production/consumption ticks, journals a
         ``checkpoint`` event, and leaves the scheduler resumable via
         :meth:`state_dict`.
@@ -321,7 +242,6 @@ class FleetScheduler:
                 f"feeds {sorted(feed_map)} do not match sessions "
                 f"{sorted(self.order)}"
             )
-        n_workers = self._effective_workers()
         mode = self.scoring_mode()
         detector = self.sessions[self.order[0]].evaluator.detector
         if mode == "batched" and not getattr(
@@ -347,26 +267,17 @@ class FleetScheduler:
         start = time.perf_counter()
         self._t0 = start
         self._ttfv_done = False
-        if n_workers > 1:
-            if max_ticks is not None:
-                raise ExperimentError(
-                    "checkpointing (max_ticks) requires workers=1; the "
-                    "threaded ingestors interleave nondeterministically"
-                )
-            self._run_threaded(feed_map, n_workers, mode)
-            complete = True
-        else:
-            if mode == "batched":
-                self._engine = BatchedFleetMonitor(
-                    [self.sessions[c] for c in self.order],
-                    metrics=self.metrics,
-                )
-            try:
-                complete = self._run_serial(feed_map, max_ticks)
-            finally:
-                if self._engine is not None:
-                    self._engine.sync_to_sessions()
-                    self._engine = None
+        if mode == "batched":
+            self._engine = BatchedFleetMonitor(
+                [self.sessions[c] for c in self.order],
+                metrics=self.metrics,
+            )
+        try:
+            complete = self._run_serial(feed_map, max_ticks)
+        finally:
+            if self._engine is not None:
+                self._engine.sync_to_sessions()
+                self._engine = None
         elapsed = time.perf_counter() - start
         self.journal.flush()
         return self._result(feed_map, complete, elapsed)
@@ -387,7 +298,7 @@ class FleetScheduler:
 
         Driven by the ingest return values (not the alarm counter), so
         an all-clear run creates no instrument — snapshot parity with
-        pre-TTFV checkpoints and with the replay ingest.
+        pre-TTFV checkpoints and between matrix and producer feeds.
         """
         if alarmed and not self._ttfv_done:
             self._ttfv_done = True
@@ -472,105 +383,6 @@ class FleetScheduler:
                             bool(self.sessions[chip_id].ingest(batch))
                         )
 
-    def _run_threaded(
-        self, feed_map: dict[str, TraceFeed], n_workers: int, mode: str
-    ) -> None:
-        """Producer (main thread) + per-worker chip partitions."""
-        queues = {
-            c: BoundedQueue(self.queue_depth, self.policy)
-            for c in self.order
-        }
-        errors: list[BaseException] = []
-
-        def consume(chip_ids: list[str]) -> None:
-            # Each worker owns a disjoint chip partition, so a
-            # per-worker batched engine shares no session state with
-            # its siblings; one engine tick scores every chip in the
-            # partition that had an arrival this sweep.
-            engine = None
-            if mode == "batched":
-                engine = BatchedFleetMonitor(
-                    [self.sessions[c] for c in chip_ids],
-                    metrics=self.metrics,
-                )
-            active = set(chip_ids)
-            try:
-                while active:
-                    progress = False
-                    arrivals: list[tuple[MonitorSession, WindowBatch]] = []
-                    for chip_id in list(active):
-                        q = queues[chip_id]
-                        item = q.get_nowait()
-                        if item is None:
-                            if q.finished:
-                                active.discard(chip_id)
-                            continue
-                        if engine is not None:
-                            arrivals.append((self.sessions[chip_id], item))
-                        else:
-                            self._note_ttfv(
-                                bool(self.sessions[chip_id].ingest(item))
-                            )
-                        progress = True
-                    if arrivals:
-                        out = engine.ingest_tick(arrivals)
-                        self._note_ttfv(any(out.values()))
-                    if not progress and active:
-                        time.sleep(1e-4)
-                if engine is not None:
-                    engine.sync_to_sessions()
-            except BaseException as exc:  # surfaced after join
-                errors.append(exc)
-
-        partitions: list[list[str]] = [[] for _ in range(n_workers)]
-        for i, chip_id in enumerate(self.order):
-            partitions[i % n_workers].append(chip_id)
-        threads = [
-            threading.Thread(target=consume, args=(part,), daemon=True)
-            for part in partitions
-            if part
-        ]
-        for t in threads:
-            t.start()
-        try:
-            exhausted = False
-            while not exhausted:
-                exhausted = True
-                for chip_id in self.order:
-                    feed = feed_map[chip_id]
-                    i = self._produced[chip_id]
-                    if i >= feed.n_batches:
-                        continue
-                    exhausted = False
-                    evicted = queues[chip_id].put(feed.batch_at(i))
-                    if evicted is not None:
-                        # drop_oldest eviction under contention.
-                        idx = self._batch_index_of(feed, evicted)
-                        self._drop_batch(chip_id, idx, feed)
-                    self._produced[chip_id] = i + 1
-        finally:
-            for q in queues.values():
-                q.close()
-            for t in threads:
-                t.join()
-        for chip_id, q in queues.items():
-            self.metrics.gauge(f"chip.{chip_id}.queue_high_water").max(
-                q.high_water
-            )
-        if errors:
-            raise errors[0]
-
-    @staticmethod
-    def _batch_index_of(feed: TraceFeed, batch: WindowBatch) -> int:
-        """Recover a batch's index from its position in the schedule."""
-        # Batches are contiguous slices of the delivery schedule; the
-        # first seq's slice offset identifies the batch uniquely.
-        for i in range(feed.n_batches):
-            if feed.delivered_seqs[i * feed.batch: (i + 1) * feed.batch] \
-                    == batch.seqs:
-                return i
-        raise ExperimentError("batch does not belong to this feed")
-
     # ------------------------------------------------------------------
     def _chip_report(self, chip_id: str, feed: TraceFeed) -> ChipReport:
         session = self.sessions[chip_id]
@@ -617,7 +429,7 @@ class FleetScheduler:
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Checkpoint of a (partially run) serial fleet, JSON-encodable.
+        """Checkpoint of a (partially run) fleet, JSON-encodable.
 
         Captures every session's monitor state plus the scheduler's
         production/queue bookkeeping.  Queued-but-not-yet-ingested
@@ -645,9 +457,9 @@ class FleetScheduler:
             },
         }
         if self._producer is not None:
-            # Streaming ingest rides along as an extra key every
+            # A live producer rides along as an extra key every
             # from_state tolerates: the producer's resume cursor (the
-            # serial loop advances watermarks exactly at consumption,
+            # tick loop advances watermarks exactly at consumption,
             # so the producer's own view is the right one here).
             state["producer"] = self._producer.state_dict()
         return state
@@ -659,7 +471,6 @@ class FleetScheduler:
         evaluator,
         journal: EventJournal | None = None,
         metrics: MetricsRegistry | None = None,
-        workers: int | None = None,
     ) -> "FleetScheduler":
         """Rebuild a checkpointed fleet against the same evaluator.
 
@@ -682,7 +493,6 @@ class FleetScheduler:
             sessions,
             queue_depth=int(state["queue_depth"]),
             policy=state["policy"],
-            workers=workers if workers is not None else 1,
             consume_every=int(state["consume_every"]),
             journal=journal,
             metrics=metrics,

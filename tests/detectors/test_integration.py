@@ -21,10 +21,11 @@ from repro.fleet import (
     MonitorSession,
     TraceFeed,
 )
-from repro.fleet.campaign import StreamingOneShot, oneshot_report
+from repro.fleet.campaign import StreamingOneShot
 from repro.framework.batched import BatchedFleetMonitor
 from repro.framework.classifier import TrojanClassifier
 from repro.framework.evaluator import EvaluatorConfig, RuntimeTrustEvaluator
+from tests.detectors.oneshot_reference import oneshot_report
 
 
 def _stream(rng, n, length=256, tone=0.0, amp=1.0):
@@ -162,7 +163,12 @@ class TestEvaluatorGuards:
 
 
 class TestFleetOneShot:
-    """The fleet campaign's one-shot verdict for registry plugins."""
+    """The fleet campaign's one-shot verdict for registry plugins.
+
+    :func:`oneshot_report` is the whole-matrix reference; the campaign
+    itself accumulates the same statistics with
+    :class:`StreamingOneShot`.
+    """
 
     def test_euclidean_path_is_the_historical_evaluate(self, rng):
         detector = EuclideanDetector().fit(_stream(rng, 96))

@@ -52,7 +52,7 @@ def fleet_streams(synthetic, fleet_rng):
 
 
 def _build(synthetic, streams, *, scoring, policy="block", queue_depth=4,
-           consume_every=1, workers=1, faults=FAULTS, journal=None):
+           consume_every=1, faults=FAULTS, journal=None):
     ev, _ = synthetic
     metrics = MetricsRegistry()
     journal = journal if journal is not None else EventJournal()
@@ -66,7 +66,7 @@ def _build(synthetic, streams, *, scoring, policy="block", queue_depth=4,
         for c in streams
     ]
     scheduler = FleetScheduler(
-        sessions, queue_depth=queue_depth, policy=policy, workers=workers,
+        sessions, queue_depth=queue_depth, policy=policy,
         consume_every=consume_every, scoring=scoring,
         journal=journal, metrics=metrics,
     )
@@ -121,21 +121,6 @@ def test_batched_matches_sequential_under_drop_oldest(
     _assert_identical(r_seq, r_bat, fleet_streams)
     assert r_bat.reports["golden"].queue_dropped_windows > 0
     assert j_seq.events == j_bat.events
-
-
-def test_threaded_batched_matches_serial_sequential(
-    synthetic, fleet_streams, monkeypatch
-):
-    monkeypatch.setenv("REPRO_FORCE_POOL", "1")
-    seq, feeds_s, _, _ = _build(
-        synthetic, fleet_streams, scoring="sequential"
-    )
-    r_seq = seq.run(feeds_s)
-    bat, feeds_b, _, _ = _build(
-        synthetic, fleet_streams, scoring="batched", workers=3
-    )
-    r_bat = bat.run(feeds_b)
-    _assert_identical(r_seq, r_bat, fleet_streams)
 
 
 @pytest.mark.parametrize("first,second", [

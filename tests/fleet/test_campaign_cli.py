@@ -41,6 +41,14 @@ def test_smoke_config_shrinks_and_accepts_overrides():
     assert override.n_golden == smoke.n_golden
 
 
+def test_fleet_config_ingest_is_stream_only():
+    assert FleetConfig().ingest == "stream"
+    assert FleetConfig.smoke(ingest="stream").ingest == "stream"
+    for bad in ("replay", None, ""):
+        with pytest.raises(ExperimentError, match="replay ingest was removed"):
+            FleetConfig(ingest=bad)
+
+
 def test_duplicate_fleet_ids_rejected():
     with pytest.raises(ExperimentError):
         run_fleet_campaign(fleet=(("x", ()), ("x", ("trojan1",))))

@@ -1,4 +1,4 @@
-"""Tests for the fleet scheduler: backpressure, fan-out, checkpointing."""
+"""Tests for the fleet scheduler: backpressure, validation, checkpointing."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.fleet import (
-    BoundedQueue,
     EventJournal,
     FaultSpec,
     FleetScheduler,
@@ -19,7 +18,7 @@ FAULTS = FaultSpec(drop=0.05, duplicate=0.05, reorder=0.1)
 
 
 def _fleet(synthetic, streams, *, policy="block", queue_depth=4,
-           workers=1, consume_every=1, faults=None, journal=None):
+           consume_every=1, faults=None, journal=None):
     ev, _ = synthetic
     metrics = MetricsRegistry()
     journal = journal if journal is not None else EventJournal()
@@ -33,7 +32,7 @@ def _fleet(synthetic, streams, *, policy="block", queue_depth=4,
         for c in ("clean", "bad")
     ]
     scheduler = FleetScheduler(
-        sessions, queue_depth=queue_depth, policy=policy, workers=workers,
+        sessions, queue_depth=queue_depth, policy=policy,
         consume_every=consume_every, journal=journal, metrics=metrics,
     )
     return scheduler, feeds, journal
@@ -84,26 +83,6 @@ def test_block_policy_never_loses_windows(synthetic, streams):
             == feed.n_delivered
         )
         assert result.reports[feed.chip_id].queue_dropped_windows == 0
-
-
-def test_threaded_run_matches_serial_alarms(
-    synthetic, streams, monkeypatch
-):
-    monkeypatch.setenv("REPRO_FORCE_POOL", "1")
-    serial, feeds_s, _ = _fleet(synthetic, streams, faults=FAULTS)
-    r_serial = serial.run(feeds_s)
-    threaded, feeds_t, _ = _fleet(
-        synthetic, streams, faults=FAULTS, workers=2
-    )
-    r_threaded = threaded.run(feeds_t)
-    for chip in ("clean", "bad"):
-        assert (
-            r_threaded.reports[chip].alarms == r_serial.reports[chip].alarms
-        )
-        assert (
-            r_threaded.reports[chip].windows_ingested
-            == r_serial.reports[chip].windows_ingested
-        )
 
 
 def test_checkpoint_resume_is_bit_identical(synthetic, streams):
@@ -162,15 +141,6 @@ def test_checkpoint_resume_is_bit_identical(synthetic, streams):
     )
 
 
-def test_checkpointing_requires_serial_mode(
-    synthetic, streams, monkeypatch
-):
-    monkeypatch.setenv("REPRO_FORCE_POOL", "1")
-    scheduler, feeds, _ = _fleet(synthetic, streams, workers=2)
-    with pytest.raises(ExperimentError):
-        scheduler.run(feeds, max_ticks=3)
-
-
 def test_scheduler_validation(synthetic, streams):
     ev, _ = synthetic
     session = MonitorSession("clean", ev, window=16)
@@ -180,29 +150,15 @@ def test_scheduler_validation(synthetic, streams):
         FleetScheduler([session, MonitorSession("clean", ev, window=16)])
     with pytest.raises(ExperimentError):
         FleetScheduler([session], policy="drop_newest")
+    for policy in ("block", "drop_oldest"):
+        with pytest.raises(ExperimentError, match="queue depth"):
+            FleetScheduler([session], queue_depth=0, policy=policy)
     with pytest.raises(ExperimentError):
         FleetScheduler([session], consume_every=0)
+    for workers in (None, 0, 2, True, 1.0):
+        with pytest.raises(ExperimentError, match="threaded ingestor"):
+            FleetScheduler([session], workers=workers)
     scheduler = FleetScheduler([session])
     with pytest.raises(ExperimentError):
         scheduler.run([TraceFeed("other", streams["clean"])])
 
-
-def test_bounded_queue_policies(streams):
-    feed = TraceFeed("c", streams["clean"], batch=8)
-    batches = list(feed)
-    q = BoundedQueue(2, "drop_oldest")
-    assert q.put(batches[0]) is None
-    assert q.put(batches[1]) is None
-    evicted = q.put(batches[2])
-    assert evicted is batches[0]
-    assert q.dropped == [batches[0]]
-    assert q.high_water == 2
-    assert q.get_nowait() is batches[1]
-    q.close()
-    assert not q.finished  # still holds batches[2]
-    assert q.get_nowait() is batches[2]
-    assert q.finished
-    with pytest.raises(ExperimentError):
-        BoundedQueue(0, "block")
-    with pytest.raises(ExperimentError):
-        BoundedQueue(2, "bogus")

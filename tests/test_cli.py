@@ -106,3 +106,15 @@ class TestFleetForwarding:
             main(["fleet", *argv])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", (["--ingest", "replay"], ["--workers", "2"])
+    )
+    def test_fleet_rejects_retired_ingest_flags(self, capsys, argv):
+        # The replay ingest and the threaded ingestor are gone, and
+        # their flags with them; argparse fails before any campaign
+        # runs.
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -150,6 +150,19 @@ class TestValidation:
             environ={"REPRO_FLEET_SHARDS": "4"}
         ).fleet_shards == 1
 
+    def test_fleet_ingest_knob_is_retired(self):
+        # Every fleet campaign streams: the ingest field is gone, its
+        # environment variable is inert, and old snapshots naming it
+        # are rejected.
+        assert ReproConfig.resolve(
+            environ={"REPRO_FLEET_INGEST": "replay"}
+        ) == ReproConfig.resolve(environ={})
+        with pytest.raises(ConfigError, match="unknown config override"):
+            ReproConfig.resolve(environ={}, fleet_ingest="stream")
+        snapshot = {**ReproConfig().describe(), "fleet_ingest": "replay"}
+        with pytest.raises(ConfigError, match="unknown config snapshot"):
+            ReproConfig.from_snapshot(snapshot)
+
     def test_empty_detector_rejected(self):
         with pytest.raises(ConfigError, match="non-empty"):
             ReproConfig(detector="")
