@@ -8,7 +8,10 @@ and the benchmark's link faults.  The flushed journal covers the
 acquired windows end to end: the alarm statistics, the drop and
 duplicate accounting and the spectral sweep.  Its SHA-256 is held to
 the salt-bound pin in :mod:`tests.trace_pins`, so a change that moves
-any trace bit must bump the salt, as for the collector pins.
+any trace bit must bump the salt, as for the collector pins.  The
+campaign runs twice, once under dense fleet scoring and once with the
+Euclidean plugin barred from it, so the per-session engine must flush
+the same pinned bytes.
 
 The campaign's windows come from one lane-packed acquisition per chunk
 across the fleet (:class:`~repro.fleet.producer.GroupChunkSource`).
@@ -23,6 +26,7 @@ import hashlib
 import numpy as np
 
 from repro.chip import simulation_scenario
+from repro.detectors.euclidean import EuclideanPlugin
 from repro.experiments.campaign import collect_ed_traces
 from repro.fleet import (
     ChunkPlan,
@@ -38,8 +42,8 @@ from tests.trace_pins import check_pin
 FLEET = (("golden", ()), ("trojan4", ("trojan4",)))
 
 
-def test_campaign_journal_is_pinned(tmp_path):
-    path = tmp_path / "campaign.jsonl"
+def _pinned_campaign(path):
+    """Run the benchmark-sized campaign, check its journal pin."""
     config = FleetConfig.smoke(
         seed=1,
         detector="euclidean",
@@ -59,6 +63,17 @@ def test_campaign_journal_is_pinned(tmp_path):
     assert result.flagged == ("trojan4",)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     check_pin("fleet/campaign-journal", digest)
+    return result.fleet.metrics["counters"]
+
+
+def test_campaign_journal_is_pinned(tmp_path, monkeypatch):
+    # Dense fleet scoring, then the per-session engine a detector
+    # without batched support falls back to: one pinned journal.
+    dense = _pinned_campaign(tmp_path / "dense.jsonl")
+    assert "fleet.scoring.batched_fallback" not in dense
+    monkeypatch.setattr(EuclideanPlugin, "supports_batched", False)
+    per_session = _pinned_campaign(tmp_path / "per-session.jsonl")
+    assert per_session["fleet.scoring.batched_fallback"] == 1
 
 
 def test_group_chunks_match_solo_chunk_campaigns(chip):
