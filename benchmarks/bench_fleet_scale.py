@@ -15,10 +15,11 @@ records, per fleet size:
 * the **alarm-latency p99** in delivered windows, and
 * full end-to-end scheduler wall time under the batched default.
 
-The alarm streams of the two modes must be bit-identical at every
+The alarm streams of the two engines must be bit-identical at every
 fleet size — the speedup is only admissible because the answers are
 exactly the same, which the sweep asserts via complete end-to-end
-scheduler runs in both modes before timing anything.
+scheduler runs before timing anything: one dense, one with a detector
+barred from dense scoring, which the engine scores per session.
 
 Run with ``--bench-json BENCH_fleet_scale.json`` to append the scaling
 record; ``REPRO_BENCH_SMOKE=1`` selects the reduced CI sweep and floor.
@@ -77,12 +78,19 @@ REPS = 4
 AT_SCALE = 24
 
 
-def _fleet_inputs(n_chips: int, n_windows: int = N_WINDOWS):
+class PerSessionEuclidean(EuclideanDetector):
+    """The Euclidean detector, barred from dense fleet scoring."""
+
+    supports_batched = False
+
+
+def _fleet_inputs(n_chips: int, n_windows: int = N_WINDOWS,
+                  detector_cls=EuclideanDetector):
     """Evaluator plus *n_chips* labelled synthetic streams."""
     rng = np.random.default_rng(0xF1EE7)
     base = np.sin(np.linspace(0, 15, SAMPLES))
     golden = base[None, :] + 0.05 * rng.normal(size=(N_GOLDEN, SAMPLES))
-    detector = EuclideanDetector().fit(golden)
+    detector = detector_cls().fit(golden)
     ev = RuntimeTrustEvaluator.__new__(RuntimeTrustEvaluator)
     ev.detector = detector
     ev.golden_spectrum = None
@@ -111,9 +119,9 @@ def _feeds(streams):
     ]
 
 
-def _run_scheduler(ev, streams, scoring: str):
+def _run_scheduler(ev, streams):
     """Full end-to-end fleet run (bit-identity + latency ground truth)."""
-    scheduler = FleetScheduler(_sessions(ev, streams), scoring=scoring)
+    scheduler = FleetScheduler(_sessions(ev, streams))
     start = time.perf_counter()
     result = scheduler.run(_feeds(streams))
     return result, time.perf_counter() - start
@@ -166,15 +174,16 @@ def test_fleet_scale(capsys):
     rows = []
     for n_chips in chip_counts:
         ev, streams = _fleet_inputs(n_chips)
+        ref_ev, _ = _fleet_inputs(n_chips, detector_cls=PerSessionEuclidean)
 
         # The speedup is only admissible with identical answers: full
-        # end-to-end runs in both modes must agree chip by chip.
-        r_seq, _ = _run_scheduler(ev, streams, "sequential")
-        r_bat, t_wall = _run_scheduler(ev, streams, "batched")
+        # end-to-end runs on both engines must agree chip by chip.
+        r_seq, _ = _run_scheduler(ref_ev, streams)
+        r_bat, t_wall = _run_scheduler(ev, streams)
         for chip in streams:
             assert (
                 r_bat.reports[chip].alarms == r_seq.reports[chip].alarms
-            ), f"{chip}: scoring modes diverged at {n_chips} chips"
+            ), f"{chip}: scoring engines diverged at {n_chips} chips"
 
         latencies = [
             r.first_alarm_window
@@ -281,9 +290,7 @@ def _stream_build(ev, streams):
                        metrics=metrics, journal=journal)
         for c in streams
     ]
-    scheduler = FleetScheduler(
-        sessions, scoring="batched", journal=journal, metrics=metrics
-    )
+    scheduler = FleetScheduler(sessions, journal=journal, metrics=metrics)
     return scheduler, metrics
 
 

@@ -111,19 +111,6 @@ def _split_half_floors(feats: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return np.linalg.norm(means[0::2] - means[1::2], axis=1)
 
 
-def _split_half_floors_loop(
-    feats: np.ndarray, orders: np.ndarray
-) -> np.ndarray:
-    """Loop reference for :func:`_split_half_floors` (tests only)."""
-    half = orders.shape[1] // 2
-    floors = []
-    for order in orders:
-        a = feats[order[:half]].mean(axis=0)
-        b = feats[order[half : 2 * half]].mean(axis=0)
-        floors.append(float(np.linalg.norm(a - b)))
-    return np.array(floors)
-
-
 @dataclass
 class DistanceReport:
     """Distances of a suspect set plus the verdict."""

@@ -15,9 +15,9 @@ inputs, not a parallel configuration path.  Consumers
 (:func:`repro.em.chunking.resolve_chunk_bytes`,
 :func:`repro.experiments.parallel.resolve_workers`,
 :func:`repro.logic.simulator.resolve_backend`,
-:meth:`repro.io.cache.TraceCache.from_env`, the fleet scheduler and
-the ``repro`` CLI) all read the *active* config, which is re-resolved
-from the environment on every access unless an explicit config has
+:meth:`repro.io.cache.TraceCache.from_env` and the ``repro`` CLI)
+all read the *active* config, which is re-resolved from the
+environment on every access unless an explicit config has
 been installed with :func:`use_config` — so tests that flip an
 environment variable keep seeing the change immediately, while the
 CLI can pin one immutable snapshot for a whole run.
@@ -66,9 +66,6 @@ CACHE_MB_ENV = "REPRO_CACHE_MB"
 #: Set to ``1`` to select reduced CI smoke sizes everywhere.
 SMOKE_ENV_VAR = "REPRO_BENCH_SMOKE"
 
-#: Fleet scoring engine: ``batched`` (default) or ``sequential``.
-FLEET_SCORING_ENV_VAR = "REPRO_FLEET_SCORING"
-
 #: Default detector plugin name (see ``repro detectors``).
 DETECTOR_ENV_VAR = "REPRO_DETECTOR"
 
@@ -86,9 +83,6 @@ DEFAULT_CACHE_MB = 2048
 
 #: Valid simulation backend names.
 SIM_BACKENDS = ("auto", "bool", "packed")
-
-#: Valid fleet scoring modes.
-FLEET_SCORING_MODES = ("batched", "sequential")
 
 
 def _parse_workers(raw: str) -> int:
@@ -170,10 +164,11 @@ class ReproConfig:
     #: Reduced CI smoke sizes (benchmarks, fleet campaign, ``repro
     #: run --all``).
     bench_smoke: bool = False
-    #: Fleet scoring engine: ``batched`` scores every chip's windows
-    #: through the dense :class:`~repro.framework.batched.
-    #: BatchedFleetMonitor`; ``sequential`` keeps the per-session
-    #: Python loop.  Both produce bit-identical alarms.
+    #: Fleet scoring, fixed at ``"batched"``: the
+    #: :class:`~repro.framework.batched.BatchedFleetMonitor` picks
+    #: dense or per-session scoring from the fleet.  The field stays
+    #: only because ``benchmarks/pipeline/run.py`` still pins it; any
+    #: other value is rejected.
     fleet_scoring: str = "batched"
     #: Fleet shard count, fixed at ``1``: the sharded transport was
     #: removed and every fleet run takes the single-process
@@ -241,10 +236,11 @@ class ReproConfig:
             raise ExperimentError(
                 f"cache size budget must be positive, got {self.cache_mb}"
             )
-        if self.fleet_scoring not in FLEET_SCORING_MODES:
-            raise ExperimentError(
-                f"unknown fleet scoring mode {self.fleet_scoring!r}; "
-                f"expected one of {FLEET_SCORING_MODES}"
+        if self.fleet_scoring != "batched":
+            raise ConfigError(
+                f"fleet_scoring must be 'batched', got "
+                f"{self.fleet_scoring!r}: the fleet scoring engine picks "
+                "dense or per-session scoring from the fleet"
             )
         if type(self.fleet_shards) is not int or self.fleet_shards != 1:
             raise ConfigError(
@@ -317,7 +313,6 @@ class ReproConfig:
         from_env("cache_dir", CACHE_DIR_ENV, lambda raw: raw or None)
         from_env("cache_mb", CACHE_MB_ENV, _parse_cache_mb)
         from_env("bench_smoke", SMOKE_ENV_VAR, lambda raw: raw == "1")
-        from_env("fleet_scoring", FLEET_SCORING_ENV_VAR, str)
         from_env("detector", DETECTOR_ENV_VAR, str)
         from_env("sensor_array", SENSOR_ARRAY_ENV_VAR, parse_sensor_array)
         return cls(**values)

@@ -41,7 +41,7 @@ class SpectralPlugin(EuclideanDetector):
     )
     #: Spectrum extraction is row-independent, but the batched fleet
     #: engine's running-sum scoring assumes unit-norm trace features;
-    #: spectral windows take the sequential path.
+    #: spectral windows are scored per session.
     supports_batched = False
 
     def __init__(

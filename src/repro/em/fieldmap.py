@@ -91,19 +91,19 @@ class FieldMap:
         import io as _io
         import json as _json
 
-        from repro.io.store import _atomic_write_bytes
+        from repro.io.store import atomic_write_bytes
 
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         npy = path.with_suffix(".npy")
         buf = _io.BytesIO()
         np.save(buf, np.asarray(self.magnitude, dtype=np.float64))
-        _atomic_write_bytes(npy, buf.getvalue())
+        atomic_write_bytes(npy, buf.getvalue())
         sidecar = {
             "xs": [float(v) for v in self.xs],
             "ys": [float(v) for v in self.ys],
         }
-        _atomic_write_bytes(
+        atomic_write_bytes(
             path.with_suffix(".json"),
             _json.dumps(sidecar, sort_keys=True).encode("utf-8"),
         )

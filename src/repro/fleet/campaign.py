@@ -87,9 +87,6 @@ class FleetConfig:
     #: Process fan-out of the golden and spectral campaigns.
     campaign_workers: int | None = None
     consume_every: int = 1
-    #: Scoring engine: ``"batched"``/``"sequential"``, or ``None`` to
-    #: defer to the active config (``REPRO_FLEET_SCORING``).
-    scoring: str | None = None
     #: Trace ingest, fixed at ``"stream"`` (a live chunked producer
     #: overlaps generation with scoring); any other value is
     #: rejected.  The field stays only because
@@ -473,7 +470,6 @@ def run_fleet_campaign(
         queue_depth=config.queue_depth,
         policy=config.policy,
         consume_every=config.consume_every,
-        scoring=config.scoring,
         journal=journal,
         metrics=metrics,
     )

@@ -69,10 +69,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="golden/spectral campaign fan-out (processes)")
     p.add_argument("--consume-every", type=int, default=None,
                    help="consumer pacing (ticks per drain)")
-    p.add_argument("--scoring", choices=("batched", "sequential"),
-                   default=None,
-                   help="scoring engine (default: REPRO_FLEET_SCORING, "
-                        "i.e. batched)")
     p.add_argument("--chunk", type=int, default=None,
                    help="windows per streamed campaign chunk (one "
                         "acquisition per chunk)")
@@ -109,7 +105,6 @@ def _config_from(args: argparse.Namespace) -> FleetConfig:
         ("policy", "policy"),
         ("campaign_workers", "campaign_workers"),
         ("consume_every", "consume_every"),
-        ("scoring", "scoring"),
         ("chunk", "chunk"),
         ("spectral_cycles", "spectral_cycles"),
     ):
@@ -135,8 +130,6 @@ def _summary(result: FleetCampaignResult) -> dict:
                if k != "faults"},
             "faults": asdict(result.config.faults),
         },
-        "scoring_mode": result.config.scoring
-        or active_config().fleet_scoring,
         "throughput_windows_per_s": fleet.throughput,
         "elapsed_seconds": fleet.elapsed_seconds,
         "windows_ingested": fleet.windows_ingested,

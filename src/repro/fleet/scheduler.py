@@ -21,13 +21,9 @@ plus the production/queue bookkeeping, and :meth:`from_state` + a
 second :meth:`run` over identically rebuilt feeds continues
 **bit-identically** — same alarms, same journal tail.
 
-Scoring runs in one of two modes (``REPRO_FLEET_SCORING`` or the
-``scoring`` argument): ``batched`` (default) drains each tick's
-arrivals through one :class:`~repro.framework.batched.
-BatchedFleetMonitor` — one feature-extraction call and one row-norm
-for the whole fleet — while ``sequential`` keeps the per-session
-Python loop.  The two modes are bit-identical (alarms, journal,
-checkpoints); batched is simply faster the more chips share a tick.
+Every tick's arrivals drain through one :class:`~repro.framework.
+batched.BatchedFleetMonitor`, which decides from the fleet whether to
+score it densely or session by session.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.config import FLEET_SCORING_MODES, active_config
 from repro.errors import ExperimentError
 from repro.fleet.feed import TraceFeed, WindowBatch
 from repro.obs.journal import EventJournal
@@ -164,10 +159,9 @@ class FleetScheduler:
         journal, metrics:
             Shared sinks; default to the first session's.
         scoring:
-            ``"batched"`` or ``"sequential"``; ``None`` (default)
-            resolves ``REPRO_FLEET_SCORING`` through the active
-            :class:`~repro.config.ReproConfig` at :meth:`run` time.
-            Both modes raise bit-identical alarms.
+            ``"batched"`` or ``None``; any other value is rejected.
+            The keyword stays only because
+            ``benchmarks/pipeline/workloads.py`` still passes it.
         """
         if not sessions:
             raise ExperimentError("fleet needs at least one session")
@@ -193,12 +187,11 @@ class FleetScheduler:
             raise ExperimentError(
                 f"consume_every must be >= 1, got {consume_every}"
             )
-        if scoring is not None and scoring not in FLEET_SCORING_MODES:
+        if scoring not in (None, "batched"):
             raise ExperimentError(
-                f"unknown fleet scoring mode {scoring!r}; "
-                f"expected one of {FLEET_SCORING_MODES}"
+                f"scoring must be 'batched' or None, got {scoring!r}: "
+                "the scoring engine follows from the fleet"
             )
-        self.scoring = scoring
         self.sessions = {s.chip_id: s for s in sessions}
         self.order = ids
         self.queue_depth = queue_depth
@@ -211,7 +204,7 @@ class FleetScheduler:
         self._produced: dict[str, int] = {c: 0 for c in ids}
         self._pending: dict[str, list[int]] = {c: [] for c in ids}
         self._queue_dropped: dict[str, list[int]] = {c: [] for c in ids}
-        #: Batched scoring engine (built per run).
+        #: Scoring engine (built per run).
         self._engine: BatchedFleetMonitor | None = None
         # Time-to-first-verdict bookkeeping + (streaming ingest) the
         # live producer behind the feeds, both bound by run().
@@ -220,12 +213,6 @@ class FleetScheduler:
         self._producer = None
 
     # ------------------------------------------------------------------
-    def scoring_mode(self) -> str:
-        """The effective scoring mode (argument > env > default)."""
-        if self.scoring is not None:
-            return self.scoring
-        return active_config().fleet_scoring
-
     def run(
         self, feeds: list[TraceFeed], max_ticks: int | None = None
     ) -> FleetResult:
@@ -242,17 +229,6 @@ class FleetScheduler:
                 f"feeds {sorted(feed_map)} do not match sessions "
                 f"{sorted(self.order)}"
             )
-        mode = self.scoring_mode()
-        detector = self.sessions[self.order[0]].evaluator.detector
-        if mode == "batched" and not getattr(
-            detector, "supports_batched", True
-        ):
-            # Registry plugins whose scoring is not expressible as the
-            # dense fingerprint-distance engine (population-relative
-            # detectors, spectral features) take the sequential path;
-            # the fallback is counted, never silent.
-            mode = "sequential"
-            self.metrics.counter("fleet.scoring.batched_fallback").inc()
         # Duck-typed on purpose: ProducerTraceSource is the only
         # source exposing .producer, and checking structurally keeps
         # the scheduler import-independent of the streaming layer.
@@ -267,17 +243,14 @@ class FleetScheduler:
         start = time.perf_counter()
         self._t0 = start
         self._ttfv_done = False
-        if mode == "batched":
-            self._engine = BatchedFleetMonitor(
-                [self.sessions[c] for c in self.order],
-                metrics=self.metrics,
-            )
+        self._engine = BatchedFleetMonitor(
+            [self.sessions[c] for c in self.order], metrics=self.metrics
+        )
         try:
             complete = self._run_serial(feed_map, max_ticks)
         finally:
-            if self._engine is not None:
-                self._engine.sync_to_sessions()
-                self._engine = None
+            self._engine.sync_to_sessions()
+            self._engine = None
         elapsed = time.perf_counter() - start
         self.journal.flush()
         return self._result(feed_map, complete, elapsed)
@@ -307,12 +280,9 @@ class FleetScheduler:
             )
 
     def _ingest_one(self, chip_id: str, batch: WindowBatch) -> None:
-        """Drain one batch through the active scoring engine."""
-        if self._engine is not None:
-            out = self._engine.ingest_tick([(self.sessions[chip_id], batch)])
-            self._note_ttfv(any(out.values()))
-        else:
-            self._note_ttfv(bool(self.sessions[chip_id].ingest(batch)))
+        """Drain one batch through the scoring engine."""
+        out = self._engine.ingest_tick([(self.sessions[chip_id], batch)])
+        self._note_ttfv(any(out.values()))
 
     def _run_serial(
         self, feed_map: dict[str, TraceFeed], max_ticks: int | None
@@ -371,17 +341,11 @@ class FleetScheduler:
                     for chip_id in self.order
                     if pending[chip_id]
                 ]
-                if self._engine is not None:
-                    # One batched tick across every chip that has work.
-                    out = self._engine.ingest_tick(
-                        [(self.sessions[c], b) for c, b in drained]
-                    )
-                    self._note_ttfv(any(out.values()))
-                else:
-                    for chip_id, batch in drained:
-                        self._note_ttfv(
-                            bool(self.sessions[chip_id].ingest(batch))
-                        )
+                # One scoring tick across every chip that has work.
+                out = self._engine.ingest_tick(
+                    [(self.sessions[c], b) for c, b in drained]
+                )
+                self._note_ttfv(any(out.values()))
 
     # ------------------------------------------------------------------
     def _chip_report(self, chip_id: str, feed: TraceFeed) -> ChipReport:
@@ -435,12 +399,11 @@ class FleetScheduler:
         production/queue bookkeeping.  Queued-but-not-yet-ingested
         batches are stored as feed batch *indices* — feeds are
         deterministic replays, so the queue contents rebuild exactly.
-        The captured state is scoring-mode agnostic: a batched run
-        syncs its dense engine state back into the sessions, so either
-        mode resumes either mode's checkpoint bit-identically.
+        The captured state does not depend on the scoring path: a run
+        syncs its dense engine state back into the sessions when it
+        stops, so dense and per-session scoring resume each other's
+        checkpoints bit-identically.
         """
-        if self._engine is not None:
-            self._engine.sync_to_sessions()
         state = {
             "tick": self._tick,
             "queue_depth": self.queue_depth,

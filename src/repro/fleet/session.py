@@ -156,16 +156,16 @@ class MonitorSession:
     def _finish_batch(
         self, batch: WindowBatch, events: list[AlarmEvent]
     ) -> None:
-        """Post-scoring bookkeeping shared by both scoring engines.
+        """Post-scoring bookkeeping shared by dense and per-session scoring.
 
         Stream accounting first, then alarm counters and journal
-        records — the exact order :meth:`ingest` always used.  The
-        batched engine (:class:`~repro.framework.batched.
-        BatchedFleetMonitor`) computes the accounting verdicts for a
-        whole tick in one vectorised pass and lands them through the
-        same :meth:`_apply_accounting` / :meth:`_journal_alarms` pair,
-        so both scoring modes produce the same counters and the same
-        journal stream.
+        records — the exact order :meth:`ingest` always used.  Dense
+        scoring (:class:`~repro.framework.batched.BatchedFleetMonitor`)
+        computes the accounting verdicts for a whole tick in one
+        vectorised pass and lands them through the same
+        :meth:`_apply_accounting` / :meth:`_journal_alarms` pair, so
+        both paths produce the same counters and the same journal
+        stream.
         """
         self._account(batch)
         self._journal_alarms(batch, events)
@@ -224,9 +224,9 @@ class MonitorSession:
     ) -> None:
         """Land one batch's stream-accounting verdicts.
 
-        The sequential path funnels :meth:`_account`'s per-batch
-        verdicts through here; the batched engine computes a whole
-        tick's verdicts in one vectorised pass
+        Per-session scoring funnels :meth:`_account`'s per-batch
+        verdicts through here; dense scoring computes a whole tick's
+        verdicts in one vectorised pass
         (:meth:`~repro.framework.batched.BatchedFleetMonitor.
         _account_tick`) and lands them per session — identical counter
         increments and attributes either way.

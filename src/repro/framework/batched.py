@@ -1,6 +1,6 @@
 """Batched fleet scoring: every chip's sliding window as dense arrays.
 
-The sequential fleet path scores one chip at a time — a Python loop
+Per-session fleet scoring handles one chip at a time — a Python loop
 per chip per window through :meth:`RuntimeMonitor._observe_feature`.
 At fleet scale the per-window work is a handful of tiny NumPy calls,
 so interpreter overhead dominates and throughput is flat in the chip
@@ -30,16 +30,22 @@ drift refresh re-sums the ordered window with the same contiguous
 ``add.reduce``, and separations go through the shared
 :func:`~repro.framework.monitor.row_separations` reduction.  Alarms —
 indices, separations, thresholds, messages — are therefore bitwise
-equal to a sequential run over the same stream, which is what lets the
-fleet scheduler switch modes with ``REPRO_FLEET_SCORING`` without
-changing a single journal byte.
+equal to per-session scoring over the same stream, and so is every
+journal byte.
+
+**Engine selection.**  The fleet scheduler scores through this engine,
+which picks its path once, at construction: dense when the sessions
+share one detector object that declares ``supports_batched`` and one
+sliding-window length, per session otherwise (:meth:`ingest_tick` then
+hands each batch to :meth:`MonitorSession.ingest`, in pair order).
+The fallback is counted once on ``fleet.scoring.batched_fallback``.
 
 State lives in the dense arrays while the engine runs;
 :meth:`sync_to_sessions` writes it back into the per-chip
 :class:`RuntimeMonitor` deques so the existing per-session
 ``state_dict`` checkpoints (and everything else that reads monitor
 state) keep working unchanged.  Construction performs the inverse
-load, so a checkpoint written by either mode resumes in either mode.
+load, so a checkpoint written under either path resumes under either.
 """
 
 from __future__ import annotations
@@ -61,11 +67,9 @@ class BatchedFleetMonitor:
     ----------
     sessions:
         The :class:`~repro.fleet.session.MonitorSession` objects to
-        score (one per chip).  All sessions must share one evaluator
-        (the golden fingerprint is design-wide) and one sliding-window
-        length; thresholds and confirmation counts may differ per chip.
-        Any state the monitors already hold (mid-stream resume) is
-        loaded into the dense arrays.
+        score (one per chip).  Thresholds and confirmation counts
+        may differ per chip.  Any state the monitors already hold
+        (mid-stream resume) is loaded into the dense arrays.
     metrics:
         Registry for stage timings and scoring counters; defaults to
         the first session's.
@@ -78,31 +82,20 @@ class BatchedFleetMonitor:
         ids = [s.chip_id for s in sessions]
         if len(set(ids)) != len(ids):
             raise AnalysisError(f"chip ids must be unique, got {ids}")
-        detectors = {id(s.evaluator.detector) for s in sessions}
-        if len(detectors) != 1:
-            raise AnalysisError(
-                "batched scoring requires one shared evaluator across "
-                "the fleet (the golden fingerprint is design-wide)"
-            )
-        shared_detector = sessions[0].evaluator.detector
-        if not getattr(shared_detector, "supports_batched", True):
-            # The fleet scheduler checks this itself and falls back to
-            # sequential scoring (counted, not silent); reaching here
-            # means a direct construction with an unsupported plugin.
-            raise AnalysisError(
-                f"detector {type(shared_detector).__name__} does not "
-                "support batched scoring; use sequential mode"
-            )
-        windows = {s.monitor.window for s in sessions}
-        if len(windows) != 1:
-            raise AnalysisError(
-                f"batched scoring requires a uniform sliding window, "
-                f"got lengths {sorted(windows)}"
-            )
         self.sessions = sessions
         self.detector = sessions[0].evaluator.detector
         self.metrics = metrics if metrics is not None else sessions[0].metrics
         self.window = sessions[0].monitor.window
+        #: Whether the fleet is scored densely (see the module notes);
+        #: ``False`` scores every batch through its session.
+        self.dense = (
+            getattr(self.detector, "supports_batched", True)
+            and all(s.evaluator.detector is self.detector for s in sessions)
+            and all(s.monitor.window == self.window for s in sessions)
+        )
+        if not self.dense:
+            self.metrics.counter("fleet.scoring.batched_fallback").inc()
+            return
         self._fingerprint = np.asarray(
             self.detector.fingerprint, dtype=np.float64
         )
@@ -190,8 +183,15 @@ class BatchedFleetMonitor:
         the whole tick in one vectorised pass and landed per session
         (:meth:`~repro.fleet.session.MonitorSession._apply_accounting`,
         then ``_journal_alarms``) in pair order — the exact counter and
-        journal stream sequential ingestion produces in the same order.
+        journal stream per-session ingestion produces in the same order.
+        A fleet the engine does not score densely hands each batch to
+        :meth:`MonitorSession.ingest` instead, in pair order.
         """
+        if not self.dense:
+            return {
+                session.chip_id: session.ingest(batch)
+                for session, batch in pairs
+            }
         index = self._index
         live: list = []
         kept_idx: list[int] = []
@@ -484,11 +484,14 @@ class BatchedFleetMonitor:
         """Write the dense state back into the per-chip monitors.
 
         After this the monitors' deques, running sums, counts and
-        streaks equal what a sequential run over the same stream would
-        hold — so per-session ``state_dict`` checkpoints (and any other
-        reader of monitor state) interconvert freely with the batched
-        engine.
+        streaks equal what per-session scoring of the same stream
+        would hold — so per-session ``state_dict`` checkpoints (and any
+        other reader of monitor state) interconvert freely with the
+        dense arrays.  Per-session scoring keeps its state in the
+        monitors already, so there is nothing to write.
         """
+        if not self.dense:
+            return
         for k, session in enumerate(self.sessions):
             monitor = session.monitor
             count = int(self._counts[k])
@@ -513,7 +516,7 @@ class BatchedFleetMonitor:
         The batched engine does not define its own checkpoint format:
         it syncs into the sessions and returns their ``state_dict``
         output keyed by chip id, so checkpoints are interchangeable
-        between scoring modes.
+        between dense and per-session scoring.
         """
         self.sync_to_sessions()
         return {s.chip_id: s.state_dict() for s in self.sessions}

@@ -45,8 +45,8 @@ from repro.config import (
 from repro.errors import ExperimentError, MeasurementError
 from repro.io.store import (
     TraceBundle,
-    _atomic_write_bytes,
     _json_default,
+    atomic_write_bytes,
     load_traces,
     save_traces,
 )
@@ -286,7 +286,7 @@ class TraceCache:
         """Store a JSON-encodable derived artifact (numpy types ok)."""
         path = self._base(key).with_suffix(".artifact.json")
         path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_bytes(
+        atomic_write_bytes(
             path,
             json.dumps({"value": value}, default=_json_default).encode("utf-8"),
         )

@@ -133,10 +133,6 @@ def _manifest_for(bundle: TraceBundle, version: int) -> dict:
     }
 
 
-#: Backwards-compatible private alias (pre-fleet call sites).
-_atomic_write_bytes = atomic_write_bytes
-
-
 def _sidecar_for(payload: Path) -> Path:
     return payload.with_suffix(".json")
 
@@ -190,9 +186,9 @@ def save_traces(
     manifest = _manifest_for(bundle, version=STORE_FORMAT_VERSION)
     buf = io.BytesIO()
     np.save(buf, np.ascontiguousarray(bundle.traces), allow_pickle=False)
-    _atomic_write_bytes(target, buf.getvalue())
+    atomic_write_bytes(target, buf.getvalue())
     # Sidecar last: its presence marks the payload as complete.
-    _atomic_write_bytes(
+    atomic_write_bytes(
         _sidecar_for(target),
         (json.dumps(manifest, indent=2, sort_keys=True, default=_json_default)
          + "\n").encode("utf-8"),

@@ -19,6 +19,17 @@ def _golden(rng, n=100, length=256):
     return base[None, :] + 0.05 * rng.normal(size=(n, length))
 
 
+def _split_half_floors_loop(feats, orders):
+    """Loop reference for the vectorised split-half floors."""
+    half = orders.shape[1] // 2
+    floors = []
+    for order in orders:
+        a = feats[order[:half]].mean(axis=0)
+        b = feats[order[half : 2 * half]].mean(axis=0)
+        floors.append(float(np.linalg.norm(a - b)))
+    return np.array(floors)
+
+
 def test_normalize_traces_unit_norm(rng):
     x = rng.normal(size=(5, 64)) + 3.0
     z = normalize_traces(x)
@@ -143,7 +154,6 @@ def test_split_half_floors_match_loop_reference(rng):
     from repro.analysis.euclidean import (
         _bootstrap_orders,
         _split_half_floors,
-        _split_half_floors_loop,
     )
 
     feats = normalize_traces(_golden(rng))
@@ -157,10 +167,7 @@ def test_split_half_floors_match_loop_reference(rng):
 def test_fit_threshold_bit_identical_to_loop_reference(rng):
     """Eq. (1)'s threshold never touches the bootstrap — exact match —
     and the vectorised floor agrees with the loop to float precision."""
-    from repro.analysis.euclidean import (
-        _bootstrap_orders,
-        _split_half_floors_loop,
-    )
+    from repro.analysis.euclidean import _bootstrap_orders
 
     golden = _golden(rng)
     det = EuclideanDetector(seed=3).fit(golden)

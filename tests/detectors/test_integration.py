@@ -2,8 +2,8 @@
 
 The backward-compatibility contract: selecting ``"euclidean"`` through
 the registry is bit-identical to the analysis class (same state, same
-scores, same fleet journal bytes), and non-batchable plugins degrade
-the fleet's batched scoring mode to sequential loudly, never silently.
+scores, same fleet journal bytes), and non-batchable plugins make the
+fleet engine score per session loudly, never silently.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.framework.batched import BatchedFleetMonitor
 from repro.framework.classifier import TrojanClassifier
 from repro.framework.evaluator import EvaluatorConfig, RuntimeTrustEvaluator
 from tests.detectors.oneshot_reference import oneshot_report
+from tests.fleet.conftest import per_session_evaluator
 
 
 def _stream(rng, n, length=256, tone=0.0, amp=1.0):
@@ -46,10 +47,12 @@ def _evaluator(detector):
     return ev
 
 
-def _run_fleet(detector, streams, scoring):
+def _run_fleet(detector, streams, per_session=False):
     metrics = MetricsRegistry()
     journal = EventJournal()
     ev = _evaluator(detector)
+    if per_session:
+        ev = per_session_evaluator(ev)
     sessions = [
         MonitorSession(c, ev, window=16, confirm=2,
                        metrics=metrics, journal=journal)
@@ -58,9 +61,7 @@ def _run_fleet(detector, streams, scoring):
     feeds = [
         TraceFeed(c, streams[c], batch=8, seed=11) for c in streams
     ]
-    scheduler = FleetScheduler(
-        sessions, scoring=scoring, journal=journal, metrics=metrics
-    )
+    scheduler = FleetScheduler(sessions, journal=journal, metrics=metrics)
     return scheduler.run(feeds), journal, metrics
 
 
@@ -88,10 +89,10 @@ class TestEuclideanViaRegistry:
     def test_fleet_journal_is_bit_identical(self, rng, streams):
         golden = _stream(rng, 128)
         r_direct, j_direct, _ = _run_fleet(
-            EuclideanDetector().fit(golden), streams, "batched"
+            EuclideanDetector().fit(golden), streams
         )
         r_plugin, j_plugin, m_plugin = _run_fleet(
-            create_detector("euclidean").fit(golden), streams, "batched"
+            create_detector("euclidean").fit(golden), streams
         )
         assert j_direct.events == j_plugin.events
         for chip in streams:
@@ -108,23 +109,35 @@ class TestBatchedFallback:
     def test_unsupported_detector_falls_back_loudly(self, rng, streams):
         golden = _stream(rng, 128)
         detector = create_detector("spectral_median").fit(golden)
-        r_bat, j_bat, m_bat = _run_fleet(detector, streams, "batched")
-        counters = m_bat.snapshot()["counters"]
+        r_fb, j_fb, m_fb = _run_fleet(detector, streams)
+        counters = m_fb.snapshot()["counters"]
         assert counters["fleet.scoring.batched_fallback"] == 1
+        assert counters["fleet.scoring.sequential"] == r_fb.windows_ingested
         assert "fleet.scoring.batched" not in counters
-        # The degraded run must equal an explicitly sequential one.
-        r_seq, j_seq, _ = _run_fleet(detector, streams, "sequential")
-        assert j_bat.events == j_seq.events
+        # The fallback is the per-session path the dense engine is
+        # checked against: on the Euclidean plugin it flushes the
+        # dense run's journal.
+        euclidean = create_detector("euclidean").fit(golden)
+        r_dense, j_dense, _ = _run_fleet(euclidean, streams)
+        r_ref, j_ref, m_ref = _run_fleet(euclidean, streams, per_session=True)
+        assert m_ref.snapshot()["counters"][
+            "fleet.scoring.batched_fallback"
+        ] == 1
+        assert j_dense.events == j_ref.events
         for chip in streams:
             assert (
-                r_bat.reports[chip].alarms == r_seq.reports[chip].alarms
+                r_dense.reports[chip].alarms == r_ref.reports[chip].alarms
             )
 
     def test_batched_engine_rejects_unsupported_detector(self, rng):
+        # Direct construction with an unsupported plugin no longer
+        # raises: the engine scores the session on its own.
         detector = create_detector("persistence").fit(_stream(rng, 64))
         session = MonitorSession("a", _evaluator(detector), window=16)
-        with pytest.raises(AnalysisError, match="support batched"):
-            BatchedFleetMonitor([session])
+        engine = BatchedFleetMonitor([session])
+        assert not engine.dense
+        counters = session.metrics.snapshot()["counters"]
+        assert counters["fleet.scoring.batched_fallback"] == 1
 
 
 class TestClassifierWithRegistryDetectors:

@@ -5,11 +5,28 @@ sinusoid-plus-noise golden traces, as in the monitor tests) so they
 exercise the streaming machinery without paying for chip simulation.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.analysis.euclidean import EuclideanDetector
 from repro.framework.evaluator import EvaluatorConfig, RuntimeTrustEvaluator
+
+
+def per_session_evaluator(evaluator):
+    """*evaluator*'s fitted detector, barred from dense fleet scoring.
+
+    A shallow copy of the detector with ``supports_batched = False``,
+    wrapped in a copy of the evaluator: the fleet engine scores every
+    session through :meth:`MonitorSession.ingest`, the per-session
+    reference that dense scoring must match byte for byte.
+    """
+    detector = copy.copy(evaluator.detector)
+    detector.supports_batched = False
+    reference = copy.copy(evaluator)
+    reference.detector = detector
+    return reference
 
 
 @pytest.fixture()

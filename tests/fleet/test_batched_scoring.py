@@ -1,10 +1,11 @@
-"""Batched fleet scoring must be bit-identical to sequential scoring.
+"""Dense fleet scoring must be bit-identical to per-session scoring.
 
 The :class:`~repro.framework.batched.BatchedFleetMonitor` replaces the
 per-chip feature/separation loop with one dense pass per tick; these
-tests drive both scoring modes over the same multi-chip fleets — link
-faults, backpressure drops, checkpoint/resume — and require the exact
-same alarm stream, stream accounting and journal tail.
+tests drive the same multi-chip fleets — link faults, backpressure
+drops, checkpoint/resume — once densely and once through the
+per-session reference evaluator, and require the exact same alarm
+stream, stream accounting and journal tail.
 """
 
 import json
@@ -12,8 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.config import ReproConfig, use_config
-from repro.errors import AnalysisError, ExperimentError
+from repro.errors import AnalysisError
 from repro.fleet import (
     EventJournal,
     FaultSpec,
@@ -24,6 +24,7 @@ from repro.fleet import (
 )
 from repro.framework.batched import BatchedFleetMonitor
 from repro.framework.monitor import RuntimeMonitor
+from tests.fleet.conftest import per_session_evaluator
 
 FAULTS = FaultSpec(drop=0.05, duplicate=0.05, reorder=0.1)
 
@@ -51,9 +52,8 @@ def fleet_streams(synthetic, fleet_rng):
     }
 
 
-def _build(synthetic, streams, *, scoring, policy="block", queue_depth=4,
+def _build(ev, streams, *, policy="block", queue_depth=4,
            consume_every=1, faults=FAULTS, journal=None):
-    ev, _ = synthetic
     metrics = MetricsRegistry()
     journal = journal if journal is not None else EventJournal()
     sessions = [
@@ -67,8 +67,7 @@ def _build(synthetic, streams, *, scoring, policy="block", queue_depth=4,
     ]
     scheduler = FleetScheduler(
         sessions, queue_depth=queue_depth, policy=policy,
-        consume_every=consume_every, scoring=scoring,
-        journal=journal, metrics=metrics,
+        consume_every=consume_every, journal=journal, metrics=metrics,
     )
     return scheduler, feeds, journal, metrics
 
@@ -84,13 +83,12 @@ def _assert_identical(r_a, r_b, chips):
 def test_batched_matches_sequential_with_link_faults(
     synthetic, fleet_streams
 ):
-    seq, feeds_s, j_seq, _ = _build(
-        synthetic, fleet_streams, scoring="sequential"
+    ev, _ = synthetic
+    seq, feeds_s, j_seq, m_seq = _build(
+        per_session_evaluator(ev), fleet_streams
     )
     r_seq = seq.run(feeds_s)
-    bat, feeds_b, j_bat, m_bat = _build(
-        synthetic, fleet_streams, scoring="batched"
-    )
+    bat, feeds_b, j_bat, m_bat = _build(ev, fleet_streams)
     r_bat = bat.run(feeds_b)
     _assert_identical(r_seq, r_bat, fleet_streams)
     # Same journal stream, record for record (alarms in the same order
@@ -100,6 +98,10 @@ def test_batched_matches_sequential_with_link_faults(
     counters = m_bat.snapshot()["counters"]
     assert counters["fleet.scoring.batched"] == r_bat.windows_ingested
     assert "fleet.scoring.sequential" not in counters
+    assert "fleet.scoring.batched_fallback" not in counters
+    counters = m_seq.snapshot()["counters"]
+    assert counters["fleet.scoring.sequential"] == r_seq.windows_ingested
+    assert counters["fleet.scoring.batched_fallback"] == 1
 
 
 def test_batched_matches_sequential_under_drop_oldest(
@@ -108,15 +110,14 @@ def test_batched_matches_sequential_under_drop_oldest(
     # A slow consumer over depth-2 queues overflows deterministically;
     # the inline drains of evicted batches must route through the same
     # engine and stay bit-identical.
+    ev, _ = synthetic
     kw = dict(policy="drop_oldest", queue_depth=2, consume_every=3,
               faults=None)
     seq, feeds_s, j_seq, _ = _build(
-        synthetic, fleet_streams, scoring="sequential", **kw
+        per_session_evaluator(ev), fleet_streams, **kw
     )
     r_seq = seq.run(feeds_s)
-    bat, feeds_b, j_bat, _ = _build(
-        synthetic, fleet_streams, scoring="batched", **kw
-    )
+    bat, feeds_b, j_bat, _ = _build(ev, fleet_streams, **kw)
     r_bat = bat.run(feeds_b)
     _assert_identical(r_seq, r_bat, fleet_streams)
     assert r_bat.reports["golden"].queue_dropped_windows > 0
@@ -129,20 +130,21 @@ def test_batched_matches_sequential_under_drop_oldest(
 def test_checkpoint_resume_across_scoring_modes(
     synthetic, fleet_streams, first, second
 ):
-    """A checkpoint taken under one mode resumes under the other."""
+    """A checkpoint taken under one engine resumes under the other."""
     ev, _ = synthetic
-    ref, feeds, _, _ = _build(synthetic, fleet_streams, scoring="sequential")
+    evaluators = {"batched": ev, "sequential": per_session_evaluator(ev)}
+    ref, feeds, _, _ = _build(evaluators["sequential"], fleet_streams)
     r_ref = ref.run(feeds)
 
-    part, feeds_p, _, _ = _build(synthetic, fleet_streams, scoring=first)
+    part, feeds_p, _, _ = _build(evaluators[first], fleet_streams)
     r_part = part.run(feeds_p, max_ticks=5)
     assert not r_part.complete
     state = json.loads(json.dumps(part.state_dict()))
 
+    metrics = MetricsRegistry()
     resumed = FleetScheduler.from_state(
-        state, ev, journal=EventJournal(), metrics=MetricsRegistry()
+        state, evaluators[second], journal=EventJournal(), metrics=metrics
     )
-    resumed.scoring = second
     feeds_r = [
         TraceFeed(c, fleet_streams[c], batch=8, faults=FAULTS, seed=11)
         for c in fleet_streams
@@ -150,39 +152,30 @@ def test_checkpoint_resume_across_scoring_modes(
     r_resumed = resumed.run(feeds_r)
     assert r_resumed.complete
     _assert_identical(r_ref, r_resumed, fleet_streams)
+    fallback = metrics.snapshot()["counters"].get(
+        "fleet.scoring.batched_fallback", 0
+    )
+    assert fallback == (second == "sequential")
 
 
 def test_batched_matches_sequential_across_sum_refresh(
     synthetic, fleet_streams, monkeypatch
 ):
-    """Both modes hit the periodic running-sum refresh identically."""
+    """Both engines hit the periodic running-sum refresh identically."""
     monkeypatch.setattr(RuntimeMonitor, "REFRESH_EVERY", 7)
+    ev, _ = synthetic
     seq, feeds_s, j_seq, _ = _build(
-        synthetic, fleet_streams, scoring="sequential"
+        per_session_evaluator(ev), fleet_streams
     )
     r_seq = seq.run(feeds_s)
-    bat, feeds_b, j_bat, _ = _build(
-        synthetic, fleet_streams, scoring="batched"
-    )
+    bat, feeds_b, j_bat, _ = _build(ev, fleet_streams)
     r_bat = bat.run(feeds_b)
     _assert_identical(r_seq, r_bat, fleet_streams)
     assert j_seq.events == j_bat.events
 
 
-def test_scoring_mode_resolution(synthetic, fleet_streams):
-    ev, _ = synthetic
-    session = MonitorSession("golden", ev, window=16)
-    with pytest.raises(ExperimentError):
-        FleetScheduler([session], scoring="vectorised")
-    with use_config(ReproConfig(fleet_scoring="sequential")):
-        assert FleetScheduler([session]).scoring_mode() == "sequential"
-        assert FleetScheduler(
-            [session], scoring="batched"
-        ).scoring_mode() == "batched"
-
-
 def test_scoring_latency_lands_in_report(synthetic, fleet_streams):
-    bat, feeds, _, _ = _build(synthetic, fleet_streams, scoring="batched")
+    bat, feeds, _, _ = _build(synthetic[0], fleet_streams)
     result = bat.run(feeds)
     for chip in fleet_streams:
         assert result.reports[chip].scoring_p99_s > 0.0
@@ -197,11 +190,6 @@ def test_engine_rejects_mismatched_sessions(synthetic, fleet_streams):
         BatchedFleetMonitor([
             MonitorSession("a", ev, window=16),
             MonitorSession("a", ev, window=16),
-        ])
-    with pytest.raises(AnalysisError):
-        BatchedFleetMonitor([
-            MonitorSession("a", ev, window=16),
-            MonitorSession("b", ev, window=32),
         ])
 
 

@@ -47,7 +47,6 @@ def _pinned_campaign(path):
     config = FleetConfig.smoke(
         seed=1,
         detector="euclidean",
-        scoring="batched",
         campaign_workers=1,
         faults=FaultSpec(drop=0.02, duplicate=0.02, reorder=0.05),
         n_golden=64,

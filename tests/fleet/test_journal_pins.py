@@ -1,4 +1,4 @@
-"""Pinned fleet journal bytes: every ingest and scoring mode, one digest.
+"""Pinned fleet journal bytes: every ingest and scoring path, one digest.
 
 The fleet journal is a pure function of the seeded run that produced
 it, so its flushed JSONL bytes can be pinned.  These tests run the
@@ -7,8 +7,9 @@ Trojan-shifted chip) through :class:`~repro.fleet.FleetScheduler`
 with link faults and a slow consumer, under each backpressure policy,
 and require:
 
-* replay and stream ingest, each with batched and sequential scoring,
-  to flush **byte-identical** journals, and
+* replay and stream ingest, each with dense scoring and with the
+  per-session reference evaluator, to flush **byte-identical**
+  journals, and
 * those bytes to hash to the single digest pinned per policy below.
 
 A change that moves one journal byte — an alarm score, the event
@@ -35,6 +36,7 @@ from repro.fleet import (
     StreamingTraceProducer,
     TraceFeed,
 )
+from tests.fleet.conftest import per_session_evaluator
 
 FAULTS = FaultSpec(drop=0.05, duplicate=0.05, reorder=0.1)
 
@@ -46,10 +48,12 @@ PINNED = {
 
 
 def _journal_bytes(tmp_path, synthetic, streams, *, policy, ingest,
-                   scoring) -> bytes:
+                   engine) -> bytes:
     ev, _ = synthetic
+    if engine == "per-session":
+        ev = per_session_evaluator(ev)
     metrics = MetricsRegistry()
-    journal = EventJournal(tmp_path / f"{policy}-{ingest}-{scoring}.jsonl")
+    journal = EventJournal(tmp_path / f"{policy}-{ingest}-{engine}.jsonl")
     sessions = [
         MonitorSession(c, ev, window=16, confirm=2,
                        metrics=metrics, journal=journal)
@@ -70,7 +74,7 @@ def _journal_bytes(tmp_path, synthetic, streams, *, policy, ingest,
     ]
     scheduler = FleetScheduler(
         sessions, queue_depth=2, policy=policy, workers=1,
-        consume_every=3, scoring=scoring,
+        consume_every=3,
         journal=journal, metrics=metrics,
     )
     try:
@@ -87,19 +91,19 @@ def test_journal_bytes_are_pinned_across_modes(
     tmp_path, synthetic, streams, policy
 ):
     flushed = {
-        (ingest, scoring): _journal_bytes(
+        (ingest, engine): _journal_bytes(
             tmp_path, synthetic, streams,
-            policy=policy, ingest=ingest, scoring=scoring,
+            policy=policy, ingest=ingest, engine=engine,
         )
         for ingest in ("replay", "stream")
-        for scoring in ("batched", "sequential")
+        for engine in ("dense", "per-session")
     }
-    reference = flushed[("replay", "batched")]
+    reference = flushed[("replay", "dense")]
     for mode, data in flushed.items():
         assert data == reference, f"{policy}: {mode} journal differs"
     kinds = {
         e["kind"] for e in EventJournal.load(
-            tmp_path / f"{policy}-replay-batched.jsonl"
+            tmp_path / f"{policy}-replay-dense.jsonl"
         )
     }
     assert "alarm" in kinds

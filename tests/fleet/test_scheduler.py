@@ -1,5 +1,6 @@
 """Tests for the fleet scheduler: backpressure, validation, checkpointing."""
 
+import copy
 import json
 
 import pytest
@@ -158,7 +159,49 @@ def test_scheduler_validation(synthetic, streams):
     for workers in (None, 0, 2, True, 1.0):
         with pytest.raises(ExperimentError, match="threaded ingestor"):
             FleetScheduler([session], workers=workers)
+    for scoring in ("sequential", "vectorised"):
+        with pytest.raises(ExperimentError, match="follows from the fleet"):
+            FleetScheduler([session], scoring=scoring)
+    FleetScheduler([session], scoring="batched")
     scheduler = FleetScheduler([session])
     with pytest.raises(ExperimentError):
         scheduler.run([TraceFeed("other", streams["clean"])])
 
+
+
+@pytest.mark.parametrize("mixed", ("window", "detector"))
+def test_fleet_the_dense_engine_cannot_hold_scores_per_session(
+    synthetic, streams, mixed
+):
+    # Mixed sliding windows, or one fitted detector held as two
+    # objects: the engine scores each session on its own, counted once.
+    ev, _ = synthetic
+    other = copy.copy(ev)
+    if mixed == "detector":
+        other.detector = copy.copy(ev.detector)
+    windows = {"clean": 8, "bad": 16 if mixed == "window" else 8}
+    evaluators = {"clean": ev, "bad": other}
+
+    def sessions(**sinks):
+        return [
+            MonitorSession(c, evaluators[c], window=windows[c], confirm=2,
+                           **sinks)
+            for c in ("clean", "bad")
+        ]
+
+    metrics = MetricsRegistry()
+    fleet = sessions(metrics=metrics, journal=EventJournal())
+    feeds = [TraceFeed(c, streams[c], batch=8, seed=11) for c in streams]
+    result = FleetScheduler(fleet, metrics=metrics).run(feeds)
+    counters = metrics.snapshot()["counters"]
+    assert counters["fleet.scoring.batched_fallback"] == 1
+    assert counters["fleet.scoring.sequential"] == result.windows_ingested
+    assert "fleet.scoring.batched" not in counters
+
+    for session, feed in zip(sessions(), feeds):
+        for batch in feed:
+            session.ingest(batch)
+        report = result.reports[session.chip_id]
+        assert report.alarms == session.monitor.alarms, session.chip_id
+    assert not result.reports["clean"].time_alarm
+    assert result.reports["bad"].time_alarm

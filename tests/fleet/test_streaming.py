@@ -33,6 +33,7 @@ from repro.fleet import (
     chunk_role,
 )
 from repro.fleet.campaign import StreamingOneShot
+from tests.fleet.conftest import per_session_evaluator
 
 FAULTS = FaultSpec(drop=0.05, duplicate=0.05, reorder=0.1)
 
@@ -75,9 +76,11 @@ def _producer(streams, *, chunk=16, metrics=None, start_chunk=0,
 
 def _build(cls, synthetic, streams, *, ingest="replay", chunk=16,
            policy="block", queue_depth=4, consume_every=1,
-           faults=FAULTS, scoring="batched", start_chunk=0, **kw):
+           faults=FAULTS, per_session=False, start_chunk=0, **kw):
     """Scheduler + feeds; feeds pull from a live producer when asked."""
     ev, _ = synthetic
+    if per_session:
+        ev = per_session_evaluator(ev)
     metrics = MetricsRegistry()
     journal = EventJournal()
     sessions = [
@@ -102,7 +105,7 @@ def _build(cls, synthetic, streams, *, ingest="replay", chunk=16,
         kw.setdefault("workers", 1)
     scheduler = cls(
         sessions, queue_depth=queue_depth, policy=policy,
-        consume_every=consume_every, scoring=scoring,
+        consume_every=consume_every,
         journal=journal, metrics=metrics, **kw,
     )
     return scheduler, feeds, journal, metrics, producer
@@ -311,12 +314,12 @@ def test_stream_matches_replay_sequential_scoring(
 ):
     ref, feeds_r, j_ref, _, _ = _build(
         FleetScheduler, synthetic, fleet_streams,
-        ingest="replay", scoring="sequential",
+        ingest="replay", per_session=True,
     )
     r_ref = ref.run(feeds_r)
     sched, feeds_s, j_st, _, producer = _build(
         FleetScheduler, synthetic, fleet_streams,
-        ingest="stream", scoring="sequential",
+        ingest="stream", per_session=True,
     )
     try:
         r_st = sched.run(feeds_s)

@@ -118,3 +118,14 @@ class TestFleetForwarding:
             main(["fleet", *argv])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", (["--scoring", "sequential"], ["--scoring", "batched"])
+    )
+    def test_fleet_rejects_retired_scoring_flag(self, capsys, argv):
+        # The fleet engine picks dense or per-session scoring from the
+        # fleet itself; argparse fails before any campaign runs.
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -18,7 +18,6 @@ from repro.config import (
     DETECTOR_ENV_VAR,
     DEFAULT_CACHE_MB,
     DEFAULT_CHUNK_BYTES,
-    FLEET_SCORING_ENV_VAR,
     FORCE_POOL_ENV_VAR,
     SENSOR_ARRAY_ENV_VAR,
     SMOKE_ENV_VAR,
@@ -63,7 +62,6 @@ class TestPrecedence:
             CACHE_DIR_ENV: "/tmp/traces",
             CACHE_MB_ENV: "64",
             SMOKE_ENV_VAR: "1",
-            FLEET_SCORING_ENV_VAR: "sequential",
             DETECTOR_ENV_VAR: "spectral_median",
         })
         assert cfg.workers == 3
@@ -73,7 +71,6 @@ class TestPrecedence:
         assert cfg.cache_dir == "/tmp/traces"
         assert cfg.cache_mb == 64
         assert cfg.bench_smoke is True
-        assert cfg.fleet_scoring == "sequential"
         assert cfg.detector == "spectral_median"
 
     def test_detector_argument_beats_environment(self):
@@ -132,12 +129,20 @@ class TestValidation:
             ReproConfig.resolve(environ={BACKEND_ENV_VAR: "bogus"})
 
     def test_unknown_fleet_scoring_mode(self):
-        with pytest.raises(ExperimentError, match="vectorised"):
-            ReproConfig.resolve(
-                environ={FLEET_SCORING_ENV_VAR: "vectorised"}
-            )
-        with pytest.raises(ExperimentError, match="scoring mode"):
-            ReproConfig(fleet_scoring="serial")
+        # The fleet engine picks its own scoring path: the one
+        # remaining field is pinned at "batched", its retired
+        # environment variable is inert, and old snapshots naming the
+        # per-session mode are rejected.
+        assert ReproConfig(fleet_scoring="batched").fleet_scoring == "batched"
+        for bad in ("sequential", "serial"):
+            with pytest.raises(ConfigError, match="fleet_scoring"):
+                ReproConfig(fleet_scoring=bad)
+        assert ReproConfig.resolve(
+            environ={"REPRO_FLEET_SCORING": "sequential"}
+        ) == ReproConfig.resolve(environ={})
+        snapshot = {**ReproConfig().describe(), "fleet_scoring": "sequential"}
+        with pytest.raises(ConfigError, match="fleet_scoring"):
+            ReproConfig.from_snapshot(snapshot)
 
     def test_fleet_shard_knobs(self):
         # The sharded transport is gone: the one remaining shard field
