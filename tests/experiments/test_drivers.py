@@ -1,11 +1,17 @@
 """Tests for the experiment drivers (fast, reduced sizes)."""
 
+import numpy as np
 import pytest
+from scipy import signal
 
 from repro.experiments.campaign import (
     DEFAULT_KEY,
+    ED_DECIMATE,
+    ED_PERIOD,
+    WARMUP_WINDOWS,
     collect_ed_traces,
     collect_spectral_record,
+    segment_ed_windows,
 )
 from repro.experiments.euclidean import run_euclidean_experiment
 from repro.experiments.fig4 import run_a2_spectrum
@@ -26,6 +32,23 @@ def test_collect_ed_traces_no_decimation(chip, sim_scenario):
         chip, sim_scenario, 8, batch=8, decimate=1, receivers=("sensor",)
     )
     assert traces["sensor"].shape == (8, 12 * chip.config.samples_per_cycle)
+
+
+@pytest.mark.parametrize("decimate", (2, 3, ED_DECIMATE))
+def test_segment_ed_windows_matches_signal_decimate(decimate):
+    """The cached filter design gives ``signal.decimate``'s exact bytes."""
+    spc, batch, n_traces = 24, 3, 7
+    n_samples = (-(-n_traces // batch) + WARMUP_WINDOWS) * ED_PERIOD * spc
+    rec = np.random.default_rng(decimate).normal(size=(batch, n_samples))
+    got = segment_ed_windows(
+        rec, batch=batch, n_traces=n_traces, spc=spc, decimate=decimate
+    )
+    ref = segment_ed_windows(
+        signal.decimate(rec, decimate, axis=1, zero_phase=True),
+        batch=batch, n_traces=n_traces, spc=spc // decimate, decimate=1,
+    )
+    assert got.shape == (n_traces, ED_PERIOD * spc // decimate)
+    assert np.array_equal(got, ref)
 
 
 def test_collect_spectral_record_shape(chip, sim_scenario):
