@@ -59,7 +59,10 @@ from repro.io.store import (
 #: campaigns can never alias.)
 #: (4: the activity fold runs per delay level and exactly, on integer
 #: activity codes in float64 — traces shift by up to 2e-7 of peak.)
-CACHE_SALT = "repro-pipeline-4"
+#: (5: clock amplitudes are exact sums over the enable nets of weights
+#: rounded to a power-of-two grid, not a per-register einsum — traces
+#: shift by up to 1e-11 of peak.)
+CACHE_SALT = "repro-pipeline-5"
 
 
 def _canon(obj):

@@ -282,14 +282,17 @@ class CompiledNetlist:
         self._seq_q_idx = np.array(
             [self.net_index[inst.pins["Q"]] for inst in seq], dtype=np.int64
         )
-        self._seq_en_idx = np.array(
+        #: Net index of each sequential instance's EN pin (rows align
+        #: with :attr:`seq_instance_idx`); ``-1`` marks a plain DFF,
+        #: which is clocked on every cycle.
+        self.seq_enable_idx = np.array(
             [
                 self.net_index[inst.pins["EN"]] if "EN" in inst.pins else -1
                 for inst in seq
             ],
             dtype=np.int64,
         )
-        self._seq_has_en = self._seq_en_idx >= 0
+        self._seq_has_en = self.seq_enable_idx >= 0
         self._seq_init = np.array(
             [bool(netlist.ff_init.get(inst.name, False)) for inst in seq],
             dtype=bool,
@@ -430,7 +433,7 @@ class CompiledNetlist:
             d_vals = values[self._seq_d_idx]
             q_vals = values[self._seq_q_idx]
             if self._seq_has_en.any():
-                en_idx = np.where(self._seq_has_en, self._seq_en_idx, 0)
+                en_idx = np.where(self._seq_has_en, self.seq_enable_idx, 0)
                 en_vals = values[en_idx]
                 en_vals[~self._seq_has_en] = True
             else:
@@ -454,7 +457,7 @@ class CompiledNetlist:
             d_vals = words[self._seq_d_idx]
             q_vals = words[self._seq_q_idx]
             if self._seq_has_en.any():
-                en_idx = np.where(self._seq_has_en, self._seq_en_idx, 0)
+                en_idx = np.where(self._seq_has_en, self.seq_enable_idx, 0)
                 en_vals = words[en_idx]
                 en_vals[~self._seq_has_en] = _FULL_WORD
             else:
@@ -516,7 +519,7 @@ class CompiledNetlist:
             if self._seq_d_idx.size == 0:
                 return np.zeros((0, state.nwords), dtype=np.uint64)
             if self._seq_has_en.any():
-                en_idx = np.where(self._seq_has_en, self._seq_en_idx, 0)
+                en_idx = np.where(self._seq_has_en, self.seq_enable_idx, 0)
                 en_vals = state.words[en_idx]
                 en_vals[~self._seq_has_en] = _FULL_WORD
             else:
@@ -527,7 +530,7 @@ class CompiledNetlist:
         if self._seq_d_idx.size == 0:
             return np.zeros((0, state.batch), dtype=bool)
         if self._seq_has_en.any():
-            en_idx = np.where(self._seq_has_en, self._seq_en_idx, 0)
+            en_idx = np.where(self._seq_has_en, self.seq_enable_idx, 0)
             en_vals = state.values[en_idx].copy()
             en_vals[~self._seq_has_en] = True
         else:

@@ -11,6 +11,13 @@ synthesis — is the production path, so the traces differ from the
 production ones only by the fold's weight rounding and float64
 summation order (4e-9 of the trace peak on the seed-1 chip).
 
+The loop also keeps the per-register clock-enable tensor the engine's
+clock amplitudes are defined by, as :attr:`ReferenceFoldEngine.clock_en`
+— ``(n_cycles, n_seq, batch)`` bool, from
+:meth:`~repro.logic.simulator.CompiledNetlist.clock_enable_values` — so
+the tests can check the engine's enable-net clock sums against
+``np.einsum("s,csb->cb", w, clock_en)`` of the unrounded weights.
+
 The kernel tests and ``benchmarks/bench_perf_kernels.py`` use it as
 the numerical baseline the level fold is checked and timed against.
 """
@@ -38,6 +45,9 @@ def dense_fold_matrix(weights: np.ndarray, bins: np.ndarray) -> np.ndarray:
 class ReferenceFoldEngine(AcquisitionEngine):
     """Acquisition engine running the per-cycle float64 dense fold."""
 
+    #: Per-register clock enables of the last acquisition.
+    clock_en: np.ndarray | None = None
+
     def _run_cycles_blocked(
         self,
         state,
@@ -46,7 +56,7 @@ class ReferenceFoldEngine(AcquisitionEngine):
         batch: int,
         acc_list: list[ActivityAccumulator],
         watch_idx: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         sim = self.chip.sim
         if isinstance(state, PackedState):
             # The packed reset is bit-exact, so its unpacked lanes are
@@ -81,4 +91,5 @@ class ReferenceFoldEngine(AcquisitionEngine):
         for acc, frame in zip(acc_list, frames):
             acc.clear()
             acc._blocks.append(frame)
-        return clock_en, rec_buf
+        self.clock_en = clock_en
+        return rec_buf

@@ -15,6 +15,10 @@ passes whose events are all zero skipped.  Two contracts guard it:
 * **One pass** — a 16-coil acquisition convolves once for the data and
   clock train plus once per tap that carries events, and the
   ``acquire.synth.passes`` counter reports exactly that count.
+
+The clock train's amplitudes are exact sums over the chip's enable nets
+of grid-rounded weights; :class:`TestClockAmplitudes` holds them to the
+per-register ``einsum`` of the unrounded weights on both backends.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from repro.chip.acquire import AcquisitionEngine
 from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
 from repro.chip.scenario import array_scenario, silicon_scenario
+from repro.logic.simulator import BACKEND_ENV_VAR
 from repro.obs import use_metrics
+from tests.chip.reference_fold import ReferenceFoldEngine
 from tests.trace_pins import check_pin, traces_digest
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -134,3 +140,51 @@ class TestOnePass:
         passes = metrics.counter("acquire.synth.passes").value
         # sensor, probe and the array group: data + A2 tap pass each.
         assert passes == len(counted_synthesis) == 6
+
+
+class TestClockAmplitudes:
+    @pytest.mark.parametrize("backend", ("bool", "packed"))
+    def test_match_per_register_einsum(self, array_engine, monkeypatch,
+                                       backend):
+        """Every receiver's clock amplitudes, per cycle and lane, agree
+        with ``np.einsum("s,csb->cb", w, clock_en)`` of the unrounded
+        per-register weights to 1e-10 of the largest amplitude."""
+        chip = array_engine.chip
+        batch = 8
+        reference = ReferenceFoldEngine(chip, array_engine.scenario)
+        _acquire(reference, batch, "trojan2", include_noise=False)
+        clock_en = reference.clock_en
+        assert clock_en.shape == (N_CYCLES, chip.sim.seq_instance_idx.size,
+                                  batch)
+
+        sums: list[np.ndarray] = []
+        real = acquire_mod._clock_sum
+
+        def recording(steps, units, enables):
+            sums.append(real(steps, units, enables))
+            return sums[-1]
+
+        monkeypatch.setattr(acquire_mod, "_clock_sum", recording)
+        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+        _acquire(array_engine, batch, "trojan2", include_noise=False)
+        got = np.concatenate(sums).reshape(-1, N_CYCLES, batch)
+
+        names = [
+            name
+            for group in array_engine._synthesis_groups(tuple(chip.receivers))
+            for name in group
+        ]
+        scale = array_engine._charge_scale[chip.sim.seq_instance_idx]
+        ref = np.stack([
+            np.einsum(
+                "s,csb->cb",
+                chip.receivers[name].cell_coupling[chip.sim.seq_instance_idx]
+                * chip.q_clock[chip.sim.seq_instance_idx] * scale,
+                clock_en,
+            )
+            for name in names
+        ])
+        assert got.shape == ref.shape == (18, N_CYCLES, batch)
+        peak = np.max(np.abs(ref))
+        assert peak > 0
+        assert np.max(np.abs(got - ref)) <= 1e-10 * peak

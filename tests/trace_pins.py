@@ -38,35 +38,35 @@ PIN_BUILD = (
 #: ``{pin: (CACHE_SALT it was taken under, SHA-256 of the traces)}``.
 TRACE_PINS: dict[str, tuple[str, str]] = {
     # TRACE_COLLECTORS kinds on the tiny configs of tests/test_trace_pins.py.
-    "collector/ed": ("repro-pipeline-4", "738836e1bb02eb0634f4da94f66c5a5692cd1ef325aed64652ae623c0dcc82be"),
-    "collector/spectral": ("repro-pipeline-4", "defaed927873322df9d8a299b3864264b89919549e8f30af85e3670af97040a8"),
-    "collector/raw": ("repro-pipeline-4", "cf743adb71c47b86edd123eac38c24a9c86460cd2b01b3ed1f447a4cfa8af866"),
+    "collector/ed": ("repro-pipeline-5", "bad61461e6ce684e62078f1e76f901e679d742068b7d550c3c358c798d40fb91"),
+    "collector/spectral": ("repro-pipeline-5", "df6483d8bef8d12e055da2e7a72031f1d4a5c1f1ba746001c173e80526b7df42"),
+    "collector/raw": ("repro-pipeline-5", "f49f44d892f10fdd52967de5ccbee589dec7431acf72927adf3564ccdf56f6d6"),
     # All 18 receivers of the seed-1 4x4 array chip, per Trojan and batch.
-    "acquire/array/golden/1": ("repro-pipeline-4", "de1d5c2ada42e72bb934655e443ac43d5d400ebc51b1c103fa41d9b8c24dcddd"),
-    "acquire/array/golden/8": ("repro-pipeline-4", "3ce77a7b80dc99d0eac621f67741345af5d8a1e87413cdb6c3cfcd8f80991113"),
-    "acquire/array/golden/33": ("repro-pipeline-4", "ca203dff7ad9bbb089f7ddc8da66fc0eafb15b838ec265ef74bc11698dd80795"),
-    "acquire/array/trojan1/1": ("repro-pipeline-4", "b39178d3621cb1492234f0c25fd6f1ee060ececd0c5df6fc6ae22dfc279540eb"),
-    "acquire/array/trojan1/8": ("repro-pipeline-4", "10ea1cd7d9c807d47e62b2c6c68ee80af040393c6abd0f7f2e7fce13a190bfdd"),
-    "acquire/array/trojan1/33": ("repro-pipeline-4", "015ff29c9c597e86e8860060657327d99b9ae20f0380e43c8328917e21f87df4"),
-    "acquire/array/trojan2/1": ("repro-pipeline-4", "f6ad2b8402ba8175353279aafb777f12eb7fac44660ae8ec2a352315aded82ab"),
-    "acquire/array/trojan2/8": ("repro-pipeline-4", "620ffc8df4f3cdb02cc09b325d83c0ad63d5d18720d96176194a2c6e27afcb8b"),
-    "acquire/array/trojan2/33": ("repro-pipeline-4", "e01bc9edd64f594f0f4ffd12519257868dbe4a380e4ee4f11842f55640fbc1c9"),
-    "acquire/array/trojan3/1": ("repro-pipeline-4", "1f83e931ed7255f7f1965146d8ec8ae72e911ecd772ef99fcbf22c61b71815cc"),
-    "acquire/array/trojan3/8": ("repro-pipeline-4", "bbfdc01c44a5299f48bc5cf8f32d5b74929f3f47b1015dfbde8eed7b9eaada88"),
-    "acquire/array/trojan3/33": ("repro-pipeline-4", "16a6b16f23f076fc0d2d0d321f85c5217745c3e7a7460adc14b9cbb77d6debd5"),
-    "acquire/array/trojan4/1": ("repro-pipeline-4", "52350eed673c1a182c25b8499ae46ae502f278a7f5c62699c5912b6cac7c55e8"),
-    "acquire/array/trojan4/8": ("repro-pipeline-4", "ee465fa31f5668a0a853da1cde857f6def5cdc33a8d0c0950efb023dd1d7ed01"),
-    "acquire/array/trojan4/33": ("repro-pipeline-4", "2fcb1564cf8a208d5df54f9fbad70f0e08789bbe0cefc1488bf8358353c479c0"),
-    "acquire/array/a2/1": ("repro-pipeline-4", "9a8a51afcb6768d75f01971e0ca6dd0aa21c8ea6bd1b459eedad2693774f9cab"),
-    "acquire/array/a2/8": ("repro-pipeline-4", "aa674236a8f7f19241287e2d746a95c4db668223a543a89d9baa48e20544ae63"),
-    "acquire/array/a2/33": ("repro-pipeline-4", "135745592f3372185345860dcadb262c3e5fd38b8092419c9c3fb28365b677d8"),
+    "acquire/array/golden/1": ("repro-pipeline-5", "cbc40c67861596d775ca0b3823b73de1f5ed399b19a2b215ceac00ceb6a4df42"),
+    "acquire/array/golden/8": ("repro-pipeline-5", "e45eafd8cf421e3ff0282359907c246ec08b7b6f7f3b12325a204758ef05ee76"),
+    "acquire/array/golden/33": ("repro-pipeline-5", "a6efc18d12cce8b16801d5b7d7a430892b3b0b7e223177415a79380c1abfea01"),
+    "acquire/array/trojan1/1": ("repro-pipeline-5", "d4df10041ee9d19f3b28123346602561dc7fa250fefd77cd05583222c78b294a"),
+    "acquire/array/trojan1/8": ("repro-pipeline-5", "afbeee72fbe4473cffb8280afa9848719d4eb669e598653356900f4db94da882"),
+    "acquire/array/trojan1/33": ("repro-pipeline-5", "578116ae5a60ced9654d291c43862c8709630c7fd55e7006b4b9491b0ecac411"),
+    "acquire/array/trojan2/1": ("repro-pipeline-5", "ec1ec3629739e1e6f62d414c6242a11bf448febb84afa29b023eec5241aa2a53"),
+    "acquire/array/trojan2/8": ("repro-pipeline-5", "5cf9e1b48b2a40585077e5c57446e73ac3166bc508adb7634e5e036741bc204e"),
+    "acquire/array/trojan2/33": ("repro-pipeline-5", "21d66564666877b8f5558f4bb86b7e25ceb95a661e5c09e7eb4785a2d6a9a707"),
+    "acquire/array/trojan3/1": ("repro-pipeline-5", "8901e0cb67544c1b758508ce7d316ac9918501be4f0c13c8b1438af5ced35136"),
+    "acquire/array/trojan3/8": ("repro-pipeline-5", "c02a5af51dc85cc17a7f5aa367abab632f394ffa3b80b6caeba5513e9bbb787f"),
+    "acquire/array/trojan3/33": ("repro-pipeline-5", "9f76e2639cede7ee9f087a04f2259465d7d89b7ae86a7970a794e506396e47af"),
+    "acquire/array/trojan4/1": ("repro-pipeline-5", "f2793e85dcaf043a61a1a8d5e870071652346b80b4e8c9a205cddca188f763ed"),
+    "acquire/array/trojan4/8": ("repro-pipeline-5", "9502e6c7b8cca120a31b6aaf88cf8af2d7b7e7469ee27e1fe6bc1bf5cc4f210d"),
+    "acquire/array/trojan4/33": ("repro-pipeline-5", "3b9df0f00f0e16fc9393fdf84c4aece111a0a6c3ece34522237c751ec685fc0b"),
+    "acquire/array/a2/1": ("repro-pipeline-5", "696083da4fc3d4653c2e34f4d9063d2e3bb83a3cbae402be5ec54a52feb30c7e"),
+    "acquire/array/a2/8": ("repro-pipeline-5", "252ded75790323dd130636e2220abd4b12c35d9211e7fdb300e3f6bf629760bb"),
+    "acquire/array/a2/33": ("repro-pipeline-5", "d0a4da6fc9f11525e1b342e52f31747ee64c8029c8b49a564281a766159d6fc8"),
     # Noise-off coil subset of the array chip, Trojan 3 at batch 8.
-    "acquire/array/subset": ("repro-pipeline-4", "82cf11ac9664319fbb9077ee47bce33193005651fb457f45491b989d64cb71cd"),
+    "acquire/array/subset": ("repro-pipeline-5", "7a602db7d1b620a8690d6ba22cd88ba94a1a1747ecc615365b93b7171831cfcc"),
     # Power-monitor chip, silicon scenario, Trojan 2 at batch 8.
-    "acquire/power": ("repro-pipeline-4", "069271fef3a2cb03fd88f7e533b17025b0feb22cdbb73f3cda34555415dbe7ab"),
+    "acquire/power": ("repro-pipeline-5", "24ffdec7a6f3ee347be811d271c923be27ec3709616eb82f09d46bee65ad4bed"),
     # Flushed journal of the chip-backed fleet campaign in
     # tests/fleet/test_campaign_pin.py (SHA-256 of the JSONL bytes).
-    "fleet/campaign-journal": ("repro-pipeline-4", "fce72258257f393e68fd788d04c3639984f46af3340c819abc509626e07197d0"),
+    "fleet/campaign-journal": ("repro-pipeline-5", "9747046073f6c80cc21da8592091c5a5a66c770b63fac268c3b0537e45e8d185"),
 }
 
 
