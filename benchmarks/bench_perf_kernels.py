@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from repro.chip.acquire import (
     RISE_CODE,
     AcquisitionEngine,
     EncryptionWorkload,
+    _clock_sum,
 )
 from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
@@ -210,6 +212,15 @@ def test_packed_backend_speedup(benchmark, chip, sim_scenario):
         assert speedup >= 4.0, speedup
 
 
+@lru_cache(maxsize=1)
+def _array_engine() -> AcquisitionEngine:
+    """Engine of the seed-1 4x4 array chip (built once per session)."""
+    chip = Chip.build(
+        config=ChipConfig(sensor_array_rows=4, sensor_array_cols=4), seed=1
+    )
+    return AcquisitionEngine(chip, array_scenario(4, 4, seed=1))
+
+
 def _fold_block(chip, batch: int, cycles: int, warmup: int = 8):
     """``cycles`` AES cycles of toggle and rising masks after *warmup*,
     as ``(insts, cycles * batch)`` cycle-major column blocks."""
@@ -239,10 +250,8 @@ def test_level_fold_kernel(benchmark):
     1e-5 of each receiver's largest frame value.
     """
     smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-    chip = Chip.build(
-        config=ChipConfig(sensor_array_rows=4, sensor_array_cols=4), seed=1
-    )
-    engine = AcquisitionEngine(chip, array_scenario(4, 4, seed=1))
+    engine = _array_engine()
+    chip = engine.chip
     batch, cycles = 32, 8
     tog, ris = _fold_block(chip, batch, cycles)
     codes = FALL_CODE * (tog & ~ris) + RISE_CODE * ris.astype(np.float64)
@@ -286,6 +295,73 @@ def test_level_fold_kernel(benchmark):
         )
         assert err < 1e-5, (label, err)
     run_once(benchmark, level_fold, accs, columns)
+
+
+def test_clock_amplitude_kernel(benchmark):
+    """Per-register clock ``einsum`` vs the engine's enable-net product.
+
+    16 coils of the seed-1 4x4 array chip, 36 AES cycles at batch 32.
+    The einsum reduces the ``(cycles, registers, lanes)`` bool
+    clock-enable tensor once per coil with the unrounded weights, as
+    acquisition did before; the engine sums grid-rounded weights by
+    enable net once and computes every coil's amplitudes as one
+    ``(coils, nets) @ (nets, cycles * lanes)`` product over the
+    recorded enable nets (:func:`repro.chip.acquire._clock_sum`,
+    including the bool-to-float conversion of the recorded nets).  The
+    two must agree to 1e-10 of the largest amplitude.
+    """
+    smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+    engine = _array_engine()
+    chip, sim = engine.chip, engine.chip.sim
+    batch, cycles = 32, 36
+    seq = sim.seq_instance_idx
+    net_idx = [sim.net_index[net] for net in engine._clock_nets.values()]
+    workload = EncryptionWorkload(chip.aes, b"\x2b" * 16, period=12)
+    workload.begin(batch, np.random.default_rng(2024))
+    state = sim.reset(batch=batch, inputs=workload.inputs(0, batch))
+    clock_en = np.empty((cycles, seq.size, batch), dtype=bool)
+    recorded = np.empty((len(net_idx), cycles, batch), dtype=bool)
+    for k in range(1, cycles + 1):
+        clock_en[k - 1] = sim.clock_enable_values(state)
+        recorded[:, k - 1] = state.values[net_idx]
+        sim.step(state, workload.inputs(k, batch))
+
+    coils = chip.receiver_groups["array"]
+    scale = engine._charge_scale[seq]
+    w_seq = [
+        chip.receivers[n].cell_coupling[seq] * chip.q_clock[seq] * scale
+        for n in coils
+    ]
+    grids = [engine._clock_grid[n] for n in coils]
+    steps = np.array([step for step, _ in grids])
+    units = np.stack([u for _, u in grids])
+
+    def einsum():
+        return np.stack([np.einsum("s,csb->cb", w, clock_en) for w in w_seq])
+
+    def enable_nets():
+        enables = recorded.astype(np.float64).reshape(len(net_idx), -1)
+        return _clock_sum(steps, units, enables).reshape(-1, cycles, batch)
+
+    ref, got = einsum(), enable_nets()
+    err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+    repeats = 2 if smoke else 5
+    t_nets = _best_of(enable_nets, repeats)
+    t_einsum = _best_of(einsum, repeats)
+    record_timing(
+        "clock_amplitudes_16", t_nets, einsum_s=t_einsum,
+        speedup=t_einsum / t_nets, receivers=len(coils),
+        registers=int(seq.size), nets=len(net_idx), cycles=cycles,
+        batch=batch, max_rel_err=float(err), smoke=smoke,
+    )
+    print(
+        f"\nclock amplitudes ({len(coils)} coils, {seq.size} registers, "
+        f"{len(net_idx)} enable nets, {cycles} cycles x batch {batch}): "
+        f"{t_nets * 1e3:.2f} ms vs einsum {t_einsum * 1e3:.1f} ms "
+        f"-> {t_einsum / t_nets:.0f}x, max rel err {err:.1e}"
+    )
+    assert err <= 1e-10, err
+    run_once(benchmark, enable_nets)
 
 
 def test_parallel_campaign_sweep(benchmark, chip, sim_scenario):
