@@ -34,6 +34,14 @@ _ACTIVITY_CODE_BITS = MAX_ACTIVITY_CODE.bit_length()
 FOLD_ROWS = 512
 
 
+def grid_step(weights: np.ndarray, bits: int) -> float:
+    """Power-of-two weight quantum ``bits`` binary places below the
+    largest ``|weight|``: every weight rounds to an integer multiple of
+    it of magnitude at most ``2**bits``, and rescaling by it is exact."""
+    _, exponent = np.frexp(np.max(np.abs(weights), initial=0.0))
+    return float(np.ldexp(1.0, int(exponent) - bits))
+
+
 class ToggleCountRecorder:
     """Accumulates total output toggles per instance."""
 
@@ -128,9 +136,8 @@ class ActivityAccumulator:
         # 2**(bits + code bits): keep the total below 2**53.
         longest = int(np.diff(self.level_bounds).max(initial=0))
         bits = 53 - _ACTIVITY_CODE_BITS - longest.bit_length()
-        _, exponent = np.frexp(np.max(np.abs(weights), initial=0.0))
         #: Weight quantum: a power of two, so rescaling is exact.
-        self.step = float(np.ldexp(1.0, int(exponent) - bits))
+        self.step = grid_step(weights, bits)
         self._level_weights = np.rint(weights[self.level_order] / self.step)
         # Recorded history, stored as (cycles_in_block, bins, batch)
         # chunks: record() appends 1-cycle blocks, the blocked engine
