@@ -65,8 +65,9 @@ FALL_CODE, RISE_CODE = (
 )
 
 #: Column budget of one blocked activity fold: the engine buffers
-#: ``max(1, FOLD_BLOCK_COLS // batch)`` cycles of toggle data and folds
-#: them together, one GEMM per run of up to ``FOLD_ROWS`` same-level
+#: ``max(1, FOLD_BLOCK_COLS // batch)`` cycles of toggle data, cycle
+#: by cycle (``(cycles, instances, lanes)``), and folds them together,
+#: one GEMM per cycle and run of up to ``FOLD_ROWS`` same-level
 #: instances.  Only one such run's float64 activity codes are ever
 #: materialised — ``FOLD_ROWS x FOLD_BLOCK_COLS`` (1 MB) at batches up
 #: to 256 — next to the buffered toggle and rise lane words.
@@ -103,23 +104,23 @@ def _lookup_codes(
 ) -> None:
     """Fill a block of activity codes from toggle and rise lane bytes.
 
-    *tog_bytes* and *ris_bytes* are ``(n_inst, cycles, ceil(batch/8))``
-    uint8 lane bytes (little-endian words, so byte ``j`` holds lanes
-    ``8j .. 8j + 7``), *codes* a uint16 scratch of the same shape and
-    *out* the ``(n_inst, cycles, batch)`` float64 block, which may be a
-    view into a wider buffer.  Whole bytes are looked up into a
-    ``(..., 8)`` view of *out*; a ragged last byte takes the table's
-    first ``batch % 8`` columns.
+    *tog_bytes* and *ris_bytes* are cycle-major
+    ``(cycles, n_inst, ceil(batch/8))`` uint8 lane bytes (little-endian
+    words, so byte ``j`` holds lanes ``8j .. 8j + 7``), as the cycle
+    loop buffers them, *codes* a uint16 scratch of the same shape and
+    *out* the ``(cycles, n_inst, batch)`` float64 block.  Whole bytes
+    are looked up into a ``(..., 8)`` view of *out*; a ragged last byte
+    takes the table's first ``batch % 8`` columns.
     """
     np.left_shift(ris_bytes, 8, out=codes, dtype=np.uint16)
     np.bitwise_or(codes, tog_bytes, out=codes)
-    n_inst, cycles, batch = out.shape
+    cycles, n_inst, batch = out.shape
     full, rem = divmod(batch, 8)
     lut = _lane_code_lut()
     if full:
         np.take(
             lut, codes[..., :full], axis=0, mode="clip",
-            out=out[..., : 8 * full].reshape(n_inst, cycles, full, 8),
+            out=out[..., : 8 * full].reshape(cycles, n_inst, full, 8),
         )
     if rem:
         np.take(
@@ -131,22 +132,24 @@ def _lookup_codes(
 class _LevelBlock:
     """One flush's level-ordered fold block, built slice by slice.
 
-    ``block[lo:hi]`` returns the float64 activity codes of the
+    ``block[:, lo:hi]`` returns the float64 activity codes of the
     level-ordered instances ``lo:hi`` over the buffered cycles, as
     :meth:`ActivityAccumulator.record_all_blocks` reads them:
-    ``build(lo, hi, out)`` writes them into a ``(hi - lo, cols)`` view
-    of the reused *buffer*, so a slice is valid until the next one is
-    taken.
+    ``build(lo, hi, out)`` writes them into a ``(cycles, hi - lo,
+    batch)`` view of the reused *buffer*, so a slice is valid until the
+    next one is taken.
     """
 
-    def __init__(self, shape: tuple[int, int], build, buffer) -> None:
+    def __init__(self, shape: tuple[int, int, int], build, buffer) -> None:
         self.shape = shape
         self._build = build
         self._buffer = buffer
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        n = (rows.stop - rows.start) * self.shape[1]
-        out = self._buffer[:n].reshape(-1, self.shape[1])
+    def __getitem__(self, key: tuple[slice, slice]) -> np.ndarray:
+        _, rows = key
+        cycles, _, batch = self.shape
+        n = cycles * (rows.stop - rows.start) * batch
+        out = self._buffer[:n].reshape(cycles, -1, batch)
         self._build(rows.start, rows.stop, out)
         return out
 
@@ -729,13 +732,15 @@ class AcquisitionEngine:
         Buffers up to ``FOLD_BLOCK_COLS // batch`` cycles of toggle
         data, then folds them through
         :meth:`ActivityAccumulator.record_all_blocks`, which reads the
-        block ``FOLD_ROWS`` level-ordered instances at a time.  Each
-        cycle's rows are buffered in level order; each slice is then
-        built on demand as float64 activity codes (:data:`FALL_CODE`
-        for toggled-and-fell, :data:`RISE_CODE` for rising).  The
-        packed backend buffers toggle and rise lane words and looks the
-        codes up 8 lanes at a time (:func:`_lane_code_lut`); the bool
-        backend buffers the uint8 codes themselves.  Both hand the fold
+        block ``FOLD_ROWS`` level-ordered instances at a time.  The
+        buffers are cycle-major, ``(block, n_inst, ...)``: each cycle
+        gathers its rows into level order straight into one contiguous
+        slab, and each fold slice ``[:c, lo:hi]`` is built on demand as
+        cycle-major float64 activity codes (:data:`FALL_CODE` for
+        toggled-and-fell, :data:`RISE_CODE` for rising).  The packed
+        backend buffers toggle and rise lane words and looks the codes
+        up 8 lanes at a time (:func:`_lane_code_lut`); the bool backend
+        buffers the uint8 codes themselves.  Both hand the fold
         identical codes, and the fold of integer codes is exact, so the
         folded frames — and therefore the traces — are bit-identical by
         construction.
@@ -755,7 +760,7 @@ class AcquisitionEngine:
             nwords = state.nwords
             # Little-endian words, so a uint8 view walks the lanes in
             # order: byte j of a row holds lanes 8j .. 8j + 7.
-            tog_words = np.empty((n_inst, block, nwords), dtype="<u8")
+            tog_words = np.empty((block, n_inst, nwords), dtype="<u8")
             ris_words = np.empty_like(tog_words)
             n_bytes = -(-batch // 8)
             tog_bytes = tog_words.view(np.uint8)[..., :n_bytes]
@@ -767,7 +772,7 @@ class AcquisitionEngine:
             if watch_idx.size:
                 rec_words[0] = state.words[watch_idx]
         else:
-            code_block = np.empty((n_inst, block * batch), dtype=np.uint8)
+            code_block = np.empty((block, n_inst, batch), dtype=np.uint8)
             rec_buf = np.empty(
                 (n_cycles + 1, watch_idx.size, batch), dtype=bool
             )
@@ -779,17 +784,17 @@ class AcquisitionEngine:
                 def build(lo: int, hi: int, out: np.ndarray) -> None:
                     k = hi - lo
                     _lookup_codes(
-                        tog_bytes[lo:hi, :c], ris_bytes[lo:hi, :c],
-                        scratch[: k * c * n_bytes].reshape(k, c, n_bytes),
-                        out.reshape(k, c, batch),
+                        tog_bytes[:c, lo:hi], ris_bytes[:c, lo:hi],
+                        scratch[: c * k * n_bytes].reshape(c, k, n_bytes),
+                        out,
                     )
             else:
                 def build(lo: int, hi: int, out: np.ndarray) -> None:
-                    out[...] = code_block[lo:hi, : c * batch]
+                    out[...] = code_block[:c, lo:hi]
 
             ActivityAccumulator.record_all_blocks(
                 acc_list,
-                _LevelBlock((n_inst, c * batch), build, slice_buf),
+                _LevelBlock((c, n_inst, batch), build, slice_buf),
                 c, batch,
             )
 
@@ -797,16 +802,17 @@ class AcquisitionEngine:
         for k in range(1, n_cycles + 1):
             if packed:
                 toggles = sim.step(state, workload.inputs(k, batch))
-                tog_words[:, fill] = toggles[order]
-                ris_words[:, fill] = (toggles & sim.output_values(state))[order]
+                np.take(toggles, order, axis=0, out=tog_words[fill])
+                np.take(toggles & sim.output_values(state), order, axis=0,
+                        out=ris_words[fill])
                 if watch_idx.size:
                     rec_words[k] = state.words[watch_idx]
             else:
                 toggles = sim.step(state, workload.inputs(k, batch))
                 rising = (toggles & sim.output_values(state))[order]
-                codes = code_block[:, fill * batch : (fill + 1) * batch]
-                np.multiply(toggles[order], FALL_CODE, out=codes,
-                            dtype=np.uint8)
+                codes = code_block[fill]
+                np.take(toggles, order, axis=0, out=codes.view(bool))
+                codes *= FALL_CODE
                 np.copyto(codes, RISE_CODE, where=rising)
                 if watch_idx.size:
                     rec_buf[k] = state.values[watch_idx]

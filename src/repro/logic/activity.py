@@ -92,9 +92,9 @@ class ActivityAccumulator:
 
     Instances are sorted by level once (:attr:`level_order`, with
     :attr:`level_bounds` delimiting each level's run), and the fold of
-    a block is one small ``(accumulators, n) @ (n, columns)`` GEMM per
-    run of at most :data:`FOLD_ROWS` same-level instances, summed into a
-    ``(accumulators, levels, columns)`` frame.
+    a block is one small ``(accumulators, n) @ (n, batch)`` GEMM per
+    cycle and run of at most :data:`FOLD_ROWS` same-level instances,
+    summed into a ``(accumulators, cycles, levels, batch)`` frame.
 
     **The fold is exact.**  Each accumulator rounds its weights once to
     integer multiples of a power-of-two :attr:`step`, moving each by at
@@ -170,7 +170,8 @@ class ActivityAccumulator:
                 f"({first.weights.size}, batch)"
             )
         ActivityAccumulator.record_all_blocks(
-            accumulators, toggles[first.level_order], 1, toggles.shape[1]
+            accumulators, toggles[None, first.level_order], 1,
+            toggles.shape[1],
         )
 
     def _stacked(
@@ -200,23 +201,24 @@ class ActivityAccumulator:
     ) -> None:
         """Fold a whole block of cycles into several accumulators at once.
 
-        *columns* holds ``n_cycles`` toggle matrices side by side, rows
-        in **level order** (``level_order`` of the accumulators, which
-        must all share ``bins``) and columns cycle-major: shape
-        ``(insts, n_cycles * batch)``.  Any object with that ``shape``
-        whose ``columns[lo:hi]`` returns those rows works — the
-        acquisition engine passes one that builds each slice on demand
-        from its lane bytes, so no whole block is ever materialised (a
-        slice only needs to stay valid until the next one is taken).
+        *columns* holds ``n_cycles`` toggle matrices stacked cycle by
+        cycle, rows in **level order** (``level_order`` of the
+        accumulators, which must all share ``bins``): shape
+        ``(n_cycles, insts, batch)``.  Any object with that ``shape``
+        whose ``columns[:, lo:hi]`` returns rows ``lo:hi`` of every
+        cycle works — the acquisition engine passes one that builds
+        each slice on demand from its lane bytes, so no whole block is
+        ever materialised (a slice only needs to stay valid until the
+        next one is taken).
         """
         if not accumulators:
             return
         first = accumulators[0]
-        n_cols = n_cycles * batch
-        if tuple(columns.shape) != (first.weights.size, n_cols):
+        expected = (n_cycles, first.weights.size, batch)
+        if tuple(columns.shape) != expected:
             raise SimulationError(
                 f"column block has shape {tuple(columns.shape)}, expected "
-                f"({first.weights.size}, {n_cols})"
+                f"{expected}"
             )
         for acc in accumulators[1:]:
             if acc.bins is not first.bins and not np.array_equal(
@@ -226,22 +228,20 @@ class ActivityAccumulator:
                     "accumulators folded together must share delay bins"
                 )
         weights = first._stacked(accumulators)
-        frames = np.zeros((len(accumulators), first.num_bins, n_cols))
-        part = np.empty((len(accumulators), n_cols))
+        frames = np.zeros(
+            (len(accumulators), n_cycles, first.num_bins, batch)
+        )
+        part = np.empty((n_cycles, len(accumulators), batch))
         bounds = first.level_bounds
         for level in range(first.num_bins):
             end = int(bounds[level + 1])
             for lo in range(int(bounds[level]), end, FOLD_ROWS):
                 hi = min(lo + FOLD_ROWS, end)
-                np.matmul(weights[:, lo:hi], columns[lo:hi], out=part)
-                frames[:, level] += part
+                np.matmul(weights[:, lo:hi], columns[:, lo:hi], out=part)
+                frames[:, :, level] += part.transpose(1, 0, 2)
         for acc, frame in zip(accumulators, frames):
             frame *= acc.step
-            acc._blocks.append(
-                frame.reshape(first.num_bins, n_cycles, batch).transpose(
-                    1, 0, 2
-                )
-            )
+            acc._blocks.append(frame)
 
     @property
     def cycles(self) -> int:

@@ -110,36 +110,39 @@ def test_lane_group_bit_identity(chip, engine, monkeypatch):
 def test_lookup_block_equals_bool_formula(batch):
     """The byte-lookup code block holds exactly the bool backend's codes
     ``FALL_CODE * (t ^ r) + RISE_CODE * r`` (in the ratio
-    ``FALL_CURRENT_FRACTION``), also for a partial last block written
-    into a wider buffer."""
+    ``FALL_CURRENT_FRACTION``), read as the engine reads its buffers:
+    rows ``lo:hi`` (``lo > 0``) of a partial block's first ``cycles``
+    cycles of cycle-major ``(block, n_inst, nwords)`` lane words,
+    written into the front of a wider buffer."""
     assert FALL_CODE / RISE_CODE == FALL_CURRENT_FRACTION
     rng = np.random.default_rng(batch)
-    n_inst, block, cycles = 37, 5, 3
+    n_inst, block, cycles, lo, hi = 37, 5, 3, 11, 30
+    k = hi - lo
     nwords = packed_words(batch)
-    shape = (n_inst, block, nwords)
+    shape = (block, n_inst, nwords)
     top = np.iinfo(np.uint64).max
     tog = rng.integers(0, top, size=shape, dtype=np.uint64, endpoint=True)
     ris = tog & rng.integers(0, top, size=shape, dtype=np.uint64,
                              endpoint=True)
     tog_le, ris_le = tog.astype("<u8"), ris.astype("<u8")
     n_bytes = -(-batch // 8)
-    c_block = np.full((n_inst, block * batch), np.nan)
+    buffer = np.full(block * n_inst * batch, np.nan)
     _lookup_codes(
-        tog_le.view(np.uint8)[:, :cycles, :n_bytes],
-        ris_le.view(np.uint8)[:, :cycles, :n_bytes],
-        np.empty((n_inst, cycles, n_bytes), dtype=np.uint16),
-        c_block.reshape(n_inst, block, batch)[:, :cycles],
+        tog_le.view(np.uint8)[:cycles, lo:hi, :n_bytes],
+        ris_le.view(np.uint8)[:cycles, lo:hi, :n_bytes],
+        np.empty((cycles, k, n_bytes), dtype=np.uint16),
+        buffer[: cycles * k * batch].reshape(cycles, k, batch),
     )
 
-    t_bits = unpack_bits(tog[:, :cycles], batch).reshape(n_inst, -1)
-    r_bits = unpack_bits(ris[:, :cycles], batch).reshape(n_inst, -1)
+    t_bits = unpack_bits(tog[:cycles, lo:hi], batch)
+    r_bits = unpack_bits(ris[:cycles, lo:hi], batch)
     expected = (FALL_CODE * (t_bits ^ r_bits) + RISE_CODE * r_bits).astype(
         np.float64
     )
-    got = c_block[:, : cycles * batch]
+    got = buffer[: cycles * k * batch]
     assert got.tobytes() == expected.tobytes()
     # Columns past the partial block are left alone.
-    assert np.isnan(c_block[:, cycles * batch :]).all()
+    assert np.isnan(buffer[cycles * k * batch :]).all()
 
 
 def test_reference_fold_tolerance(chip, sim_scenario, engine, monkeypatch):

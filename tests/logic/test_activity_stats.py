@@ -100,7 +100,7 @@ def _fold_case(n_inst=1300, n_cycles=5, batch=7, seed=3):
 def test_fold_paths_agree_bit_for_bit():
     weights, bins, toggles = _fold_case()
     assert np.bincount(bins)[4] > FOLD_ROWS
-    n_cycles, n_inst, batch = toggles.shape
+    n_cycles, _, batch = toggles.shape
     solo = ActivityAccumulator(weights, bins)
     for t in toggles:
         solo.record(t)
@@ -108,9 +108,8 @@ def test_fold_paths_agree_bit_for_bit():
     for t in toggles:
         ActivityAccumulator.record_all(group, t)
     blocked = [ActivityAccumulator(w, bins) for w in (weights, weights * 3)]
-    columns = toggles.transpose(1, 0, 2).reshape(n_inst, -1)
     ActivityAccumulator.record_all_blocks(
-        blocked, columns[blocked[0].level_order], n_cycles, batch
+        blocked, toggles[:, blocked[0].level_order], n_cycles, batch
     )
     out = solo.result()
     assert out.shape == (n_cycles, 6, batch)
@@ -166,9 +165,9 @@ def test_fold_requires_shared_bins():
     with pytest.raises(SimulationError, match="share delay bins"):
         ActivityAccumulator.record_all([a, b], toggles)
     with pytest.raises(SimulationError, match="share delay bins"):
-        ActivityAccumulator.record_all_blocks([a, b], toggles, 1, 2)
+        ActivityAccumulator.record_all_blocks([a, b], toggles[None], 1, 2)
     with pytest.raises(SimulationError, match="column block"):
-        ActivityAccumulator.record_all_blocks([a], toggles, 2, 2)
+        ActivityAccumulator.record_all_blocks([a], toggles[None], 2, 2)
 
 
 def test_trace_recorder_history():
