@@ -11,6 +11,8 @@ spiral approximation.
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import os
 import time
 from functools import lru_cache
@@ -242,9 +244,9 @@ def test_level_fold_kernel(benchmark):
 
     One 256-column block (8 AES cycles x batch 32) of the seed-1 4x4
     array chip, folded for its 16 coils and for one coil.  The level
-    fold gets the engine's inputs — level-ordered integer activity
-    codes and weights per code unit — already materialised, so both
-    sides time the fold alone; it must match the dense
+    fold gets the engine's inputs — level-ordered, cycle-major integer
+    activity codes and weights per code unit — already materialised,
+    so both sides time the fold alone; it must match the dense
     ``(receivers x levels, insts) @ (insts, cols)`` float64 product of
     the unrounded weights and ``toggles * 0.35 + rising * 0.65`` to
     1e-5 of each receiver's largest frame value.
@@ -268,7 +270,11 @@ def test_level_fold_kernel(benchmark):
 
     for label, names in (("fold_level_16", coils), ("fold_level_1", coils[:1])):
         accs = [ActivityAccumulator(engine._w_data[n], levels) for n in names]
-        columns = codes[accs[0].level_order]
+        columns = np.ascontiguousarray(
+            codes[accs[0].level_order]
+            .reshape(-1, cycles, batch)
+            .transpose(1, 0, 2)
+        )
         dense = np.vstack([
             dense_fold_matrix(engine._w_data[n] * RISE_CODE, levels)
             for n in names
@@ -362,6 +368,116 @@ def test_clock_amplitude_kernel(benchmark):
     )
     assert err <= 1e-10, err
     run_once(benchmark, enable_nets)
+
+
+class _Replay:
+    """Stimulus that logs a workload's per-cycle inputs on first use and
+    replays the log afterwards, so one acquisition's cycle loop can be
+    rerun on the same stimulus."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self._log: dict[int, object] = {}
+
+    def inputs(self, cycle: int, batch: int):
+        if cycle not in self._log:
+            self._log[cycle] = self._inner.inputs(cycle, batch)
+        return self._log[cycle]
+
+
+def _loop_digest(accs, recorded: np.ndarray) -> str:
+    """SHA-256 of a cycle loop's folded frames and recorded nets."""
+    digest = hashlib.sha256()
+    for acc in accs:
+        digest.update(acc.result().tobytes())
+    digest.update(recorded.tobytes())
+    return digest.hexdigest()
+
+
+def _capture_cycle_loop(engine, batch: int, n_cycles: int) -> dict:
+    """Acquire once and keep what its cycle loop was handed — the reset
+    state, the stimulus (as a :class:`_Replay`), the accumulators and
+    the watched nets — plus the digest of what the loop produced."""
+    captured: dict = {}
+    loop = engine._run_cycles_blocked
+
+    def spy(state, workload, cycles, lanes, accs, watch_idx):
+        replay = _Replay(workload)
+        captured.update(
+            state=copy.deepcopy(state), workload=replay, accs=accs,
+            watch_idx=watch_idx,
+        )
+        recorded = loop(state, replay, cycles, lanes, accs, watch_idx)
+        captured["digest"] = _loop_digest(accs, recorded)
+        return recorded
+
+    engine._run_cycles_blocked = spy
+    try:
+        engine.acquire(
+            EncryptionWorkload(engine.chip.aes, b"\x2b" * 16, period=12),
+            n_cycles=n_cycles, batch=batch, include_noise=False,
+            rng_role="bench/cycle_loop",
+        )
+    finally:
+        del engine._run_cycles_blocked
+    return captured
+
+
+def test_cycle_loop_kernel(benchmark, chip, sim_scenario, monkeypatch):
+    """The acquisition cycle loop alone: step, lane buffering and fold.
+
+    Batches 8 and 32 on the seed-1 chip, all receivers.  The loop
+    :meth:`AcquisitionEngine.acquire` ran is captured with its inputs
+    and rerun on a copy of its reset state and replayed stimulus, so
+    the timing covers exactly ``_run_cycles_blocked`` — each cycle's
+    ``step``, the level-ordered toggle and rise buffer writes and the
+    block flushes through the level fold.  Every rerun must reproduce
+    the folded frames and recorded nets of the acquisition bit for bit,
+    and so must an acquisition on the bool backend.  The cycle counts
+    end on a partial block at batch 8 (32 cycles per block).
+    """
+    smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+    n_cycles = 40 if smoke else 104
+    repeats = 2 if smoke else 5
+    engine = AcquisitionEngine(chip, sim_scenario)
+    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+
+    def rerun(cap, batch):
+        state = copy.deepcopy(cap["state"])
+        for acc in cap["accs"]:
+            acc.clear()
+        t0 = time.perf_counter()
+        recorded = engine._run_cycles_blocked(
+            state, cap["workload"], n_cycles, batch, cap["accs"],
+            cap["watch_idx"],
+        )
+        return time.perf_counter() - t0, _loop_digest(cap["accs"], recorded)
+
+    for batch in (8, 32):
+        cap = _capture_cycle_loop(engine, batch, n_cycles)
+        times = []
+        for _ in range(repeats):
+            seconds, digest = rerun(cap, batch)
+            assert digest == cap["digest"], (batch, "rerun diverged")
+            times.append(seconds)
+        monkeypatch.setenv(BACKEND_ENV_VAR, "bool")
+        bool_digest = _capture_cycle_loop(engine, batch, n_cycles)["digest"]
+        monkeypatch.delenv(BACKEND_ENV_VAR)
+        assert bool_digest == cap["digest"], (batch, "packed != bool")
+        t_loop = min(times)
+        record_timing(
+            f"cycle_loop_b{batch}", t_loop,
+            ms_per_cycle=t_loop / n_cycles * 1e3, batch=batch,
+            n_cycles=n_cycles, receivers=len(cap["accs"]),
+            insts=chip.sim.num_instances, digest=cap["digest"],
+            smoke=smoke,
+        )
+        print(
+            f"\ncycle loop ({n_cycles} cycles x batch {batch}, "
+            f"{len(cap['accs'])} receivers): {t_loop * 1e3:.0f} ms, "
+            f"{t_loop / n_cycles * 1e3:.2f} ms per cycle"
+        )
+    run_once(benchmark, rerun, cap, batch)
 
 
 def test_parallel_campaign_sweep(benchmark, chip, sim_scenario):
