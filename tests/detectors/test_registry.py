@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ReproConfig, use_config
 from repro.detectors import (
@@ -141,6 +142,21 @@ class TestRoc:
         eq = pos[:, None] == neg[None, :]
         pairwise = float(gt.mean() + 0.5 * eq.mean())
         assert auc(neg, pos) == pytest.approx(pairwise)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        neg=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+        pos=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+    )
+    def test_auc_is_pairwise_probability_with_ties(self, neg, pos):
+        """On integer scores from a narrow range — so most pairs tie —
+        the trapezoid AUC is ``P(pos > neg) + P(pos == neg) / 2``."""
+        n, p = np.array(neg, dtype=float), np.array(pos, dtype=float)
+        gt = (p[:, None] > n[None, :]).mean()
+        eq = (p[:, None] == n[None, :]).mean()
+        curve = roc_curve(n, p)
+        assert curve.auc == pytest.approx(gt + 0.5 * eq, abs=1e-12)
+        assert 0.0 <= curve.auc <= 1.0
 
     def test_points_decimation_keeps_endpoints(self, rng):
         curve = roc_curve(

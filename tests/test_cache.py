@@ -7,8 +7,11 @@ serial entry point and the parallel campaign runner.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments.campaign import (
     campaign_pipeline_key,
@@ -83,6 +86,80 @@ def test_canonical_json_sorts_and_normalises():
     a = canonical_json({"b": (1, 2), "a": np.int64(3)})
     b = canonical_json({"a": 3, "b": [1, 2]})
     assert a == b
+
+
+#: JSON-like key material: nested dicts and lists of None, bools,
+#: int64-range integers, finite floats and short strings.
+_KEY_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**63 - 1)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+def _respell(obj, rnd: random.Random):
+    """*obj* with the same values spelled differently, node by node at
+    random: dict keys in another insertion order, lists as tuples, ints
+    as ``np.int64`` and floats as ``np.float64`` (bools stay bools)."""
+    if isinstance(obj, dict):
+        items = list(obj.items())
+        rnd.shuffle(items)
+        return {k: _respell(v, rnd) for k, v in items}
+    if isinstance(obj, list):
+        items = [_respell(v, rnd) for v in obj]
+        return tuple(items) if rnd.random() < 0.5 else items
+    if isinstance(obj, bool) or rnd.random() < 0.5:
+        return obj
+    if isinstance(obj, int):
+        return np.int64(obj)
+    if isinstance(obj, float):
+        return np.float64(obj)
+    return obj
+
+
+def _key(params, scenario) -> PipelineKey:
+    return PipelineKey(
+        kind="ed",
+        chip_seed=1,
+        chip_trojans=("trojan1",),
+        chip_config=canonical_json({"die_um": 2000}),
+        scenario=canonical_json(scenario),
+        params=canonical_json(params),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=st.dictionaries(st.text(max_size=4), _KEY_VALUES, max_size=5),
+    scenario=_KEY_VALUES,
+    rnd=st.randoms(use_true_random=False),
+)
+def test_key_is_invariant_under_respelling(params, scenario, rnd):
+    """Key order, tuple-or-list and Python-or-numpy scalar spellings of
+    the same values give one ``canonical_json`` and one key digest,
+    also through :meth:`PipelineKey.derived`."""
+    other_params = _respell(params, rnd)
+    other_scenario = _respell(scenario, rnd)
+    assert canonical_json(other_params) == canonical_json(params)
+    key, other = _key(params, scenario), _key(other_params, other_scenario)
+    assert other == key
+    assert other.digest() == key.digest()
+    assert (
+        other.derived("detector", **other_params).digest()
+        == key.derived("detector", **params).digest()
+    )
+
+
+def test_key_separates_int_from_float():
+    """An int and an equal float are different key material: they are
+    not interchangeable everywhere (``np.arange(8)`` vs ``np.arange(8.0)``),
+    so the key keeps them apart and a respelling never aliases them."""
+    assert canonical_json({"n": 8}) != canonical_json({"n": 8.0})
 
 
 def test_pipeline_key_binds_receiver_topology(chip, sim_scenario):
