@@ -1,21 +1,15 @@
 """Side-channel data analysis — the trusted off-chip module of Fig. 1.
 
-Implements the paper's analysis chain: trace preprocessing and
-standardisation (:mod:`~repro.analysis.preprocess`), PCA dimensionality
-reduction (:mod:`~repro.analysis.pca`), the Euclidean-distance detector
-with the Eq. (1) max-intra-golden threshold
-(:mod:`~repro.analysis.euclidean`), FFT spectral inspection for
-A2-style Trojans (:mod:`~repro.analysis.spectral`), plus histogram
-utilities for the Fig. 6 views, payload demodulators that prove the
-Trojans actually leak (:mod:`~repro.analysis.demod`) and detection
-metrics (:mod:`~repro.analysis.metrics`).
+Implements the paper's analysis chain: PCA dimensionality reduction
+(:mod:`~repro.analysis.pca`), the Euclidean-distance detector with the
+Eq. (1) max-intra-golden threshold (:mod:`~repro.analysis.euclidean`)
+and FFT spectral inspection for A2-style Trojans
+(:mod:`~repro.analysis.spectral`), plus histogram utilities for the
+Fig. 6 views, thresholded detection metrics
+(:mod:`~repro.analysis.metrics`) and the TVLA leakage test
+(:mod:`~repro.analysis.tvla`).
 """
 
-from repro.analysis.preprocess import (
-    segment_traces,
-    standardize_traces,
-    trace_align,
-)
 from repro.analysis.pca import PCA
 from repro.analysis.euclidean import (
     EuclideanDetector,
@@ -30,20 +24,10 @@ from repro.analysis.spectral import (
     find_peaks_above,
 )
 from repro.analysis.histogram import distance_histogram, histogram_overlap, peak_separation
-from repro.analysis.demod import (
-    demodulate_am_bits,
-    despread_cdma_bits,
-    leakage_symbol_bits,
-)
-from repro.analysis.metrics import DetectionMetrics, roc_curve, score_detection
-from repro.analysis.cpa import CpaResult, cpa_attack, last_round_predictions
+from repro.analysis.metrics import DetectionMetrics, score_detection
 from repro.analysis.tvla import TvlaResult, welch_t_test
-from repro.analysis.spectrogram import Spectrogram, detect_activation_time, spectrogram
 
 __all__ = [
-    "segment_traces",
-    "standardize_traces",
-    "trace_align",
     "PCA",
     "EuclideanDetector",
     "euclidean_distances",
@@ -56,18 +40,8 @@ __all__ = [
     "distance_histogram",
     "histogram_overlap",
     "peak_separation",
-    "demodulate_am_bits",
-    "despread_cdma_bits",
-    "leakage_symbol_bits",
     "DetectionMetrics",
-    "roc_curve",
     "score_detection",
-    "CpaResult",
-    "cpa_attack",
-    "last_round_predictions",
     "TvlaResult",
     "welch_t_test",
-    "Spectrogram",
-    "detect_activation_time",
-    "spectrogram",
 ]

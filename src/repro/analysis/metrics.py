@@ -1,8 +1,8 @@
 """Detection quality metrics.
 
 The paper reports detection qualitatively; the reproduction adds
-TPR/FPR/ROC so the ablation benches (threshold choice, PCA dimension)
-have a quantitative target.
+TPR/FPR at a threshold so the threshold ablation has a quantitative
+target.  ROC curves and their AUC live in :mod:`repro.detectors.roc`.
 """
 
 from __future__ import annotations
@@ -45,36 +45,3 @@ def score_detection(
         false_positive_rate=fpr,
         accuracy=accuracy,
     )
-
-
-def roc_curve(
-    golden_distances: np.ndarray,
-    trojan_distances: np.ndarray,
-    n_points: int = 200,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ROC of the distance detector.
-
-    Returns ``(fpr, tpr, thresholds)`` with thresholds swept from above
-    the largest to below the smallest observed distance.
-    """
-    g = np.asarray(golden_distances, dtype=np.float64)
-    t = np.asarray(trojan_distances, dtype=np.float64)
-    if g.size == 0 or t.size == 0:
-        raise AnalysisError("both distance sets must be non-empty")
-    lo = min(g.min(), t.min())
-    hi = max(g.max(), t.max())
-    pad = 1e-12 + 0.01 * (hi - lo)
-    thresholds = np.linspace(hi + pad, lo - pad, n_points)
-    fpr = np.array([(g > th).mean() for th in thresholds])
-    tpr = np.array([(t > th).mean() for th in thresholds])
-    return fpr, tpr, thresholds
-
-
-def auc(fpr: np.ndarray, tpr: np.ndarray) -> float:
-    """Area under an ROC curve via the trapezoid rule."""
-    f = np.asarray(fpr, dtype=np.float64)
-    t = np.asarray(tpr, dtype=np.float64)
-    if f.shape != t.shape or f.size < 2:
-        raise AnalysisError("fpr/tpr must be equal-length arrays of >= 2 points")
-    order = np.argsort(f)
-    return float(np.trapezoid(t[order], f[order]))

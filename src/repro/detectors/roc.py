@@ -1,11 +1,9 @@
 """Exact threshold-sweep ROC and AUC for detector scores.
 
-Unlike :func:`repro.analysis.metrics.roc_curve` (a fixed 200-point
-threshold grid for the paper's SNR figures), this sweep places one
-threshold at every distinct score, so the curve — and the trapezoidal
-AUC over it — is exact for the given samples.  The decision rule is
-"positive if score > threshold", matching every detector's
-:meth:`decide`.
+The sweep places one threshold at every distinct score, so the curve
+— and the trapezoidal AUC over it — is exact for the given samples.
+The decision rule is "positive if score > threshold", matching every
+detector's :meth:`decide`.
 """
 
 from __future__ import annotations

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.euclidean import EuclideanDetector
-from repro.analysis.metrics import auc, roc_curve, score_detection
+from repro.analysis.metrics import score_detection
 from repro.chip.acquire import AcquisitionEngine, EncryptionWorkload, IdleWorkload
 from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
 from repro.chip.scenario import Scenario, simulation_scenario
+from repro.detectors.roc import roc_curve
 from repro.em.snr import measure_snr
 from repro.experiments.campaign import DEFAULT_KEY, collect_ed_traces
 from repro.units import UM
@@ -133,13 +134,11 @@ def sweep_pca_dimensions(
     points = []
     for depth in depths:
         det = EuclideanDetector(n_components=depth).fit(golden)
-        g_d = det.golden_distances
         t_d = det.distances(suspect)
-        fpr, tpr, _ = roc_curve(g_d, t_d)
         points.append(
             PcaPoint(
                 n_components=depth,
-                auc=auc(fpr, tpr),
+                auc=roc_curve(det.golden_distances, t_d).auc,
                 separation=det.separation(suspect),
             )
         )

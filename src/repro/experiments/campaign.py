@@ -36,7 +36,6 @@ import numpy as np
 from scipy import signal
 
 from repro.chip.acquire import (
-    AcquisitionEngine,
     EncryptionWorkload,
     IdleWorkload,
     acquisition_engine,
@@ -235,48 +234,6 @@ def segment_ed_windows(
     # Interleave batch columns so truncation keeps phase diversity.
     segs = segs.transpose(1, 0, 2).reshape(batch * usable, w)
     return segs[:n_traces]
-
-
-def collect_attack_traces(
-    chip: Chip,
-    scenario: Scenario,
-    n_traces: int,
-    receiver: str = "sensor",
-    rng_role: str = "cpa",
-    batch: int = 64,
-    key: bytes = DEFAULT_KEY,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw per-encryption traces *with their plaintexts* (for CPA).
-
-    Returns ``(traces, plaintexts)`` where traces has shape
-    ``(n_traces, window_samples)`` at the full sample rate and
-    plaintexts ``(n_traces, 16)`` — row ``i`` of each corresponds to the
-    same encryption.
-    """
-    windows_per_col = -(-n_traces // batch) + WARMUP_WINDOWS
-    engine = acquisition_engine(chip, scenario)
-    workload = EncryptionWorkload(chip.aes, key, period=ED_PERIOD)
-    result = engine.acquire(
-        workload,
-        n_cycles=windows_per_col * ED_PERIOD,
-        batch=batch,
-        receivers=(receiver,),
-        rng_role=rng_role,
-    )
-    traces = segment_ed_windows(
-        result.traces[receiver],
-        batch=batch,
-        n_traces=n_traces,
-        spc=chip.config.samples_per_cycle,
-        decimate=1,
-    )
-    usable = windows_per_col - WARMUP_WINDOWS
-    # workload.plaintexts[w] holds the (batch, 16) block of window w.
-    pts = np.concatenate(
-        [workload.plaintexts[WARMUP_WINDOWS + w] for w in range(usable)],
-        axis=0,
-    )[:n_traces]
-    return traces, pts
 
 
 def collect_spectral_record(

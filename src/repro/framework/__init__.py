@@ -21,7 +21,6 @@ from repro.framework.report import TrustReport, Verdict
 from repro.framework.evaluator import RuntimeTrustEvaluator
 from repro.framework.monitor import AlarmEvent, RuntimeMonitor, row_separations
 from repro.framework.batched import BatchedFleetMonitor
-from repro.framework.classifier import Attribution, TrojanClassifier
 
 __all__ = [
     "TrustReport",
@@ -31,6 +30,4 @@ __all__ = [
     "RuntimeMonitor",
     "BatchedFleetMonitor",
     "row_separations",
-    "Attribution",
-    "TrojanClassifier",
 ]

@@ -33,9 +33,6 @@ from repro.logic.activity import (
     TraceRecorder,
 )
 from repro.logic.stats import NetlistStats, netlist_stats
-from repro.logic.verilog import netlist_to_verilog, write_verilog
-from repro.logic.vcd import VcdWriter
-from repro.logic.equivalence import EquivalenceReport, random_equivalence_check
 from repro.logic.timing import TimingReport, analyze_timing
 
 __all__ = [
@@ -61,11 +58,6 @@ __all__ = [
     "TraceRecorder",
     "NetlistStats",
     "netlist_stats",
-    "netlist_to_verilog",
-    "write_verilog",
-    "VcdWriter",
-    "EquivalenceReport",
-    "random_equivalence_check",
     "TimingReport",
     "analyze_timing",
 ]

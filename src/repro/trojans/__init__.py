@@ -34,7 +34,6 @@ from repro.trojans.t2_leakage import attach_trojan2
 from repro.trojans.t3_cdma import attach_trojan3
 from repro.trojans.t4_power import attach_trojan4
 from repro.trojans.a2 import A2ChargePump, attach_a2
-from repro.trojans.taxonomy import PROFILES, TrojanProfile, profile
 
 __all__ = [
     "AnalogTap",
@@ -49,7 +48,4 @@ __all__ = [
     "attach_trojan4",
     "A2ChargePump",
     "attach_a2",
-    "PROFILES",
-    "TrojanProfile",
-    "profile",
 ]

@@ -17,8 +17,8 @@ Structure:
   edge while the current key bit is 1, pumping a strong current burst
   train at 1.5 MHz whose amplitude envelope is the key stream.
 
-The demodulator in :mod:`repro.analysis.demod` recovers the key bits
-from the EM trace envelope, proving the payload actually leaks.
+The AM receiver the payload tests use recovers the key bits from the
+EM trace envelope, proving the payload actually leaks.
 """
 
 from __future__ import annotations

@@ -1,72 +1,16 @@
-"""Tests for preprocessing and the Trojan payload demodulators."""
+"""Tests for the Trojan payload demodulators (the test oracle in
+:mod:`tests.trojans.demod`)."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.demod import (
+from repro.errors import AnalysisError
+from tests.trojans.demod import (
     demodulate_am_bits,
     despread_cdma_bits,
     leakage_symbol_bits,
     lfsr_sequence,
 )
-from repro.analysis.preprocess import (
-    segment_traces,
-    standardize_traces,
-    trace_align,
-)
-from repro.errors import AnalysisError
-
-
-def test_standardize_applies_reference_transform(rng):
-    golden = rng.normal(1.0, 0.5, size=(20, 64))
-    std, mean, scale = standardize_traces(golden)
-    assert mean.shape == (64,)
-    assert scale > 0
-    assert np.sqrt((std**2).mean()) == pytest.approx(1.0)
-    # The same transform applied to a different set reuses statistics.
-    other = rng.normal(5.0, 0.5, size=(4, 64))
-    std2, _m, _s = standardize_traces(other, mean, scale)
-    assert std2.mean() > 1.0  # offset preserved relative to reference
-
-
-def test_standardize_validation(rng):
-    with pytest.raises(AnalysisError):
-        standardize_traces(np.zeros(8))
-    with pytest.raises(AnalysisError):
-        standardize_traces(np.zeros((2, 8)), reference_mean=np.zeros(5))
-
-
-def test_trace_align_compensates_shifts(rng):
-    ref = np.sin(np.linspace(0, 12 * np.pi, 512))
-    shifted = np.stack([np.roll(ref, s) for s in (-3, 0, 5)])
-    aligned = trace_align(shifted, ref, max_shift=8)
-    for row in aligned:
-        assert np.corrcoef(row, ref)[0, 1] > 0.999
-
-
-def test_trace_align_clamps_to_max_shift():
-    ref = np.sin(np.linspace(0, 12 * np.pi, 512))
-    shifted = np.roll(ref, 20)[None, :]
-    aligned = trace_align(shifted, ref, max_shift=4)
-    # Cannot fully recover, but must not crash and must return same shape.
-    assert aligned.shape == (1, 512)
-
-
-def test_segment_traces_shapes():
-    x = np.arange(100, dtype=float)
-    segs = segment_traces(x, 25)
-    assert segs.shape == (4, 25)
-    overlapped = segment_traces(x, 25, hop_samples=5)
-    assert overlapped.shape == (16, 25)
-    batched = segment_traces(np.stack([x, x]), 50)
-    assert batched.shape == (4, 50)
-
-
-def test_segment_traces_validation():
-    with pytest.raises(AnalysisError):
-        segment_traces(np.arange(10.0), 0)
-    with pytest.raises(AnalysisError):
-        segment_traces(np.arange(10.0), 100)
 
 
 def test_am_demodulation_recovers_ook_bits(rng):

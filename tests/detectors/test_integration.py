@@ -23,7 +23,6 @@ from repro.fleet import (
 )
 from repro.fleet.campaign import StreamingOneShot
 from repro.framework.batched import BatchedFleetMonitor
-from repro.framework.classifier import TrojanClassifier
 from repro.framework.evaluator import EvaluatorConfig, RuntimeTrustEvaluator
 from tests.detectors.oneshot_reference import oneshot_report
 from tests.fleet.conftest import per_session_evaluator
@@ -138,31 +137,6 @@ class TestBatchedFallback:
         assert not engine.dense
         counters = session.metrics.snapshot()["counters"]
         assert counters["fleet.scoring.batched_fallback"] == 1
-
-
-class TestClassifierWithRegistryDetectors:
-    def test_accepts_any_fitted_detector_with_a_fingerprint(self, rng):
-        detector = create_detector("spectral_median").fit(
-            _stream(rng, 128)
-        )
-        clf = TrojanClassifier(detector)
-        clf.add_template("tone-a", _stream(rng, 64, tone=0.25, amp=0.3))
-        clf.add_template("tone-b", _stream(rng, 64, tone=0.375, amp=0.3))
-        result = clf.classify(_stream(rng, 64, tone=0.25, amp=0.3))
-        assert result.label == "tone-a"
-        assert result.similarity > 0.8
-
-    def test_rejects_transductive_detector(self):
-        detector = create_detector("persistence").fit(np.empty((0, 0)))
-        with pytest.raises(AnalysisError, match="fitted"):
-            TrojanClassifier(detector)
-
-    def test_rejects_detector_without_fingerprint(self):
-        class NoFingerprint:
-            pass
-
-        with pytest.raises(AnalysisError, match="no fingerprint"):
-            TrojanClassifier(NoFingerprint())
 
 
 class TestEvaluatorGuards:

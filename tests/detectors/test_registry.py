@@ -211,3 +211,33 @@ class TestStateRoundTrip:
             np.testing.assert_array_equal(
                 det.score(probe), clone.score(probe)
             )
+
+
+def _finite_or_rejected(score, traces):
+    """Score *traces*; a degenerate input may raise, never yield NaN."""
+    try:
+        scores = score(traces)
+    except AnalysisError:
+        return
+    assert np.isfinite(scores).all(), scores
+
+
+class TestDegenerateInput:
+    @pytest.mark.parametrize("name", detector_names())
+    def test_constant_fit_never_scores_nan(self, rng, name):
+        constant = np.ones((64, 256))
+        noisy = _population(rng, 16)
+        try:
+            det = create_detector(name).fit(constant)
+        except AnalysisError:
+            return
+        _finite_or_rejected(det.score, constant[:16])
+        _finite_or_rejected(det.score, noisy)
+        _finite_or_rejected(det.score, constant[:1])
+        _finite_or_rejected(det.score, noisy[:1])
+
+    @pytest.mark.parametrize("name", detector_names())
+    def test_single_window_never_scores_nan(self, rng, name):
+        det = create_detector(name).fit(_population(rng, 64))
+        _finite_or_rejected(det.score, _population(rng, 1))
+        _finite_or_rejected(det.score, np.ones((1, 256)))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis.demod import demodulate_am_bits
 from repro.chip import (
     AcquisitionEngine,
     Chip,
@@ -11,6 +10,7 @@ from repro.chip import (
     simulation_scenario,
 )
 from repro.trojans.t1_am import CYCLES_PER_BIT, Trojan1Params
+from tests.trojans.demod import demodulate_am_bits
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 

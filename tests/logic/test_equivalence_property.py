@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetlistError
 from repro.logic.builder import NetlistBuilder
-from repro.logic.equivalence import random_equivalence_check
 from repro.logic.simulator import CompiledNetlist
+from tests.logic.equivalence import random_equivalence_check
 
 _OPS = {
     "AND2": lambda a, b: a & b,

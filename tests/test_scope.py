@@ -1,0 +1,238 @@
+"""Scope guard: every ``src/repro`` module must be reached by a result.
+
+A module belongs in the package only if a result reaches it: a
+registered ``repro run`` experiment (``repro.cli`` and
+``repro.experiments.registry``), the ``repro fleet`` command, a detector
+plugin registered by :mod:`repro.detectors`, or a ``benchmarks/``
+reproduction (``bench_*.py`` and the ``pipeline/`` benchmark).  Code
+that only tests, examples or package re-exports import belongs under
+``tests/`` or nowhere.
+
+The walk is static (:mod:`ast`).  ``from repro.x import name`` is
+resolved through package re-exports to the module that defines
+``name``, so a package ``__init__`` that re-exports a module does not by
+itself keep that module alive; an ``__init__`` reaches only what its
+own code uses.
+"""
+
+from __future__ import annotations
+
+import ast
+from functools import lru_cache
+from pathlib import Path
+
+from repro.detectors import REGISTRY
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
+BENCHMARKS = REPO / "benchmarks"
+ROOT_MODULES = ("repro.cli", "repro.experiments.registry", "repro.fleet.cli")
+
+
+def _module_paths() -> dict[str, Path]:
+    """Dotted name -> file of every module under ``src/repro``."""
+    out = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        out[".".join(parts)] = path
+    return out
+
+
+MODULES = _module_paths()
+
+
+def _is_package(name: str) -> bool:
+    return MODULES[name].name == "__init__.py"
+
+
+@lru_cache(maxsize=None)
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _bindings(tree: ast.Module) -> dict[str, tuple[str, str | None]]:
+    """Top-level imported names: local -> (module, name or None)."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                out[alias.asname or alias.name] = (node.module, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    out[alias.asname] = (alias.name, None)
+    return out
+
+
+def resolve(module: str, name: str, _seen: frozenset = frozenset()) -> str:
+    """The ``src/repro`` module that defines *name* as seen from *module*.
+
+    Submodules of a package win; an imported name is followed to its
+    source; anything else is defined in *module* itself.
+    """
+    if f"{module}.{name}" in MODULES:
+        return f"{module}.{name}"
+    binding = _bindings(_tree(MODULES[module])).get(name)
+    if binding is None or (module, name) in _seen:
+        return module
+    source, orig = binding
+    if source not in MODULES:
+        return module
+    if orig is None:
+        return source
+    return resolve(source, orig, _seen | {(module, name)})
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names an ``__init__``'s own code reads (not just re-exports)."""
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _attribute_chain(node: ast.Attribute) -> tuple[str, list[str]] | None:
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return node.id, attrs[::-1]
+
+
+def _reached_from(tree: ast.Module, package_init: bool) -> set[str]:
+    """``src/repro`` modules one file's imports and attributes reach."""
+    used = _used_names(tree) if package_init else None
+    reached: set[str] = set()
+    modules_by_alias: dict[str, str] = {}
+
+    def keep(local: str) -> bool:
+        return used is None or local in used
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name not in MODULES:
+                    continue
+                local = alias.asname or alias.name.split(".")[0]
+                if not keep(local):
+                    continue
+                reached.add(alias.name)
+                modules_by_alias[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module not in MODULES:
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if not keep(local):
+                    continue
+                target = resolve(node.module, alias.name)
+                reached.add(target)
+                if target == f"{node.module}.{alias.name}":
+                    modules_by_alias[local] = target
+    # ``pkg.name`` through a module bound by an import statement.
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        chain = _attribute_chain(node)
+        if chain is None or chain[0] not in modules_by_alias:
+            continue
+        module = modules_by_alias[chain[0]]
+        for attr in chain[1]:
+            target = resolve(module, attr)
+            reached.add(target)
+            if target != f"{module}.{attr}":
+                break
+            module = target
+    return reached
+
+
+def _root_files() -> list[Path]:
+    files = sorted(BENCHMARKS.glob("bench_*.py"))
+    files += sorted((BENCHMARKS / "pipeline").glob("*.py"))
+    return files
+
+
+def _sibling_imports(path: Path) -> set[Path]:
+    """Local helper modules a benchmark file imports (e.g. ``conftest``)."""
+    out = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            sibling = path.parent / f"{name}.py"
+            if sibling.is_file():
+                out.add(sibling)
+    return out
+
+
+def reached_modules() -> set[str]:
+    """Every ``src/repro`` module some result reaches."""
+    plugins = {cls.__module__ for cls in REGISTRY.values()}
+    todo = list(ROOT_MODULES) + sorted(plugins)
+    files, pending = set(), _root_files()
+    while pending:
+        path = pending.pop()
+        if path not in files:
+            files.add(path)
+            todo.extend(_reached_from(_tree(path), package_init=False))
+            pending.extend(_sibling_imports(path))
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        # Importing a module runs its parent packages' ``__init__``.
+        parent = name.rpartition(".")[0]
+        if parent:
+            todo.append(parent)
+        todo.extend(
+            _reached_from(_tree(MODULES[name]), package_init=_is_package(name))
+        )
+    return reached
+
+
+def test_every_src_module_is_reached_by_a_result():
+    unreached = sorted(set(MODULES) - reached_modules())
+    assert not unreached, (
+        "src/repro modules that no experiment, fleet command, detector "
+        f"plugin or benchmark reaches: {', '.join(unreached)}"
+    )
+
+
+def test_reexports_resolve_to_the_defining_module():
+    assert resolve("repro.analysis", "amplitude_spectrum") == (
+        "repro.analysis.spectral"
+    )
+    assert resolve("repro", "RuntimeTrustEvaluator") == (
+        "repro.framework.evaluator"
+    )
+    assert resolve("repro.experiments", "campaign") == (
+        "repro.experiments.campaign"
+    )
+
+
+def test_package_reexports_alone_reach_nothing():
+    # ``repro/__init__`` re-exports the framework but its own code uses
+    # none of it, so reaching the package reaches no submodule.
+    tree = _tree(MODULES["repro"])
+    assert _reached_from(tree, package_init=True) == set()
+    assert "repro.framework.evaluator" in _reached_from(
+        tree, package_init=False
+    )
+
+
+def test_signoff_benchmark_keeps_drc():
+    # ``layout.drc`` has no experiment; the signoff reproduction of the
+    # paper's design-flow claim is what keeps it.
+    bench = _tree(BENCHMARKS / "bench_signoff.py")
+    assert "repro.layout.drc" in _reached_from(bench, package_init=False)

@@ -2,17 +2,12 @@
 
 Each Trojan is attached to a real AES die (small driver banks to keep
 the netlists light) and driven by the logic simulator; the leaked
-streams are recovered by the receivers in :mod:`repro.analysis.demod`.
+streams are recovered by the receivers in :mod:`tests.trojans.demod`.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.demod import (
-    despread_cdma_bits,
-    leakage_symbol_bits,
-    lfsr_sequence,
-)
 from repro.crypto import build_aes_circuit
 from repro.logic import CompiledNetlist, NetlistBuilder
 from repro.trojans import (
@@ -25,6 +20,11 @@ from repro.trojans.t1_am import CYCLES_PER_BIT, Trojan1Params
 from repro.trojans.t2_leakage import Trojan2Params
 from repro.trojans.t3_cdma import CHIPS_PER_BIT, LFSR_TAPS, LFSR_WIDTH, Trojan3Params
 from repro.trojans.t4_power import Trojan4Params
+from tests.trojans.demod import (
+    despread_cdma_bits,
+    leakage_symbol_bits,
+    lfsr_sequence,
+)
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
