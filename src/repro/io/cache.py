@@ -62,7 +62,10 @@ from repro.io.store import (
 #: (5: clock amplitudes are exact sums over the enable nets of weights
 #: rounded to a power-of-two grid, not a per-register einsum — traces
 #: shift by up to 1e-11 of peak.)
-CACHE_SALT = "repro-pipeline-5"
+#: (6: event synthesis adds each kernel tap directly instead of an FFT
+#: convolution of a dense impulse train — traces shift by up to 7e-16
+#: of peak.)
+CACHE_SALT = "repro-pipeline-6"
 
 
 def _canon(obj):

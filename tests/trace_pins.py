@@ -38,35 +38,35 @@ PIN_BUILD = (
 #: ``{pin: (CACHE_SALT it was taken under, SHA-256 of the traces)}``.
 TRACE_PINS: dict[str, tuple[str, str]] = {
     # TRACE_COLLECTORS kinds on the tiny configs of tests/test_trace_pins.py.
-    "collector/ed": ("repro-pipeline-5", "bad61461e6ce684e62078f1e76f901e679d742068b7d550c3c358c798d40fb91"),
-    "collector/spectral": ("repro-pipeline-5", "df6483d8bef8d12e055da2e7a72031f1d4a5c1f1ba746001c173e80526b7df42"),
-    "collector/raw": ("repro-pipeline-5", "f49f44d892f10fdd52967de5ccbee589dec7431acf72927adf3564ccdf56f6d6"),
+    "collector/ed": ("repro-pipeline-6", "929aadd367621c3c11a96eae077221a644802409a17f6dede3c1ab2b6291b48a"),
+    "collector/spectral": ("repro-pipeline-6", "8b77426ee4b2d4ac56e82a93c09ad9bbce90752d7a5d1cdbe6f03f39bdce2977"),
+    "collector/raw": ("repro-pipeline-6", "774a7ae69cbe4ca16ffa42f8f9f46cc2cd3efc0a8ed0ca874b51e2044b70551a"),
     # All 18 receivers of the seed-1 4x4 array chip, per Trojan and batch.
-    "acquire/array/golden/1": ("repro-pipeline-5", "cbc40c67861596d775ca0b3823b73de1f5ed399b19a2b215ceac00ceb6a4df42"),
-    "acquire/array/golden/8": ("repro-pipeline-5", "e45eafd8cf421e3ff0282359907c246ec08b7b6f7f3b12325a204758ef05ee76"),
-    "acquire/array/golden/33": ("repro-pipeline-5", "a6efc18d12cce8b16801d5b7d7a430892b3b0b7e223177415a79380c1abfea01"),
-    "acquire/array/trojan1/1": ("repro-pipeline-5", "d4df10041ee9d19f3b28123346602561dc7fa250fefd77cd05583222c78b294a"),
-    "acquire/array/trojan1/8": ("repro-pipeline-5", "afbeee72fbe4473cffb8280afa9848719d4eb669e598653356900f4db94da882"),
-    "acquire/array/trojan1/33": ("repro-pipeline-5", "578116ae5a60ced9654d291c43862c8709630c7fd55e7006b4b9491b0ecac411"),
-    "acquire/array/trojan2/1": ("repro-pipeline-5", "ec1ec3629739e1e6f62d414c6242a11bf448febb84afa29b023eec5241aa2a53"),
-    "acquire/array/trojan2/8": ("repro-pipeline-5", "5cf9e1b48b2a40585077e5c57446e73ac3166bc508adb7634e5e036741bc204e"),
-    "acquire/array/trojan2/33": ("repro-pipeline-5", "21d66564666877b8f5558f4bb86b7e25ceb95a661e5c09e7eb4785a2d6a9a707"),
-    "acquire/array/trojan3/1": ("repro-pipeline-5", "8901e0cb67544c1b758508ce7d316ac9918501be4f0c13c8b1438af5ced35136"),
-    "acquire/array/trojan3/8": ("repro-pipeline-5", "c02a5af51dc85cc17a7f5aa367abab632f394ffa3b80b6caeba5513e9bbb787f"),
-    "acquire/array/trojan3/33": ("repro-pipeline-5", "9f76e2639cede7ee9f087a04f2259465d7d89b7ae86a7970a794e506396e47af"),
-    "acquire/array/trojan4/1": ("repro-pipeline-5", "f2793e85dcaf043a61a1a8d5e870071652346b80b4e8c9a205cddca188f763ed"),
-    "acquire/array/trojan4/8": ("repro-pipeline-5", "9502e6c7b8cca120a31b6aaf88cf8af2d7b7e7469ee27e1fe6bc1bf5cc4f210d"),
-    "acquire/array/trojan4/33": ("repro-pipeline-5", "3b9df0f00f0e16fc9393fdf84c4aece111a0a6c3ece34522237c751ec685fc0b"),
-    "acquire/array/a2/1": ("repro-pipeline-5", "696083da4fc3d4653c2e34f4d9063d2e3bb83a3cbae402be5ec54a52feb30c7e"),
-    "acquire/array/a2/8": ("repro-pipeline-5", "252ded75790323dd130636e2220abd4b12c35d9211e7fdb300e3f6bf629760bb"),
-    "acquire/array/a2/33": ("repro-pipeline-5", "d0a4da6fc9f11525e1b342e52f31747ee64c8029c8b49a564281a766159d6fc8"),
+    "acquire/array/golden/1": ("repro-pipeline-6", "2f5d1d0b3f3363ef3bd187c1a82300c9cede399a1ea997268e927f915b45b7f4"),
+    "acquire/array/golden/8": ("repro-pipeline-6", "4a2baa44c9179472e25784b95738e8881c14256439e9e8e3e870d04bef2eec3e"),
+    "acquire/array/golden/33": ("repro-pipeline-6", "e51a0a86cb45d917512cf71db1792f1e1ba96daa909572cee77864666dfe6b62"),
+    "acquire/array/trojan1/1": ("repro-pipeline-6", "fa3df98d6e04640206f07eceb57c9c0d63ca1ec2726f3e427a3b71cf77d75120"),
+    "acquire/array/trojan1/8": ("repro-pipeline-6", "9268ab591d37cfd7cf07c6d96a5c172bc3d7368b8c2319e710f0d56b5f86d85b"),
+    "acquire/array/trojan1/33": ("repro-pipeline-6", "c0dd9bd543f9dcbad68e01cd2e59fb9f7dd89a3cf75ad5cf497dcf37d16c852f"),
+    "acquire/array/trojan2/1": ("repro-pipeline-6", "f6d4cd1a16a79330cbb32ef6a89d7723bd5fed54aa40900d5656927a02b1b5da"),
+    "acquire/array/trojan2/8": ("repro-pipeline-6", "75bc0393ead88ead5187f3b2faa31549d1beb5768fcf678c8838bb418fb30adc"),
+    "acquire/array/trojan2/33": ("repro-pipeline-6", "83f82aa07a4deb910155a0e84e8c66a2aaa53f3fefd3c2ed159b283e4cd9a167"),
+    "acquire/array/trojan3/1": ("repro-pipeline-6", "ecb95bdba5e99645d51266ff7735b7f00b9485ec62b3b2d5957aae5c445ffbce"),
+    "acquire/array/trojan3/8": ("repro-pipeline-6", "cc3ac835db08b2c6c86a887844dbfcf383a7ffac5ec81fd92b9931fcc1ad03bd"),
+    "acquire/array/trojan3/33": ("repro-pipeline-6", "c8c0632bc59ffc24338f9cebddbdc0cdde1a5b170a0523d848cccbb9f3a32c29"),
+    "acquire/array/trojan4/1": ("repro-pipeline-6", "2cb9cd9803f6545fa9192ea65e22e25aa2d57c40c5b963f7a71ce512261bfdca"),
+    "acquire/array/trojan4/8": ("repro-pipeline-6", "9668ee797e631d82347f0f04074876b0448af2f8fb09b93700fd655e63c6b5e7"),
+    "acquire/array/trojan4/33": ("repro-pipeline-6", "9f248dd6605a583e182e483353e651ef25418453a727413cba9146731a264834"),
+    "acquire/array/a2/1": ("repro-pipeline-6", "84ddb663b19554382e037fea1f019dc594d86dde669d6ee29549cbee39c66aef"),
+    "acquire/array/a2/8": ("repro-pipeline-6", "728d6bedae5f36f769f433221c39468331a1118cd078e290f61505a73a99f342"),
+    "acquire/array/a2/33": ("repro-pipeline-6", "f7329fa17601dde066c164fd8137b4fe50149e4bbc9abc8cc5bd7f99a2e663c1"),
     # Noise-off coil subset of the array chip, Trojan 3 at batch 8.
-    "acquire/array/subset": ("repro-pipeline-5", "7a602db7d1b620a8690d6ba22cd88ba94a1a1747ecc615365b93b7171831cfcc"),
+    "acquire/array/subset": ("repro-pipeline-6", "3b39da3f7fc24eafe7670258aa052cb658c94df0b67ee795167ce1e8956bfd96"),
     # Power-monitor chip, silicon scenario, Trojan 2 at batch 8.
-    "acquire/power": ("repro-pipeline-5", "24ffdec7a6f3ee347be811d271c923be27ec3709616eb82f09d46bee65ad4bed"),
+    "acquire/power": ("repro-pipeline-6", "de97686d22f6d57f8db07b10eea0e518ba18c43fbfb251e5cba97c8855e16dba"),
     # Flushed journal of the chip-backed fleet campaign in
     # tests/fleet/test_campaign_pin.py (SHA-256 of the JSONL bytes).
-    "fleet/campaign-journal": ("repro-pipeline-5", "9747046073f6c80cc21da8592091c5a5a66c770b63fac268c3b0537e45e8d185"),
+    "fleet/campaign-journal": ("repro-pipeline-6", "fce132cec2f113646ff34b2f4e9584e87149595f7e1d360dc71458417a8ab878"),
 }
 
 
