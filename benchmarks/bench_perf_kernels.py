@@ -15,6 +15,7 @@ import copy
 import hashlib
 import os
 import time
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -36,12 +37,14 @@ from repro.logic.activity import ActivityAccumulator
 from repro.logic.simulator import BACKEND_ENV_VAR
 from repro.em.biot_savart import b_field_of_segments
 from repro.em.mutual import mutual_inductance_to_loop
+from repro.power.pulse import emf_kernel, step_kernel, synthesize_events
 from repro.experiments import campaign_spec, run_campaigns
 from tests.chip.reference_fold import ReferenceFoldEngine, dense_fold_matrix
 from tests.em.reference_kernels import (
     b_field_of_segments_loop,
     mutual_inductance_to_loop_loop,
 )
+from tests.power.reference_synthesis import synthesize_events_fft
 
 N_SEGMENTS = 2000
 N_POINTS = 1600  # 40 x 40 surface grid
@@ -368,6 +371,67 @@ def test_clock_amplitude_kernel(benchmark):
     )
     assert err <= 1e-10, err
     run_once(benchmark, enable_nets)
+
+
+def _traced_peak_mb(fn) -> float:
+    """Peak traced heap [MB] of one call of *fn* above its start."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_event_synthesis_kernel(benchmark):
+    """Direct short-kernel event synthesis vs the dense FFT oracle.
+
+    The 16-coil array group at batch 32 (512 columns) over 36 cycles
+    of 100 samples plus one: the data and clock train of
+    ``AcquisitionEngine._synthesize_group`` (19 delay levels staggered
+    by the gate delay after each edge, plus the edge's clock event:
+    720 events) with the 3-tap emf kernel, and T2's leak tap (one event
+    per edge) with the 13-tap step kernel of its 5 ns rise.  The direct
+    synthesis must stay within 1e-12 of the oracle's peak.
+    """
+    smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+    cfg = ChipConfig()
+    cycles, levels, columns = 36, 19, 512
+    n_samples = (cycles + 1) * cfg.samples_per_cycle
+    edges = (np.arange(cycles) + 1) * cfg.t_clk
+    data = (edges[:, None] + np.arange(levels) * cfg.gate_delay).reshape(-1)
+    rng = np.random.default_rng(23)
+    cases = (
+        ("synth_emf", np.concatenate([data, edges]),
+         emf_kernel(cfg.fs, cfg.pulse_width)),
+        ("synth_step13", edges, step_kernel(cfg.fs, 5e-9)),
+    )
+    repeats = 2 if smoke else 5
+    for label, times, kern in cases:
+        amps = rng.normal(size=(times.size, columns))
+        args = (times, amps, kern, n_samples, cfg.fs)
+        got = synthesize_events(*args)
+        ref = synthesize_events_fft(*args)
+        err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+        t_direct = _best_of(lambda: synthesize_events(*args), repeats)
+        t_fft = _best_of(lambda: synthesize_events_fft(*args), repeats)
+        mb_direct = _traced_peak_mb(lambda: synthesize_events(*args))
+        mb_fft = _traced_peak_mb(lambda: synthesize_events_fft(*args))
+        record_timing(
+            label, t_direct, fft_s=t_fft, speedup=t_fft / t_direct,
+            events=int(times.size), columns=columns, samples=n_samples,
+            taps=len(kern), peak_mb=mb_direct, fft_peak_mb=mb_fft,
+            max_rel_err=float(err), smoke=smoke,
+        )
+        print(
+            f"\n{label} ({times.size} events x {columns} columns x "
+            f"{n_samples} samples, {len(kern)} taps): "
+            f"{t_direct * 1e3:.1f} ms vs FFT {t_fft * 1e3:.1f} ms -> "
+            f"{t_fft / t_direct:.1f}x; traced peak {mb_direct:.1f} vs "
+            f"{mb_fft:.1f} MB; max rel err {err:.1e}"
+        )
+        assert err <= 1e-12, (label, err)
+    run_once(benchmark, synthesize_events, *args)
 
 
 class _Replay:
