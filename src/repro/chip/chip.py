@@ -10,8 +10,10 @@ Building a chip takes one to a few seconds, spread over netlist
 generation, simulator compilation and the coil couplings (Neumann
 integrals plus the per-cell fold); each stage reports its wall time to
 the active metrics registry as ``stage.chip.<stage>.seconds``
-(``netlist``, ``compile``, ``layout``, ``current_map``, ``charges``,
-``coupling``).  Experiment drivers therefore construct one chip and run
+(``netlist``, ``layout``, ``compile``, ``current_map``, ``charges``,
+``coupling``).  The layout stage designs the coils right after the
+floorplan, so a coil grid the die cannot hold raises before placement
+and compilation.  Experiment drivers therefore construct one chip and run
 many acquisition campaigns against it — the same economics as taping
 out once and measuring many times.
 """
@@ -106,12 +108,6 @@ class Chip:
         aes: AesCircuit,
         trojans: dict[str, HardwareTrojan],
     ) -> None:
-        if bool(config.sensor_array_rows) != bool(config.sensor_array_cols):
-            raise ExperimentError(
-                "sensor_array_rows and sensor_array_cols must both be set "
-                f"(or both 0); got {config.sensor_array_rows}x"
-                f"{config.sensor_array_cols}"
-            )
         self.config = config
         self.seed = seed
         self.tech = tech
@@ -120,36 +116,12 @@ class Chip:
         self.trojans = trojans
         metrics = active_metrics()
 
-        with metrics.time("stage.chip.compile.seconds"):
-            self.sim = CompiledNetlist(netlist)
+        # The coils are designed right after the floorplan, so a sensor
+        # geometry the die cannot hold fails before the costly stages.
         with metrics.time("stage.chip.layout.seconds"):
             self.floorplan: Floorplan = plan_floorplan(
                 netlist, tech, utilization=config.utilization
             )
-            self.placement: Placement = place_netlist(
-                netlist, self.floorplan, seed=config.placement_seed + seed
-            )
-            self.grid: PowerGrid = build_power_grid(
-                self.floorplan,
-                tile_len=config.tile_len,
-                stripe_pitch=config.stripe_pitch,
-                ring_current_fraction=config.ring_current_fraction,
-            )
-        with metrics.time("stage.chip.current_map.seconds"):
-            xs, ys = self.placement.arrays_for(self.sim.instance_names)
-            self.current_map: CurrentMap = build_current_map(self.grid, xs, ys)
-        with metrics.time("stage.chip.charges.seconds"):
-            self.q_switch = switching_charges(
-                netlist, self.sim.instance_names, tech
-            )
-            self.q_clock = clock_charges(netlist, self.sim.instance_names, tech)
-
-        #: Flat list of all analog taps across Trojans.
-        self.taps: list[AnalogTap] = [
-            tap for tr in trojans.values() for tap in tr.analog_taps
-        ]
-
-        with metrics.time("stage.chip.coupling.seconds"):
             self.sensor = OnChipSensor.design(
                 self.floorplan.die,
                 tech,
@@ -175,7 +147,32 @@ class Chip:
                     trace_width=config.sensor_array_trace_width,
                     edge_margin=config.sensor_array_edge_margin,
                 )
+            self.placement: Placement = place_netlist(
+                netlist, self.floorplan, seed=config.placement_seed + seed
+            )
+            self.grid: PowerGrid = build_power_grid(
+                self.floorplan,
+                tile_len=config.tile_len,
+                stripe_pitch=config.stripe_pitch,
+                ring_current_fraction=config.ring_current_fraction,
+            )
+        with metrics.time("stage.chip.compile.seconds"):
+            self.sim = CompiledNetlist(netlist)
+        with metrics.time("stage.chip.current_map.seconds"):
+            xs, ys = self.placement.arrays_for(self.sim.instance_names)
+            self.current_map: CurrentMap = build_current_map(self.grid, xs, ys)
+        with metrics.time("stage.chip.charges.seconds"):
+            self.q_switch = switching_charges(
+                netlist, self.sim.instance_names, tech
+            )
+            self.q_clock = clock_charges(netlist, self.sim.instance_names, tech)
 
+        #: Flat list of all analog taps across Trojans.
+        self.taps: list[AnalogTap] = [
+            tap for tr in trojans.values() for tap in tr.analog_taps
+        ]
+
+        with metrics.time("stage.chip.coupling.seconds"):
             self.receivers: dict[str, Receiver] = {}
             #: Channel groups: every receiver name appears in exactly one
             #: group; standalone receivers are singleton groups.
@@ -222,6 +219,12 @@ class Chip:
         if unknown:
             raise ExperimentError(
                 f"unknown trojans {sorted(unknown)}; valid: {list(ALL_TROJANS)}"
+            )
+        if bool(config.sensor_array_rows) != bool(config.sensor_array_cols):
+            raise ExperimentError(
+                "sensor_array_rows and sensor_array_cols must both be set "
+                f"(or both 0); got {config.sensor_array_rows}x"
+                f"{config.sensor_array_cols}"
             )
         with active_metrics().time("stage.chip.netlist.seconds"):
             b = NetlistBuilder("die")

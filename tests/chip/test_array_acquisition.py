@@ -17,12 +17,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.chip.chip as chip_mod
 from repro.chip import EncryptionWorkload
 from repro.chip.acquire import AcquisitionEngine
 from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
 from repro.chip.scenario import array_scenario
-from repro.errors import ExperimentError, MeasurementError
+from repro.errors import EmModelError, ExperimentError, MeasurementError
 from repro.logic.simulator import BACKEND_ENV_VAR
 from repro.obs import use_metrics
 
@@ -66,10 +67,30 @@ class TestChipBuild:
         assert array_chip.receivers["probe"].group is None
         assert array_chip.receiver_groups["sensor"] == ("sensor",)
 
-    def test_rejects_half_configured_array(self):
+    @staticmethod
+    def _forbid(monkeypatch, *names):
+        """Make each named build stage of :mod:`repro.chip.chip` fail."""
+        def reached(*args, **kwargs):
+            raise AssertionError("a build stage ran before the grid check")
+
+        for name in names:
+            monkeypatch.setattr(chip_mod, name, reached)
+
+    def test_rejects_half_configured_array(self, monkeypatch):
+        self._forbid(monkeypatch, "build_aes_circuit")
         with pytest.raises(ExperimentError):
             Chip.build(
                 config=ChipConfig(sensor_array_rows=2, sensor_array_cols=0),
+                seed=1,
+            )
+
+    def test_infeasible_grid_fails_before_placement(self, monkeypatch):
+        self._forbid(
+            monkeypatch, "place_netlist", "build_power_grid", "CompiledNetlist"
+        )
+        with pytest.raises(EmModelError):
+            Chip.build(
+                config=ChipConfig(sensor_array_rows=64, sensor_array_cols=64),
                 seed=1,
             )
 
