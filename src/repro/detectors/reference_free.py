@@ -55,6 +55,10 @@ from repro.errors import AnalysisError
 #: (dead bins would otherwise blow the z of any epsilon excursion).
 SCALE_FLOOR_FRACTION = 1e-3
 
+#: Absolute floor of the MAD scales: the relative floor is zero when
+#: most bins of a population have no spread.
+MIN_SCALE = 1e-30
+
 #: Minimum windows for a stored population baseline (medians over
 #: fewer rows are too noisy to anchor streaming scores).
 MIN_FIT_WINDOWS = 8
@@ -65,7 +69,7 @@ def _robust_stats(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     med = np.median(spectra, axis=0)
     mad = np.median(np.abs(spectra - med[None, :]), axis=0)
     scale = 1.4826 * mad
-    floor = max(float(np.median(scale)) * SCALE_FLOOR_FRACTION, 1e-30)
+    floor = max(float(np.median(scale)) * SCALE_FLOOR_FRACTION, MIN_SCALE)
     return med, np.maximum(scale, floor)
 
 
@@ -176,9 +180,14 @@ class _RobustSpectralDetector:
                 f"need at least {MIN_FIT_WINDOWS} windows to fit a "
                 f"population baseline, got shape {x.shape}"
             )
-        self._baseline = [
-            _robust_stats(self._welch(x, k)) for k in self.scales
-        ]
+        baseline = [_robust_stats(self._welch(x, k)) for k in self.scales]
+        if any(np.median(scale) <= MIN_SCALE for _, scale in baseline):
+            raise AnalysisError(
+                "most spectral bins of the fit population have no spread "
+                "(constant windows?); robust z-scores against it would be "
+                "unbounded"
+            )
+        self._baseline = baseline
         self._n_fit = int(x.shape[0])
         # Streaming calibration: RMS spectral distance of the fit
         # population to its own median, the analogue of the golden

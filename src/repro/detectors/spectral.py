@@ -72,6 +72,13 @@ class SpectralPlugin(EuclideanDetector):
         if x.ndim != 2 or x.shape[0] < 2:
             raise AnalysisError("need at least two golden traces to fit")
         feats = self.features(x)
+        empty = int((feats.mean(axis=0) <= 0).sum())
+        if empty:
+            raise AnalysisError(
+                f"the golden fingerprint is zero in {empty} spectral bins "
+                "(constant golden windows?); any amplitude there would be "
+                "an unbounded boost"
+            )
         self._fit_stats(feats)
         self.boost_threshold = max(
             self.boost_ratio, float(self._boost_scores(feats).max())

@@ -224,17 +224,10 @@ def _finite_or_rejected(score, traces):
 
 class TestDegenerateInput:
     @pytest.mark.parametrize("name", detector_names())
-    def test_constant_fit_never_scores_nan(self, rng, name):
-        constant = np.ones((64, 256))
-        noisy = _population(rng, 16)
-        try:
-            det = create_detector(name).fit(constant)
-        except AnalysisError:
-            return
-        _finite_or_rejected(det.score, constant[:16])
-        _finite_or_rejected(det.score, noisy)
-        _finite_or_rejected(det.score, constant[:1])
-        _finite_or_rejected(det.score, noisy[:1])
+    def test_constant_fit_never_scores_nan(self, name):
+        """A constant fit population is rejected, so it never scores."""
+        with pytest.raises(AnalysisError):
+            create_detector(name).fit(np.ones((64, 256)))
 
     @pytest.mark.parametrize("name", detector_names())
     def test_single_window_never_scores_nan(self, rng, name):
