@@ -13,7 +13,11 @@ segments gives each power-grid segment's coupling to the whole coil;
 the induced emf is then ``-M_s * dI_s/dt`` summed over segments.
 
 Perpendicular segments contribute nothing (the dot product vanishes),
-which the implementation exploits by skipping near-orthogonal pairs.
+but the kernels still integrate every pair and multiply the orthogonal
+ones by zero.  The power grid and the spirals are Manhattan, so many
+pairs are orthogonal: a prototype that integrated only the parallel
+pairs cut the 4x4 array's coupling from 327 to 195 ms (2-vCPU Xeon
+host), an opportunity not taken yet.
 """
 
 from __future__ import annotations
