@@ -36,7 +36,7 @@ from repro.chip.scenario import array_scenario
 from repro.logic.activity import ActivityAccumulator
 from repro.logic.simulator import BACKEND_ENV_VAR
 from repro.em.biot_savart import b_field_of_segments
-from repro.em.mutual import mutual_inductance_to_loop
+from repro.em.mutual import mutual_inductance_to_loops
 from repro.power.pulse import emf_kernel, step_kernel, synthesize_events
 from repro.experiments import campaign_spec, run_campaigns
 from tests.chip.reference_fold import ReferenceFoldEngine, dense_fold_matrix
@@ -114,8 +114,8 @@ def test_mutual_inductance_kernel(benchmark):
         axis=1,
     )
 
-    m = run_once(benchmark, mutual_inductance_to_loop, s, e, coil)
-    t_vec = _best_of(lambda: mutual_inductance_to_loop(s, e, coil))
+    m = run_once(benchmark, mutual_inductance_to_loops, s, e, [coil])[0]
+    t_vec = _best_of(lambda: mutual_inductance_to_loops(s, e, [coil]))
     t_loop = _best_of(
         lambda: mutual_inductance_to_loop_loop(s, e, coil), repeats=1
     )
@@ -124,7 +124,7 @@ def test_mutual_inductance_kernel(benchmark):
     speedup = t_loop / t_vec
     record_timing("mutual_inductance_loop_reference", t_loop, speedup=speedup)
     print(
-        f"\nmutual_inductance_to_loop (N={N_SEGMENTS}, C=64): "
+        f"\nmutual_inductance_to_loops (N={N_SEGMENTS}, C=64): "
         f"{t_vec * 1e3:.0f} ms vs loop {t_loop * 1e3:.0f} ms "
         f"-> {speedup:.1f}x"
     )

@@ -1,8 +1,7 @@
 """Unified runtime configuration — every ``REPRO_*`` knob in one place.
 
-The reproduction grew one environment variable at a time: the EM
-kernels read ``REPRO_EM_CHUNK_MB``, the campaign runner read
-``REPRO_WORKERS`` and ``REPRO_FORCE_POOL``, the simulator read
+The reproduction grew one environment variable at a time: the
+campaign runner read ``REPRO_WORKERS``, the simulator read
 ``REPRO_SIM_BACKEND``, the trace cache read ``REPRO_CACHE_DIR`` /
 ``REPRO_CACHE_MB`` and the CI jobs read ``REPRO_BENCH_SMOKE`` — each
 parsed independently at its point of use.  :class:`ReproConfig` is the
@@ -12,8 +11,7 @@ single resolution point for all of them, with an explicit precedence:
 
 The environment variable *names* are unchanged — they are the config's
 inputs, not a parallel configuration path.  Consumers
-(:func:`repro.em.chunking.resolve_chunk_bytes`,
-:func:`repro.experiments.parallel.resolve_workers`,
+(:func:`repro.experiments.parallel.resolve_workers`,
 :func:`repro.logic.simulator.resolve_backend`,
 :meth:`repro.io.cache.TraceCache.from_env` and the ``repro`` CLI)
 all read the *active* config, which is re-resolved from the
@@ -36,26 +34,15 @@ import os
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping
 
-from repro.errors import (
-    ConfigError,
-    EmModelError,
-    ExperimentError,
-    SimulationError,
-)
+from repro.errors import ConfigError, ExperimentError, SimulationError
 
 # -- environment variable names (the historical, stable API) -----------
 
 #: Worker-process count for parallel campaign fan-out.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
-#: Set to ``1`` to keep the process pool even on single-CPU hosts.
-FORCE_POOL_ENV_VAR = "REPRO_FORCE_POOL"
-
 #: Simulation backend: ``auto`` (default), ``bool`` or ``packed``.
 BACKEND_ENV_VAR = "REPRO_SIM_BACKEND"
-
-#: EM-kernel transient-buffer budget, in mebibytes.
-CHUNK_ENV_VAR = "REPRO_EM_CHUNK_MB"
 
 #: Trace-cache directory (unset/empty = cache off).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -75,9 +62,6 @@ SENSOR_ARRAY_ENV_VAR = "REPRO_SENSOR_ARRAY"
 
 # -- built-in defaults -------------------------------------------------
 
-#: Default cap on an EM kernel's transient broadcast buffers [bytes].
-DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
-
 #: Default trace-cache size budget when :data:`CACHE_MB_ENV` is unset [MiB].
 DEFAULT_CACHE_MB = 2048
 
@@ -92,13 +76,6 @@ def _parse_workers(raw: str) -> int:
         raise ExperimentError(
             f"{WORKERS_ENV_VAR}={raw!r} is not an integer"
         ) from None
-
-
-def _parse_chunk_mb(raw: str) -> int:
-    try:
-        return int(float(raw) * 1024 * 1024)
-    except ValueError:
-        raise EmModelError(f"{CHUNK_ENV_VAR}={raw!r} is not a number") from None
 
 
 def _parse_cache_mb(raw: str) -> int:
@@ -150,13 +127,8 @@ class ReproConfig:
 
     #: Campaign worker processes; ``None`` means "one per host CPU".
     workers: int | None = None
-    #: Keep the process pool even where the single-CPU auto-degrade
-    #: heuristic would run serially.
-    force_pool: bool = False
     #: Logic-simulation backend (``auto`` picks packed from batch 2).
     sim_backend: str = "auto"
-    #: EM-kernel transient-buffer budget [bytes].
-    em_chunk_bytes: int = DEFAULT_CHUNK_BYTES
     #: Trace-cache directory; ``None`` disables the cache.
     cache_dir: str | None = None
     #: Trace-cache LRU size budget [MiB].
@@ -204,25 +176,14 @@ class ReproConfig:
                 raise ExperimentError(
                     f"worker count must be >= 1, got {self.workers}"
                 )
-        for name in ("force_pool", "bench_smoke"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(
-                    f"{name} must be a bool, got {getattr(self, name)!r}"
-                )
+        if not isinstance(self.bench_smoke, bool):
+            raise ConfigError(
+                f"bench_smoke must be a bool, got {self.bench_smoke!r}"
+            )
         if self.sim_backend not in SIM_BACKENDS:
             raise SimulationError(
                 f"unknown simulation backend {self.sim_backend!r}; "
                 "expected 'auto', 'bool' or 'packed'"
-            )
-        if not isinstance(self.em_chunk_bytes, int) or isinstance(
-            self.em_chunk_bytes, bool
-        ):
-            raise ConfigError(
-                f"em_chunk_bytes must be an int, got {self.em_chunk_bytes!r}"
-            )
-        if self.em_chunk_bytes <= 0:
-            raise EmModelError(
-                f"chunk budget must be positive, got {self.em_chunk_bytes}"
             )
         if self.cache_dir is not None and not self.cache_dir:
             object.__setattr__(self, "cache_dir", None)
@@ -284,7 +245,7 @@ class ReproConfig:
         """Resolve a config: override argument > environment > default.
 
         *overrides* use the dataclass field names (``workers=4``,
-        ``sim_backend="bool"``, ``em_chunk_bytes=...``); an override
+        ``sim_backend="bool"``, ``cache_mb=...``); an override
         that is present always wins over the environment variable, even
         when the override re-states the default.  *environ* substitutes
         for ``os.environ`` (tests).
@@ -307,9 +268,7 @@ class ReproConfig:
                 values[field_name] = parse(raw)
 
         from_env("workers", WORKERS_ENV_VAR, _parse_workers)
-        from_env("force_pool", FORCE_POOL_ENV_VAR, lambda raw: raw == "1")
         from_env("sim_backend", BACKEND_ENV_VAR, str)
-        from_env("em_chunk_bytes", CHUNK_ENV_VAR, _parse_chunk_mb)
         from_env("cache_dir", CACHE_DIR_ENV, lambda raw: raw or None)
         from_env("cache_mb", CACHE_MB_ENV, _parse_cache_mb)
         from_env("bench_smoke", SMOKE_ENV_VAR, lambda raw: raw == "1")
@@ -323,13 +282,13 @@ class ReproConfig:
         """Whether campaign fan-out may use a process pool at all.
 
         On a single-CPU host fork + pickle overhead loses to the serial
-        loop (measured 0.79×), so the pool degrades to serial there
-        unless :attr:`force_pool` is set.  The decision is a pure
-        function of this (frozen) config — it is taken once at
-        resolution time, not re-derived from the environment on every
-        ``run_campaigns`` call.
+        loop (measured 0.79×), so the pool degrades to serial there.
+        The decision is a pure function of this (frozen) config — it is
+        taken once at resolution time, not re-derived from the
+        environment on every ``run_campaigns`` call.  Tests that need
+        the pool pin a config with ``host_cpus=2``.
         """
-        return self.force_pool or self.host_cpus > 1
+        return self.host_cpus > 1
 
     def effective_workers(self) -> int:
         """The resolved worker count (``workers`` or one per CPU)."""

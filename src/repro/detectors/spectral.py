@@ -71,6 +71,14 @@ class SpectralPlugin(EuclideanDetector):
         x = np.asarray(golden_traces, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] < 2:
             raise AnalysisError("need at least two golden traces to fit")
+        if np.all(x.max(axis=1) == x.min(axis=1)):
+            # Rounding in the spectrum of a constant window leaves
+            # near-zero bins that pass the zero-bin check below and
+            # boost every real window by ~1e7-1e15.
+            raise AnalysisError(
+                "every golden window is constant; a spectral fingerprint "
+                "needs signal"
+            )
         feats = self.features(x)
         empty = int((feats.mean(axis=0) <= 0).sum())
         if empty:

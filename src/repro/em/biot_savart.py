@@ -1,9 +1,9 @@
 """Biot–Savart field of finite straight segments.
 
-Direct field evaluation used to validate the mutual-inductance solver
-(flux integration must agree with the Neumann result) and to render
-surface field maps of the die ("EM leakage from every point of the
-IC's surface", paper Section IV-A).
+Direct field evaluation, used to render surface field maps of the die
+("EM leakage from every point of the IC's surface", paper Section
+IV-A).  The tests also integrate it over a coil to cross-check the
+Neumann mutual-inductance solver.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from repro.em.chunking import CACHE_CHUNK_BYTES, rows_per_chunk
+from repro.em.chunking import rows_per_chunk
 from repro.errors import EmModelError
 from repro.units import MU_0, UM
 
@@ -25,7 +25,6 @@ def b_field_of_segments(
     currents: np.ndarray,
     points: np.ndarray,
     min_distance: float = 0.1 * UM,
-    chunk_bytes: int | None = None,
 ) -> np.ndarray:
     """Magnetic flux density at *points* from current-carrying segments.
 
@@ -39,7 +38,7 @@ def b_field_of_segments(
     with the angles measured from the segment axis at its two ends.
 
     All segments are evaluated against all points by ``(S, P)``
-    broadcasting, walking the segment axis in memory-capped chunks so a
+    broadcasting, walking the segment axis in cache-sized chunks so a
     full-die field map (thousands of power-grid segments × thousands of
     surface points) never materialises the complete ``(N, P, 3)``
     tensor.  Axis-aligned segments — the entire power grid, in
@@ -57,9 +56,6 @@ def b_field_of_segments(
         Observation points, shape ``(P, 3)`` [m].
     min_distance:
         Radial floor [m] to avoid the on-axis singularity.
-    chunk_bytes:
-        Budget for the transient broadcast buffers; defaults to the
-        ``REPRO_EM_CHUNK_MB`` environment variable or 64 MiB.
 
     Returns
     -------
@@ -103,7 +99,6 @@ def b_field_of_segments(
                 pts,
                 k,
                 min_distance,
-                chunk_bytes,
                 field,
             )
             generic &= ~sel
@@ -115,7 +110,6 @@ def b_field_of_segments(
             i_seg[generic],
             pts,
             min_distance,
-            chunk_bytes,
             field,
         )
     return field
@@ -129,7 +123,6 @@ def _b_axis_aligned(
     pts: np.ndarray,
     k: int,
     min_distance: float,
-    chunk_bytes: int | None,
     field: np.ndarray,
 ) -> None:
     """Accumulate the field of segments parallel to coordinate axis *k*.
@@ -144,11 +137,8 @@ def _b_axis_aligned(
     md2 = min_distance * min_distance
     amp = (_BIOT_PREFACTOR * i_seg * sign)[:, None]
 
-    # ~10 (S, P)-sized float64 temporaries live at once per chunk; keep
-    # them cache-resident rather than filling the whole byte budget.
-    step = rows_per_chunk(
-        10 * 8 * pts.shape[0], chunk_bytes, target_bytes=CACHE_CHUNK_BYTES
-    )
+    # ~10 (S, P)-sized float64 temporaries live at once per chunk.
+    step = rows_per_chunk(10 * 8 * pts.shape[0])
     for lo in range(0, a.shape[0], step):
         hi = lo + step
         sg = sign[lo:hi, None]
@@ -196,7 +186,6 @@ def _b_generic(
     i_seg: np.ndarray,
     pts: np.ndarray,
     min_distance: float,
-    chunk_bytes: int | None,
     field: np.ndarray,
 ) -> None:
     """Accumulate the field of arbitrarily oriented segments."""
@@ -204,9 +193,7 @@ def _b_generic(
 
     # ~16 (S, P, 3)-sized float64 temporaries live at once per chunk.
     n_pts = pts.shape[0]
-    step = rows_per_chunk(
-        16 * 24 * n_pts, chunk_bytes, target_bytes=CACHE_CHUNK_BYTES
-    )
+    step = rows_per_chunk(16 * 24 * n_pts)
     for lo in range(0, a.shape[0], step):
         hi = lo + step
         u = u_all[lo:hi]  # (S, 3)
@@ -227,53 +214,3 @@ def _b_generic(
         norm = np.linalg.norm(phi, axis=2)[:, :, None]
         np.divide(phi, norm, out=phi, where=norm > 0)
         field += np.einsum("sp,spk->pk", magnitude, phi)
-
-
-def flux_through_polygon(
-    seg_start: np.ndarray,
-    seg_end: np.ndarray,
-    currents: np.ndarray,
-    polygon: np.ndarray,
-    grid: int = 24,
-) -> float:
-    """Magnetic flux through a planar polygon (z = const), by quadrature.
-
-    A brute-force check of the Neumann solver: discretise the polygon's
-    bounding box, evaluate Bz at interior points, sum.  Only intended
-    for tests — O(grid² · segments).
-    """
-    poly = np.asarray(polygon, dtype=np.float64)
-    if poly.ndim != 2 or poly.shape[1] != 3:
-        raise EmModelError(f"polygon must be (M, 3), got {poly.shape}")
-    z = float(poly[0, 2])
-    if not np.allclose(poly[:, 2], z):
-        raise EmModelError("polygon must be planar in z")
-    xs = np.linspace(poly[:, 0].min(), poly[:, 0].max(), grid + 1)
-    ys = np.linspace(poly[:, 1].min(), poly[:, 1].max(), grid + 1)
-    xc = 0.5 * (xs[:-1] + xs[1:])
-    yc = 0.5 * (ys[:-1] + ys[1:])
-    cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
-    gx, gy = np.meshgrid(xc, yc)
-    pts = np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, z)], axis=1)
-
-    inside = _points_in_polygon(pts[:, 0], pts[:, 1], poly[:, 0], poly[:, 1])
-    if not inside.any():
-        return 0.0
-    field = b_field_of_segments(seg_start, seg_end, currents, pts[inside])
-    return float(field[:, 2].sum() * cell)
-
-
-def _points_in_polygon(
-    px: np.ndarray, py: np.ndarray, vx: np.ndarray, vy: np.ndarray
-) -> np.ndarray:
-    """Vectorised even-odd point-in-polygon test."""
-    inside = np.zeros(px.shape, dtype=bool)
-    n = len(vx)
-    j = n - 1
-    for i in range(n):
-        crosses = (vy[i] > py) != (vy[j] > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_int = (vx[j] - vx[i]) * (py - vy[i]) / (vy[j] - vy[i]) + vx[i]
-        inside ^= crosses & (px < x_int)
-        j = i
-    return inside

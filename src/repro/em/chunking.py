@@ -1,66 +1,28 @@
-"""Memory budgeting for the vectorised EM kernels.
+"""Chunk sizing for the vectorised EM kernels.
 
 The Biot–Savart and Neumann solvers broadcast every source segment
 against every observation/quadrature point.  At field-map sizes
 (thousands of power-grid segments × thousands of surface points) the
-naive broadcast would allocate gigabytes, so both kernels walk the
-source axis in chunks sized to a fixed byte budget — large enough that
-numpy amortises per-call overhead, small enough to stay cache- and
-RAM-friendly.
-
-The budget is configurable per call (``chunk_bytes=``) or process-wide
-through the ``REPRO_EM_CHUNK_MB`` environment variable, resolved by
-:mod:`repro.config`; see ``docs/CONFIG.md`` and ``docs/PERFORMANCE.md``.
+naive broadcast would allocate gigabytes, so every kernel walks the
+source axis in chunks whose live temporaries fit
+:data:`CACHE_CHUNK_BYTES` — large enough that numpy amortises
+per-call overhead, small enough to stay resident in the last-level
+cache.  Results do not depend on the chunk size (the kernel
+equivalence tests shrink it to force many chunks); see
+``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
-from repro.config import CHUNK_ENV_VAR, DEFAULT_CHUNK_BYTES, active_config
-from repro.errors import EmModelError
+__all__ = ["CACHE_CHUNK_BYTES", "rows_per_chunk"]
 
-__all__ = [
-    "CHUNK_ENV_VAR",
-    "DEFAULT_CHUNK_BYTES",
-    "CACHE_CHUNK_BYTES",
-    "resolve_chunk_bytes",
-    "rows_per_chunk",
-]
-
-#: Preferred working-set size for elementwise kernel chunks [bytes].
+#: Working-set size for one chunk of a kernel's temporaries [bytes].
 #: The EM kernels are memory-bandwidth-bound, so chunks that keep all
 #: live temporaries resident in the last-level cache beat chunks that
-#: merely fit in RAM.  The byte budget above remains a hard ceiling;
-#: this target only shrinks chunks further when the budget allows more.
+#: merely fit in RAM.
 CACHE_CHUNK_BYTES = 4 * 1024 * 1024
 
 
-def resolve_chunk_bytes(chunk_bytes: int | None = None) -> int:
-    """Return the effective temporary-buffer budget in bytes.
-
-    Precedence: explicit *chunk_bytes* argument, then the
-    ``REPRO_EM_CHUNK_MB`` environment variable, then
-    :data:`DEFAULT_CHUNK_BYTES` — the standard
-    :mod:`repro.config` resolution order.
-    """
-    if chunk_bytes is None:
-        return active_config().em_chunk_bytes
-    if chunk_bytes <= 0:
-        raise EmModelError(f"chunk budget must be positive, got {chunk_bytes}")
-    return chunk_bytes
-
-
-def rows_per_chunk(
-    bytes_per_row: int,
-    chunk_bytes: int | None = None,
-    target_bytes: int | None = None,
-) -> int:
-    """How many source rows fit in the budget (always at least one).
-
-    *target_bytes*, when given, lowers the effective budget below the
-    configured ceiling — used by kernels that prefer cache-resident
-    chunks (:data:`CACHE_CHUNK_BYTES`) over the full RAM budget.
-    """
-    budget = resolve_chunk_bytes(chunk_bytes)
-    if target_bytes is not None:
-        budget = min(budget, target_bytes)
-    return max(1, budget // max(1, bytes_per_row))
+def rows_per_chunk(bytes_per_row: int) -> int:
+    """How many source rows fit in :data:`CACHE_CHUNK_BYTES` (at least one)."""
+    return max(1, CACHE_CHUNK_BYTES // max(1, bytes_per_row))

@@ -1,4 +1,4 @@
-"""Partial mutual inductance between wire segments and a coil.
+"""Partial mutual inductance between wire segments and coils.
 
 PEEC-style Neumann double integral: for a straight source segment *s*
 and a straight coil segment *c*,
@@ -8,16 +8,22 @@ and a straight coil segment *c*,
     M_{sc} = \\frac{\\mu_0}{4\\pi}
              \\int_s \\int_c \\frac{d\\vec l_s \\cdot d\\vec l_c}{r}
 
-evaluated with Gauss–Legendre quadrature.  Summing over the coil's
+evaluated with Gauss–Legendre quadrature.  Summing over a coil's
 segments gives each power-grid segment's coupling to the whole coil;
 the induced emf is then ``-M_s * dI_s/dt`` summed over segments.
 
+:func:`mutual_inductance_to_loops` is the one kernel every receiver
+uses: the on-chip spiral passes its single polyline, the external
+probe its stacked turns (summing the rows), and the sensor array its
+coils.  ``tests/em/reference_kernels.py`` holds the per-coil-segment
+loop it must match to 1e-12.
+
 Perpendicular segments contribute nothing (the dot product vanishes),
-but the kernels still integrate every pair and multiply the orthogonal
-ones by zero.  The power grid and the spirals are Manhattan, so many
-pairs are orthogonal: a prototype that integrated only the parallel
-pairs cut the 4x4 array's coupling from 327 to 195 ms (2-vCPU Xeon
-host), an opportunity not taken yet.
+but the kernel still integrates every pair and multiplies the
+orthogonal ones by zero.  The power grid and the spirals are Manhattan,
+so many pairs are orthogonal: a prototype that integrated only the
+parallel pairs cut the 4x4 array's coupling from 327 to 195 ms (2-vCPU
+Xeon host), an opportunity not taken yet.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import math
 
 import numpy as np
 
-from repro.em.chunking import CACHE_CHUNK_BYTES, rows_per_chunk
+from repro.em.chunking import rows_per_chunk
 from repro.errors import EmModelError
 from repro.units import MU_0, UM
 
@@ -39,159 +45,41 @@ def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def mutual_inductance_to_loop(
-    seg_start: np.ndarray,
-    seg_end: np.ndarray,
-    loop_points: np.ndarray,
-    n_quad: int = 4,
-    min_distance: float = 0.5 * UM,
-    chunk_bytes: int | None = None,
-) -> np.ndarray:
-    """Mutual inductance of each source segment to a coil polyline.
-
-    Every source segment is integrated against every coil segment at
-    once: the pairwise quadrature-point distances come from a single
-    ``(S*A, 3) @ (3, C*B)`` matrix product via the expansion
-    ``|p - q|^2 = |p|^2 - 2 p.q + |q|^2`` (coordinates centred first),
-    walking the source axis in memory-capped chunks so a many-turn
-    spiral against a full power grid stays within a fixed
-    transient-buffer budget.  Pairs close enough for the expansion to
-    cancel catastrophically are recomputed exactly from the original
-    coordinates, so accuracy matches the direct difference tensor.
-
-    Parameters
-    ----------
-    seg_start, seg_end:
-        Source segments, shape ``(N, 3)`` each [m].
-    loop_points:
-        Coil polyline vertices, shape ``(M, 3)``; consecutive vertices
-        form the coil segments (the polyline need not be closed — an
-        on-chip spiral is open and its pads close the circuit).
-    n_quad:
-        Gauss–Legendre order per dimension.
-    min_distance:
-        Distance floor [m] guarding the 1/r kernel where a coil trace
-        crosses directly over a grid wire.
-    chunk_bytes:
-        Budget for the transient broadcast buffers; defaults to the
-        ``REPRO_EM_CHUNK_MB`` environment variable or 64 MiB.
-
-    Returns
-    -------
-    numpy.ndarray
-        Mutual inductance per source segment, shape ``(N,)`` [H].
-    """
-    s0 = np.asarray(seg_start, dtype=np.float64)
-    s1 = np.asarray(seg_end, dtype=np.float64)
-    loop = np.asarray(loop_points, dtype=np.float64)
-    if s0.shape != s1.shape or s0.ndim != 2 or s0.shape[1] != 3:
-        raise EmModelError(
-            f"segment arrays must both be (N, 3); got {s0.shape} and {s1.shape}"
-        )
-    if loop.ndim != 2 or loop.shape[1] != 3 or loop.shape[0] < 2:
-        raise EmModelError(f"loop polyline must be (M>=2, 3), got {loop.shape}")
-    if min_distance <= 0:
-        raise EmModelError(f"min_distance must be positive, got {min_distance}")
-
-    u, w = _gauss01(n_quad)
-    n_src = s0.shape[0]
-    result = np.zeros(n_src)
-    if n_src == 0:
-        return result
-
-    c0 = loop[:-1]
-    d_coil = loop[1:] - c0  # (C, 3), includes length
-    keep = np.linalg.norm(d_coil, axis=1) > 0
-    c0, d_coil = c0[keep], d_coil[keep]
-    if c0.shape[0] == 0:
-        return result
-
-    d_src = s1 - s0  # (N, 3), includes length
-    # (t_s . t_c) including both lengths: dot of the full vectors.
-    dots = d_src @ d_coil.T  # (N, C); orthogonal pairs contribute 0
-    # Coil quadrature points, flattened to (C*B, 3).
-    n_a = u.size
-    n_coil = c0.shape[0]
-    p_coil = (
-        c0[:, None, :] + u[None, :, None] * d_coil[:, None, :]
-    ).reshape(n_coil * n_a, 3)
-    ww = w[:, None] * w[None, :]  # (A, B)
-
-    # Centre the coordinates so |p|^2 - 2 p.q + |q|^2 cancels as little
-    # as possible, but keep the originals for the exact recompute of
-    # near-coincident pairs.
-    center = 0.5 * (p_coil.min(axis=0) + p_coil.max(axis=0))
-    pc = p_coil - center
-    pc2 = np.einsum("ij,ij->i", pc, pc)  # (C*B,)
-    pc_t2 = -2.0 * pc.T  # (3, C*B)
-    md2 = min_distance * min_distance
-    coil_scale2 = pc2.max(initial=0.0)
-
-    # ~6 (S*A, C*B)-sized float64 values live at once per source row.
-    step = rows_per_chunk(
-        6 * 8 * n_a * n_coil * n_a,
-        chunk_bytes,
-        target_bytes=CACHE_CHUNK_BYTES,
-    )
-    for lo in range(0, n_src, step):
-        hi = lo + step
-        # Quadrature points along the chunk's source segments: (S*A, 3).
-        p_src = (
-            s0[lo:hi, None, :] + u[None, :, None] * d_src[lo:hi, None, :]
-        ).reshape(-1, 3)
-        ps = p_src - center
-        ps2 = np.einsum("ij,ij->i", ps, ps)
-        d2 = ps @ pc_t2  # (S*A, C*B)
-        d2 += ps2[:, None]
-        d2 += pc2[None, :]
-        # The expansion loses ~eps * scale^2 absolute accuracy; pairs
-        # whose separation is comparable to that noise floor (or to the
-        # clamp radius) are redone with the direct difference.
-        scale2 = max(ps2.max(initial=0.0), coil_scale2)
-        thresh = max(md2, 1e-3 * scale2)
-        risky = d2 < thresh
-        if risky.any():
-            ri, ci = np.nonzero(risky)
-            diff = p_src[ri] - p_coil[ci]
-            d2[ri, ci] = np.einsum("ij,ij->i", diff, diff)
-        np.maximum(d2, md2, out=d2)
-        np.sqrt(d2, out=d2)
-        np.divide(1.0, d2, out=d2)
-        kernel = np.einsum(
-            "ab,sacb->sc", ww, d2.reshape(-1, n_a, n_coil, n_a)
-        )
-        result[lo:hi] = (dots[lo:hi] * kernel).sum(axis=1)
-    return MU_0 / (4.0 * math.pi) * result
-
-
 def mutual_inductance_to_loops(
     seg_start: np.ndarray,
     seg_end: np.ndarray,
     loops: "list[np.ndarray] | tuple[np.ndarray, ...]",
     n_quad: int = 4,
     min_distance: float = 0.5 * UM,
-    chunk_bytes: int | None = None,
 ) -> np.ndarray:
     """Mutual inductance of each source segment to *each* coil polyline.
 
-    The batched companion to :func:`mutual_inductance_to_loop` for
-    sensor arrays: all coils' segments are concatenated into one
-    quadrature-point cloud, so every source chunk needs a single
+    All coils' segments are concatenated into one quadrature-point
+    cloud, so every source chunk needs a single
     ``(S*A, 3) @ (3, C_tot*B)`` product regardless of how many coils
-    tile the die, and the per-coil sums fall out of one
-    ``reduceat`` over the coil boundaries.  Calling the single-loop
-    kernel per coil remains the 1e-12 reference (the only difference
-    is the centring constant, whose rounding the risky-pair exact
-    recompute keeps below that tolerance).
+    there are, and the per-coil sums fall out of one ``reduceat`` over
+    the coil boundaries.  The pairwise quadrature-point distances come
+    from that product via the expansion ``|p - q|^2 = |p|^2 - 2 p.q +
+    |q|^2`` (coordinates centred first), walking the source axis in
+    chunks of :data:`~repro.em.chunking.CACHE_CHUNK_BYTES`.  Pairs
+    close enough for the expansion to cancel catastrophically are
+    recomputed exactly from the original coordinates, so accuracy
+    matches the direct difference tensor.
 
     Parameters
     ----------
     seg_start, seg_end:
         Source segments, shape ``(N, 3)`` each [m].
     loops:
-        Sequence of coil polylines, each shape ``(M_k, 3)``.
-    n_quad, min_distance, chunk_bytes:
-        As for :func:`mutual_inductance_to_loop`.
+        Sequence of coil polylines, each shape ``(M_k, 3)``;
+        consecutive vertices form the coil segments (a polyline need
+        not be closed — an on-chip spiral is open and its pads close
+        the circuit).
+    n_quad:
+        Gauss–Legendre order per dimension.
+    min_distance:
+        Distance floor [m] guarding the 1/r kernel where a coil trace
+        crosses directly over a grid wire.
 
     Returns
     -------
@@ -251,8 +139,11 @@ def mutual_inductance_to_loops(
     p_coil = (
         c0_all[:, None, :] + u[None, :, None] * d_all[:, None, :]
     ).reshape(n_coil * n_a, 3)
-    ww = w[:, None] * w[None, :]
+    ww = w[:, None] * w[None, :]  # (A, B)
 
+    # Centre the coordinates so |p|^2 - 2 p.q + |q|^2 cancels as little
+    # as possible, but keep the originals for the exact recompute of
+    # near-coincident pairs.
     center = 0.5 * (p_coil.min(axis=0) + p_coil.max(axis=0))
     pc = p_coil - center
     pc2 = np.einsum("ij,ij->i", pc, pc)
@@ -260,11 +151,8 @@ def mutual_inductance_to_loops(
     md2 = min_distance * min_distance
     coil_scale2 = pc2.max(initial=0.0)
 
-    step = rows_per_chunk(
-        6 * 8 * n_a * n_coil * n_a,
-        chunk_bytes,
-        target_bytes=CACHE_CHUNK_BYTES,
-    )
+    # ~6 (S*A, C_tot*B)-sized float64 values live at once per source row.
+    step = rows_per_chunk(6 * 8 * n_a * n_coil * n_a)
     for lo in range(0, n_src, step):
         hi = lo + step
         p_src = (
@@ -275,6 +163,9 @@ def mutual_inductance_to_loops(
         d2 = ps @ pc_t2
         d2 += ps2[:, None]
         d2 += pc2[None, :]
+        # The expansion loses ~eps * scale^2 absolute accuracy; pairs
+        # whose separation is comparable to that noise floor (or to the
+        # clamp radius) are redone with the direct difference.
         scale2 = max(ps2.max(initial=0.0), coil_scale2)
         thresh = max(md2, 1e-3 * scale2)
         risky = d2 < thresh

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import EmModelError
 from repro.layout.geometry import Rect, circular_loop, enclosed_area
-from repro.em.mutual import mutual_inductance_to_loop
+from repro.em.mutual import mutual_inductance_to_loops
 from repro.units import MM, UM
 
 
@@ -75,13 +75,11 @@ class ExternalProbe:
     def coupling(
         self, seg_start: np.ndarray, seg_end: np.ndarray, n_quad: int = 4
     ) -> np.ndarray:
-        """Mutual inductance of each source segment to the probe [H]."""
-        total = np.zeros(np.asarray(seg_start).shape[0])
-        for loop in self.loops:
-            total += mutual_inductance_to_loop(
-                seg_start, seg_end, loop, n_quad=n_quad
-            )
-        return total
+        """Mutual inductance of each source segment to the probe [H]:
+        one pass over all turns, summed."""
+        return mutual_inductance_to_loops(
+            seg_start, seg_end, self.loops, n_quad=n_quad
+        ).sum(axis=0)
 
     def effective_area(self) -> float:
         """Total flux-capture area of all turns [m² · turns]."""

@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import EmModelError, TechnologyError
 from repro.layout.geometry import Rect, enclosed_area, polyline_length, rectangular_spiral
 from repro.layout.technology import Technology
-from repro.em.mutual import mutual_inductance_to_loop, mutual_inductance_to_loops
+from repro.em.mutual import mutual_inductance_to_loops
 from repro.units import UM
 
 
@@ -90,9 +90,9 @@ class OnChipSensor:
         self, seg_start: np.ndarray, seg_end: np.ndarray, n_quad: int = 4
     ) -> np.ndarray:
         """Mutual inductance of each source segment to the coil [H]."""
-        return mutual_inductance_to_loop(
-            seg_start, seg_end, self.polyline, n_quad=n_quad
-        )
+        return mutual_inductance_to_loops(
+            seg_start, seg_end, [self.polyline], n_quad=n_quad
+        )[0]
 
     def effective_area(self) -> float:
         """Turns-weighted flux-capture area [m² · turns].

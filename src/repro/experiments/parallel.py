@@ -20,9 +20,9 @@ one worker (or one campaign) everything runs in-process — same results,
 no pool overhead.  The runner also degrades to the serial loop on its
 own when the pool cannot win: never more workers than campaigns, and no
 pool at all on a single-CPU host (where fork + pickle overhead measured
-0.79× of serial; ``REPRO_FORCE_POOL=1`` overrides, for tests that
-exercise the pool itself).  See ``docs/PERFORMANCE.md`` for when the
-fan-out actually pays off.
+0.79× of serial; tests that exercise the pool itself pin a config with
+``host_cpus=2``).  See ``docs/PERFORMANCE.md`` for when the fan-out
+actually pays off.
 
 Instrumentation survives the pool: each worker runs its campaign under
 a fresh :func:`repro.obs.use_metrics` registry and returns that
@@ -45,9 +45,9 @@ from typing import Any, Iterable
 
 from repro.chip.chip import Chip
 from repro.chip.scenario import Scenario
-# WORKERS_ENV_VAR / FORCE_POOL_ENV_VAR are re-exported here for
-# backwards compatibility; their resolution lives in repro.config.
-from repro.config import FORCE_POOL_ENV_VAR, WORKERS_ENV_VAR, active_config
+# WORKERS_ENV_VAR is re-exported here for backwards compatibility; its
+# resolution lives in repro.config.
+from repro.config import WORKERS_ENV_VAR, active_config
 from repro.errors import ExperimentError
 from repro.experiments.campaign import (
     TRACE_COLLECTORS,
@@ -190,8 +190,8 @@ def run_campaigns(
     # More workers than campaigns only adds idle processes; a pool on a
     # single CPU only adds fork + pickle overhead (measured 0.79× of
     # serial) — degrade to the bit-identical serial loop in both cases.
-    # The single-CPU/force-pool decision is taken once by ReproConfig
-    # (config override > REPRO_FORCE_POOL), not re-read per call here.
+    # The single-CPU decision is taken once by ReproConfig from its
+    # host_cpus snapshot, not re-read per call here.
     n_workers = min(resolve_workers(workers), len(spec_list))
     if n_workers > 1 and not active_config().pool_allowed:
         n_workers = 1

@@ -3,9 +3,8 @@
 Long campaigns are worth keeping — a silicon-scenario Fig. 6 run takes
 minutes — so :mod:`repro.io.store` saves trace sets as bundles with a
 JSON manifest (scenario, chip seed, Trojan enables) and reloads them
-with integrity checks.  Two formats coexist: the legacy compressed
-``.npz`` (v1) and the default raw ``.npy`` + JSON sidecar (v2), whose
-payload loads as a zero-copy read-only memmap.
+with integrity checks: a raw ``.npy`` payload plus a JSON sidecar,
+which loads as a zero-copy read-only memmap.
 
 :mod:`repro.io.cache` layers a content-addressed, LRU-bounded disk
 cache on top (``REPRO_CACHE_DIR`` / ``REPRO_CACHE_MB``), addressing

@@ -13,7 +13,7 @@ simulation → EM projection pipeline.
 The cache is **off by default**.  Point ``REPRO_CACHE_DIR`` at a
 directory to enable it process-wide; cap its size with
 ``REPRO_CACHE_MB`` (least-recently-used entries are evicted once the
-budget is exceeded).  Bundles are stored in the v2 store format (raw
+budget is exceeded).  Bundles are stored in the store format (raw
 ``.npy`` + JSON sidecar), so cache hits are zero-copy memmapped reads.
 Writes go through atomic same-directory renames, making a shared cache
 safe under :func:`repro.experiments.parallel.run_campaigns` workers.
@@ -65,7 +65,10 @@ from repro.io.store import (
 #: (6: event synthesis adds each kernel tap directly instead of an FFT
 #: convolution of a dense impulse train — traces shift by up to 7e-16
 #: of peak.)
-CACHE_SALT = "repro-pipeline-6"
+#: (7: the on-chip spiral and the external probe couple through the
+#: batched Neumann kernel, the probe in one pass over its turns —
+#: receiver traces shift by up to 3.3e-16 of peak.)
+CACHE_SALT = "repro-pipeline-7"
 
 
 def _canon(obj):
@@ -266,7 +269,7 @@ class TraceCache:
         """Store *bundle* under *key*, evicting LRU entries if needed."""
         payload = self._base(key, receiver).with_suffix(".npy")
         payload.parent.mkdir(parents=True, exist_ok=True)
-        path = save_traces(bundle, payload, fmt="v2")
+        path = save_traces(bundle, payload)
         self.stats.puts += 1
         self._evict()
         return path

@@ -2,25 +2,18 @@
 
 A :class:`TraceBundle` couples the trace matrix with the metadata
 needed to interpret it later (receiver, sample rate, chip seed,
-scenario name, Trojan enables, free-form extras).  Two on-disk formats
-round-trip:
+scenario name, Trojan enables, free-form extras).  The on-disk format
+(version 2) is a raw ``.npy`` payload next to a ``.json`` sidecar
+manifest.  Because the payload is uncompressed NumPy format,
+``load_traces(..., mmap=True)`` hands back a *read-only memmapped*
+view with zero decompression or copying; the SHA-256 digest recorded
+in the manifest is checked only on request (``verify=True`` or
+:meth:`TraceBundle.verify`), so hot-path loads never stream the whole
+payload through a hash.
 
-* **v2 (default)** — a raw ``.npy`` payload next to a ``.json``
-  sidecar manifest.  Because the payload is uncompressed NumPy format,
-  ``load_traces(..., mmap=True)`` hands back a *read-only memmapped*
-  view with zero decompression or copying; the SHA-256 digest recorded
-  in the manifest is checked only on request (``verify=True`` or
-  :meth:`TraceBundle.verify`), so hot-path loads never stream the
-  whole payload through a hash.
-* **v1 (legacy)** — a single compressed ``.npz`` archive with an
-  embedded manifest.  Still written when the target path ends in
-  ``.npz`` and always loadable; its digest is checked eagerly on load
-  (the bytes were just decompressed anyway).
-
-Both :func:`save_traces` and :func:`load_traces` normalise missing
-suffixes the same way, and :func:`save_traces` returns the path it
-actually wrote — historically ``np.savez_compressed`` appended ``.npz``
-silently, so the caller's path and the on-disk path disagreed.
+Both :func:`save_traces` and :func:`load_traces` normalise the path
+through :func:`resolve_store_path`, and :func:`save_traces` returns
+the path it actually wrote.
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ import numpy as np
 
 from repro.errors import MeasurementError
 
-#: Current default on-disk format version.
+#: On-disk format version recorded in every manifest.
 STORE_FORMAT_VERSION = 2
 
 
@@ -54,8 +47,8 @@ class TraceBundle:
     trojan_enables: tuple[str, ...] = ()
     extras: dict = field(default_factory=dict)
     #: Digest recorded in the manifest this bundle was loaded from
-    #: (``None`` for bundles built in memory).  v2 loads are lazy:
-    #: call :meth:`verify` to check the payload against it.
+    #: (``None`` for bundles built in memory).  Loads are lazy: call
+    #: :meth:`verify` to check the payload against it.
     stored_digest: str | None = None
 
     @property
@@ -102,7 +95,7 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
     campaign workers sharing a cache directory) and crash-interrupted
     ones can only ever leave complete files behind, never partially
     written ones.  This is the store-wide write convention: the trace
-    cache, the v2 payload/sidecar writer and the fleet event journal
+    cache, the payload/sidecar writer and the fleet event journal
     all route through it.
     """
     fd, tmp = tempfile.mkstemp(
@@ -118,7 +111,7 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
         raise
 
 
-def _manifest_for(bundle: TraceBundle, version: int) -> dict:
+def _manifest_for(bundle: TraceBundle) -> dict:
     return {
         "receiver": bundle.receiver,
         "fs": bundle.fs,
@@ -127,7 +120,7 @@ def _manifest_for(bundle: TraceBundle, version: int) -> dict:
         "trojan_enables": list(bundle.trojan_enables),
         "extras": bundle.extras,
         "sha256": bundle.digest(),
-        "format_version": version,
+        "format_version": STORE_FORMAT_VERSION,
         "shape": list(bundle.traces.shape),
         "dtype": str(bundle.traces.dtype),
     }
@@ -137,53 +130,30 @@ def _sidecar_for(payload: Path) -> Path:
     return payload.with_suffix(".json")
 
 
-def resolve_store_path(path: str | Path, fmt: str | None = None) -> Path:
+def resolve_store_path(path: str | Path) -> Path:
     """Normalise *path* to the payload file a save would produce.
 
-    ``.npz`` / ``.npy`` suffixes are kept; any other (or missing)
-    suffix gains the extension of the requested format (default v2,
-    ``.npy``).  Shared by :func:`save_traces` and :func:`load_traces`
-    so the two always agree on the on-disk name.
+    A ``.npy`` suffix is kept; any other (or missing) suffix gains
+    ``.npy``.  Shared by :func:`save_traces` and :func:`load_traces` so
+    the two always agree on the on-disk name.
     """
     path = Path(path)
-    if fmt not in (None, "v1", "v2"):
-        raise MeasurementError(f"unknown store format {fmt!r}")
-    if path.suffix == ".npz" and fmt in (None, "v1"):
-        return path
-    if path.suffix == ".npy" and fmt in (None, "v2"):
-        return path
-    ext = ".npz" if fmt == "v1" else ".npy"
-    return Path(str(path) + ext)
+    return path if path.suffix == ".npy" else Path(str(path) + ".npy")
 
 
-def save_traces(
-    bundle: TraceBundle, path: str | Path, fmt: str | None = None
-) -> Path:
+def save_traces(bundle: TraceBundle, path: str | Path) -> Path:
     """Write a bundle and return the path actually written.
 
-    *fmt* selects the on-disk format: ``"v2"`` (raw ``.npy`` payload +
-    ``.json`` sidecar manifest, the default), ``"v1"`` (compressed
-    ``.npz``), or ``None`` to infer it from the path suffix (``.npz``
-    → v1, anything else → v2).  Writes are atomic (temp + rename), so
-    a concurrent reader or a crash can never leave a torn file behind.
+    The payload is a raw ``.npy`` file with a ``.json`` sidecar
+    manifest.  Writes are atomic (temp + rename), so a concurrent
+    reader or a crash can never leave a torn file behind.
     """
     if bundle.traces.ndim != 2:
         raise MeasurementError(
             f"trace matrix must be 2-D, got shape {bundle.traces.shape}"
         )
-    target = resolve_store_path(path, fmt)
-    if target.suffix == ".npz":
-        manifest = _manifest_for(bundle, version=1)
-        np.savez_compressed(
-            target,
-            traces=bundle.traces,
-            manifest=np.frombuffer(
-                json.dumps(manifest, default=_json_default).encode("utf-8"),
-                dtype=np.uint8,
-            ),
-        )
-        return target
-    manifest = _manifest_for(bundle, version=STORE_FORMAT_VERSION)
+    target = resolve_store_path(path)
+    manifest = _manifest_for(bundle)
     buf = io.BytesIO()
     np.save(buf, np.ascontiguousarray(bundle.traces), allow_pickle=False)
     atomic_write_bytes(target, buf.getvalue())
@@ -209,53 +179,24 @@ def _bundle_from(traces: np.ndarray, manifest: dict) -> TraceBundle:
     )
 
 
-def _load_v1(path: Path) -> TraceBundle:
-    with np.load(path) as data:
-        if "traces" not in data or "manifest" not in data:
-            raise MeasurementError(f"{path} is not a repro trace bundle")
-        traces = data["traces"]
-        manifest = json.loads(bytes(data["manifest"].tobytes()).decode("utf-8"))
-    return _bundle_from(traces, manifest)
-
-
-def _load_v2(path: Path, mmap: bool) -> TraceBundle:
-    sidecar = _sidecar_for(path)
-    if not sidecar.exists():
-        raise MeasurementError(
-            f"{path} has no manifest sidecar {sidecar.name}; not a complete "
-            "repro trace bundle"
-        )
-    manifest = json.loads(sidecar.read_text(encoding="utf-8"))
-    if "sha256" not in manifest or "receiver" not in manifest:
-        raise MeasurementError(f"{sidecar} is not a trace-bundle manifest")
-    traces = np.load(path, mmap_mode="r" if mmap else None, allow_pickle=False)
-    if mmap:
-        traces.flags.writeable = False
-    return _bundle_from(traces, manifest)
-
-
 def load_traces(
     path: str | Path,
     mmap: bool = False,
-    verify: bool | None = None,
+    verify: bool = False,
 ) -> TraceBundle:
-    """Load a bundle saved by :func:`save_traces` (either format).
+    """Load a bundle saved by :func:`save_traces`.
 
     Parameters
     ----------
     path:
-        Payload path; a missing suffix resolves exactly like
-        :func:`save_traces` (``.npy`` preferred, ``.npz`` fallback).
+        Payload path; resolved exactly like :func:`save_traces`.
     mmap:
-        Return the v2 payload as a read-only memory map — zero copy,
-        zero decompression.  v1 archives must decompress, so they load
-        in memory regardless.
+        Return the payload as a read-only memory map — zero copy,
+        zero decompression.
     verify:
-        Check the stored digest eagerly.  Defaults to the per-format
-        historical behaviour: ``True`` for v1 (bytes are in memory
-        anyway), ``False`` for v2 (call :meth:`TraceBundle.verify`
-        when wanted — hashing would force a full read of the mapped
-        payload).
+        Check the stored digest eagerly.  Off by default (call
+        :meth:`TraceBundle.verify` when wanted): hashing would force a
+        full read of a mapped payload.
 
     Raises
     ------
@@ -263,18 +204,24 @@ def load_traces(
         If no bundle exists at the path, the file is not a trace
         bundle, or (when verified) the digest mismatches.
     """
-    raw = Path(path)
-    candidates = [raw] if raw.exists() else [
-        p for p in (Path(str(raw) + ".npy"), Path(str(raw) + ".npz"))
-        if p.exists()
-    ]
-    if not candidates:
+    target = resolve_store_path(path)
+    if not target.exists():
         raise MeasurementError(f"no trace bundle at {path}")
-    target = candidates[0]
-    is_v1 = target.suffix == ".npz"
-    bundle = _load_v1(target) if is_v1 else _load_v2(target, mmap=mmap)
-    if verify is None:
-        verify = is_v1
+    sidecar = _sidecar_for(target)
+    if not sidecar.exists():
+        raise MeasurementError(
+            f"{target} has no manifest sidecar {sidecar.name}; not a complete "
+            "repro trace bundle"
+        )
+    manifest = json.loads(sidecar.read_text(encoding="utf-8"))
+    if "sha256" not in manifest or "receiver" not in manifest:
+        raise MeasurementError(f"{sidecar} is not a trace-bundle manifest")
+    traces = np.load(
+        target, mmap_mode="r" if mmap else None, allow_pickle=False
+    )
+    if mmap:
+        traces.flags.writeable = False
+    bundle = _bundle_from(traces, manifest)
     if verify and bundle.digest() != bundle.stored_digest:
         raise MeasurementError(f"{target}: trace digest mismatch (corrupt file)")
     return bundle

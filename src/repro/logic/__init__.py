@@ -27,11 +27,7 @@ from repro.logic.simulator import (
     resolve_backend,
     unpack_bits,
 )
-from repro.logic.activity import (
-    ActivityAccumulator,
-    ToggleCountRecorder,
-    TraceRecorder,
-)
+from repro.logic.activity import ActivityAccumulator, ToggleCountRecorder
 from repro.logic.stats import NetlistStats, netlist_stats
 from repro.logic.timing import TimingReport, analyze_timing
 
@@ -55,7 +51,6 @@ __all__ = [
     "unpack_bits",
     "ActivityAccumulator",
     "ToggleCountRecorder",
-    "TraceRecorder",
     "NetlistStats",
     "netlist_stats",
     "TimingReport",

@@ -10,9 +10,7 @@ stream into the aggregates the rest of the pipeline needs:
   coupling coefficient (see :mod:`repro.em.coupling`) its output is, up
   to the pulse shape, the sensor waveform itself — this reduction is
   what lets a 33 k-gate design produce tens of thousands of traces in
-  seconds;
-* :class:`TraceRecorder` — full raw toggle history, for unit tests and
-  small circuits.
+  seconds.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.logic.netlist import Netlist
 from repro.logic.simulator import CompiledNetlist
 
 #: Largest activity code magnitude :class:`ActivityAccumulator` folds
@@ -140,39 +137,13 @@ class ActivityAccumulator:
         self.step = grid_step(weights, bits)
         self._level_weights = np.rint(weights[self.level_order] / self.step)
         # Recorded history, stored as (cycles_in_block, bins, batch)
-        # chunks: record() appends 1-cycle blocks, the blocked engine
-        # fold appends many cycles at once.
+        # chunks, one per record_all_blocks call.
         self._blocks: list[np.ndarray] = []
         # Level-ordered weights of the accumulators this one leads in
         # record_all_blocks, stacked once; keyed on the followers
         # themselves (held, so the key can never be recycled).
         self._stack_followers: tuple[ActivityAccumulator, ...] | None = None
         self._stack: np.ndarray | None = None
-
-    def record(self, toggles: np.ndarray) -> None:
-        """Fold in one cycle's toggle matrix of shape ``(insts, batch)``."""
-        ActivityAccumulator.record_all([self], toggles)
-
-    @staticmethod
-    def record_all(
-        accumulators: list["ActivityAccumulator"], toggles: np.ndarray
-    ) -> None:
-        """Fold one cycle's ``(insts, batch)`` toggle matrix into several
-        accumulators sharing ``bins``: gathers its rows into level order
-        and folds them as a one-cycle :meth:`record_all_blocks` block."""
-        if not accumulators:
-            return
-        first = accumulators[0]
-        toggles = np.asarray(toggles)
-        if toggles.ndim != 2 or toggles.shape[0] != first.weights.size:
-            raise SimulationError(
-                f"toggle matrix has shape {toggles.shape}, expected "
-                f"({first.weights.size}, batch)"
-            )
-        ActivityAccumulator.record_all_blocks(
-            accumulators, toggles[None, first.level_order], 1,
-            toggles.shape[1],
-        )
 
     def _stacked(
         self, accumulators: list["ActivityAccumulator"]
@@ -257,31 +228,3 @@ class ActivityAccumulator:
     def clear(self) -> None:
         """Drop all recorded frames (weights/bins are kept)."""
         self._blocks.clear()
-
-
-class TraceRecorder:
-    """Keeps the raw toggle matrix of every cycle (small circuits only)."""
-
-    def __init__(self, sim: CompiledNetlist, limit_cycles: int = 100_000) -> None:
-        self._sim = sim
-        self._limit = limit_cycles
-        self._frames: list[np.ndarray] = []
-
-    def record(self, toggles: np.ndarray) -> None:
-        """Store one cycle's toggle matrix."""
-        if len(self._frames) >= self._limit:
-            raise SimulationError(
-                f"TraceRecorder limit of {self._limit} cycles exceeded"
-            )
-        self._frames.append(toggles.copy())
-
-    def history(self) -> np.ndarray:
-        """Array of shape ``(cycles, num_instances, batch)``."""
-        if not self._frames:
-            raise SimulationError("no cycles recorded yet")
-        return np.stack(self._frames, axis=0)
-
-    def toggles_of(self, instance_name: str) -> np.ndarray:
-        """Toggle history of one instance, shape ``(cycles, batch)``."""
-        idx = self._sim.instance_index[instance_name]
-        return self.history()[:, idx, :]

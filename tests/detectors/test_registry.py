@@ -226,8 +226,9 @@ class TestDegenerateInput:
     @pytest.mark.parametrize("name", detector_names())
     def test_constant_fit_never_scores_nan(self, name):
         """A constant fit population is rejected, so it never scores."""
-        with pytest.raises(AnalysisError):
-            create_detector(name).fit(np.ones((64, 256)))
+        for shape in ((64, 256), (8, 100), (8, 257)):
+            with pytest.raises(AnalysisError):
+                create_detector(name).fit(np.ones(shape))
 
     @pytest.mark.parametrize("name", detector_names())
     def test_single_window_never_scores_nan(self, rng, name):

@@ -1,12 +1,14 @@
 """Loop references for the vectorised EM kernels.
 
 :func:`b_field_of_segments_loop` walks the source segments one at a
-time and :func:`mutual_inductance_to_loop_loop` walks the coil
+time and :func:`mutual_inductance_to_loop_loop` walks one coil's
 segments one at a time — the plain per-element forms of
-:func:`repro.em.biot_savart.b_field_of_segments` and
-:func:`repro.em.mutual.mutual_inductance_to_loop`.  The kernel tests
+:func:`repro.em.biot_savart.b_field_of_segments` and of one row of
+:func:`repro.em.mutual.mutual_inductance_to_loops`.  The kernel tests
 check the vectorised kernels against them to 1e-12 relative error, and
 ``benchmarks/bench_perf_kernels.py`` times them as the baseline.
+:func:`flux_through_polygon` integrates the Biot–Savart field over a
+planar coil, an independent physical check of the Neumann kernel.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import math
 
 import numpy as np
 
+from repro.em.biot_savart import b_field_of_segments
 from repro.em.mutual import _gauss01
+from repro.errors import EmModelError
 from repro.units import MU_0, UM
 
 
@@ -95,3 +99,53 @@ def mutual_inductance_to_loop_loop(
         kernel = (w[None, :, None] * w[None, None, :] / dist).sum(axis=(1, 2))
         result[active] += dots[active] * kernel
     return MU_0 / (4.0 * math.pi) * result
+
+
+def flux_through_polygon(
+    seg_start: np.ndarray,
+    seg_end: np.ndarray,
+    currents: np.ndarray,
+    polygon: np.ndarray,
+    grid: int = 24,
+) -> float:
+    """Magnetic flux through a planar polygon (z = const), by quadrature.
+
+    A brute-force check of the Neumann solver: discretise the polygon's
+    bounding box, evaluate Bz at interior points, sum.  O(grid² ·
+    segments).
+    """
+    poly = np.asarray(polygon, dtype=np.float64)
+    if poly.ndim != 2 or poly.shape[1] != 3:
+        raise EmModelError(f"polygon must be (M, 3), got {poly.shape}")
+    z = float(poly[0, 2])
+    if not np.allclose(poly[:, 2], z):
+        raise EmModelError("polygon must be planar in z")
+    xs = np.linspace(poly[:, 0].min(), poly[:, 0].max(), grid + 1)
+    ys = np.linspace(poly[:, 1].min(), poly[:, 1].max(), grid + 1)
+    xc = 0.5 * (xs[:-1] + xs[1:])
+    yc = 0.5 * (ys[:-1] + ys[1:])
+    cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
+    gx, gy = np.meshgrid(xc, yc)
+    pts = np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, z)], axis=1)
+
+    inside = _points_in_polygon(pts[:, 0], pts[:, 1], poly[:, 0], poly[:, 1])
+    if not inside.any():
+        return 0.0
+    field = b_field_of_segments(seg_start, seg_end, currents, pts[inside])
+    return float(field[:, 2].sum() * cell)
+
+
+def _points_in_polygon(
+    px: np.ndarray, py: np.ndarray, vx: np.ndarray, vy: np.ndarray
+) -> np.ndarray:
+    """Vectorised even-odd point-in-polygon test."""
+    inside = np.zeros(px.shape, dtype=bool)
+    n = len(vx)
+    j = n - 1
+    for i in range(n):
+        crosses = (vy[i] > py) != (vy[j] > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_int = (vx[j] - vx[i]) * (py - vy[i]) / (vy[j] - vy[i]) + vx[i]
+        inside ^= crosses & (px < x_int)
+        j = i
+    return inside

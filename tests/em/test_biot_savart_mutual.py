@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.em.biot_savart import (
-    b_field_of_segments,
-    flux_through_polygon,
-)
-from repro.em.mutual import mutual_inductance_to_loop
+from repro.em.biot_savart import b_field_of_segments
+from repro.em.mutual import mutual_inductance_to_loops
 from repro.errors import EmModelError
 from repro.layout.geometry import circular_loop
 from repro.units import MU_0, UM
+from tests.em.reference_kernels import flux_through_polygon
+
+
+def _one_coil(seg_start, seg_end, loop, **kwargs):
+    """The batched Neumann kernel's row for a single coil."""
+    return mutual_inductance_to_loops(seg_start, seg_end, [loop], **kwargs)[0]
 
 
 def test_field_at_center_of_circular_loop():
@@ -70,17 +73,17 @@ def test_neumann_matches_flux_integration():
     seg_s = np.array([[-200 * UM, 0, 0]])
     seg_e = np.array([[200 * UM, 0, 0]])
     loop = circular_loop(50 * UM, 180 * UM, 40 * UM, 250 * UM, n_sides=64)
-    m = mutual_inductance_to_loop(seg_s, seg_e, loop, n_quad=8)[0]
+    m = _one_coil(seg_s, seg_e, loop, n_quad=8)[0]
     phi = flux_through_polygon(seg_s, seg_e, np.array([1.0]), loop, grid=160)
     assert m == pytest.approx(phi, rel=5e-3)
 
 
 def test_neumann_is_additive_over_segment_split():
     loop = circular_loop(50 * UM, 180 * UM, 40 * UM, 250 * UM, n_sides=32)
-    whole = mutual_inductance_to_loop(
+    whole = _one_coil(
         np.array([[-200 * UM, 0, 0]]), np.array([[200 * UM, 0, 0]]), loop, n_quad=8
     )[0]
-    halves = mutual_inductance_to_loop(
+    halves = _one_coil(
         np.array([[-200 * UM, 0, 0], [0, 0, 0]]),
         np.array([[0, 0, 0], [200 * UM, 0, 0]]),
         loop,
@@ -94,7 +97,7 @@ def test_neumann_perpendicular_segments_decouple():
     loop = np.array(
         [[0, 0, 0], [1e-3, 0, 0], [1e-3, 1e-3, 0], [0, 1e-3, 0], [0, 0, 0]]
     )
-    m = mutual_inductance_to_loop(
+    m = _one_coil(
         np.array([[2e-3, 2e-3, 0]]), np.array([[2e-3, 2e-3, 1e-3]]), loop
     )
     assert m[0] == 0.0
@@ -103,7 +106,7 @@ def test_neumann_perpendicular_segments_decouple():
 def test_neumann_symmetric_geometry_is_zero():
     """Wire through the loop centre: flux cancels by symmetry."""
     loop = circular_loop(0, 0, 50 * UM, 300 * UM, n_sides=64)
-    m = mutual_inductance_to_loop(
+    m = _one_coil(
         np.array([[-200 * UM, 0, 0]]), np.array([[200 * UM, 0, 0]]), loop, n_quad=6
     )
     assert abs(m[0]) < 1e-15
@@ -118,40 +121,40 @@ def test_neumann_decays_with_distance():
     for z in (20 * UM, 100 * UM, 500 * UM):
         loop = circular_loop(0, 120 * UM, z, 100 * UM, n_sides=32)
         values.append(
-            abs(mutual_inductance_to_loop(seg_s, seg_e, loop, n_quad=6)[0])
+            abs(_one_coil(seg_s, seg_e, loop, n_quad=6)[0])
         )
     assert values[0] > values[1] > values[2]
 
 
 def test_neumann_empty_input():
     loop = circular_loop(0, 0, 0, 1e-4)
-    out = mutual_inductance_to_loop(np.zeros((0, 3)), np.zeros((0, 3)), loop)
+    out = _one_coil(np.zeros((0, 3)), np.zeros((0, 3)), loop)
     assert out.shape == (0,)
 
 
 def test_neumann_input_validation():
     loop = circular_loop(0, 0, 0, 1e-4)
     with pytest.raises(EmModelError):
-        mutual_inductance_to_loop(np.zeros((2, 3)), np.zeros((3, 3)), loop)
+        _one_coil(np.zeros((2, 3)), np.zeros((3, 3)), loop)
     with pytest.raises(EmModelError):
-        mutual_inductance_to_loop(
+        _one_coil(
             np.zeros((1, 3)), np.ones((1, 3)), np.zeros((1, 3))
         )
     with pytest.raises(EmModelError):
-        mutual_inductance_to_loop(
+        _one_coil(
             np.zeros((1, 3)), np.ones((1, 3)), loop, min_distance=0.0
         )
 
 
 def test_neumann_antisymmetric_under_segment_reversal():
     loop = circular_loop(80 * UM, 200 * UM, 60 * UM, 200 * UM, n_sides=24)
-    fwd = mutual_inductance_to_loop(
+    fwd = _one_coil(
         np.array([[-150 * UM, 10 * UM, 0]]),
         np.array([[150 * UM, 10 * UM, 0]]),
         loop,
         n_quad=5,
     )[0]
-    rev = mutual_inductance_to_loop(
+    rev = _one_coil(
         np.array([[150 * UM, 10 * UM, 0]]),
         np.array([[-150 * UM, 10 * UM, 0]]),
         loop,
@@ -162,13 +165,13 @@ def test_neumann_antisymmetric_under_segment_reversal():
 
 def test_neumann_antisymmetric_under_loop_reversal():
     loop = circular_loop(80 * UM, 200 * UM, 60 * UM, 200 * UM, n_sides=24)
-    fwd = mutual_inductance_to_loop(
+    fwd = _one_coil(
         np.array([[-150 * UM, 10 * UM, 0]]),
         np.array([[150 * UM, 10 * UM, 0]]),
         loop,
         n_quad=5,
     )[0]
-    rev = mutual_inductance_to_loop(
+    rev = _one_coil(
         np.array([[-150 * UM, 10 * UM, 0]]),
         np.array([[150 * UM, 10 * UM, 0]]),
         loop[::-1],
@@ -181,13 +184,13 @@ def test_neumann_translation_invariance():
     """Shifting source and coil together leaves the coupling unchanged."""
     loop = circular_loop(80 * UM, 200 * UM, 60 * UM, 200 * UM, n_sides=24)
     shift = np.array([123 * UM, -47 * UM, 11 * UM])
-    base = mutual_inductance_to_loop(
+    base = _one_coil(
         np.array([[-150 * UM, 10 * UM, 0]]),
         np.array([[150 * UM, 10 * UM, 0]]),
         loop,
         n_quad=5,
     )[0]
-    moved = mutual_inductance_to_loop(
+    moved = _one_coil(
         np.array([[-150 * UM, 10 * UM, 0]]) + shift,
         np.array([[150 * UM, 10 * UM, 0]]) + shift,
         loop + shift,

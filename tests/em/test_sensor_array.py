@@ -1,10 +1,9 @@
 """Sensor-array geometry and the batched multi-coil mutual kernel.
 
-The batched :func:`mutual_inductance_to_loops` must agree with calling
-the single-loop kernel per coil to 1e-12 relative error (the only
-numerical difference is the shared centring constant), and the
-:class:`SensorArray` grid must tile the die row-major with full DRC'd
-spirals per tile.
+The batched :func:`mutual_inductance_to_loops` must agree with the
+per-coil loop reference of :mod:`tests.em.reference_kernels` to 1e-12
+relative error for every coil, and the :class:`SensorArray` grid must
+tile the die row-major with full DRC'd spirals per tile.
 """
 
 from __future__ import annotations
@@ -12,17 +11,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.em.mutual import (
-    mutual_inductance_to_loop,
-    mutual_inductance_to_loops,
-)
+from repro.em import chunking
+from repro.em.mutual import mutual_inductance_to_loops
 from repro.em.sensor import OnChipSensor, SensorArray
 from repro.errors import EmModelError
 from repro.layout.geometry import Rect
 from repro.layout.technology import make_tech180
 from repro.units import UM
+from tests.em.reference_kernels import mutual_inductance_to_loop_loop
 
 TOL = 1e-12
+
+
+def _assert_matches_reference(row, seg_start, seg_end, loop):
+    ref = mutual_inductance_to_loop_loop(seg_start, seg_end, loop)
+    scale = max(np.max(np.abs(ref)), 1e-30)
+    assert np.max(np.abs(row - ref)) / scale < TOL
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +67,7 @@ def _square_loop(cx, cy, half, z=1e-6, jitter=None):
 
 class TestBatchedKernel:
     def test_matches_per_coil_kernel(self, rng):
+        # Every row against the per-coil loop reference.
         seg_start, seg_end = _segments(rng, 300)
         loops = [
             _square_loop(
@@ -75,21 +80,18 @@ class TestBatchedKernel:
         ]
         batched = mutual_inductance_to_loops(seg_start, seg_end, loops)
         assert batched.shape == (len(loops), len(seg_start))
-        for i, loop in enumerate(loops):
-            solo = mutual_inductance_to_loop(seg_start, seg_end, loop)
-            scale = max(np.max(np.abs(solo)), 1e-30)
-            assert np.max(np.abs(batched[i] - solo)) / scale < TOL
+        for row, loop in zip(batched, loops):
+            _assert_matches_reference(row, seg_start, seg_end, loop)
 
-    def test_chunking_does_not_change_results(self, rng):
+    def test_chunking_does_not_change_results(self, rng, monkeypatch):
         seg_start, seg_end = _segments(rng, 120)
         loops = [
             _square_loop(200 * UM, 200 * UM, 60 * UM),
             _square_loop(600 * UM, 500 * UM, 40 * UM),
         ]
         full = mutual_inductance_to_loops(seg_start, seg_end, loops)
-        tiny = mutual_inductance_to_loops(
-            seg_start, seg_end, loops, chunk_bytes=4096
-        )
+        monkeypatch.setattr(chunking, "CACHE_CHUNK_BYTES", 4096)
+        tiny = mutual_inductance_to_loops(seg_start, seg_end, loops)
         scale = max(np.max(np.abs(full)), 1e-30)
         assert np.max(np.abs(tiny - full)) / scale < TOL
 
@@ -103,9 +105,7 @@ class TestBatchedKernel:
         )
         assert np.all(batched[0] == 0.0)
         assert np.all(batched[2] == 0.0)
-        solo = mutual_inductance_to_loop(seg_start, seg_end, live)
-        scale = max(np.max(np.abs(solo)), 1e-30)
-        assert np.max(np.abs(batched[1] - solo)) / scale < TOL
+        _assert_matches_reference(batched[1], seg_start, seg_end, live)
 
     def test_rejects_malformed_loop(self, rng):
         seg_start, seg_end = _segments(rng, 10)
@@ -155,13 +155,10 @@ class TestSensorArray:
             SensorArray.design_grid(die, tech, rows=2, cols=-1)
 
     def test_coupling_matches_per_coil(self, die, tech, rng):
-        array = SensorArray.design_grid(die, tech, rows=2, cols=2)
+        # All 16 coils of the 4x4 array, each against the loop reference.
+        array = SensorArray.design_grid(die, tech, rows=4, cols=4)
         seg_start, seg_end = _segments(rng, 150)
         batched = array.coupling(seg_start, seg_end)
-        assert batched.shape == (4, 150)
-        for i, coil in enumerate(array.coils):
-            solo = mutual_inductance_to_loop(
-                seg_start, seg_end, coil.polyline
-            )
-            scale = max(np.max(np.abs(solo)), 1e-30)
-            assert np.max(np.abs(batched[i] - solo)) / scale < TOL
+        assert batched.shape == (16, 150)
+        for row, coil in zip(batched, array.coils):
+            _assert_matches_reference(row, seg_start, seg_end, coil.polyline)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import repro.experiments.parallel as parallel
-from repro.config import CACHE_DIR_ENV, FORCE_POOL_ENV_VAR
+from repro.config import ReproConfig, use_config
 from repro.errors import ExperimentError
 from repro.experiments.parallel import (
     WORKERS_ENV_VAR,
@@ -124,18 +124,19 @@ def test_resolve_workers(monkeypatch):
 
 
 def test_pool_worker_metrics_merge_into_the_active_registry(
-    chip, sim_scenario, monkeypatch
+    chip, sim_scenario
 ):
     # Workers record into their own registries; the parent folds each
     # returned state in, so the pooled run reports what the serial one
     # does.  Timings differ, so histograms compare by sample count.
-    monkeypatch.setenv(FORCE_POOL_ENV_VAR, "1")
-    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    # The pinned config allows the pool on any host and keeps the
+    # trace cache off.
     specs = _small_specs(chip, sim_scenario)
-    with use_metrics() as serial:
-        run_campaigns(specs, workers=1)
-    with use_metrics() as pooled:
-        run_campaigns(specs, workers=2)
+    with use_config(ReproConfig(host_cpus=2, workers=2)):
+        with use_metrics() as serial:
+            run_campaigns(specs, workers=1)
+        with use_metrics() as pooled:
+            run_campaigns(specs, workers=2)
     s_state, p_state = serial.state_dict(), pooled.state_dict()
     assert s_state["counters"]
     assert p_state["counters"] == s_state["counters"]
@@ -148,7 +149,6 @@ def test_killed_pool_worker_fails_typed_and_fast(monkeypatch):
     # A worker SIGKILLed in the middle of its campaign must surface as
     # an ExperimentError naming the campaign, not a BrokenProcessPool
     # and not a hang.
-    monkeypatch.setenv(FORCE_POOL_ENV_VAR, "1")
     monkeypatch.setattr(parallel, "_resolve_chip", lambda spec: None)
 
     def collector(chip, scenario, kind, **params):
@@ -173,8 +173,9 @@ def test_killed_pool_worker_fails_typed_and_fast(monkeypatch):
     signal.alarm(60)
     start = time.monotonic()
     try:
-        with pytest.raises(ExperimentError, match="'victim'.*worker"):
-            run_campaigns(specs, workers=2)
+        with use_config(ReproConfig(host_cpus=2, workers=2)):
+            with pytest.raises(ExperimentError, match="'victim'.*worker"):
+                run_campaigns(specs, workers=2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

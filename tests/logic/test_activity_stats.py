@@ -9,11 +9,11 @@ from repro.logic import (
     CompiledNetlist,
     NetlistBuilder,
     ToggleCountRecorder,
-    TraceRecorder,
     netlist_stats,
 )
 from repro.logic.activity import FOLD_ROWS, MAX_ACTIVITY_CODE
 from repro.logic.stats import format_table
+from tests.logic.recorders import TraceRecorder, record, record_all
 
 
 def _counter_sim():
@@ -56,7 +56,7 @@ def test_activity_accumulator_weighted_bins():
     bins = np.array([0, 1, 1])
     acc = ActivityAccumulator(weights, bins)
     toggles = np.array([[1, 0], [1, 1], [0, 1]], dtype=bool)
-    acc.record(toggles)
+    record(acc, toggles)
     out = acc.result()
     assert out.shape == (1, 2, 2)
     # bin0 = w0*t0; bin1 = w1*t1 + w2*t2
@@ -66,7 +66,7 @@ def test_activity_accumulator_weighted_bins():
 
 def test_activity_accumulator_accepts_float_matrices():
     acc = ActivityAccumulator(np.ones(2), np.zeros(2, dtype=int))
-    acc.record(np.array([[0.35, 1.0], [1.0, 0.35]]))
+    record(acc, np.array([[0.35, 1.0], [1.0, 0.35]]))
     assert np.allclose(acc.result()[0, 0], [1.35, 1.35])
 
 
@@ -75,14 +75,14 @@ def test_activity_accumulator_validates_shapes():
         ActivityAccumulator(np.ones(3), np.zeros(2, dtype=int))
     acc = ActivityAccumulator(np.ones(2), np.zeros(2, dtype=int))
     with pytest.raises(SimulationError):
-        acc.record(np.zeros((3, 1), dtype=bool))
+        record(acc, np.zeros((3, 1), dtype=bool))
     with pytest.raises(SimulationError):
         acc.result()  # nothing recorded
 
 
 def test_activity_accumulator_clear():
     acc = ActivityAccumulator(np.ones(1), np.zeros(1, dtype=int))
-    acc.record(np.ones((1, 1), dtype=bool))
+    record(acc, np.ones((1, 1), dtype=bool))
     acc.clear()
     assert acc.cycles == 0
 
@@ -103,10 +103,10 @@ def test_fold_paths_agree_bit_for_bit():
     n_cycles, _, batch = toggles.shape
     solo = ActivityAccumulator(weights, bins)
     for t in toggles:
-        solo.record(t)
+        record(solo, t)
     group = [ActivityAccumulator(w, bins) for w in (weights[::-1], weights)]
     for t in toggles:
-        ActivityAccumulator.record_all(group, t)
+        record_all(group, t)
     blocked = [ActivityAccumulator(w, bins) for w in (weights, weights * 3)]
     ActivityAccumulator.record_all_blocks(
         blocked, toggles[:, blocked[0].level_order], n_cycles, batch
@@ -122,7 +122,7 @@ def test_fold_is_exact_for_integer_activity():
     codes = toggles * np.int64(MAX_ACTIVITY_CODE)
     acc = ActivityAccumulator(weights, bins)
     for c in codes:
-        acc.record(c)
+        record(acc, c)
     w_int = np.rint(weights / acc.step).astype(np.int64)
     for k, c in enumerate(codes):
         for level in range(acc.num_bins):
@@ -135,7 +135,7 @@ def test_fold_is_exact_for_integer_activity():
 
 def test_fold_empty_level_is_zero():
     acc = ActivityAccumulator(np.array([1.0, 2.0, 4.0]), np.array([0, 2, 2]))
-    acc.record(np.array([[1, 1], [1, 0], [0, 1]], dtype=bool))
+    record(acc, np.array([[1, 1], [1, 0], [0, 1]], dtype=bool))
     out = acc.result()
     assert out.shape == (1, 3, 2)
     assert np.array_equal(out[0], [[1.0, 1.0], [0.0, 0.0], [2.0, 4.0]])
@@ -143,7 +143,7 @@ def test_fold_empty_level_is_zero():
 
 def test_fold_single_instance():
     acc = ActivityAccumulator(np.array([0.3]), np.array([2]))
-    acc.record(np.array([[1, 0, 1]], dtype=bool))
+    record(acc, np.array([[1, 0, 1]], dtype=bool))
     out = acc.result()
     assert out.shape == (1, 3, 3)
     assert np.array_equal(out[0, :2], np.zeros((2, 3)))
@@ -152,7 +152,7 @@ def test_fold_single_instance():
 
 def test_fold_zero_instances():
     acc = ActivityAccumulator(np.empty(0), np.empty(0, dtype=int))
-    acc.record(np.zeros((0, 4), dtype=bool))
+    record(acc, np.zeros((0, 4), dtype=bool))
     assert acc.result().shape == (1, 0, 4)
     assert acc.cycles == 1
 
@@ -163,7 +163,7 @@ def test_fold_requires_shared_bins():
     b = ActivityAccumulator(weights, np.array([0, 1, 1, 1]))
     toggles = np.ones((4, 2), dtype=bool)
     with pytest.raises(SimulationError, match="share delay bins"):
-        ActivityAccumulator.record_all([a, b], toggles)
+        record_all([a, b], toggles)
     with pytest.raises(SimulationError, match="share delay bins"):
         ActivityAccumulator.record_all_blocks([a, b], toggles[None], 1, 2)
     with pytest.raises(SimulationError, match="column block"):

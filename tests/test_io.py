@@ -28,7 +28,7 @@ def _bundle(rng):
 
 def test_roundtrip(tmp_path, rng):
     bundle = _bundle(rng)
-    path = tmp_path / "campaign.npz"
+    path = tmp_path / "campaign.npy"
     save_traces(bundle, path)
     loaded = load_traces(path)
     assert np.array_equal(loaded.traces, bundle.traces)
@@ -42,32 +42,30 @@ def test_roundtrip(tmp_path, rng):
 
 def test_digest_detects_corruption(tmp_path, rng):
     bundle = _bundle(rng)
-    path = tmp_path / "campaign.npz"
-    save_traces(bundle, path)
+    path = save_traces(bundle, tmp_path / "campaign.npy")
     # Re-save with tampered traces but the old manifest.
-    import json
-
-    with np.load(path) as data:
-        manifest = data["manifest"]
-        traces = data["traces"].copy()
+    traces = np.load(path)
     traces[0, 0] += 1.0
-    np.savez_compressed(path, traces=traces, manifest=manifest)
+    np.save(path, traces)
     with pytest.raises(MeasurementError, match="digest"):
-        load_traces(path)
+        load_traces(path, verify=True)
 
 
 def test_not_a_bundle(tmp_path, rng):
-    path = tmp_path / "other.npz"
-    np.savez(path, foo=np.zeros(3))
-    with pytest.raises(MeasurementError):
+    path = tmp_path / "other.npy"
+    np.save(path, np.zeros(3))
+    path.with_suffix(".json").write_text('{"foo": 1}')
+    with pytest.raises(MeasurementError, match="not a trace-bundle"):
         load_traces(path)
+    with pytest.raises(MeasurementError, match="no trace bundle"):
+        load_traces(tmp_path / "missing")
 
 
 def test_bad_trace_shape_rejected(tmp_path, rng):
     bundle = _bundle(rng)
     bundle.traces = bundle.traces.ravel()
     with pytest.raises(MeasurementError):
-        save_traces(bundle, tmp_path / "x.npz")
+        save_traces(bundle, tmp_path / "x.npy")
 
 
 def test_json_report_roundtrip(tmp_path):
@@ -90,9 +88,6 @@ def test_json_report_rejects_exotic_types(tmp_path):
         save_json_report({"x": object()}, tmp_path / "bad.json")
 
 
-# -- v2 format -----------------------------------------------------------
-
-
 def test_v2_roundtrip(tmp_path, rng):
     bundle = _bundle(rng)
     path = save_traces(bundle, tmp_path / "campaign.npy")
@@ -107,17 +102,14 @@ def test_v2_roundtrip(tmp_path, rng):
 
 
 def test_save_returns_real_path_for_suffixless_target(tmp_path, rng):
-    """The historical save/load mismatch: savez appended .npz silently."""
+    """Save and load agree on the on-disk name of a suffixless path."""
     bundle = _bundle(rng)
     requested = tmp_path / "campaign"
     written = save_traces(bundle, requested)
     assert written.exists()
     assert written == resolve_store_path(requested)
-    # Loading via the *requested* path works for both formats.
+    # Loading via the *requested* path works too.
     assert np.array_equal(load_traces(requested).traces, bundle.traces)
-    v1 = save_traces(bundle, tmp_path / "legacy", fmt="v1")
-    assert v1.suffix == ".npz" and v1.exists()
-    assert np.array_equal(load_traces(tmp_path / "legacy").traces, bundle.traces)
 
 
 def test_v2_mmap_is_readonly_and_identical(tmp_path, rng):
@@ -169,19 +161,7 @@ def test_v2_extras_with_numpy_values(tmp_path, rng):
     assert loaded.extras["taps"] == [0, 1, 2, 3]
 
 
-def test_v1_still_loads_and_verifies_eagerly(tmp_path, rng):
-    bundle = _bundle(rng)
-    path = save_traces(bundle, tmp_path / "campaign.npz")
-    assert path.suffix == ".npz"
-    loaded = load_traces(path)
-    assert np.array_equal(loaded.traces, bundle.traces)
-    assert loaded.verify() is loaded
-
-
 def test_resolve_store_path_rules():
-    assert resolve_store_path("a.npz") == resolve_store_path("a.npz", "v1")
     assert str(resolve_store_path("a")) == "a.npy"
-    assert str(resolve_store_path("a", "v1")) == "a.npz"
-    assert str(resolve_store_path("a.npz", "v2")) == "a.npz.npy"
-    with pytest.raises(MeasurementError):
-        resolve_store_path("a", "v3")
+    assert str(resolve_store_path("a.npy")) == "a.npy"
+    assert str(resolve_store_path("a.npz")) == "a.npz.npy"

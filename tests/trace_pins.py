@@ -38,35 +38,35 @@ PIN_BUILD = (
 #: ``{pin: (CACHE_SALT it was taken under, SHA-256 of the traces)}``.
 TRACE_PINS: dict[str, tuple[str, str]] = {
     # TRACE_COLLECTORS kinds on the tiny configs of tests/test_trace_pins.py.
-    "collector/ed": ("repro-pipeline-6", "929aadd367621c3c11a96eae077221a644802409a17f6dede3c1ab2b6291b48a"),
-    "collector/spectral": ("repro-pipeline-6", "8b77426ee4b2d4ac56e82a93c09ad9bbce90752d7a5d1cdbe6f03f39bdce2977"),
-    "collector/raw": ("repro-pipeline-6", "774a7ae69cbe4ca16ffa42f8f9f46cc2cd3efc0a8ed0ca874b51e2044b70551a"),
+    "collector/ed": ("repro-pipeline-7", "c7fffaa1a9b2de0aaa948d1764b3b19f8ac4cf12f81c0c6a862ac2acc376a0c9"),
+    "collector/spectral": ("repro-pipeline-7", "7bc04613b41b8e189b4df9deffa2f57deddf2b2922cdc9adcb49b76706fda6a7"),
+    "collector/raw": ("repro-pipeline-7", "cf88fb7bfe0dcad2eafbd27d09a539208570cd56a63e8e47827d0915e0554c62"),
     # All 18 receivers of the seed-1 4x4 array chip, per Trojan and batch.
-    "acquire/array/golden/1": ("repro-pipeline-6", "2f5d1d0b3f3363ef3bd187c1a82300c9cede399a1ea997268e927f915b45b7f4"),
-    "acquire/array/golden/8": ("repro-pipeline-6", "4a2baa44c9179472e25784b95738e8881c14256439e9e8e3e870d04bef2eec3e"),
-    "acquire/array/golden/33": ("repro-pipeline-6", "e51a0a86cb45d917512cf71db1792f1e1ba96daa909572cee77864666dfe6b62"),
-    "acquire/array/trojan1/1": ("repro-pipeline-6", "fa3df98d6e04640206f07eceb57c9c0d63ca1ec2726f3e427a3b71cf77d75120"),
-    "acquire/array/trojan1/8": ("repro-pipeline-6", "9268ab591d37cfd7cf07c6d96a5c172bc3d7368b8c2319e710f0d56b5f86d85b"),
-    "acquire/array/trojan1/33": ("repro-pipeline-6", "c0dd9bd543f9dcbad68e01cd2e59fb9f7dd89a3cf75ad5cf497dcf37d16c852f"),
-    "acquire/array/trojan2/1": ("repro-pipeline-6", "f6d4cd1a16a79330cbb32ef6a89d7723bd5fed54aa40900d5656927a02b1b5da"),
-    "acquire/array/trojan2/8": ("repro-pipeline-6", "75bc0393ead88ead5187f3b2faa31549d1beb5768fcf678c8838bb418fb30adc"),
-    "acquire/array/trojan2/33": ("repro-pipeline-6", "83f82aa07a4deb910155a0e84e8c66a2aaa53f3fefd3c2ed159b283e4cd9a167"),
-    "acquire/array/trojan3/1": ("repro-pipeline-6", "ecb95bdba5e99645d51266ff7735b7f00b9485ec62b3b2d5957aae5c445ffbce"),
-    "acquire/array/trojan3/8": ("repro-pipeline-6", "cc3ac835db08b2c6c86a887844dbfcf383a7ffac5ec81fd92b9931fcc1ad03bd"),
-    "acquire/array/trojan3/33": ("repro-pipeline-6", "c8c0632bc59ffc24338f9cebddbdc0cdde1a5b170a0523d848cccbb9f3a32c29"),
-    "acquire/array/trojan4/1": ("repro-pipeline-6", "2cb9cd9803f6545fa9192ea65e22e25aa2d57c40c5b963f7a71ce512261bfdca"),
-    "acquire/array/trojan4/8": ("repro-pipeline-6", "9668ee797e631d82347f0f04074876b0448af2f8fb09b93700fd655e63c6b5e7"),
-    "acquire/array/trojan4/33": ("repro-pipeline-6", "9f248dd6605a583e182e483353e651ef25418453a727413cba9146731a264834"),
-    "acquire/array/a2/1": ("repro-pipeline-6", "84ddb663b19554382e037fea1f019dc594d86dde669d6ee29549cbee39c66aef"),
-    "acquire/array/a2/8": ("repro-pipeline-6", "728d6bedae5f36f769f433221c39468331a1118cd078e290f61505a73a99f342"),
-    "acquire/array/a2/33": ("repro-pipeline-6", "f7329fa17601dde066c164fd8137b4fe50149e4bbc9abc8cc5bd7f99a2e663c1"),
+    "acquire/array/golden/1": ("repro-pipeline-7", "2f5d1d0b3f3363ef3bd187c1a82300c9cede399a1ea997268e927f915b45b7f4"),
+    "acquire/array/golden/8": ("repro-pipeline-7", "4a2baa44c9179472e25784b95738e8881c14256439e9e8e3e870d04bef2eec3e"),
+    "acquire/array/golden/33": ("repro-pipeline-7", "e51a0a86cb45d917512cf71db1792f1e1ba96daa909572cee77864666dfe6b62"),
+    "acquire/array/trojan1/1": ("repro-pipeline-7", "5f565314c991118183818731cf58475f12d50bd3ba5a51559222a7ab540b7224"),
+    "acquire/array/trojan1/8": ("repro-pipeline-7", "921cae278b0fcf6ec19771058ab2b08b0f0375789e229ea2bdb2155f7b17e7c8"),
+    "acquire/array/trojan1/33": ("repro-pipeline-7", "fac4a844a731d6f9107ecb2925c2d177cb47f69fedaf44fa496bfa8bfb2fbf11"),
+    "acquire/array/trojan2/1": ("repro-pipeline-7", "3b482304d8ac945ea1201d494fcad3f3c1e12193a696709160b907dca89bcf1b"),
+    "acquire/array/trojan2/8": ("repro-pipeline-7", "4abb78ac12db5d231b7acc24462aec6ecef6e4c60003c79344a1fb659bc0163d"),
+    "acquire/array/trojan2/33": ("repro-pipeline-7", "bb8a82e398782872922ee77dfa421f114ff6cd9bfe6395f5eaa9502f0e4b7f13"),
+    "acquire/array/trojan3/1": ("repro-pipeline-7", "81e75e54390c18f07bfefe024659af7bb4c61673ab7b2a6a20f250db9d3b7988"),
+    "acquire/array/trojan3/8": ("repro-pipeline-7", "e6a300b9261fffef5d0f7232a4e3a8d973f99fd468bc3b8cff0ef7e694a3533b"),
+    "acquire/array/trojan3/33": ("repro-pipeline-7", "60ba7ecbab1f966dad7f41be2375b38dbdece78471ac3afca33f8b24f4ec640e"),
+    "acquire/array/trojan4/1": ("repro-pipeline-7", "2cb9cd9803f6545fa9192ea65e22e25aa2d57c40c5b963f7a71ce512261bfdca"),
+    "acquire/array/trojan4/8": ("repro-pipeline-7", "9668ee797e631d82347f0f04074876b0448af2f8fb09b93700fd655e63c6b5e7"),
+    "acquire/array/trojan4/33": ("repro-pipeline-7", "9f248dd6605a583e182e483353e651ef25418453a727413cba9146731a264834"),
+    "acquire/array/a2/1": ("repro-pipeline-7", "4ef8fd354f58c9732e9bc81e931e822cbfbf5c2d1097bb02a42ccecde3a787bf"),
+    "acquire/array/a2/8": ("repro-pipeline-7", "1083f9b331db550087018e20d073fda16ce8e2683b0cb533291af6f4202e8c7f"),
+    "acquire/array/a2/33": ("repro-pipeline-7", "ab0ddf10853c46f2d7a2c82c076da74eba03cafe63ac3bff8053a6362246f7f0"),
     # Noise-off coil subset of the array chip, Trojan 3 at batch 8.
-    "acquire/array/subset": ("repro-pipeline-6", "3b39da3f7fc24eafe7670258aa052cb658c94df0b67ee795167ce1e8956bfd96"),
+    "acquire/array/subset": ("repro-pipeline-7", "3b39da3f7fc24eafe7670258aa052cb658c94df0b67ee795167ce1e8956bfd96"),
     # Power-monitor chip, silicon scenario, Trojan 2 at batch 8.
-    "acquire/power": ("repro-pipeline-6", "de97686d22f6d57f8db07b10eea0e518ba18c43fbfb251e5cba97c8855e16dba"),
+    "acquire/power": ("repro-pipeline-7", "de97686d22f6d57f8db07b10eea0e518ba18c43fbfb251e5cba97c8855e16dba"),
     # Flushed journal of the chip-backed fleet campaign in
     # tests/fleet/test_campaign_pin.py (SHA-256 of the JSONL bytes).
-    "fleet/campaign-journal": ("repro-pipeline-6", "fce132cec2f113646ff34b2f4e9584e87149595f7e1d360dc71458417a8ab878"),
+    "fleet/campaign-journal": ("repro-pipeline-7", "fce132cec2f113646ff34b2f4e9584e87149595f7e1d360dc71458417a8ab878"),
 }
 
 
