@@ -34,12 +34,13 @@ from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
 from repro.chip.scenario import array_scenario
 from repro.logic.activity import ActivityAccumulator
-from repro.logic.simulator import BACKEND_ENV_VAR
+from repro.logic.simulator import unpack_bits
 from repro.em.biot_savart import b_field_of_segments
 from repro.em.mutual import mutual_inductance_to_loops
 from repro.power.pulse import emf_kernel, step_kernel, synthesize_events
 from repro.experiments import campaign_spec, run_campaigns
 from tests.chip.reference_fold import ReferenceFoldEngine, dense_fold_matrix
+from tests.logic.representation import representation
 from tests.em.reference_kernels import (
     b_field_of_segments_loop,
     mutual_inductance_to_loop_loop,
@@ -153,10 +154,13 @@ def test_acquisition_engine(benchmark, chip, sim_scenario):
 
 
 def test_packed_backend_speedup(benchmark, chip, sim_scenario):
-    """Bit-sliced backend: exact bool equality, ≥4× over the reference.
+    """Bit-sliced representation: exact bool equality, ≥4× over the
+    reference.
 
     Sensor-only and noise-free so the measurement isolates the cycle
-    loop + activity fold the bit-sliced backend targets.  With
+    loop + activity fold the bit-sliced representation targets.  The
+    bool run at the same batch moves ``PACKED_BATCH_THRESHOLD`` above
+    it.  With
     ``REPRO_BENCH_SMOKE=1`` (the CI smoke job) a small configuration
     runs instead and only the packed-vs-bool equality is enforced.
     """
@@ -172,24 +176,15 @@ def test_packed_backend_speedup(benchmark, chip, sim_scenario):
         rng_role="bench/packed",
     )
 
-    def acquire(backend=None, on=engine):
-        prev = os.environ.get(BACKEND_ENV_VAR)
-        if backend is not None:
-            os.environ[BACKEND_ENV_VAR] = backend
-        try:
+    def acquire(kind="packed", on=engine):
+        with representation(kind):
             return on.acquire(
                 EncryptionWorkload(chip.aes, b"\x2b" * 16, period=12),
                 **kw,
             )
-        finally:
-            if backend is not None:
-                if prev is None:
-                    del os.environ[BACKEND_ENV_VAR]
-                else:
-                    os.environ[BACKEND_ENV_VAR] = prev
 
-    packed = run_once(benchmark, acquire, "packed")
-    t_packed = _best_of(lambda: acquire("packed"), repeats=1)
+    packed = run_once(benchmark, acquire)
+    t_packed = _best_of(acquire, repeats=1)
     t_packed = min(t_packed, benchmark.stats.stats.mean)
     boolr = acquire("bool")
     reference = ReferenceFoldEngine(chip, sim_scenario)
@@ -197,7 +192,7 @@ def test_packed_backend_speedup(benchmark, chip, sim_scenario):
 
     assert np.array_equal(
         packed.traces["sensor"], boolr.traces["sensor"]
-    ), "packed backend diverged from bool backend"
+    ), "packed representation diverged from bool"
 
     speedup = t_reference / t_packed
     record_timing(
@@ -237,8 +232,8 @@ def _fold_block(chip, batch: int, cycles: int, warmup: int = 8):
     for k in range(1, warmup + cycles + 1):
         toggles = sim.step(state, workload.inputs(k, batch))
         if k > warmup:
-            tog.append(toggles)
-            ris.append(toggles & sim.output_values(state))
+            tog.append(unpack_bits(toggles, batch))
+            ris.append(unpack_bits(toggles & sim.output_values(state), batch))
     return np.hstack(tog), np.hstack(ris)
 
 
@@ -324,15 +319,15 @@ def test_clock_amplitude_kernel(benchmark):
     chip, sim = engine.chip, engine.chip.sim
     batch, cycles = 32, 36
     seq = sim.seq_instance_idx
-    net_idx = [sim.net_index[net] for net in engine._clock_nets.values()]
+    clock_nets = list(engine._clock_nets.values())
     workload = EncryptionWorkload(chip.aes, b"\x2b" * 16, period=12)
     workload.begin(batch, np.random.default_rng(2024))
     state = sim.reset(batch=batch, inputs=workload.inputs(0, batch))
     clock_en = np.empty((cycles, seq.size, batch), dtype=bool)
-    recorded = np.empty((len(net_idx), cycles, batch), dtype=bool)
+    recorded = np.empty((len(clock_nets), cycles, batch), dtype=bool)
     for k in range(1, cycles + 1):
-        clock_en[k - 1] = sim.clock_enable_values(state)
-        recorded[:, k - 1] = state.values[net_idx]
+        clock_en[k - 1] = unpack_bits(sim.clock_enable_values(state), batch)
+        recorded[:, k - 1] = sim.read_bus_bits(state, clock_nets)
         sim.step(state, workload.inputs(k, batch))
 
     coils = chip.receiver_groups["array"]
@@ -349,7 +344,7 @@ def test_clock_amplitude_kernel(benchmark):
         return np.stack([np.einsum("s,csb->cb", w, clock_en) for w in w_seq])
 
     def enable_nets():
-        enables = recorded.astype(np.float64).reshape(len(net_idx), -1)
+        enables = recorded.astype(np.float64).reshape(len(clock_nets), -1)
         return _clock_sum(steps, units, enables).reshape(-1, cycles, batch)
 
     ref, got = einsum(), enable_nets()
@@ -360,12 +355,12 @@ def test_clock_amplitude_kernel(benchmark):
     record_timing(
         "clock_amplitudes_16", t_nets, einsum_s=t_einsum,
         speedup=t_einsum / t_nets, receivers=len(coils),
-        registers=int(seq.size), nets=len(net_idx), cycles=cycles,
+        registers=int(seq.size), nets=len(clock_nets), cycles=cycles,
         batch=batch, max_rel_err=float(err), smoke=smoke,
     )
     print(
         f"\nclock amplitudes ({len(coils)} coils, {seq.size} registers, "
-        f"{len(net_idx)} enable nets, {cycles} cycles x batch {batch}): "
+        f"{len(clock_nets)} enable nets, {cycles} cycles x batch {batch}): "
         f"{t_nets * 1e3:.2f} ms vs einsum {t_einsum * 1e3:.1f} ms "
         f"-> {t_einsum / t_nets:.0f}x, max rel err {err:.1e}"
     )
@@ -487,7 +482,7 @@ def _capture_cycle_loop(engine, batch: int, n_cycles: int) -> dict:
     return captured
 
 
-def test_cycle_loop_kernel(benchmark, chip, sim_scenario, monkeypatch):
+def test_cycle_loop_kernel(benchmark, chip, sim_scenario):
     """The acquisition cycle loop alone: step, lane buffering and fold.
 
     Batches 8 and 32 on the seed-1 chip, all receivers.  The loop
@@ -497,14 +492,14 @@ def test_cycle_loop_kernel(benchmark, chip, sim_scenario, monkeypatch):
     ``step``, the level-ordered toggle and rise buffer writes and the
     block flushes through the level fold.  Every rerun must reproduce
     the folded frames and recorded nets of the acquisition bit for bit,
-    and so must an acquisition on the bool backend.  The cycle counts
-    end on a partial block at batch 8 (32 cycles per block).
+    and so must an acquisition on the bool representation (reached by
+    moving ``PACKED_BATCH_THRESHOLD`` above the batch).  The cycle
+    counts end on a partial block at batch 8 (32 cycles per block).
     """
     smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
     n_cycles = 40 if smoke else 104
     repeats = 2 if smoke else 5
     engine = AcquisitionEngine(chip, sim_scenario)
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
 
     def rerun(cap, batch):
         state = copy.deepcopy(cap["state"])
@@ -524,10 +519,9 @@ def test_cycle_loop_kernel(benchmark, chip, sim_scenario, monkeypatch):
             seconds, digest = rerun(cap, batch)
             assert digest == cap["digest"], (batch, "rerun diverged")
             times.append(seconds)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "bool")
-        bool_digest = _capture_cycle_loop(engine, batch, n_cycles)["digest"]
-        monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert bool_digest == cap["digest"], (batch, "packed != bool")
+        with representation("bool"):
+            cap_bool = _capture_cycle_loop(engine, batch, n_cycles)
+        assert cap_bool["digest"] == cap["digest"], (batch, "packed != bool")
         t_loop = min(times)
         record_timing(
             f"cycle_loop_b{batch}", t_loop,

@@ -30,7 +30,6 @@ from repro.logic.activity import FOLD_ROWS, ActivityAccumulator, grid_step
 from repro.logic.simulator import (
     PackedState,
     lane_slices,
-    resolve_backend,
     unpack_bits,
 )
 from repro.obs import active_metrics
@@ -450,11 +449,11 @@ class AcquisitionEngine:
 
         A solo acquisition is a lane group of one: it runs the same
         body as :meth:`acquire_group`.  The cycle loop runs on the
-        backend :func:`repro.logic.simulator.resolve_backend` picks for
-        *batch* (``packed`` from 2 up, overridable via
-        ``REPRO_SIM_BACKEND``); both backends feed the same activity
-        codes to the same exact level fold and produce bit-identical
-        traces, toggles and recorded nets for the same RNG streams.
+        representation :meth:`repro.logic.simulator.CompiledNetlist.
+        reset` picks for *batch* (bool for one lane, packed from 2 up);
+        both feed the same activity codes to the same exact level fold
+        and produce bit-identical traces, toggles and recorded nets for
+        the same RNG streams.
         Empty or repeated *receivers* and unknown *record_nets* nets raise
         :class:`~repro.errors.MeasurementError` before anything is
         simulated.
@@ -468,7 +467,7 @@ class AcquisitionEngine:
             workload_role=workload_role,
         )
         (result,) = self._acquire_lanes(
-            (member,), n_cycles, record_nets, receivers, include_noise, None
+            (member,), n_cycles, record_nets, receivers, include_noise
         )
         return result
 
@@ -480,7 +479,6 @@ class AcquisitionEngine:
         record_nets: dict[str, str] | None = None,
         receivers: tuple[str, ...] | None = None,
         include_noise: bool = True,
-        backend: str | None = None,
     ) -> dict[str, AcquisitionResult]:
         """Acquire several same-netlist campaigns in one packed pass.
 
@@ -511,11 +509,9 @@ class AcquisitionEngine:
             workload instances distinct (workloads hold per-campaign
             state).
         n_cycles, record_nets, receivers, include_noise:
-            As in :meth:`acquire`, shared by the whole group.
-        backend:
-            Backend override; default defers to :func:`repro.logic.
-            simulator.resolve_backend` for the *combined* batch, so a
-            group of small batches still reaches the packed kernel.
+            As in :meth:`acquire`, shared by the whole group.  The
+            *combined* batch picks the simulator's representation, so
+            a group of single-lane members still runs packed.
 
         Returns
         -------
@@ -533,7 +529,7 @@ class AcquisitionEngine:
                 "(workloads hold per-campaign state)"
             )
         results = self._acquire_lanes(
-            members, n_cycles, record_nets, receivers, include_noise, backend
+            members, n_cycles, record_nets, receivers, include_noise
         )
         metrics = active_metrics()
         metrics.counter("acquire.group.chips").inc(len(members))
@@ -550,7 +546,6 @@ class AcquisitionEngine:
         record_nets: dict[str, str] | None,
         receivers: tuple[str, ...] | None,
         include_noise: bool,
-        backend: str | None,
     ) -> list[AcquisitionResult]:
         """The one acquisition body behind :meth:`acquire` and
         :meth:`acquire_group`: validate, derive every member's RNG
@@ -625,8 +620,7 @@ class AcquisitionEngine:
         wl0 = stimulus.inputs(0, total)
         if wl0:
             first_inputs.update(wl0)
-        resolved = resolve_backend(total, backend)
-        state = sim.reset(batch=total, inputs=first_inputs, backend=resolved)
+        state = sim.reset(batch=total, inputs=first_inputs)
 
         levels = sim.instance_levels
         accumulators = {
@@ -645,11 +639,12 @@ class AcquisitionEngine:
             [sim.net_index[net] for net in watch.values()], dtype=np.int64
         )
 
-        # Per-stage observability: which backend ran, and how long the
-        # cycle loop took, land in the active metrics registry (and so
-        # in every saved RunResult artifact).
+        # Per-stage observability: which representation ran, and how
+        # long the cycle loop took, land in the active metrics registry
+        # (and so in every saved RunResult artifact).
         metrics = active_metrics()
-        metrics.counter(f"sim.backend.{resolved}").inc()
+        kind = "packed" if isinstance(state, PackedState) else "bool"
+        metrics.counter(f"sim.backend.{kind}").inc()
         metrics.counter("acquire.cycles").inc(n_cycles * total)
 
         with metrics.time("stage.sim_cycles.seconds"):

@@ -1,18 +1,17 @@
 """Unified runtime configuration — every ``REPRO_*`` knob in one place.
 
 The reproduction grew one environment variable at a time: the
-campaign runner read ``REPRO_WORKERS``, the simulator read
-``REPRO_SIM_BACKEND``, the trace cache read ``REPRO_CACHE_DIR`` /
-``REPRO_CACHE_MB`` and the CI jobs read ``REPRO_BENCH_SMOKE`` — each
-parsed independently at its point of use.  :class:`ReproConfig` is the
-single resolution point for all of them, with an explicit precedence:
+campaign runner read ``REPRO_WORKERS``, the trace cache read
+``REPRO_CACHE_DIR`` / ``REPRO_CACHE_MB`` and the CI jobs read
+``REPRO_BENCH_SMOKE`` — each parsed independently at its point of
+use.  :class:`ReproConfig` is the single resolution point for all of
+them, with an explicit precedence:
 
     call argument  >  environment variable  >  built-in default
 
 The environment variable *names* are unchanged — they are the config's
 inputs, not a parallel configuration path.  Consumers
 (:func:`repro.experiments.parallel.resolve_workers`,
-:func:`repro.logic.simulator.resolve_backend`,
 :meth:`repro.io.cache.TraceCache.from_env` and the ``repro`` CLI)
 all read the *active* config, which is re-resolved from the
 environment on every access unless an explicit config has
@@ -34,15 +33,12 @@ import os
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping
 
-from repro.errors import ConfigError, ExperimentError, SimulationError
+from repro.errors import ConfigError, ExperimentError
 
 # -- environment variable names (the historical, stable API) -----------
 
 #: Worker-process count for parallel campaign fan-out.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Simulation backend: ``auto`` (default), ``bool`` or ``packed``.
-BACKEND_ENV_VAR = "REPRO_SIM_BACKEND"
 
 #: Trace-cache directory (unset/empty = cache off).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -64,9 +60,6 @@ SENSOR_ARRAY_ENV_VAR = "REPRO_SENSOR_ARRAY"
 
 #: Default trace-cache size budget when :data:`CACHE_MB_ENV` is unset [MiB].
 DEFAULT_CACHE_MB = 2048
-
-#: Valid simulation backend names.
-SIM_BACKENDS = ("auto", "bool", "packed")
 
 
 def _parse_workers(raw: str) -> int:
@@ -127,7 +120,11 @@ class ReproConfig:
 
     #: Campaign worker processes; ``None`` means "one per host CPU".
     workers: int | None = None
-    #: Logic-simulation backend (``auto`` picks packed from batch 2).
+    #: Logic-simulation representation, fixed at ``"auto"``: the batch
+    #: picks it (:meth:`repro.logic.simulator.CompiledNetlist.reset`,
+    #: packed from batch 2).  The field stays only because
+    #: ``benchmarks/pipeline/run.py`` still pins it; any other value is
+    #: rejected.
     sim_backend: str = "auto"
     #: Trace-cache directory; ``None`` disables the cache.
     cache_dir: str | None = None
@@ -180,10 +177,10 @@ class ReproConfig:
             raise ConfigError(
                 f"bench_smoke must be a bool, got {self.bench_smoke!r}"
             )
-        if self.sim_backend not in SIM_BACKENDS:
-            raise SimulationError(
-                f"unknown simulation backend {self.sim_backend!r}; "
-                "expected 'auto', 'bool' or 'packed'"
+        if self.sim_backend != "auto":
+            raise ConfigError(
+                f"sim_backend must be 'auto', got {self.sim_backend!r}: "
+                "the batch picks the simulator's representation"
             )
         if self.cache_dir is not None and not self.cache_dir:
             object.__setattr__(self, "cache_dir", None)
@@ -245,7 +242,7 @@ class ReproConfig:
         """Resolve a config: override argument > environment > default.
 
         *overrides* use the dataclass field names (``workers=4``,
-        ``sim_backend="bool"``, ``cache_mb=...``); an override
+        ``detector="spectral"``, ``cache_mb=...``); an override
         that is present always wins over the environment variable, even
         when the override re-states the default.  *environ* substitutes
         for ``os.environ`` (tests).
@@ -268,7 +265,6 @@ class ReproConfig:
                 values[field_name] = parse(raw)
 
         from_env("workers", WORKERS_ENV_VAR, _parse_workers)
-        from_env("sim_backend", BACKEND_ENV_VAR, str)
         from_env("cache_dir", CACHE_DIR_ENV, lambda raw: raw or None)
         from_env("cache_mb", CACHE_MB_ENV, _parse_cache_mb)
         from_env("bench_smoke", SMOKE_ENV_VAR, lambda raw: raw == "1")

@@ -90,10 +90,3 @@ def window_spectra(traces: np.ndarray) -> np.ndarray:
     if x.ndim != 2:
         raise AnalysisError(f"traces must be (n, samples), got {x.shape}")
     return amplitude_spectrum(x, fs=1.0, average=False).amplitude
-
-
-def readonly_view(arr: np.ndarray) -> np.ndarray:
-    """Read-only view of *arr* (fingerprints must not be mutated)."""
-    view = arr.view()
-    view.flags.writeable = False
-    return view

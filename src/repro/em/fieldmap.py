@@ -166,7 +166,7 @@ def average_cell_activity(
     state = sim.reset(batch=batch, inputs=inputs)
     recorder = ToggleCountRecorder(sim)
     for k in range(1, n_cycles + 1):
-        recorder.record(sim.step(state, workload.inputs(k, batch)))
+        recorder.record(sim.step(state, workload.inputs(k, batch)), batch)
     return recorder.counts / (n_cycles * batch)
 
 

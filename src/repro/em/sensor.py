@@ -12,7 +12,7 @@ from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,10 +220,6 @@ class SensorArray:
             min(max(r, 0), self.rows - 1),
             min(max(c, 0), self.cols - 1),
         )
-
-    def centers(self) -> np.ndarray:
-        """Tile centres, shape ``(rows*cols, 2)`` [m], row-major."""
-        return np.array([tile.center for tile in self.tiles])
 
     # ------------------------------------------------------------------
     # Electromagnetics

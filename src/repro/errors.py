@@ -59,8 +59,6 @@ class ConfigError(ReproError):
     Raised for problems with the configuration *surface* itself —
     unknown override names, malformed snapshots, wrong value types.
     Knobs that predate the unified config keep raising their historical
-    domain error (:class:`EmModelError` for the EM chunk budget,
-    :class:`SimulationError` for the simulator backend,
-    :class:`ExperimentError` for worker counts and cache sizes) so
-    callers that already handle those keep working.
+    domain error (:class:`ExperimentError` for worker counts and cache
+    sizes) so callers that already handle those keep working.
     """

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.euclidean import EuclideanDetector
-from repro.chip.chip import ALL_TROJANS, Chip
+from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
 from repro.chip.scenario import Scenario
 from repro.experiments.campaign import collect_ed_traces

@@ -243,11 +243,6 @@ class TraceFeed:
             self._suffix_min = self._delivered_arr
 
     @property
-    def n_source_windows(self) -> int:
-        """Windows in the underlying campaign (pre-fault)."""
-        return self.source.n_windows
-
-    @property
     def n_delivered(self) -> int:
         """Windows the link actually delivers (post-fault)."""
         return len(self.delivered_seqs)

@@ -24,7 +24,6 @@ from repro.logic.simulator import (
     extract_lanes,
     lane_slices,
     pack_bits,
-    resolve_backend,
     unpack_bits,
 )
 from repro.logic.activity import ActivityAccumulator, ToggleCountRecorder
@@ -47,7 +46,6 @@ __all__ = [
     "extract_lanes",
     "lane_slices",
     "pack_bits",
-    "resolve_backend",
     "unpack_bits",
     "ActivityAccumulator",
     "ToggleCountRecorder",

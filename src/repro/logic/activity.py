@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.logic.simulator import CompiledNetlist
+from repro.logic.simulator import CompiledNetlist, lane_counts
 
 #: Largest activity code magnitude :class:`ActivityAccumulator` folds
 #: exactly (the acquisition engine's largest code is 20).
@@ -47,14 +47,16 @@ class ToggleCountRecorder:
         self.counts = np.zeros(sim.num_instances, dtype=np.int64)
         self.cycles = 0
 
-    def record(self, toggles: np.ndarray) -> None:
-        """Fold in one cycle's toggle matrix (summing over the batch)."""
+    def record(self, toggles: np.ndarray, batch: int) -> None:
+        """Fold in one cycle's toggle matrix, summed over its *batch*
+        lanes — bool or packed, as :meth:`CompiledNetlist.step` returned
+        it; packed padding lanes are not counted."""
         if toggles.shape[0] != self._sim.num_instances:
             raise SimulationError(
                 f"toggle matrix has {toggles.shape[0]} rows, expected "
                 f"{self._sim.num_instances}"
             )
-        self.counts += toggles.sum(axis=1)
+        self.counts += lane_counts(toggles, batch)
         self.cycles += 1
 
     def counts_by_group(self) -> dict[str, int]:

@@ -233,17 +233,10 @@ class NetlistBuilder:
         self._check_widths(a, b)
         return [self.xor2(x, y) for x, y in zip(a, b)]
 
-    def and_bus(self, a: Sequence[str], b: Sequence[str]) -> Bus:
-        self._check_widths(a, b)
-        return [self.and2(x, y) for x, y in zip(a, b)]
-
     def mux_bus(self, a: Sequence[str], b: Sequence[str], sel: str) -> Bus:
         """Per-bit 2:1 mux (*a* when sel=0)."""
         self._check_widths(a, b)
         return [self.mux2(x, y, sel) for x, y in zip(a, b)]
-
-    def inv_bus(self, a: Sequence[str]) -> Bus:
-        return [self.inv(x) for x in a]
 
     @staticmethod
     def _check_widths(a: Sequence[str], b: Sequence[str]) -> None:

@@ -7,7 +7,9 @@ and leakage.  Cells are immutable; the singleton instances live in
 
 Combinational functions operate on *batched* numpy boolean arrays so a
 single simulator pass can evaluate many plaintexts at once — the batch
-dimension is how the trace campaigns stay fast in pure Python.
+dimension is how the trace campaigns stay fast in pure Python.  Every
+function is a pure ``& | ^ ~`` composition, so it computes the right
+value per bit lane when handed the simulator's packed uint64 words too.
 """
 
 from __future__ import annotations
@@ -162,8 +164,12 @@ def f_nor3(a: BoolArray, b: BoolArray, c: BoolArray) -> BoolArray:
 
 
 def f_mux2(a: BoolArray, b: BoolArray, s: BoolArray) -> BoolArray:
-    """2:1 multiplexer: output is *a* when ``s`` is 0, *b* when ``s`` is 1."""
-    return np.where(s, b, a)
+    """2:1 multiplexer: output is *a* when ``s`` is 0, *b* when ``s`` is 1.
+
+    Bitwise, so it selects per bit lane on packed words too; on bools
+    it equals ``np.where(s, b, a)``.
+    """
+    return (b & s) | (a & ~s)
 
 
 def f_aoi21(a: BoolArray, b: BoolArray, c: BoolArray) -> BoolArray:
@@ -174,50 +180,3 @@ def f_aoi21(a: BoolArray, b: BoolArray, c: BoolArray) -> BoolArray:
 def f_oai21(a: BoolArray, b: BoolArray, c: BoolArray) -> BoolArray:
     """OR-AND-INVERT: ``~((a | b) & c)``."""
     return ~((a | b) & c)
-
-
-# ---------------------------------------------------------------------------
-# Packed (bit-sliced) variants
-# ---------------------------------------------------------------------------
-#
-# The bit-sliced simulator backend packs 64 batch lanes into each uint64
-# word and evaluates cells with bitwise ops on whole words.  Every pure
-# ``& | ^ ~`` composition above already computes the right thing per bit
-# lane when handed uint64 words; only :func:`f_mux2` is lane-unsafe,
-# because ``np.where`` tests whole-element truthiness rather than
-# selecting per bit.
-
-
-def f_mux2_packed(a: BoolArray, b: BoolArray, s: BoolArray) -> BoolArray:
-    """Bitwise 2:1 multiplexer: lane-wise ``b`` where ``s`` else ``a``."""
-    return (b & s) | (a & ~s)
-
-
-#: Functions with a dedicated word-wise replacement.
-_PACKED_OVERRIDES: dict[CellFunction, CellFunction] = {
-    f_mux2: f_mux2_packed,
-}
-
-#: Library functions proven safe to run unchanged on packed uint64 words.
-_PACKED_SAFE: frozenset = frozenset(
-    {
-        f_buf, f_inv, f_and2, f_or2, f_nand2, f_nor2, f_xor2, f_xnor2,
-        f_and3, f_or3, f_nand3, f_nor3, f_aoi21, f_oai21,
-    }
-)
-
-
-def packed_function(fn: CellFunction) -> CellFunction | None:
-    """Word-wise variant of a combinational cell function.
-
-    Returns *fn* itself when it is a known lane-safe bitwise
-    composition, its registered packed override otherwise, or ``None``
-    for functions the packed backend cannot prove safe (the simulator
-    then refuses to run that netlist packed rather than corrupt lanes).
-    """
-    override = _PACKED_OVERRIDES.get(fn)
-    if override is not None:
-        return override
-    if fn in _PACKED_SAFE:
-        return fn
-    return None

@@ -17,18 +17,22 @@ cycle the gate switches — is the sole interface between logic and the
 power/EM models, mirroring how the paper couples Hspice currents to the
 EM solver.
 
-Two execution backends share one compiled netlist:
+Two bit-identical representations share one compiled netlist, and the
+batch alone picks between them (:meth:`CompiledNetlist.reset`):
 
 * ``bool`` — one byte per logic value, ``(num_nets, batch)`` bool
-  arrays (:class:`SimulationState`).  The default for direct callers.
+  arrays (:class:`SimulationState`), for a single lane.  A lane's
+  uint64 word would be 8× its byte, and the bool cycle loop is the
+  faster one there.
 * ``packed`` — bit-sliced: 64 batch lanes per ``uint64`` word,
-  ``(num_nets, ceil(batch/64))`` arrays (:class:`PackedState`), gates
-  evaluated with bitwise ops on whole words.  Up to 8× smaller state
-  and about 3× faster stepping from batch 2 up; the acquisition engine
-  picks it via :func:`resolve_backend` (``REPRO_SIM_BACKEND``
-  overrides, else packed when ``batch >= 2``).  Both backends follow the
-  identical per-cycle toggle contract — unpacking a packed toggle word
-  with :func:`unpack_bits` yields exactly the bool backend's matrix.
+  ``(num_nets, ceil(batch/64))`` arrays (:class:`PackedState`), from
+  :data:`PACKED_BATCH_THRESHOLD` lanes up.  Up to 8× smaller state and
+  about 3× faster stepping.
+
+Every library cell function is a pure ``& | ^ ~`` composition, so one
+schedule evaluates either representation.  Both follow the identical
+per-cycle toggle contract — unpacking a packed toggle word with
+:func:`unpack_bits` yields exactly the bool representation's matrix.
 """
 
 from __future__ import annotations
@@ -37,11 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# BACKEND_ENV_VAR is re-exported here for backwards compatibility; its
-# resolution lives in repro.config.
-from repro.config import BACKEND_ENV_VAR, active_config
 from repro.errors import SimulationError
-from repro.logic.cells import CellKind, packed_function
+from repro.logic.cells import CellKind
 from repro.logic.netlist import Netlist
 
 BoolArray = np.ndarray
@@ -49,9 +50,9 @@ BoolArray = np.ndarray
 #: Batch lanes per machine word in the packed backend.
 WORD_BITS = 64
 
-#: Smallest batch at which ``auto`` resolves to the packed backend.  A
-#: single lane gains nothing from packing: its word is 8× the bool
-#: state's byte, and the bool cycle loop is the faster one there.
+#: Smallest batch :meth:`CompiledNetlist.reset` runs packed.  A single
+#: lane gains nothing from packing: its word is 8× the bool state's
+#: byte, and the bool cycle loop is the faster one there.
 PACKED_BATCH_THRESHOLD = 2
 
 #: Little-endian word dtype the pack/unpack helpers round-trip through,
@@ -59,26 +60,6 @@ PACKED_BATCH_THRESHOLD = 2
 _WORD_LE = np.dtype("<u8")
 
 _FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def resolve_backend(batch: int, backend: str | None = None) -> str:
-    """Effective backend name (``"bool"`` or ``"packed"``) for *batch*.
-
-    *backend* overrides; otherwise the active :class:`repro.config.
-    ReproConfig` is consulted (``REPRO_SIM_BACKEND`` or a pinned
-    config), and ``auto`` (the default) picks packed once *batch*
-    reaches :data:`PACKED_BATCH_THRESHOLD`.
-    """
-    if backend is None:
-        backend = active_config().sim_backend
-    if backend not in ("auto", "bool", "packed"):
-        raise SimulationError(
-            f"unknown simulation backend {backend!r}; expected "
-            "'auto', 'bool' or 'packed'"
-        )
-    if backend == "auto":
-        return "packed" if batch >= PACKED_BATCH_THRESHOLD else "bool"
-    return backend
 
 
 def packed_words(batch: int) -> int:
@@ -126,6 +107,20 @@ def unpack_bits(words: np.ndarray, batch: int) -> np.ndarray:
     by = w.view(np.uint8)[..., : -(-batch // 8)]
     bits = np.unpackbits(by, axis=-1, count=batch, bitorder="little")
     return bits.view(np.bool_)
+
+
+def lane_counts(matrix: np.ndarray, batch: int) -> np.ndarray:
+    """Per-row count of the set lanes among the first *batch*.
+
+    *matrix* is a simulator matrix in either representation — bool
+    ``(rows, batch)`` or packed ``(rows, nwords)`` lane words, such as a
+    toggle matrix or :meth:`CompiledNetlist.clock_enable_values` — and
+    padding lanes beyond *batch* are never counted.  Returns int64
+    ``(rows,)``.
+    """
+    if matrix.dtype == np.uint64:
+        matrix = np.bitwise_count(matrix & _lane_mask(batch))
+    return matrix.sum(axis=-1, dtype=np.int64)
 
 
 def _row_view(arr: np.ndarray) -> np.ndarray:
@@ -221,6 +216,11 @@ class SimulationState:
         """Number of stimulus vectors simulated in parallel."""
         return self.values.shape[1]
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The per-net value rows, :attr:`values`."""
+        return self.values
+
 
 @dataclass
 class PackedState:
@@ -242,16 +242,19 @@ class PackedState:
         """Words per net row."""
         return self.words.shape[1]
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The per-net value rows, :attr:`words`."""
+        return self.words
+
 
 @dataclass(frozen=True)
 class _CombGroup:
     """All same-cell gates on one topological level, ready for gather."""
 
-    cell_name: str
     function: object
     in_idx: tuple[np.ndarray, ...]
     out_idx: np.ndarray
-    inst_idx: np.ndarray
 
 
 class CompiledNetlist:
@@ -332,9 +335,8 @@ class CompiledNetlist:
             key = (levels[inst.name], inst.cell.name)
             buckets.setdefault(key, []).append(i)
         self._schedule: list[_CombGroup] = []
-        for (level, cell_name) in sorted(buckets):
-            idxs = buckets[(level, cell_name)]
-            members = [instances[i] for i in idxs]
+        for key in sorted(buckets):
+            members = [instances[i] for i in buckets[key]]
             cell = members[0].cell
             in_idx = tuple(
                 np.array(
@@ -348,27 +350,17 @@ class CompiledNetlist:
             )
             self._schedule.append(
                 _CombGroup(
-                    cell_name=cell_name,
-                    function=cell.function,
-                    in_idx=in_idx,
-                    out_idx=out_idx,
-                    inst_idx=np.array(idxs, dtype=np.int64),
+                    function=cell.function, in_idx=in_idx, out_idx=out_idx
                 )
             )
 
         self._input_index = {
             name: self.net_index[name] for name in netlist.inputs
         }
-        # Per-batch-size scratch buffers for _propagate's input gathers
-        # (one set per comb group), so the hot loop stops allocating.
-        self._scratch: dict[int, list[tuple[np.ndarray, ...]]] = {}
-        # Packed-backend twins: word-wise cell functions (None marks a
-        # function the packed backend cannot run) and uint64 scratch
-        # keyed by words-per-net instead of batch.
-        self._packed_functions: list[object | None] = [
-            packed_function(grp.function) for grp in self._schedule
-        ]
-        self._scratch_packed: dict[int, list[tuple[np.ndarray, ...]]] = {}
+        # Scratch buffers for _propagate's input gathers (one set per
+        # comb group), keyed by row width and dtype, so the hot loop
+        # stops allocating.
+        self._scratch: dict[tuple, list[tuple[np.ndarray, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Execution
@@ -377,50 +369,35 @@ class CompiledNetlist:
         self,
         batch: int = 1,
         inputs: dict[str, BoolArray] | None = None,
-        backend: str = "bool",
     ) -> SimulationState | PackedState:
         """Return a freshly reset state with combinational logic settled.
 
         Flip-flops take their ``ff_init`` values; unspecified primary
-        inputs are 0.  *backend* selects the representation: ``"bool"``
-        (the default, a :class:`SimulationState`), ``"packed"`` (a
-        bit-sliced :class:`PackedState`) or ``"auto"``/``None`` to defer
-        to :func:`resolve_backend`.  Callers that poke ``state.values``
-        directly must stay on the bool backend.
+        inputs are 0.  The batch picks the representation: a
+        :class:`SimulationState` below :data:`PACKED_BATCH_THRESHOLD`
+        lanes, a bit-sliced :class:`PackedState` from there on.  The two
+        are bit-identical through every accessor.
         """
         if batch <= 0:
             raise SimulationError(f"batch size must be positive, got {batch}")
-        if resolve_backend(batch, backend) == "packed":
-            return self._reset_packed(batch, inputs)
-        values = np.zeros((self.num_nets, batch), dtype=bool)
-        state = SimulationState(values=values, cycle=0)
+        if batch < PACKED_BATCH_THRESHOLD:
+            state = SimulationState(
+                values=np.zeros((self.num_nets, batch), dtype=bool)
+            )
+            on = True
+        else:
+            state = PackedState(
+                words=np.zeros(
+                    (self.num_nets, packed_words(batch)), dtype=np.uint64
+                ),
+                batch=batch,
+            )
+            on = _lane_mask(batch)
+        rows = state.rows
         if self._seq_q_idx.size:
-            values[self._seq_q_idx] = self._seq_init[:, None]
+            rows[self._seq_q_idx[self._seq_init]] = on
         if self._tie_idx.size:
-            values[self._tie_idx] = self._tie_val[:, None]
-        self._apply_inputs(state, inputs)
-        self._propagate(state)
-        return state
-
-    def _reset_packed(
-        self,
-        batch: int,
-        inputs: dict[str, BoolArray] | None,
-    ) -> PackedState:
-        for grp, fn in zip(self._schedule, self._packed_functions):
-            if fn is None:
-                raise SimulationError(
-                    f"cell function of {grp.cell_name!r} has no packed "
-                    "variant; register one via repro.logic.cells or use "
-                    "the bool backend"
-                )
-        words = np.zeros((self.num_nets, packed_words(batch)), dtype=np.uint64)
-        state = PackedState(words=words, batch=batch, cycle=0)
-        lanes = _lane_mask(batch)
-        if self._seq_q_idx.size:
-            words[self._seq_q_idx[self._seq_init]] = lanes
-        if self._tie_idx.size:
-            words[self._tie_idx[self._tie_val]] = lanes
+            rows[self._tie_idx[self._tie_val]] = on
         self._apply_inputs(state, inputs)
         self._propagate(state)
         return state
@@ -439,8 +416,7 @@ class CompiledNetlist:
         ``(num_instances, nwords)`` — ``unpack_bits(t, batch)`` recovers
         the bool form exactly (padding lanes are unspecified).
         """
-        packed = isinstance(state, PackedState)
-        rows = state.words if packed else state.values
+        rows = state.rows
         toggled = self.output_values(state)
 
         # Clock edge: capture D into Q (with enables) from settled values,
@@ -449,7 +425,7 @@ class CompiledNetlist:
         if self._seq_q_idx.size:
             d_vals = np.take(rows, self._seq_d_idx, axis=0)
             q_vals = np.take(rows, self._seq_q_idx, axis=0)
-            en_vals = self._enable_rows(rows, _FULL_WORD if packed else True)
+            en_vals = self._enable_rows(rows)
             _row_view(rows)[self._seq_q_idx] = _row_view(
                 q_vals ^ ((q_vals ^ d_vals) & en_vals)
             )
@@ -490,10 +466,9 @@ class CompiledNetlist:
         ``(n_inst, nwords)``, ready for bitwise combination with a
         packed toggle matrix.
         """
-        rows = state.words if isinstance(state, PackedState) else state.values
         # np.take, not fancy indexing: several times faster on rows of
         # more than one element.
-        return np.take(rows, self.instance_out_idx, axis=0)
+        return np.take(state.rows, self.instance_out_idx, axis=0)
 
     def clock_enable_values(
         self, state: SimulationState | PackedState
@@ -506,13 +481,13 @@ class CompiledNetlist:
         dormant (clock-gated) Trojan free of clock-tree current.
         Packed states return lane words, ``(n_seq, nwords)``.
         """
-        if isinstance(state, PackedState):
-            return self._enable_rows(state.words, _FULL_WORD)
-        return self._enable_rows(state.values, True)
+        return self._enable_rows(state.rows)
 
-    def _enable_rows(self, rows: np.ndarray, on) -> np.ndarray:
+    def _enable_rows(self, rows: np.ndarray) -> np.ndarray:
         """Every register's enable row gathered from the net *rows*, a
-        fresh ``(n_seq, rows.shape[1])`` array; plain DFFs read *on*."""
+        fresh ``(n_seq, rows.shape[1])`` array; plain DFFs read all
+        ones."""
+        on = _FULL_WORD if rows.dtype == np.uint64 else True
         if not self._seq_any_en:
             return np.full(
                 (self._seq_d_idx.size, rows.shape[1]), on, dtype=rows.dtype
@@ -622,52 +597,25 @@ class CompiledNetlist:
             state.words[np.asarray(idxs, dtype=np.int64)] = pack_bits(rows)
 
     def _propagate(self, state: SimulationState | PackedState) -> None:
-        if isinstance(state, PackedState):
-            self._propagate_packed(state)
-            return
-        values = state.values
-        batch = values.shape[1]
-        scratch = self._scratch.get(batch)
+        rows = state.rows
+        width = rows.shape[1]
+        key = (width, rows.dtype)
+        scratch = self._scratch.get(key)
         if scratch is None:
             scratch = [
                 tuple(
-                    np.empty((grp.out_idx.size, batch), dtype=bool)
+                    np.empty((grp.out_idx.size, width), dtype=rows.dtype)
                     for _ in grp.in_idx
                 )
                 for grp in self._schedule
             ]
-            if len(self._scratch) >= 4:  # bound the cache across batch sizes
+            if len(self._scratch) >= 4:  # bound the cache across shapes
                 self._scratch.pop(next(iter(self._scratch)))
-            self._scratch[batch] = scratch
-        rows = _row_view(values)
+            self._scratch[key] = scratch
+        out = _row_view(rows)
         for grp, bufs in zip(self._schedule, scratch):
             args = [
-                np.take(values, idx, axis=0, out=buf)
+                np.take(rows, idx, axis=0, out=buf)
                 for idx, buf in zip(grp.in_idx, bufs)
             ]
-            rows[grp.out_idx] = _row_view(grp.function(*args))
-
-    def _propagate_packed(self, state: PackedState) -> None:
-        words = state.words
-        nwords = words.shape[1]
-        scratch = self._scratch_packed.get(nwords)
-        if scratch is None:
-            scratch = [
-                tuple(
-                    np.empty((grp.out_idx.size, nwords), dtype=np.uint64)
-                    for _ in grp.in_idx
-                )
-                for grp in self._schedule
-            ]
-            if len(self._scratch_packed) >= 4:
-                self._scratch_packed.pop(next(iter(self._scratch_packed)))
-            self._scratch_packed[nwords] = scratch
-        rows = _row_view(words)
-        for grp, fn, bufs in zip(
-            self._schedule, self._packed_functions, scratch
-        ):
-            args = [
-                np.take(words, idx, axis=0, out=buf)
-                for idx, buf in zip(grp.in_idx, bufs)
-            ]
-            rows[grp.out_idx] = _row_view(fn(*args))
+            out[grp.out_idx] = _row_view(grp.function(*args))

@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.layout.technology import Technology
 from repro.logic.netlist import Netlist
-from repro.logic.simulator import CompiledNetlist
+from repro.logic.simulator import CompiledNetlist, lane_counts
 from repro.power.charges import clock_charges, switching_charges
 
 
@@ -129,7 +129,7 @@ def encryption_power_workload(aes, key: bytes, n_cycles: int = 96, batch: int = 
         clocks = np.zeros(sim.num_instances, dtype=np.float64)
         for k in range(1, n_cycles + 1):
             en = sim.clock_enable_values(state)
-            clocks[sim.seq_instance_idx] += en.sum(axis=1)
+            clocks[sim.seq_instance_idx] += lane_counts(en, batch)
             phase = k % 12
             if phase == 0:
                 step_inputs = aes.start_inputs(random_blocks(rng, batch), keys)
@@ -137,7 +137,7 @@ def encryption_power_workload(aes, key: bytes, n_cycles: int = 96, batch: int = 
                 step_inputs = aes.idle_inputs(batch)
             else:
                 step_inputs = None
-            toggles += sim.step(state, step_inputs).sum(axis=1)
+            toggles += lane_counts(sim.step(state, step_inputs), batch)
         return toggles, clocks, n_cycles, batch
 
     return run

@@ -24,7 +24,7 @@ from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
 from repro.chip.scenario import array_scenario
 from repro.errors import EmModelError, ExperimentError, MeasurementError
-from repro.logic.simulator import BACKEND_ENV_VAR
+from tests.logic.representation import representation
 from repro.obs import use_metrics
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -133,24 +133,22 @@ class TestAcquisition:
         for name in subset.traces:
             assert np.array_equal(subset.traces[name], multi.traces[name])
 
-    @pytest.mark.parametrize("backend", ("bool", "packed"))
-    def test_backends_bit_identical(
-        self, array_chip, array_engine, monkeypatch, backend
-    ):
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
-        got = _acquire(
-            array_chip,
-            array_engine,
-            array_chip.receiver_groups["array"],
-            trojans=("trojan4",),
-        )
-        monkeypatch.setenv(BACKEND_ENV_VAR, "bool")
-        ref = _acquire(
-            array_chip,
-            array_engine,
-            array_chip.receiver_groups["array"],
-            trojans=("trojan4",),
-        )
+    @pytest.mark.parametrize("kind", ("bool", "packed"))
+    def test_backends_bit_identical(self, array_chip, array_engine, kind):
+        with representation(kind):
+            got = _acquire(
+                array_chip,
+                array_engine,
+                array_chip.receiver_groups["array"],
+                trojans=("trojan4",),
+            )
+        with representation("bool"):
+            ref = _acquire(
+                array_chip,
+                array_engine,
+                array_chip.receiver_groups["array"],
+                trojans=("trojan4",),
+            )
         for name in ref.traces:
             assert np.array_equal(got.traces[name], ref.traces[name]), name
 

@@ -24,6 +24,7 @@ from repro.logic.simulator import (
     unpack_bits,
 )
 from repro.obs import use_metrics
+from tests.logic.representation import representation
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
@@ -54,9 +55,10 @@ def _solo(chip, engine, name, batch, trojans=(), **kw):
     )
 
 
-@pytest.mark.parametrize("backend", ("bool", "packed"))
-def test_ragged_group_matches_solo_acquisitions(chip, engine, backend):
-    """Golden + three Trojans, ragged batches, both backends."""
+@pytest.mark.parametrize("kind", ("bool", "packed"))
+def test_ragged_group_matches_solo_acquisitions(chip, engine, kind):
+    """Golden + three Trojans, ragged batches: the group on either
+    representation equals the solo acquisitions on their batch's own."""
     specs = [
         ("golden", (), 8),
         ("t1", ("trojan1",), 8),
@@ -64,12 +66,12 @@ def test_ragged_group_matches_solo_acquisitions(chip, engine, backend):
         ("a2", ("a2",), 5),
     ]
     members = [_member(chip, n, b, tr) for n, tr, b in specs]
-    group = engine.acquire_group(
-        members,
-        n_cycles=48,
-        record_nets={"busy": chip.aes.busy},
-        backend=backend,
-    )
+    with representation(kind):
+        group = engine.acquire_group(
+            members,
+            n_cycles=48,
+            record_nets={"busy": chip.aes.busy},
+        )
     assert list(group) == [m.name for m in members]
     for (name, trojans, batch), member in zip(specs, members):
         solo = _solo(chip, engine, name, batch, trojans,

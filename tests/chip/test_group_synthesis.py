@@ -32,9 +32,9 @@ from repro.chip.acquire import AcquisitionEngine
 from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
 from repro.chip.scenario import array_scenario, silicon_scenario
-from repro.logic.simulator import BACKEND_ENV_VAR
 from repro.obs import use_metrics
 from tests.chip.reference_fold import ReferenceFoldEngine
+from tests.logic.representation import representation
 from tests.trace_pins import check_pin, traces_digest
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -143,9 +143,9 @@ class TestOnePass:
 
 
 class TestClockAmplitudes:
-    @pytest.mark.parametrize("backend", ("bool", "packed"))
+    @pytest.mark.parametrize("kind", ("bool", "packed"))
     def test_match_per_register_einsum(self, array_engine, monkeypatch,
-                                       backend):
+                                       kind):
         """Every receiver's clock amplitudes, per cycle and lane, agree
         with ``np.einsum("s,csb->cb", w, clock_en)`` of the unrounded
         per-register weights to 1e-10 of the largest amplitude."""
@@ -165,8 +165,8 @@ class TestClockAmplitudes:
             return sums[-1]
 
         monkeypatch.setattr(acquire_mod, "_clock_sum", recording)
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
-        _acquire(array_engine, batch, "trojan2", include_noise=False)
+        with representation(kind):
+            _acquire(array_engine, batch, "trojan2", include_noise=False)
         got = np.concatenate(sums).reshape(-1, N_CYCLES, batch)
 
         names = [

@@ -1,8 +1,10 @@
-"""Full-campaign equivalence of the packed simulation backend.
+"""Full-campaign equivalence of the packed simulator representation.
 
-The packed backend must be *bit-identical* to the bool backend — same
-traces, same recorded nets, for every Trojan — because both feed the
-same activity codes to the same exact level fold.  The per-cycle
+The packed representation must be *bit-identical* to the bool one —
+same traces, same recorded nets, for every Trojan — because both feed
+the same activity codes to the same exact level fold.  The batch picks
+the representation, so each comparison pins one with
+:func:`tests.logic.representation.representation`.  The per-cycle
 float64 dense reference fold
 (:class:`tests.chip.reference_fold.ReferenceFoldEngine`) is a numerical
 baseline and is only required to agree to within 1e-5 of each trace's
@@ -26,8 +28,9 @@ from repro.chip.acquire import (
 from repro.chip.chip import Chip
 from repro.chip.scenario import simulation_scenario
 from repro.experiments import clear_campaign_caches
-from repro.logic.simulator import BACKEND_ENV_VAR, packed_words, unpack_bits
+from repro.logic.simulator import packed_words, unpack_bits
 from tests.chip.reference_fold import ReferenceFoldEngine
+from tests.logic.representation import representation
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
@@ -37,19 +40,18 @@ def engine(chip, sim_scenario):
     return AcquisitionEngine(chip, sim_scenario)
 
 
-def _campaign(chip, engine, backend, monkeypatch, *, batch, trojans=(),
-              n_cycles=48, **kw):
-    monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+def _campaign(chip, engine, kind, *, batch, trojans=(), n_cycles=48, **kw):
     wl = EncryptionWorkload(chip.aes, KEY)
-    return engine.acquire(
-        wl,
-        n_cycles=n_cycles,
-        batch=batch,
-        trojan_enables=trojans,
-        record_nets={"busy": chip.aes.busy},
-        rng_role=f"packed-eq/{'+'.join(trojans) or 'golden'}",
-        **kw,
-    )
+    with representation(kind):
+        return engine.acquire(
+            wl,
+            n_cycles=n_cycles,
+            batch=batch,
+            trojan_enables=trojans,
+            record_nets={"busy": chip.aes.busy},
+            rng_role=f"packed-eq/{'+'.join(trojans) or 'golden'}",
+            **kw,
+        )
 
 
 def _assert_identical(a, b):
@@ -62,28 +64,25 @@ def _assert_identical(a, b):
 
 
 @pytest.mark.parametrize("batch", (1, 8, 32, 33, 64, 65))
-def test_golden_campaign_bit_identity(chip, engine, monkeypatch, batch):
+def test_golden_campaign_bit_identity(chip, engine, batch):
     """Noise, both receivers, recorded nets — exact equality end to end."""
-    packed = _campaign(chip, engine, "packed", monkeypatch, batch=batch)
-    boolr = _campaign(chip, engine, "bool", monkeypatch, batch=batch)
+    packed = _campaign(chip, engine, "packed", batch=batch)
+    boolr = _campaign(chip, engine, "bool", batch=batch)
     _assert_identical(packed, boolr)
 
 
 @pytest.mark.parametrize(
     "trojans", [("trojan1",), ("trojan2",), ("trojan3",), ("trojan4",), ("a2",)]
 )
-def test_trojan_campaign_bit_identity(chip, engine, monkeypatch, trojans):
-    packed = _campaign(chip, engine, "packed", monkeypatch,
-                       batch=64, trojans=trojans)
-    boolr = _campaign(chip, engine, "bool", monkeypatch,
-                      batch=64, trojans=trojans)
+def test_trojan_campaign_bit_identity(chip, engine, trojans):
+    packed = _campaign(chip, engine, "packed", batch=64, trojans=trojans)
+    boolr = _campaign(chip, engine, "bool", batch=64, trojans=trojans)
     _assert_identical(packed, boolr)
 
 
-def test_lane_group_bit_identity(chip, engine, monkeypatch):
+def test_lane_group_bit_identity(chip, engine):
     """Three 5-lane members share one word: packed equals bool per member."""
-    def group(backend):
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+    def group(kind):
         members = [
             GroupMember(
                 name=name,
@@ -96,9 +95,10 @@ def test_lane_group_bit_identity(chip, engine, monkeypatch):
                 ("golden", ()), ("t1", ("trojan1",)), ("a2", ("a2",))
             )
         ]
-        return engine.acquire_group(
-            members, n_cycles=48, record_nets={"busy": chip.aes.busy}
-        )
+        with representation(kind):
+            return engine.acquire_group(
+                members, n_cycles=48, record_nets={"busy": chip.aes.busy}
+            )
 
     packed, boolr = group("packed"), group("bool")
     assert list(packed) == list(boolr)
@@ -145,9 +145,8 @@ def test_lookup_block_equals_bool_formula(batch):
     assert np.isnan(buffer[cycles * k * batch :]).all()
 
 
-def test_reference_fold_tolerance(chip, sim_scenario, engine, monkeypatch):
+def test_reference_fold_tolerance(chip, sim_scenario, engine):
     """The float64 per-cycle dense reference fold agrees to 1e-5."""
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
     kw = dict(n_cycles=48, batch=64, receivers=("sensor",),
               include_noise=False, rng_role="packed-eq/reference")
     fast = engine.acquire(EncryptionWorkload(chip.aes, KEY), **kw)

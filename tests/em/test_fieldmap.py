@@ -1,5 +1,7 @@
 """Tests for surface EM field maps and Trojan localisation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,34 @@ def test_average_cell_activity(chip):
     assert activity.shape == (chip.sim.num_instances,)
     assert activity.max() <= 1.0 + 1e-12
     assert activity.mean() > 0.01  # the AES is busy
+
+
+def test_average_cell_activity_runs_packed_and_pinned(chip, monkeypatch):
+    """Field maps step the batch's representation — packed at batch 4 —
+    and give the bytes the bool representation gave before (pinned)."""
+    from repro.logic.simulator import PackedState
+
+    resets = []
+    reset = type(chip.sim).reset
+
+    def spy(self, *args, **kwargs):
+        resets.append(reset(self, *args, **kwargs))
+        return resets[-1]
+
+    monkeypatch.setattr(type(chip.sim), "reset", spy)
+    pins = {
+        (): "65beffea4b2b1d814687502376c732af"
+            "8a54ac01b751daadaacbcd2a3f6d6adc",
+        ("trojan4",): "7c48103f0e9c0ab937f522f9a25a6aca"
+                      "74b7accd9c883f1b8ed9fb8ee01ca48f",
+    }
+    for trojans, pin in pins.items():
+        activity = average_cell_activity(
+            chip, EncryptionWorkload(chip.aes, KEY, period=12),
+            n_cycles=24, batch=4, trojan_enables=trojans,
+        )
+        assert isinstance(resets[-1], PackedState)
+        assert hashlib.sha256(activity.tobytes()).hexdigest() == pin
 
 
 def test_field_map_activity_validation(chip):

@@ -126,7 +126,7 @@ class TestRunResult:
             RunResult.from_json_bytes(json.dumps(doc).encode())
 
     def test_config_snapshot_round_trips_through_artifact(self, tmp_path):
-        cfg = ReproConfig(workers=2, sim_backend="packed", host_cpus=4)
+        cfg = ReproConfig(workers=2, detector="spectral", host_cpus=4)
         result = self._result()
         result.config = cfg.describe()
         loaded = RunResult.load(result.save(tmp_path / "demo.json"))
@@ -181,7 +181,7 @@ class TestRunExperiment:
     def test_explicit_config_overrides_environment(self, monkeypatch):
         # Regression: a config passed by argument must beat REPRO_* env
         # vars for the whole run.
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "packed")
-        cfg = ReproConfig.resolve(environ={}, sim_backend="bool")
+        monkeypatch.setenv("REPRO_DETECTOR", "spectral")
+        cfg = ReproConfig.resolve(environ={}, detector="persistence")
         result = run_experiment("table1", smoke=True, config=cfg)
-        assert result.config["sim_backend"] == "bool"
+        assert result.config["detector"] == "persistence"

@@ -12,6 +12,7 @@ from repro.logic import (
     netlist_stats,
 )
 from repro.logic.activity import FOLD_ROWS, MAX_ACTIVITY_CODE
+from repro.logic.simulator import PackedState, lane_counts, pack_bits
 from repro.logic.stats import format_table
 from tests.logic.recorders import TraceRecorder, record, record_all
 
@@ -27,7 +28,7 @@ def test_toggle_counts_of_counter():
     state = sim.reset()
     rec = ToggleCountRecorder(sim)
     for _ in range(8):
-        rec.record(sim.step(state))
+        rec.record(sim.step(state), state.batch)
     # The LSB flop toggles on every one of the 8 cycles.
     assert rec.counts.max() == 8
     assert rec.cycles == 8
@@ -38,10 +39,44 @@ def test_toggle_counts_by_group():
     sim = _counter_sim()
     state = sim.reset()
     rec = ToggleCountRecorder(sim)
-    rec.record(sim.step(state))
+    rec.record(sim.step(state), state.batch)
     by_group = rec.counts_by_group()
     assert set(by_group) == {"core"}
     assert by_group["core"] > 0
+
+
+@pytest.mark.parametrize("batch", (2, 5, 64, 70))
+def test_toggle_counts_ignore_set_padding_lanes(batch):
+    """Packed toggles are counted over the batch's lanes only: padding
+    bits set in the words change nothing."""
+    sim = _counter_sim()
+    state = sim.reset(batch=batch)
+    assert isinstance(state, PackedState)
+    rng = np.random.default_rng(batch)
+    bits = rng.integers(0, 2, size=(sim.num_instances, batch)).astype(bool)
+    padding = ~pack_bits(np.ones(batch, dtype=bool))
+    rec = ToggleCountRecorder(sim)
+    rec.record(pack_bits(bits) | padding, batch)
+    assert np.array_equal(rec.counts, bits.sum(axis=1))
+    assert np.array_equal(
+        lane_counts(pack_bits(bits) | padding, batch), bits.sum(axis=1)
+    )
+    assert np.array_equal(lane_counts(bits, batch), bits.sum(axis=1))
+
+
+def test_packed_toggle_counts_match_single_lanes():
+    """A packed run's toggle totals equal the sum of batch-1 runs."""
+    sim = _counter_sim()
+    packed = ToggleCountRecorder(sim)
+    state = sim.reset(batch=3)
+    for _ in range(8):
+        packed.record(sim.step(state), state.batch)
+    single = ToggleCountRecorder(sim)
+    for _ in range(3):
+        state = sim.reset(batch=1)
+        for _ in range(8):
+            single.record(sim.step(state), state.batch)
+    assert np.array_equal(packed.counts, single.counts)
 
 
 def test_activity_factor_requires_cycles():

@@ -1,22 +1,28 @@
-"""Packed (bit-sliced) backend equivalence against the bool backend."""
+"""Packed (bit-sliced) representation against the bool one.
+
+The batch picks the representation (bool for one lane, packed from
+:data:`~repro.logic.simulator.PACKED_BATCH_THRESHOLD` up), so the tests
+that compare both at one batch move the threshold with ``monkeypatch``.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.logic.builder import NetlistBuilder
-from repro.logic.cells import packed_function
 from repro.logic.library import LIBRARY
 from repro.logic.simulator import (
-    BACKEND_ENV_VAR,
     PACKED_BATCH_THRESHOLD,
     CompiledNetlist,
     PackedState,
+    SimulationState,
     pack_bits,
     packed_words,
-    resolve_backend,
     unpack_bits,
 )
+from tests.logic.representation import THRESHOLD, representation
 
 # ----------------------------------------------------------------------
 # pack/unpack primitives
@@ -62,22 +68,31 @@ def test_pack_pads_with_zero_lanes():
 
 
 def test_resolve_backend_threshold_and_env(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    assert resolve_backend(PACKED_BATCH_THRESHOLD - 1) == "bool"
-    assert resolve_backend(PACKED_BATCH_THRESHOLD) == "packed"
-    # ``auto`` is bool for a single lane and packed from batch 2 up.
-    assert resolve_backend(1, backend="auto") == "bool"
-    for batch in (2, 8, 63, 64, 4096):
-        assert resolve_backend(batch) == "packed"
-    monkeypatch.setenv(BACKEND_ENV_VAR, "bool")
-    assert resolve_backend(4096) == "bool"
-    monkeypatch.setenv(BACKEND_ENV_VAR, "packed")
-    assert resolve_backend(1) == "packed"
-    # An explicit argument beats the environment.
-    assert resolve_backend(1, backend="bool") == "bool"
-    monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-    with pytest.raises(SimulationError, match="bogus"):
-        resolve_backend(64)
+    """The batch picks the representation: bool below the threshold,
+    packed from it.  ``resolve_backend`` and its environment override
+    are gone, so nothing else decides."""
+    nl, _ = _every_cell_netlist()
+    sim = CompiledNetlist(nl)
+    assert PACKED_BATCH_THRESHOLD == 2
+    assert isinstance(sim.reset(batch=1), SimulationState)
+    for batch in (2, 4, 8, 63, 64, 65, 4096):
+        assert isinstance(sim.reset(batch=batch), PackedState)
+    # The retired environment variable is ignored.
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "bool")
+    assert isinstance(sim.reset(batch=4), PackedState)
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "packed")
+    assert isinstance(sim.reset(batch=1), SimulationState)
+    # The threshold is read at every reset.
+    monkeypatch.setattr(THRESHOLD, 1)
+    assert isinstance(sim.reset(batch=1), PackedState)
+    monkeypatch.setattr(THRESHOLD, 5)
+    assert isinstance(sim.reset(batch=4), SimulationState)
+
+
+def test_reset_takes_no_backend_argument():
+    nl, _ = _every_cell_netlist()
+    with pytest.raises(TypeError):
+        CompiledNetlist(nl).reset(batch=4, backend="bool")
 
 
 # ----------------------------------------------------------------------
@@ -90,20 +105,26 @@ _COMBINATIONAL = sorted(
 
 @pytest.mark.parametrize("name", _COMBINATIONAL)
 def test_library_cell_packed_equivalence(name):
-    """Every combinational cell's packed evaluation matches lane-by-lane."""
+    """Every combinational cell is lane-safe: run on packed words it
+    matches its bool evaluation lane by lane (and MUX2 matches
+    ``np.where``), with padding bits set in every input word."""
     cell = LIBRARY[name]
-    pfn = packed_function(cell.function)
-    assert pfn is not None, f"{name} has no packed evaluation"
-    rng = np.random.default_rng(hash(name) & 0xFFFF)
+    rng = np.random.default_rng(sum(name.encode()))
     batch = 130  # two full words plus a ragged tail
     pins = [rng.integers(0, 2, size=batch).astype(bool) for _ in range(cell.arity)]
     expected = cell.function(*pins)
-    got = unpack_bits(pfn(*[pack_bits(p) for p in pins]), batch)
+    assert expected.dtype == bool
+    if name == "MUX2":
+        a, b, s = pins
+        assert np.array_equal(expected, np.where(s, b, a))
+    padding = ~pack_bits(np.ones(batch, dtype=bool))
+    words = [pack_bits(p) | padding for p in pins]
+    got = unpack_bits(cell.function(*words), batch)
     assert np.array_equal(got, expected)
 
 
 def test_sequential_and_tie_cells_have_no_function():
-    """DFF/DFFE/ties are handled by the simulator, not packed_function."""
+    """DFF/DFFE/ties are handled by the simulator, not a cell function."""
     for name in ("DFF", "DFFE", "TIE0", "TIE1"):
         assert LIBRARY[name].function is None
 
@@ -145,22 +166,26 @@ def _every_cell_netlist():
     return b.build(), nets
 
 
-def _run_both(nl, nets, batch, n_cycles=20, force=None):
-    """Drive identical stimulus through both backends; return snapshots."""
-    rng = np.random.default_rng(99)
-    stim = [
+def _stimulus(rng, batch, n_cycles):
+    return [
         {
             name: rng.integers(0, 2, size=batch).astype(bool)
             for name in ("a", "c", "d", "en")
         }
         for _ in range(n_cycles)
     ]
+
+
+def _run_both(nl, nets, batch, n_cycles=20, force=None):
+    """Drive identical stimulus through both representations at one
+    batch; return snapshots."""
+    stim = _stimulus(np.random.default_rng(99), batch, n_cycles)
     out = {}
-    for backend in ("bool", "packed"):
+    for name, kind in (("bool", SimulationState), ("packed", PackedState)):
         sim = CompiledNetlist(nl)
-        state = sim.reset(batch=batch, inputs=stim[0], backend=backend)
-        if backend == "packed":
-            assert isinstance(state, PackedState)
+        with representation(name):
+            state = sim.reset(batch=batch, inputs=stim[0])
+        assert isinstance(state, kind)
         toggles, reads = [], []
         for cycle in range(1, n_cycles):
             t = sim.step(state, stim[cycle])
@@ -170,7 +195,7 @@ def _run_both(nl, nets, batch, n_cycles=20, force=None):
                 sim.force_net(state, force[0], force[1])
             toggles.append(t.copy())
             reads.append(np.stack([sim.read(state, n) for n in nets]))
-        out[backend] = (
+        out[name] = (
             np.stack(toggles),
             np.stack(reads),
             sim.read_bus(state, nets[:8]),
@@ -194,6 +219,48 @@ def test_force_net_packed_matches_bool():
         assert np.array_equal(got, want)
 
 
+_ALLCELLS = _every_cell_netlist()
+
+
+def _cycle_snapshots(sim, nets, stim):
+    """Per-cycle toggles (bool) and net reads of one run from reset."""
+    batch = stim[0]["a"].size
+    state = sim.reset(batch=batch, inputs=stim[0])
+    toggles = []
+    reads = [np.stack([sim.read(state, n) for n in nets])]
+    for inputs in stim[1:]:
+        t = sim.step(state, inputs)
+        if isinstance(state, PackedState):
+            t = unpack_bits(t, batch)
+        toggles.append(t)
+        reads.append(np.stack([sim.read(state, n) for n in nets]))
+    return np.stack(toggles), np.stack(reads)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    batch=st.integers(2, 130),
+    n_cycles=st.integers(2, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_lanes_are_independent_single_lane_runs(batch, n_cycles, seed):
+    """Each lane of a packed run equals a batch-1 (bool) run fed that
+    lane's stimulus, cycle by cycle: toggles, every gate output and the
+    register state (the two DFF outputs are among the read nets)."""
+    nl, nets = _ALLCELLS
+    sim = CompiledNetlist(nl)
+    stim = _stimulus(np.random.default_rng(seed), batch, n_cycles)
+    toggles, reads = _cycle_snapshots(sim, nets, stim)
+    for lane in range(batch):
+        lane_stim = [
+            {name: v[lane : lane + 1] for name, v in cycle.items()}
+            for cycle in stim
+        ]
+        t1, r1 = _cycle_snapshots(sim, nets, lane_stim)
+        assert np.array_equal(toggles[..., lane : lane + 1], t1), lane
+        assert np.array_equal(reads[..., lane : lane + 1], r1), lane
+
+
 def test_read_bus_matches_shift_loop():
     """The bit-weight matmul equals the classic shift-accumulate read."""
     nl, nets = _every_cell_netlist()
@@ -203,7 +270,8 @@ def test_read_bus_matches_shift_loop():
         name: rng.integers(0, 2, size=70).astype(bool)
         for name in ("a", "c", "d", "en")
     }
-    state = sim.reset(batch=70, inputs=stim, backend="packed")
+    state = sim.reset(batch=70, inputs=stim)
+    assert isinstance(state, PackedState)
     bus = nets[:10]
     expected = np.zeros(70, dtype=np.int64)
     for net in bus:  # MSB first
@@ -214,18 +282,8 @@ def test_read_bus_matches_shift_loop():
 def test_read_bus_guards_63_bits():
     nl, nets = _every_cell_netlist()
     sim = CompiledNetlist(nl)
-    state = sim.reset(batch=2, backend="packed")
+    state = sim.reset(batch=2)
     wide = (nets * 5)[:64]
     with pytest.raises(SimulationError, match="63"):
         sim.read_bus(state, wide)
 
-
-def test_packed_reset_refuses_unsupported_cell():
-    """A netlist with a non-lane-safe function cannot run packed."""
-    nl, _ = _every_cell_netlist()
-    sim = CompiledNetlist(nl)
-    sim._packed_functions = [None] * len(sim._packed_functions)
-    with pytest.raises(SimulationError, match="packed"):
-        sim.reset(batch=64, backend="packed")
-    # The bool backend remains available.
-    sim.reset(batch=64, backend="bool")

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.logic.builder import NetlistBuilder
-from repro.logic.simulator import CompiledNetlist
+from repro.logic.simulator import CompiledNetlist, unpack_bits
+from tests.logic.representation import representation
 
 
 def _xor_chain():
@@ -55,15 +56,23 @@ def test_input_applied_after_capture():
 
 
 def test_toggle_matrix_shape_and_content():
+    """Bool toggles are ``(n_inst, batch)``; packed ones are lane words
+    ``(n_inst, 1)`` that unpack to the same matrix."""
     nl, _y, _q = _xor_chain()
     sim = CompiledNetlist(nl)
-    state = sim.reset(batch=3)
-    toggles = sim.step(
-        state, {"a": np.array([1, 0, 1], bool), "b": np.array([0, 0, 1], bool)}
-    )
-    assert toggles.shape == (sim.num_instances, 3)
-    xor_row = toggles[sim.instance_index[nl.nets[_y].driver]]
-    assert np.array_equal(xor_row, np.array([True, False, False]))
+    for kind in ("bool", "packed"):
+        with representation(kind):
+            state = sim.reset(batch=3)
+        toggles = sim.step(
+            state,
+            {"a": np.array([1, 0, 1], bool), "b": np.array([0, 0, 1], bool)},
+        )
+        if kind == "packed":
+            assert toggles.shape == (sim.num_instances, 1)
+            toggles = unpack_bits(toggles, 3)
+        assert toggles.shape == (sim.num_instances, 3)
+        xor_row = toggles[sim.instance_index[nl.nets[_y].driver]]
+        assert np.array_equal(xor_row, np.array([True, False, False]))
 
 
 def test_dffe_holds_when_disabled():
@@ -160,14 +169,19 @@ def test_clock_enable_values():
     b.dff(d)  # always clocked
     b.dff(d, enable=en)
     sim = CompiledNetlist(b.build())
-    state = sim.reset(
-        batch=2,
-        inputs={"d": np.zeros(2, bool), "en": np.array([True, False])},
-    )
-    ce = sim.clock_enable_values(state)
-    assert ce.shape == (2, 2)
-    assert ce[0].all()  # plain DFF always enabled
-    assert np.array_equal(ce[1], np.array([True, False]))
+    for kind in ("bool", "packed"):
+        with representation(kind):
+            state = sim.reset(
+                batch=2,
+                inputs={"d": np.zeros(2, bool), "en": np.array([True, False])},
+            )
+        ce = sim.clock_enable_values(state)
+        if kind == "packed":
+            assert ce.shape == (2, 1)
+            ce = unpack_bits(ce, 2)
+        assert ce.shape == (2, 2)
+        assert ce[0].all()  # plain DFF always enabled
+        assert np.array_equal(ce[1], np.array([True, False]))
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,5 +1,8 @@
 """Tests for the power reporter."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.crypto import build_aes_circuit
@@ -59,3 +62,40 @@ def test_dormant_trojan_draws_only_leakage(power_setup):
     assert t4.dynamic < 0.05 * report.groups["aes"].dynamic
     assert t4.leakage > 0
     assert report.overhead_percent("trojan4") < 5.0
+
+
+def test_power_workload_runs_packed_and_pinned(chip, monkeypatch):
+    """The standard power workload at batch 8 steps the packed
+    representation, counts toggles and clock enables over its lanes
+    only, and gives the bytes the bool representation gave before."""
+    from repro.logic.simulator import PackedState
+
+    resets = []
+    reset = type(chip.sim).reset
+
+    def spy(self, *args, **kwargs):
+        resets.append(reset(self, *args, **kwargs))
+        return resets[-1]
+
+    monkeypatch.setattr(type(chip.sim), "reset", spy)
+    run = encryption_power_workload(chip.aes, KEY, n_cycles=48, batch=8)
+    toggles, clocks, n_cycles, batch = run(chip.sim)
+    assert isinstance(resets[-1], PackedState)
+    assert (n_cycles, batch) == (48, 8)
+    assert hashlib.sha256(toggles.tobytes() + clocks.tobytes()).hexdigest() == (
+        "f8adfe1ef1fd100f449a1b925fb159d0a4bbaa73bc482bcf0dec1c727f4f2a3d"
+    )
+    report = measure_power(
+        chip.netlist, chip.sim, make_tech180(), 24e6,
+        encryption_power_workload(chip.aes, KEY, n_cycles=48, batch=8),
+    )
+    assert sorted(report.groups) == [
+        "a2", "aes", "trojan1", "trojan2", "trojan3", "trojan4",
+    ]
+    values = np.array([
+        [g.dynamic, g.clock, g.leakage]
+        for _, g in sorted(report.groups.items())
+    ])
+    assert hashlib.sha256(values.tobytes()).hexdigest() == (
+        "7725e2e3f07b3f3caf9334c0f6d43b6bc34b5150154f8a79bcfa3047db631965"
+    )

@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.config import (
-    BACKEND_ENV_VAR,
     CACHE_DIR_ENV,
     CACHE_MB_ENV,
     DETECTOR_ENV_VAR,
@@ -29,9 +28,9 @@ from repro.config import (
     active_config,
     use_config,
 )
-from repro.errors import ConfigError, ExperimentError, SimulationError
+from repro.errors import ConfigError, ExperimentError
 from repro.experiments.parallel import resolve_workers
-from repro.logic.simulator import resolve_backend
+from repro.logic.simulator import PackedState, SimulationState
 
 
 class TestPrecedence:
@@ -50,14 +49,12 @@ class TestPrecedence:
     def test_environment_beats_default(self):
         cfg = ReproConfig.resolve(environ={
             WORKERS_ENV_VAR: "3",
-            BACKEND_ENV_VAR: "packed",
             CACHE_DIR_ENV: "/tmp/traces",
             CACHE_MB_ENV: "64",
             SMOKE_ENV_VAR: "1",
             DETECTOR_ENV_VAR: "spectral_median",
         })
         assert cfg.workers == 3
-        assert cfg.sim_backend == "packed"
         assert cfg.cache_dir == "/tmp/traces"
         assert cfg.cache_mb == 64
         assert cfg.bench_smoke is True
@@ -71,18 +68,18 @@ class TestPrecedence:
 
     def test_argument_beats_environment(self):
         cfg = ReproConfig.resolve(
-            environ={WORKERS_ENV_VAR: "3", BACKEND_ENV_VAR: "packed"},
+            environ={WORKERS_ENV_VAR: "3", DETECTOR_ENV_VAR: "spectral"},
             workers=7,
-            sim_backend="bool",
+            detector="persistence",
         )
         assert cfg.workers == 7
-        assert cfg.sim_backend == "bool"
+        assert cfg.detector == "persistence"
 
     def test_argument_restating_the_default_still_wins(self):
         cfg = ReproConfig.resolve(
-            environ={BACKEND_ENV_VAR: "packed"}, sim_backend="auto"
+            environ={DETECTOR_ENV_VAR: "spectral"}, detector="euclidean"
         )
-        assert cfg.sim_backend == "auto"
+        assert cfg.detector == "euclidean"
 
     def test_empty_cache_dir_means_cache_off(self):
         assert ReproConfig.resolve(
@@ -127,8 +124,24 @@ class TestValidation:
             ReproConfig.from_snapshot(snapshot)
 
     def test_unknown_backend(self):
-        with pytest.raises(SimulationError, match="bogus"):
-            ReproConfig.resolve(environ={BACKEND_ENV_VAR: "bogus"})
+        # The batch picks the simulator's representation: the one
+        # remaining field is pinned at "auto", the retired environment
+        # variable is ignored (even a bogus value), and old snapshots
+        # naming "bool" or "packed" are rejected.
+        assert ReproConfig(sim_backend="auto").sim_backend == "auto"
+        for bad in ("bool", "packed", "bogus", ""):
+            with pytest.raises(ConfigError, match="sim_backend"):
+                ReproConfig(sim_backend=bad)
+            with pytest.raises(ConfigError, match="sim_backend"):
+                ReproConfig.resolve(environ={}, sim_backend=bad)
+        for raw in ("bool", "packed", "bogus"):
+            assert ReproConfig.resolve(
+                environ={"REPRO_SIM_BACKEND": raw}
+            ) == ReproConfig.resolve(environ={})
+        for bad in ("bool", "packed"):
+            snapshot = {**ReproConfig().describe(), "sim_backend": bad}
+            with pytest.raises(ConfigError, match="sim_backend"):
+                ReproConfig.from_snapshot(snapshot)
 
     def test_unknown_fleet_scoring_mode(self):
         # The fleet engine picks its own scoring path: the one
@@ -199,7 +212,7 @@ class TestSnapshot:
     def test_describe_round_trip(self):
         cfg = ReproConfig(
             workers=4,
-            sim_backend="packed",
+            detector="spectral",
             cache_dir="/tmp/c",
             cache_mb=16,
             host_cpus=8,
@@ -241,20 +254,33 @@ class TestActiveConfig:
                 assert active_config().workers == 3
             assert active_config().workers == 2
 
-    def test_consumers_read_the_pinned_config(self, monkeypatch):
+    def test_consumers_read_the_pinned_config(self, monkeypatch, tmp_path):
+        from repro.io.cache import TraceCache
+
         monkeypatch.setenv(WORKERS_ENV_VAR, "5")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "packed")
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "env"))
         assert resolve_workers() == 5
-        assert resolve_backend(1) == "packed"
-        pinned = ReproConfig(workers=3, sim_backend="bool")
+        assert TraceCache.from_env().root == tmp_path / "env"
+        pinned = ReproConfig(workers=3, cache_dir=str(tmp_path / "pinned"))
         with use_config(pinned):
             assert resolve_workers() == 3
-            assert resolve_backend(512) == "bool"
-        # ``auto`` is bool for a single lane, packed from batch 2 up.
-        with use_config(ReproConfig(sim_backend="auto")):
-            assert resolve_backend(1) == "bool"
-            assert resolve_backend(2) == "packed"
-            assert resolve_backend(8) == "packed"
+            assert TraceCache.from_env().root == tmp_path / "pinned"
+        with use_config(ReproConfig(workers=3)):
+            assert TraceCache.from_env() is None
+
+    def test_simulator_ignores_sim_backend_variable(self, monkeypatch):
+        # REPRO_SIM_BACKEND is no longer read: the batch alone picks
+        # bool for a single lane and packed from batch 2 up.
+        from repro.logic import CompiledNetlist, NetlistBuilder
+
+        b = NetlistBuilder("tiny")
+        b.mark_output(b.gate("INV", b.input("a")))
+        sim = CompiledNetlist(b.build())
+        for raw in ("bool", "packed", "bogus"):
+            monkeypatch.setenv("REPRO_SIM_BACKEND", raw)
+            assert isinstance(sim.reset(batch=1), SimulationState)
+            assert isinstance(sim.reset(batch=2), PackedState)
+            assert isinstance(sim.reset(batch=512), PackedState)
 
 
 class TestPoolDegrade:
