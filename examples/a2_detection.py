@@ -1,12 +1,10 @@
 """A2 analog-Trojan detection in the frequency domain (paper Fig. 4).
 
-Shows both halves of the A2 story:
-
-1. the *behavioural* charge pump — sustained fast toggling fires the
-   payload while sparse toggles leak away harmlessly;
-2. the *spectral* detection — while the pump is being triggered, its
-   strokes add a new comb at f_clk/3, a spot the original circuit never
-   occupies, and the framework flags the magnitude change.
+While the A2 charge pump is being triggered, its strokes add a new comb
+at f_clk/3, a spot the original circuit never occupies, and the
+framework flags the magnitude change.  The trigger is a gated mod-3
+clock divider; the Trojan stays digitally almost invisible (0.087 % of
+the AES by area), so the spectrum is where it shows.
 
 Run:  python examples/a2_detection.py
 """
@@ -15,34 +13,10 @@ from __future__ import annotations
 
 from repro.chip import simulation_scenario
 from repro.experiments import run_a2_spectrum, shared_chip
-from repro.trojans.a2 import A2ChargePump, A2Params
 
 
-def charge_pump_demo() -> None:
-    print("--- A2 charge-pump behaviour ---")
-    params = A2Params()
-    pump = A2ChargePump(params)
-
-    # Sustained fast toggling: one stroke per cycle.
-    cycles_to_fire = None
-    for cycle in range(1, 500):
-        if pump.step(toggles=1):
-            cycles_to_fire = cycle
-            break
-    print(f"sustained trigger: payload fires after {cycles_to_fire} cycles")
-
-    # Sparse toggling: one stroke every 50 cycles leaks away.
-    pump.reset()
-    fired = False
-    for cycle in range(1, 5000):
-        fired |= pump.step(toggles=1 if cycle % 50 == 0 else 0)
-    print(f"sparse trigger: payload fired = {fired} "
-          f"(cap sits at {pump.voltage:.2f} V, threshold "
-          f"{pump.threshold_voltage:.2f} V)")
-
-
-def spectral_demo() -> None:
-    print("\n--- Fig. 4: spectral detection of the A2 trigger ---")
+def main() -> None:
+    print("--- Fig. 4: spectral detection of the A2 trigger ---")
     chip = shared_chip(seed=1)
     result = run_a2_spectrum(chip, simulation_scenario(), n_cycles=2048)
     print(result.format())
@@ -55,11 +29,6 @@ def spectral_demo() -> None:
         f"triggered amplitude @ {f / 1e6:.0f} MHz: "
         f"{result.triggered.magnitude_at(f):.3e} V"
     )
-
-
-def main() -> None:
-    charge_pump_demo()
-    spectral_demo()
 
 
 if __name__ == "__main__":

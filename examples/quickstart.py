@@ -33,7 +33,7 @@ def main() -> None:
 
     print("\n--- evaluating the dormant chip (all Trojans off) ---")
     clean = collect_ed_traces(chip, scenario, 128, rng_role="quickstart/clean")
-    report = evaluator.evaluate_traces(clean["sensor"])
+    report = evaluator.evaluate(traces=clean["sensor"])
     print(report.format())
 
     print("\n--- evaluating with Trojan 4 (power waster) active ---")
@@ -44,7 +44,7 @@ def main() -> None:
         trojan_enables=("trojan4",),
         rng_role="quickstart/dirty",
     )
-    report = evaluator.evaluate_traces(dirty["sensor"])
+    report = evaluator.evaluate(traces=dirty["sensor"])
     print(report.format())
 
     if report.verdict.is_alarm:

@@ -10,16 +10,16 @@ contributes.
 
 Quickstart::
 
-    from repro import build_protected_chip, simulation_scenario
+    from repro import Chip, simulation_scenario
     from repro.chip.calibration import calibrate_scenario
     from repro.experiments import collect_ed_traces
     from repro.framework import RuntimeTrustEvaluator
 
-    chip = build_protected_chip(seed=1)
+    chip = Chip.build(seed=1)
     scenario = calibrate_scenario(chip, simulation_scenario())
     evaluator = RuntimeTrustEvaluator.train(chip, scenario)
     dirty = collect_ed_traces(chip, scenario, 128, trojan_enables=("trojan4",))
-    print(evaluator.evaluate_traces(dirty["sensor"]).format())
+    print(evaluator.evaluate(traces=dirty["sensor"]).format())
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-reproduction scorecard.
@@ -37,7 +37,6 @@ from repro.chip import (
     IdleWorkload,
     Oscilloscope,
     Scenario,
-    build_protected_chip,
     silicon_scenario,
     simulation_scenario,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "IdleWorkload",
     "Oscilloscope",
     "Scenario",
-    "build_protected_chip",
     "silicon_scenario",
     "simulation_scenario",
     "AlarmEvent",

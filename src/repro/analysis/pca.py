@@ -65,29 +65,3 @@ class PCA:
                 f"{self.mean_.shape[0]}"
             )
         return (x - self.mean_) @ self.components_.T
-
-    def fit_transform(self, data: np.ndarray) -> np.ndarray:
-        """Fit on *data* and return its projection."""
-        return self.fit(data).transform(data)
-
-    def inverse_transform(self, scores: np.ndarray) -> np.ndarray:
-        """Map component scores back to the original space."""
-        if self.components_ is None or self.mean_ is None:
-            raise AnalysisError("PCA used before fit()")
-        z = np.asarray(scores, dtype=np.float64)
-        if z.ndim != 2 or z.shape[1] != self.components_.shape[0]:
-            raise AnalysisError(
-                f"scores shape {z.shape} does not match "
-                f"{self.components_.shape[0]} components"
-            )
-        return z @ self.components_ + self.mean_
-
-    def reconstruction_error(self, data: np.ndarray) -> np.ndarray:
-        """Per-row RMS error of projecting onto the golden subspace.
-
-        Energy outside the golden subspace — exactly what an activated
-        Trojan adds — lands here.
-        """
-        x = np.asarray(data, dtype=np.float64)
-        recon = self.inverse_transform(self.transform(x))
-        return np.sqrt(np.mean((x - recon) ** 2, axis=1))

@@ -79,19 +79,3 @@ def welch_t_test(
     denom = np.sqrt(var_a + var_b)
     denom[denom == 0] = np.inf
     return TvlaResult(t_values=(mean_a - mean_b) / denom, threshold=threshold)
-
-
-def fixed_vs_random_split(
-    plaintexts: np.ndarray,
-    fixed: bytes,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index masks of the fixed-plaintext and random populations."""
-    pts = np.asarray(plaintexts, dtype=np.uint8)
-    if pts.ndim != 2 or pts.shape[1] != len(fixed):
-        raise AnalysisError(
-            f"plaintext matrix {pts.shape} does not match fixed block "
-            f"of {len(fixed)} bytes"
-        )
-    target = np.frombuffer(fixed, dtype=np.uint8)
-    is_fixed = (pts == target[None, :]).all(axis=1)
-    return np.nonzero(is_fixed)[0], np.nonzero(~is_fixed)[0]

@@ -17,7 +17,7 @@ from repro.chip.scenario import (
     simulation_scenario,
 )
 from repro.chip.oscilloscope import Oscilloscope
-from repro.chip.chip import Chip, Receiver, build_protected_chip
+from repro.chip.chip import Chip, Receiver
 from repro.chip.acquire import (
     AcquisitionEngine,
     EncryptionWorkload,
@@ -34,7 +34,6 @@ __all__ = [
     "Oscilloscope",
     "Chip",
     "Receiver",
-    "build_protected_chip",
     "AcquisitionEngine",
     "EncryptionWorkload",
     "GroupMember",

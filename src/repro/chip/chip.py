@@ -380,17 +380,3 @@ class Chip:
         if self.sensor_array is not None:
             lines.append(self.sensor_array.describe())
         return "\n".join(lines)
-
-
-def build_protected_chip(
-    seed: int = 0,
-    config: ChipConfig | None = None,
-    trojans: Iterable[str] = ALL_TROJANS,
-    trojan_params: dict | None = None,
-) -> Chip:
-    """Convenience wrapper: the paper's security-enhanced AES test chip
-    with all four digital Trojans, the A2 Trojan and the on-chip EM
-    sensor."""
-    return Chip.build(
-        config=config, trojans=trojans, seed=seed, trojan_params=trojan_params
-    )

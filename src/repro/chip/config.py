@@ -9,7 +9,7 @@ without touching code.  Defaults model the paper's test chip: 180 nm,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.units import GHZ, MHZ, MM, NS, UM
 

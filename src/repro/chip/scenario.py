@@ -20,7 +20,7 @@ the paper's asymmetric SNR outcome (the probe degrades from 17.5 dB to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,39 +1,19 @@
-"""AES-128: bit-accurate reference model and structural circuit generator.
+"""AES-128: FIPS-197 tables and structural circuit generator.
 
-:mod:`repro.crypto.aes` is a pure-Python FIPS-197 implementation used as
-the golden functional reference; :mod:`repro.crypto.aes_circuit`
-generates the gate-level AES netlist (iterative round architecture,
-decoded-PLA S-boxes) that the logic simulator executes and whose
-switching activity feeds the EM models — the counterpart of the paper's
-33 k-gate 180 nm AES test chip.
+:mod:`repro.crypto.aes` holds the S-box, ShiftRows and round-constant
+tables; :mod:`repro.crypto.aes_circuit` generates the gate-level AES
+netlist (iterative round architecture, decoded-PLA S-boxes) that the
+logic simulator executes and whose switching activity feeds the EM
+models — the counterpart of the paper's 33 k-gate 180 nm AES test chip.
 """
 
-from repro.crypto.aes import (
-    SBOX,
-    INV_SBOX,
-    RCON,
-    AES128,
-    expand_key,
-    encrypt_block,
-    decrypt_block,
-)
-from repro.crypto.encoding import (
-    bits_to_bytes,
-    bytes_to_bits,
-    bus_inputs,
-    random_blocks,
-)
+from repro.crypto.aes import SBOX, RCON
+from repro.crypto.encoding import bytes_to_bits, bus_inputs, random_blocks
 from repro.crypto.aes_circuit import AesCircuit, build_aes_circuit
 
 __all__ = [
     "SBOX",
-    "INV_SBOX",
     "RCON",
-    "AES128",
-    "expand_key",
-    "encrypt_block",
-    "decrypt_block",
-    "bits_to_bytes",
     "bytes_to_bits",
     "bus_inputs",
     "random_blocks",

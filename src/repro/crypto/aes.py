@@ -1,29 +1,17 @@
-"""Bit-accurate AES-128 reference implementation (FIPS-197).
+"""AES-128 constant tables (FIPS-197) the structural circuit is built from.
 
-This module is the *functional* golden model: the structural netlist in
-:mod:`repro.crypto.aes_circuit` is verified cycle-by-cycle against the
-round states produced here.  Only the 128-bit key size is implemented
-because that is what the paper's test chip uses.
-
-The state is kept as a flat 16-byte ``bytes`` object in FIPS-197 order
-(byte ``i`` holds row ``i % 4``, column ``i // 4``).
+:mod:`repro.crypto.aes_circuit` turns these into gates: the S-box ROMs,
+the ShiftRows wiring and the key-schedule round constants.  The state is
+a flat 16-byte block in FIPS-197 order (byte ``i`` holds row ``i % 4``,
+column ``i // 4``).
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "SBOX",
-    "INV_SBOX",
-    "RCON",
-    "expand_key",
-    "encrypt_block",
-    "decrypt_block",
-    "round_states",
-    "AES128",
-]
+__all__ = ["SBOX", "RCON", "SHIFT_ROWS_PERM"]
 
 
-def _build_sbox() -> tuple[list[int], list[int]]:
+def _build_sbox() -> list[int]:
     """Construct the AES S-box from first principles.
 
     Computing the table (multiplicative inverse in GF(2^8) followed by
@@ -59,66 +47,13 @@ def _build_sbox() -> tuple[list[int], list[int]]:
             ) & 1
             result |= b << bit
         sbox[value] = result
-    inv_sbox = [0] * 256
-    for i, v in enumerate(sbox):
-        inv_sbox[v] = i
-    return sbox, inv_sbox
+    return sbox
 
 
-SBOX, INV_SBOX = _build_sbox()
+SBOX = _build_sbox()
 
 #: Round constants for AES-128 key expansion (Rcon[1..10]).
 RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
-
-
-def xtime(a: int) -> int:
-    """Multiply by x (i.e. 0x02) in GF(2^8) with the AES polynomial."""
-    a <<= 1
-    if a & 0x100:
-        a ^= 0x11B
-    return a & 0xFF
-
-
-def gf_mul(a: int, b: int) -> int:
-    """Full GF(2^8) multiplication (Russian-peasant)."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a = xtime(a)
-        b >>= 1
-    return result
-
-
-def expand_key(key: bytes) -> list[bytes]:
-    """Return the 11 round keys of AES-128 key expansion.
-
-    Raises
-    ------
-    ValueError
-        If *key* is not exactly 16 bytes.
-    """
-    if len(key) != 16:
-        raise ValueError(f"AES-128 key must be 16 bytes, got {len(key)}")
-    words = [list(key[4 * i : 4 * i + 4]) for i in range(4)]
-    for i in range(4, 44):
-        temp = list(words[i - 1])
-        if i % 4 == 0:
-            temp = temp[1:] + temp[:1]  # RotWord
-            temp = [SBOX[b] for b in temp]  # SubWord
-            temp[0] ^= RCON[i // 4 - 1]
-        words.append([t ^ w for t, w in zip(temp, words[i - 4])])
-    return [
-        bytes(b for w in words[4 * r : 4 * r + 4] for b in w) for r in range(11)
-    ]
-
-
-def _sub_bytes(state: list[int]) -> list[int]:
-    return [SBOX[b] for b in state]
-
-
-def _inv_sub_bytes(state: list[int]) -> list[int]:
-    return [INV_SBOX[b] for b in state]
 
 
 # ShiftRows byte permutation, output index -> input index.  Output byte
@@ -127,115 +62,3 @@ def _inv_sub_bytes(state: list[int]) -> list[int]:
 SHIFT_ROWS_PERM = [
     (flat % 4) + 4 * (((flat // 4) + (flat % 4)) % 4) for flat in range(16)
 ]
-
-INV_SHIFT_ROWS_PERM = [0] * 16
-for _out, _in in enumerate(SHIFT_ROWS_PERM):
-    INV_SHIFT_ROWS_PERM[_in] = _out
-
-
-def _shift_rows(state: list[int]) -> list[int]:
-    return [state[SHIFT_ROWS_PERM[i]] for i in range(16)]
-
-
-def _inv_shift_rows(state: list[int]) -> list[int]:
-    return [state[INV_SHIFT_ROWS_PERM[i]] for i in range(16)]
-
-
-def _mix_single_column(col: list[int]) -> list[int]:
-    a0, a1, a2, a3 = col
-    return [
-        xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3,
-        a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3,
-        a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3),
-        (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3),
-    ]
-
-
-def _mix_columns(state: list[int]) -> list[int]:
-    out: list[int] = []
-    for c in range(4):
-        out.extend(_mix_single_column(state[4 * c : 4 * c + 4]))
-    return out
-
-
-def _inv_mix_single_column(col: list[int]) -> list[int]:
-    a0, a1, a2, a3 = col
-    return [
-        gf_mul(a0, 14) ^ gf_mul(a1, 11) ^ gf_mul(a2, 13) ^ gf_mul(a3, 9),
-        gf_mul(a0, 9) ^ gf_mul(a1, 14) ^ gf_mul(a2, 11) ^ gf_mul(a3, 13),
-        gf_mul(a0, 13) ^ gf_mul(a1, 9) ^ gf_mul(a2, 14) ^ gf_mul(a3, 11),
-        gf_mul(a0, 11) ^ gf_mul(a1, 13) ^ gf_mul(a2, 9) ^ gf_mul(a3, 14),
-    ]
-
-
-def _inv_mix_columns(state: list[int]) -> list[int]:
-    out: list[int] = []
-    for c in range(4):
-        out.extend(_inv_mix_single_column(state[4 * c : 4 * c + 4]))
-    return out
-
-
-def _add_round_key(state: list[int], round_key: bytes) -> list[int]:
-    return [s ^ k for s, k in zip(state, round_key)]
-
-
-def round_states(plaintext: bytes, key: bytes) -> list[bytes]:
-    """All intermediate states: after initial ARK, then after each round.
-
-    Returns 11 states; ``round_states(...)[-1]`` is the ciphertext.
-    This is the oracle the netlist verification steps against.
-    """
-    if len(plaintext) != 16:
-        raise ValueError(f"plaintext must be 16 bytes, got {len(plaintext)}")
-    round_keys = expand_key(key)
-    state = _add_round_key(list(plaintext), round_keys[0])
-    states = [bytes(state)]
-    for rnd in range(1, 10):
-        state = _sub_bytes(state)
-        state = _shift_rows(state)
-        state = _mix_columns(state)
-        state = _add_round_key(state, round_keys[rnd])
-        states.append(bytes(state))
-    state = _sub_bytes(state)
-    state = _shift_rows(state)
-    state = _add_round_key(state, round_keys[10])
-    states.append(bytes(state))
-    return states
-
-
-def encrypt_block(plaintext: bytes, key: bytes) -> bytes:
-    """Encrypt one 16-byte block with AES-128."""
-    return round_states(plaintext, key)[-1]
-
-
-def decrypt_block(ciphertext: bytes, key: bytes) -> bytes:
-    """Decrypt one 16-byte block with AES-128."""
-    if len(ciphertext) != 16:
-        raise ValueError(f"ciphertext must be 16 bytes, got {len(ciphertext)}")
-    round_keys = expand_key(key)
-    state = _add_round_key(list(ciphertext), round_keys[10])
-    for rnd in range(9, 0, -1):
-        state = _inv_shift_rows(state)
-        state = _inv_sub_bytes(state)
-        state = _add_round_key(state, round_keys[rnd])
-        state = _inv_mix_columns(state)
-    state = _inv_shift_rows(state)
-    state = _inv_sub_bytes(state)
-    state = _add_round_key(state, round_keys[0])
-    return bytes(state)
-
-
-class AES128:
-    """Convenience object caching the key schedule for repeated blocks."""
-
-    def __init__(self, key: bytes) -> None:
-        self.key = bytes(key)
-        self.round_keys = expand_key(self.key)
-
-    def encrypt(self, plaintext: bytes) -> bytes:
-        """Encrypt one block."""
-        return encrypt_block(plaintext, self.key)
-
-    def decrypt(self, ciphertext: bytes) -> bytes:
-        """Decrypt one block."""
-        return decrypt_block(ciphertext, self.key)

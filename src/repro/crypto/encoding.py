@@ -31,27 +31,6 @@ def bytes_to_bits(blocks: np.ndarray) -> np.ndarray:
     return bits.T.astype(bool)
 
 
-def bits_to_bytes(bits: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`bytes_to_bits`.
-
-    Parameters
-    ----------
-    bits:
-        bool array of shape ``(8 * nbytes, batch)``.
-
-    Returns
-    -------
-    numpy.ndarray
-        uint8 array of shape ``(batch, nbytes)``.
-    """
-    bits = np.asarray(bits, dtype=bool)
-    if bits.ndim != 2 or bits.shape[0] % 8:
-        raise ValueError(
-            f"expected (8*nbytes, batch) bool array, got shape {bits.shape}"
-        )
-    return np.packbits(bits.T.astype(np.uint8), axis=1, bitorder="big")
-
-
 def bus_inputs(bus: list[str], blocks: np.ndarray) -> dict[str, np.ndarray]:
     """Build a simulator input dict binding *bus* to byte *blocks*.
 
@@ -71,13 +50,3 @@ def random_blocks(rng: np.random.Generator, batch: int, nbytes: int = 16) -> np.
     if batch <= 0:
         raise ValueError(f"batch must be positive, got {batch}")
     return rng.integers(0, 256, size=(batch, nbytes), dtype=np.uint8)
-
-
-def blocks_from_bytes(items: list[bytes]) -> np.ndarray:
-    """Stack equal-length ``bytes`` objects into a ``(batch, nbytes)`` array."""
-    if not items:
-        raise ValueError("need at least one block")
-    length = len(items[0])
-    if any(len(it) != length for it in items):
-        raise ValueError("all blocks must have equal length")
-    return np.frombuffer(b"".join(items), dtype=np.uint8).reshape(len(items), length)

@@ -26,7 +26,6 @@ from repro.detectors.registry import (
     all_detector_infos,
     create_detector,
     detector_from_state,
-    detector_names,
     get_detector_class,
     register_detector,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "auc",
     "create_detector",
     "detector_from_state",
-    "detector_names",
     "get_detector_class",
     "register_detector",
     "roc_curve",

@@ -31,11 +31,6 @@ def register_detector(cls: type) -> type:
     return cls
 
 
-def detector_names() -> tuple[str, ...]:
-    """All registered names, sorted."""
-    return tuple(sorted(REGISTRY))
-
-
 def all_detector_infos() -> tuple[DetectorInfo, ...]:
     """Registry cards of every detector, sorted by name."""
     return tuple(REGISTRY[name].info for name in sorted(REGISTRY))

@@ -202,13 +202,6 @@ class SensorArray:
             for c in range(self.cols)
         ]
 
-    def coil_at(self, row: int, col: int) -> OnChipSensor:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise EmModelError(
-                f"coil ({row}, {col}) outside {self.rows}x{self.cols} array"
-            )
-        return self.coils[row * self.cols + col]
-
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """Grid cell ``(row, col)`` containing die point ``(x, y)``.
 

@@ -52,12 +52,6 @@ class BaselineComparison:
             )
         return "\n".join(lines)
 
-    def advantage(self, trojan: str) -> float:
-        """Sensor separation over power separation, floor-relative."""
-        s = self.sensor[trojan] / max(self.sensor_floor, 1e-12)
-        p = self.power[trojan] / max(self.power_floor, 1e-12)
-        return s / max(p, 1e-12)
-
 
 def build_power_baseline_chip(seed: int = 1) -> Chip:
     """The standard test chip with the shunt power monitor installed."""

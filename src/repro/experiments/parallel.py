@@ -45,9 +45,7 @@ from typing import Any, Iterable
 
 from repro.chip.chip import Chip
 from repro.chip.scenario import Scenario
-# WORKERS_ENV_VAR is re-exported here for backwards compatibility; its
-# resolution lives in repro.config.
-from repro.config import WORKERS_ENV_VAR, active_config
+from repro.config import active_config
 from repro.errors import ExperimentError
 from repro.experiments.campaign import (
     TRACE_COLLECTORS,

@@ -210,7 +210,7 @@ class StreamingOneShot:
     zero).  Feature extraction and per-row distances are
     row-independent for every supported detector, so
     ``exceed_fraction`` (integer counts) is *exactly* the value of a
-    whole-matrix evaluation of :meth:`TraceFeed.delivered_traces` and
+    whole-matrix evaluation of the delivered windows and
     the verdict booleans agree; ``mean_distance``/``separation``
     differ only by float summation order (~1 ulp).
 

@@ -288,13 +288,3 @@ class TraceFeed:
     def __iter__(self):
         for i in range(self.n_batches):
             yield self.batch_at(i)
-
-    def delivered_traces(self) -> np.ndarray:
-        """Every delivered window row in delivery order.
-
-        This is the exact trace multiset a one-shot evaluation of the
-        stream would see — the fleet CLI's alarm-verdict consistency
-        check evaluates it through the plain
-        :class:`~repro.analysis.euclidean.EuclideanDetector`.
-        """
-        return np.asarray(self.source.gather(self._delivered_arr))

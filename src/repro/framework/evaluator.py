@@ -28,7 +28,7 @@ from repro.experiments.campaign import (
     get_or_fit_detector,
     get_or_generate_traces,
 )
-from repro.framework.report import TrustReport, Verdict, combine_verdicts
+from repro.framework.report import TrustReport, combine_verdicts
 
 
 @dataclass
@@ -123,17 +123,6 @@ class RuntimeTrustEvaluator:
         )
 
     # ------------------------------------------------------------------
-    def evaluate_traces(self, traces: np.ndarray) -> TrustReport:
-        """Time-domain evaluation of per-encryption trace windows."""
-        if not hasattr(self.detector, "evaluate"):
-            raise AnalysisError(
-                "one-shot DistanceReport evaluation needs a golden-"
-                "based detector; use score()/decide() via the registry"
-            )
-        report = self.detector.evaluate(traces)
-        verdict = combine_verdicts(report.detected, False)
-        return TrustReport(verdict=verdict, distance=report)
-
     def evaluate_spectrum(self, record: np.ndarray) -> TrustReport:
         """Frequency-domain evaluation of a long continuous record."""
         suspect = amplitude_spectrum(record, self.fs)

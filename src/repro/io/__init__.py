@@ -26,7 +26,6 @@ from repro.io.store import (
     load_traces,
     resolve_store_path,
     save_traces,
-    load_json_report,
     save_json_report,
 )
 
@@ -42,6 +41,5 @@ __all__ = [
     "load_traces",
     "resolve_store_path",
     "save_traces",
-    "load_json_report",
     "save_json_report",
 ]

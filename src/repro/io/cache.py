@@ -29,19 +29,12 @@ import contextlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-# CACHE_DIR_ENV / CACHE_MB_ENV / DEFAULT_CACHE_MB are re-exported here
-# for backwards compatibility; their resolution lives in repro.config.
-from repro.config import (
-    CACHE_DIR_ENV,
-    CACHE_MB_ENV,
-    DEFAULT_CACHE_MB,
-    active_config,
-)
+from repro.config import active_config
 from repro.errors import ExperimentError, MeasurementError
 from repro.io.store import (
     TraceBundle,

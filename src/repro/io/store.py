@@ -234,8 +234,3 @@ def save_json_report(report: dict, path: str | Path) -> None:
         + "\n",
         encoding="utf-8",
     )
-
-
-def load_json_report(path: str | Path) -> dict:
-    """Load a JSON experiment report."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))

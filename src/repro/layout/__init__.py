@@ -15,7 +15,6 @@ from repro.layout.geometry import (
     circular_loop,
     polyline_length,
     rectangular_spiral,
-    segments_from_polyline,
 )
 from repro.layout.technology import MetalLayer, Technology, make_tech180
 from repro.layout.floorplan import Floorplan, Region, plan_floorplan
@@ -29,7 +28,6 @@ __all__ = [
     "circular_loop",
     "polyline_length",
     "rectangular_spiral",
-    "segments_from_polyline",
     "MetalLayer",
     "Technology",
     "make_tech180",

@@ -89,7 +89,7 @@ def _cell_paths(
         (ys / (grid.die_height / grid.n_rows)).astype(np.int64), grid.n_rows - 1
     )
     kx = np.minimum((xs / grid.tile_len).astype(np.int64), n_tx - 1)
-    # argmin keeps the lowest stripe index on a tie, as nearest_stripe does.
+    # The nearest stripe pair; argmin keeps the lowest index on a tie.
     stripe = np.abs(grid.stripe_xs - xs[:, None]).argmin(axis=1)
     stripe_tile = np.minimum(
         (grid.stripe_xs / grid.tile_len).astype(np.int64), n_tx - 1

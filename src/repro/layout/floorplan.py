@@ -10,7 +10,7 @@ area divided by the target row utilisation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import LayoutError
 from repro.layout.geometry import Rect

@@ -53,12 +53,6 @@ class Rect:
             and self.y0 - tol <= y <= self.y1 + tol
         )
 
-    def shrunk(self, margin: float) -> "Rect":
-        """A copy inset by *margin* on all sides."""
-        return Rect(
-            self.x0 + margin, self.y0 + margin, self.x1 - margin, self.y1 - margin
-        )
-
 
 def polyline_length(points: np.ndarray) -> float:
     """Total length of a polyline given as an ``(N, 3)`` vertex array."""
@@ -66,17 +60,6 @@ def polyline_length(points: np.ndarray) -> float:
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
         raise LayoutError(f"polyline must be (N>=2, 3), got shape {pts.shape}")
     return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
-
-
-def segments_from_polyline(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a polyline into straight segments.
-
-    Returns ``(starts, ends)``, each of shape ``(N-1, 3)``.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
-        raise LayoutError(f"polyline must be (N>=2, 3), got shape {pts.shape}")
-    return pts[:-1].copy(), pts[1:].copy()
 
 
 def rectangular_spiral(

@@ -66,22 +66,8 @@ class PowerGrid:
         """Segment id of VDD rail tile *kx* in *row*."""
         return self.vdd_rail_base + row * self.n_tiles_x + kx
 
-    def vss_rail_tile(self, row: int, kx: int) -> int:
-        return self.vss_rail_base + row * self.n_tiles_x + kx
-
     def vdd_stripe_tile(self, stripe: int, ky: int) -> int:
         return self.vdd_stripe_base + stripe * self.n_tiles_y + ky
-
-    def vss_stripe_tile(self, stripe: int, ky: int) -> int:
-        return self.vss_stripe_base + stripe * self.n_tiles_y + ky
-
-    def ring_tile(self, base: int, kx: int) -> int:
-        """Segment id of ring tile *kx* within the run starting at *base*."""
-        return base + kx
-
-    def nearest_stripe(self, x: float) -> int:
-        """Index of the stripe pair closest to *x*."""
-        return int(np.argmin(np.abs(self.stripe_xs - x)))
 
 
 def build_power_grid(

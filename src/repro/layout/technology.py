@@ -9,7 +9,7 @@ routing on the top metal layer").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import TechnologyError
 from repro.logic.library import ROW_HEIGHT, SITE_WIDTH, VDD

@@ -14,14 +14,13 @@ the per-cycle switching activity the simulator reports.
 """
 
 from repro.logic.cells import CellKind, StdCell
-from repro.logic.library import LIBRARY, get_cell, list_cells
+from repro.logic.library import LIBRARY, get_cell
 from repro.logic.netlist import Instance, Net, Netlist
 from repro.logic.builder import NetlistBuilder
 from repro.logic.simulator import (
     CompiledNetlist,
     PackedState,
     SimulationState,
-    extract_lanes,
     lane_slices,
     pack_bits,
     unpack_bits,
@@ -35,7 +34,6 @@ __all__ = [
     "StdCell",
     "LIBRARY",
     "get_cell",
-    "list_cells",
     "Instance",
     "Net",
     "Netlist",
@@ -43,7 +41,6 @@ __all__ = [
     "CompiledNetlist",
     "PackedState",
     "SimulationState",
-    "extract_lanes",
     "lane_slices",
     "pack_bits",
     "unpack_bits",

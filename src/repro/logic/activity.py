@@ -59,21 +59,6 @@ class ToggleCountRecorder:
         self.counts += lane_counts(toggles, batch)
         self.cycles += 1
 
-    def counts_by_group(self) -> dict[str, int]:
-        """Total toggles aggregated per instance group."""
-        netlist = self._sim.netlist
-        out: dict[str, int] = {}
-        for name, count in zip(self._sim.instance_names, self.counts):
-            group = netlist.instances[name].group
-            out[group] = out.get(group, 0) + int(count)
-        return out
-
-    def activity_factor(self) -> np.ndarray:
-        """Average toggles per instance per cycle (per batch column)."""
-        if self.cycles == 0:
-            raise SimulationError("no cycles recorded yet")
-        return self.counts / float(self.cycles)
-
 
 class ActivityAccumulator:
     """Per-cycle weighted toggle sums, grouped by switching-delay level.

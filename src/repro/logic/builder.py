@@ -16,7 +16,7 @@ by :mod:`repro.crypto.aes`.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import NetlistError
 from repro.logic.netlist import Netlist
@@ -139,23 +139,8 @@ class NetlistBuilder:
     def or2(self, a: str, b: str) -> str:
         return self.gate("OR2", a, b)
 
-    def nand2(self, a: str, b: str) -> str:
-        return self.gate("NAND2", a, b)
-
-    def nor2(self, a: str, b: str) -> str:
-        return self.gate("NOR2", a, b)
-
     def xor2(self, a: str, b: str) -> str:
         return self.gate("XOR2", a, b)
-
-    def xnor2(self, a: str, b: str) -> str:
-        return self.gate("XNOR2", a, b)
-
-    def and3(self, a: str, b: str, c: str) -> str:
-        return self.gate("AND3", a, b, c)
-
-    def or3(self, a: str, b: str, c: str) -> str:
-        return self.gate("OR3", a, b, c)
 
     def mux2(self, a: str, b: str, sel: str) -> str:
         """2:1 mux returning *a* when ``sel`` is 0 and *b* when 1."""
@@ -211,19 +196,6 @@ class NetlistBuilder:
             )
         if init:
             self.netlist.ff_init[name] = True
-
-    def register_bus(
-        self,
-        d_bus: Sequence[str],
-        enable: str | None = None,
-        init: int = 0,
-    ) -> Bus:
-        """Register a whole bus; *init* encodes per-bit reset values (MSB first)."""
-        width = len(d_bus)
-        return [
-            self.dff(d, enable=enable, init=(init >> (width - 1 - i)) & 1)
-            for i, d in enumerate(d_bus)
-        ]
 
     # ------------------------------------------------------------------
     # Bus operators
@@ -361,32 +333,6 @@ class NetlistBuilder:
             self.flop_into(
                 d, q, enable=enable, init=(init >> (width - 1 - i)) & 1
             )
-        return qs
-
-    def lfsr(self, width: int, taps: Iterable[int], init: int = 1) -> Bus:
-        """Fibonacci LFSR (MSB first), shifting towards the LSB.
-
-        *taps* are bit positions (0 = MSB) XORed into the new MSB.  The
-        reset state is *init*, which must be non-zero for a maximal
-        XOR-feedback sequence.
-        """
-        taps = sorted(set(taps))
-        if not taps:
-            raise NetlistError("LFSR needs at least one tap")
-        if any(t < 0 or t >= width for t in taps):
-            raise NetlistError(f"LFSR taps {taps} out of range for width {width}")
-        if init == 0:
-            raise NetlistError("XOR-feedback LFSR must not reset to all zeros")
-        qs: Bus = [self.net("lfsr_q") for _ in range(width)]
-        feedback = self.xor_tree([qs[t] for t in taps]) if len(taps) > 1 else self.buf(qs[taps[0]])
-        d_bus = [feedback] + qs[:-1]
-        for i, (q, d) in enumerate(zip(qs, d_bus)):
-            name = self._unique("dff")
-            self.netlist.add_instance(
-                name, "DFF", {"D": d, "Q": q}, group=self._group
-            )
-            if (init >> (width - 1 - i)) & 1:
-                self.netlist.ff_init[name] = True
         return qs
 
     def mux_tree(self, values: Sequence[str], select: Sequence[str]) -> str:

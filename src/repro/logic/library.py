@@ -123,8 +123,3 @@ def get_cell(name: str) -> StdCell:
     except KeyError:
         known = ", ".join(sorted(LIBRARY))
         raise LibraryError(f"unknown cell {name!r}; library has: {known}") from None
-
-
-def list_cells() -> list[str]:
-    """Names of all cells in the library, sorted."""
-    return sorted(LIBRARY)

@@ -165,41 +165,6 @@ def lane_slices(batches) -> list[slice]:
     return slices
 
 
-def extract_lanes(words: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Pull lanes ``[start, start + count)`` out of packed lane words.
-
-    The inverse of lane-packing several members into shared uint64
-    words: given any ``(..., nwords)`` packed array (state words,
-    toggle matrices, recorded nets), returns a fresh
-    ``(..., packed_words(count))`` array holding just that member's
-    lanes, re-based at bit 0 with padding lanes cleared —
-    ``unpack_bits(extract_lanes(w, s, c), c)`` equals
-    ``unpack_bits(w, total)[..., s:s+c]`` exactly.
-    """
-    if start < 0 or count <= 0:
-        raise SimulationError(
-            f"invalid lane range [{start}, {start + count})"
-        )
-    w = np.asarray(words, dtype=np.uint64)
-    n_out = packed_words(count)
-    word0, shift = divmod(start, WORD_BITS)
-    need = word0 + n_out + (1 if shift else 0)
-    if need > w.shape[-1]:
-        pad = np.zeros(
-            w.shape[:-1] + (need - w.shape[-1],), dtype=np.uint64
-        )
-        w = np.concatenate([w, pad], axis=-1)
-    if shift == 0:
-        out = w[..., word0 : word0 + n_out].copy()
-    else:
-        out = (w[..., word0 : word0 + n_out] >> np.uint64(shift)) | (
-            w[..., word0 + 1 : word0 + 1 + n_out]
-            << np.uint64(WORD_BITS - shift)
-        )
-    out &= _lane_mask(count)
-    return out
-
-
 @dataclass
 class SimulationState:
     """Mutable per-run simulator state.
@@ -495,62 +460,6 @@ class CompiledNetlist:
         en_vals = np.take(rows, self._seq_en_gather, axis=0)
         en_vals[self._seq_no_en] = on
         return en_vals
-
-    def force_net(
-        self,
-        state: SimulationState | PackedState,
-        net: str,
-        value: BoolArray | bool,
-        propagate: bool = True,
-    ) -> None:
-        """Override a net's value (fault injection, e.g. an A2 payload).
-
-        With *propagate* the combinational logic re-settles so the
-        forced value is visible downstream before the next clock edge.
-        """
-        idx = self.net_index.get(net)
-        if idx is None:
-            raise SimulationError(f"unknown net {net!r}")
-        arr = np.asarray(value, dtype=bool)
-        if arr.ndim == 0:
-            arr = np.full(state.batch, bool(arr))
-        if isinstance(state, PackedState):
-            state.words[idx] = pack_bits(arr)
-        else:
-            state.values[idx] = arr
-        if propagate:
-            self._propagate(state)
-
-    # ------------------------------------------------------------------
-    # Value access
-    # ------------------------------------------------------------------
-    def read(
-        self, state: SimulationState | PackedState, net: str
-    ) -> BoolArray:
-        """Current value of one net across the batch."""
-        if isinstance(state, PackedState):
-            return unpack_bits(state.words[self.net_index[net]], state.batch)
-        return state.values[self.net_index[net]].copy()
-
-    def read_bus(
-        self, state: SimulationState | PackedState, bus: list[str]
-    ) -> np.ndarray:
-        """Bus values as an integer array of shape ``(batch,)``.
-
-        Only valid for buses up to 63 bits; wider buses should be read
-        with :meth:`read_bus_bits`.
-        """
-        if len(bus) > 63:
-            raise SimulationError(
-                f"read_bus supports up to 63 bits, got {len(bus)}; "
-                "use read_bus_bits"
-            )
-        bits = self.read_bus_bits(state, bus)
-        # MSB-first bit weights collapse the bus in one matmul.
-        weights = np.int64(1) << np.arange(
-            len(bus) - 1, -1, -1, dtype=np.int64
-        )
-        return weights @ bits.astype(np.int64)
 
     def read_bus_bits(
         self, state: SimulationState | PackedState, bus: list[str]

@@ -79,22 +79,3 @@ def netlist_stats(netlist: Netlist) -> NetlistStats:
         hist = stats.cell_histogram
         hist[inst.cell.name] = hist.get(inst.cell.name, 0) + 1
     return NetlistStats(name=netlist.name, groups=groups)
-
-
-def format_table(
-    stats: NetlistStats,
-    reference: str,
-    order: list[str] | None = None,
-) -> str:
-    """Render a Table I-style text table.
-
-    Rows are instance groups; columns are gate count and percentage of
-    the *reference* group's gate count.
-    """
-    names = order if order is not None else sorted(stats.groups)
-    lines = [f"{'Circuit':<12}{'Gate Count':>12}{'Percentage':>14}"]
-    for name in names:
-        grp = stats.groups[name]
-        pct = stats.gate_percentage(name, reference)
-        lines.append(f"{name:<12}{grp.gate_count:>12}{pct:>13.2f}%")
-    return "\n".join(lines)

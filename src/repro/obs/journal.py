@@ -61,13 +61,6 @@ class EventJournal:
     def __len__(self) -> int:
         return len(self._events)
 
-    def tail(self, n: int) -> list[dict]:
-        """The last *n* events (all of them when n exceeds the count)."""
-        if n < 0:
-            raise ExperimentError(f"tail length must be >= 0, got {n}")
-        with self._lock:
-            return list(self._events[len(self._events) - n:]) if n else []
-
     def flush(self) -> Path | None:
         """Persist every event as JSONL via an atomic rename.
 

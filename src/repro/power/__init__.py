@@ -10,9 +10,7 @@ line and its harmonics into the EM spectra.
 
 from repro.power.charges import (
     clock_charges,
-    leakage_power,
     switching_charges,
-    total_dynamic_energy,
 )
 from repro.power.report import PowerReport, encryption_power_workload, measure_power
 from repro.power.pulse import (
@@ -24,9 +22,7 @@ from repro.power.pulse import (
 
 __all__ = [
     "clock_charges",
-    "leakage_power",
     "switching_charges",
-    "total_dynamic_energy",
     "current_kernel",
     "emf_kernel",
     "step_kernel",

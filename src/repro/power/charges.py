@@ -63,31 +63,3 @@ def clock_charges(
         if inst.cell.is_sequential:
             charges[i] = CLOCK_CAP_FACTOR * inst.cell.input_cap * tech.vdd
     return charges
-
-
-def leakage_power(netlist: Netlist, tech: Technology) -> float:
-    """Total static leakage power of the netlist [W]."""
-    total_current = sum(
-        inst.cell.leakage for inst in netlist.instances.values()
-    )
-    return total_current * tech.vdd
-
-
-def total_dynamic_energy(
-    toggle_counts: np.ndarray,
-    charges: np.ndarray,
-    vdd: float,
-) -> float:
-    """Dynamic switching energy of a recorded activity history [J].
-
-    ``toggle_counts`` are per-instance totals (e.g. from
-    :class:`~repro.logic.activity.ToggleCountRecorder`), *charges* the
-    matching per-toggle charge vector.
-    """
-    counts = np.asarray(toggle_counts, dtype=np.float64)
-    q = np.asarray(charges, dtype=np.float64)
-    if counts.shape != q.shape:
-        raise ValueError(
-            f"toggle counts {counts.shape} and charges {q.shape} must match"
-        )
-    return float((counts * q).sum() * vdd)

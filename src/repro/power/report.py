@@ -45,13 +45,6 @@ class PowerReport:
     def total(self) -> float:
         return sum(g.total for g in self.groups.values())
 
-    def overhead_percent(self, group: str, reference: str = "aes") -> float:
-        """One group's power as a percentage of another's."""
-        ref = self.groups[reference].total
-        if ref == 0:
-            raise ZeroDivisionError(f"group {reference!r} draws no power")
-        return 100.0 * self.groups[group].total / ref
-
     def format(self) -> str:
         lines = [
             f"{'group':<10} {'dynamic':>10} {'clock':>10} {'leakage':>10}"

@@ -36,11 +36,3 @@ def derive(seed: int, role: str) -> np.random.Generator:
     digest = hashlib.sha256(f"{seed}:{role}".encode("utf-8")).digest()
     child_seed = int.from_bytes(digest[:8], "little")
     return np.random.default_rng(child_seed)
-
-
-def spawn_seeds(seed: int, role: str, count: int) -> list[int]:
-    """Derive *count* independent integer seeds for per-item streams."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    rng = derive(seed, role)
-    return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]

@@ -27,13 +27,12 @@ from repro.trojans.base import (
     TapMode,
     TrojanKind,
     attach_activation,
-    trigger_plaintext,
 )
 from repro.trojans.t1_am import attach_trojan1
 from repro.trojans.t2_leakage import attach_trojan2
 from repro.trojans.t3_cdma import attach_trojan3
 from repro.trojans.t4_power import attach_trojan4
-from repro.trojans.a2 import A2ChargePump, attach_a2
+from repro.trojans.a2 import attach_a2
 
 __all__ = [
     "AnalogTap",
@@ -41,11 +40,9 @@ __all__ = [
     "TapMode",
     "TrojanKind",
     "attach_activation",
-    "trigger_plaintext",
     "attach_trojan1",
     "attach_trojan2",
     "attach_trojan3",
     "attach_trojan4",
-    "A2ChargePump",
     "attach_a2",
 ]

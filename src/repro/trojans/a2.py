@@ -13,11 +13,11 @@ of the AES *by area* — so this module contributes:
 * an :class:`~repro.trojans.base.AnalogTap` that draws a charge packet
   on every toggle of the clock-division wire while triggering is under
   way — the *fast flipping signal* whose extra spectral energy Figure 4
-  detects,
-* :class:`A2ChargePump`, the behavioural capacitor model used to decide
-  when the payload fires (and by the tests to prove the trigger works
-  like the published A2: frequent toggles fire it, sparse toggles leak
-  away harmlessly).
+  detects.
+
+The payload itself (the capacitor crossing its threshold and flipping a
+victim bit) is not modelled: the paper detects A2 while it is being
+triggered, which is what the tap reproduces.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.units import FF, V
 
 @dataclass(frozen=True)
 class A2Params:
-    """Electrical knobs of the charge pump."""
+    """Electrical knobs of the gated trigger and its charge-pump strokes."""
 
     #: Clock-division ratio of the gated trigger.  The default mod-3
     #: divider puts the armed trigger's pump strokes at f_clk / 3
@@ -51,74 +51,6 @@ class A2Params:
     #: heavily-loaded net with it; its charging current, not the
     #: 6-transistor pump alone, is the EM-visible artefact.
     trigger_wire_cap: float = 0.18e-12
-    #: Charge actually deposited on the pump capacitor per stroke [C]
-    #: (the small coupling-cap share of the stroke; the rest of
-    #: :attr:`charge_per_toggle` charges the trigger route and payload
-    #: driver and never reaches the cap).
-    pump_charge_per_toggle: float = 1.2 * FF * 1.8 * V
-    #: Capacitor size [F].
-    cap: float = 18 * FF
-    #: Payload fires when the cap voltage crosses this fraction of VDD.
-    threshold_fraction: float = 0.75
-    #: Fraction of stored charge leaking away per clock cycle.
-    leak_fraction: float = 0.02
-
-
-class A2ChargePump:
-    """Behavioural model of the 6-transistor A2 trigger circuit.
-
-    Call :meth:`step` once per clock cycle with the number of trigger
-    toggles observed in that cycle; the model integrates charge, leaks,
-    and reports when the payload fires.
-    """
-
-    def __init__(self, params: A2Params, vdd: float = 1.8) -> None:
-        if not 0.0 < params.threshold_fraction < 1.0:
-            raise TrojanError(
-                f"threshold_fraction must be in (0, 1), got "
-                f"{params.threshold_fraction}"
-            )
-        if not 0.0 <= params.leak_fraction < 1.0:
-            raise TrojanError(
-                f"leak_fraction must be in [0, 1), got {params.leak_fraction}"
-            )
-        self.params = params
-        self.vdd = vdd
-        self.charge = 0.0
-        self.fired = False
-
-    @property
-    def voltage(self) -> float:
-        """Current capacitor voltage [V], clamped to VDD."""
-        return min(self.charge / self.params.cap, self.vdd)
-
-    @property
-    def threshold_voltage(self) -> float:
-        """Payload-firing threshold [V]."""
-        return self.params.threshold_fraction * self.vdd
-
-    def step(self, toggles: int) -> bool:
-        """Advance one clock cycle; returns True when the payload fires.
-
-        The pump saturates at VDD and leaks a fixed fraction per cycle,
-        exactly the mechanism that makes A2 immune to slow/occasional
-        toggles but certain to fire under a sustained fast-flipping
-        trigger.
-        """
-        if toggles < 0:
-            raise TrojanError(f"toggle count must be >= 0, got {toggles}")
-        self.charge *= 1.0 - self.params.leak_fraction
-        self.charge += toggles * self.params.pump_charge_per_toggle
-        self.charge = min(self.charge, self.params.cap * self.vdd)
-        if not self.fired and self.voltage >= self.threshold_voltage:
-            self.fired = True
-            return True
-        return False
-
-    def reset(self) -> None:
-        """Discharge the capacitor and rearm the payload."""
-        self.charge = 0.0
-        self.fired = False
 
 
 def attach_a2(

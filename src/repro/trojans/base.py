@@ -140,20 +140,3 @@ def attach_activation(
     b.flop_into(armed_d, armed_q)
     active = b.or2(enable_pin, armed_q)
     return enable_pin, active
-
-
-def trigger_plaintext(key: bytes, match_byte: int, match_value: int) -> bytes:
-    """Plaintext that arms a Trojan's internal trigger on this *key*.
-
-    After the initial AddRoundKey the state is ``pt XOR key``, so
-    placing ``match_value`` at bytes ``match_byte..match_byte+3`` of
-    ``pt XOR key`` fires the comparator one cycle after ``start``.
-    """
-    if len(key) != 16:
-        raise TrojanError(f"key must be 16 bytes, got {len(key)}")
-    if not 0 <= match_byte <= 12:
-        raise TrojanError(f"match_byte must be in [0, 12], got {match_byte}")
-    pattern = bytearray(16)
-    for i in range(4):
-        pattern[match_byte + i] = (match_value >> (8 * (3 - i))) & 0xFF
-    return bytes(p ^ k for p, k in zip(pattern, key))

@@ -91,15 +91,3 @@ def db(ratio: float) -> float:
     if ratio <= 0.0:
         raise ValueError(f"amplitude ratio must be > 0, got {ratio!r}")
     return 20.0 * math.log10(ratio)
-
-
-def from_db(level_db: float) -> float:
-    """Inverse of :func:`db`: decibels back to an amplitude ratio."""
-    return 10.0 ** (level_db / 20.0)
-
-
-def power_db(ratio: float) -> float:
-    """Convert a power ratio to decibels (``10*log10``)."""
-    if ratio <= 0.0:
-        raise ValueError(f"power ratio must be > 0, got {ratio!r}")
-    return 10.0 * math.log10(ratio)

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.tvla import (
-    TVLA_THRESHOLD,
-    fixed_vs_random_split,
-    welch_t_test,
-)
+from repro.analysis.tvla import TVLA_THRESHOLD, welch_t_test
 from repro.errors import AnalysisError
 
 
@@ -59,18 +55,3 @@ def test_constant_sample_does_not_crash(rng):
     b = np.zeros((50, 3))
     result = welch_t_test(a, b)
     assert not result.leaks
-
-
-def test_fixed_vs_random_split(rng):
-    fixed = bytes(range(16))
-    pts = rng.integers(0, 256, (50, 16), dtype=np.uint8)
-    pts[::5] = np.frombuffer(fixed, np.uint8)
-    fixed_idx, random_idx = fixed_vs_random_split(pts, fixed)
-    assert len(fixed_idx) == 10
-    assert len(fixed_idx) + len(random_idx) == 50
-    assert (pts[fixed_idx] == np.frombuffer(fixed, np.uint8)).all()
-
-
-def test_split_validation(rng):
-    with pytest.raises(AnalysisError):
-        fixed_vs_random_split(np.zeros((5, 15), dtype=np.uint8), bytes(16))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.chip import AcquisitionEngine, EncryptionWorkload, IdleWorkload
-from repro.crypto import encrypt_block
 from repro.errors import ExperimentError, MeasurementError
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")

@@ -16,13 +16,7 @@ import pytest
 from repro.chip import AcquisitionEngine, EncryptionWorkload, GroupMember
 from repro.chip.acquire import IdleWorkload
 from repro.errors import MeasurementError, SimulationError
-from repro.logic.simulator import (
-    WORD_BITS,
-    extract_lanes,
-    lane_slices,
-    pack_bits,
-    unpack_bits,
-)
+from repro.logic.simulator import lane_slices
 from repro.obs import use_metrics
 from tests.logic.representation import representation
 
@@ -230,25 +224,3 @@ def test_lane_slices_partitions_contiguously():
     assert slices == [slice(0, 8), slice(8, 20), slice(20, 25)]
     with pytest.raises(SimulationError):
         lane_slices([8, 0])
-
-
-@pytest.mark.parametrize("start,count", [
-    (0, 7), (3, 61), (64, 64), (60, 10), (1, 129), (95, 33),
-])
-def test_extract_lanes_matches_unpacked_slice(rng, start, count):
-    total = start + count + 11
-    bits = rng.random((5, 3, total)) < 0.5
-    words = pack_bits(bits)
-    sub = extract_lanes(words, start, count)
-    assert sub.shape[-1] == (count + WORD_BITS - 1) // WORD_BITS
-    assert np.array_equal(
-        unpack_bits(sub, count), bits[..., start : start + count]
-    )
-
-
-def test_extract_lanes_validation(rng):
-    words = pack_bits(rng.random((2, 70)) < 0.5)
-    with pytest.raises(SimulationError):
-        extract_lanes(words, -1, 4)
-    with pytest.raises(SimulationError):
-        extract_lanes(words, 0, 0)

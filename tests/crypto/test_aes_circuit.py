@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.crypto import build_aes_circuit, encrypt_block
-from repro.crypto.aes import round_states
-from repro.crypto.encoding import bits_to_bytes, blocks_from_bytes
+from repro.crypto import build_aes_circuit
 from repro.logic import CompiledNetlist, netlist_stats
+from tests.crypto.aes_reference import (
+    bits_to_bytes,
+    blocks_from_bytes,
+    encrypt_block,
+    round_states,
+)
+from tests.logic.probes import read, read_bus
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +35,7 @@ def test_matches_reference_on_fips_vector(aes_sim):
     state = _encrypt(aes, sim, pt[None, :], key[None, :])
     ct = bits_to_bytes(sim.read_bus_bits(state, aes.state_q))
     assert bytes(ct[0]).hex() == "3925841d02dc09fbdc118597196a0b32"
-    assert sim.read(state, aes.done)[0]
+    assert read(sim, state, aes.done)[0]
 
 
 def test_matches_reference_on_random_batch(aes_sim):
@@ -73,7 +78,7 @@ def test_done_pulses_exactly_once(aes_sim):
     done_history = []
     for i in range(aes.latency + 5):
         sim.step(state, aes.idle_inputs(1) if i == 0 else None)
-        done_history.append(bool(sim.read(state, aes.done)[0]))
+        done_history.append(bool(read(sim, state, aes.done)[0]))
     assert done_history.count(True) == 1
     assert done_history[aes.latency - 1]
 
@@ -123,5 +128,5 @@ def test_clkdiv_free_runs(aes_sim):
     values = []
     for _ in range(16):
         sim.step(state)
-        values.append(int(sim.read_bus(state, aes.clkdiv)[0]))
+        values.append(int(read_bus(sim, state, aes.clkdiv)[0]))
     assert values == [(k + 1) % 8 for k in range(16)]

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.encoding import (
-    bits_to_bytes,
-    blocks_from_bytes,
-    bus_inputs,
-    bytes_to_bits,
-    random_blocks,
-)
+from repro.crypto.encoding import bus_inputs, bytes_to_bits, random_blocks
+from tests.crypto.aes_reference import bits_to_bytes, blocks_from_bytes
 
 
 def test_bytes_to_bits_msb_first():

@@ -146,7 +146,7 @@ class TestEvaluatorGuards:
         )
         ev = _evaluator(detector)
         with pytest.raises(AnalysisError, match="golden-based"):
-            ev.evaluate_traces(_stream(rng, 8))
+            ev.evaluate(traces=_stream(rng, 8))
 
 
 class TestFleetOneShot:

@@ -137,9 +137,6 @@ class TestSensorArray:
         assert array.channel_names() == [
             "array.r0c0", "array.r0c1", "array.r1c0", "array.r1c1",
         ]
-        assert array.coil_at(1, 0) is array.coils[2]
-        with pytest.raises(EmModelError):
-            array.coil_at(2, 0)
 
     def test_cell_of_clamps(self, die, tech):
         array = SensorArray.design_grid(die, tech, rows=4, cols=4)

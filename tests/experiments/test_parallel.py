@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 import repro.experiments.parallel as parallel
-from repro.config import ReproConfig, use_config
+from repro.config import WORKERS_ENV_VAR, ReproConfig, use_config
 from repro.errors import ExperimentError
 from repro.experiments.parallel import (
-    WORKERS_ENV_VAR,
     CampaignSpec,
     campaign_spec,
     resolve_workers,

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.detectors import detector_names
+from repro.detectors.registry import REGISTRY
 from repro.errors import ExperimentError
 from repro.experiments import run_experiment, validate_artifact
 from repro.experiments.tournament import (
@@ -61,7 +61,7 @@ class TestTournamentStructure:
         )
         validate_artifact(result)
         payload = result.payload
-        assert set(payload["sweep"]) == set(detector_names())
+        assert set(payload["sweep"]) == set(REGISTRY)
         assert tuple(payload["scenarios"]) == SCENARIOS
         assert payload["noise_scales"] == [1.0]
         for name, by_scale in payload["sweep"].items():

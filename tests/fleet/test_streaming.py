@@ -418,7 +418,8 @@ def test_streaming_oneshot_matches_whole_matrix_evaluation(
     finally:
         producer.close()
     for chip_id, feed in feeds.items():
-        expect = detector.evaluate(feed.delivered_traces())
+        delivered = np.asarray(feed.delivered_seqs, dtype=np.intp)
+        expect = detector.evaluate(feed.source.gather(delivered))
         got = acc.report(chip_id)
         # Integer delivery counts divided identically: exact.
         assert got.exceed_fraction == expect.exceed_fraction, chip_id

@@ -27,7 +27,7 @@ def test_dormant_chip_is_trusted(chip, sim_scenario, evaluator):
     clean = collect_ed_traces(
         chip, sim_scenario, 96, rng_role="e2e/clean"
     )["sensor"]
-    report = evaluator.evaluate_traces(clean)
+    report = evaluator.evaluate(traces=clean)
     assert report.verdict is Verdict.TRUSTED
 
 
@@ -42,7 +42,7 @@ def test_activated_trojans_raise_time_domain_alarm(
         trojan_enables=(trojan,),
         rng_role=f"e2e/{trojan}",
     )["sensor"]
-    report = evaluator.evaluate_traces(dirty)
+    report = evaluator.evaluate(traces=dirty)
     assert report.verdict.is_alarm, trojan
 
 
@@ -75,7 +75,7 @@ def test_a2_invisible_in_time_visible_in_frequency(chip, sim_scenario, evaluator
         trojan_enables=("a2",),
         rng_role="e2e/a2",
     )["sensor"]
-    time_report = evaluator.evaluate_traces(dirty)
+    time_report = evaluator.evaluate(traces=dirty)
     assert not time_report.verdict.is_alarm
 
     # Frequency domain: the gated trigger's comb stands out.

@@ -38,7 +38,7 @@ def reference_path(
     """Signed tile path for one cell at (x, y)."""
     rh_row = min(max(int(y / (grid.die_height / grid.n_rows)), 0), grid.n_rows - 1)
     kx = min(int(x / grid.tile_len), grid.n_tiles_x - 1)
-    stripe = grid.nearest_stripe(x)
+    stripe = int(np.argmin(np.abs(grid.stripe_xs - x)))
     ks = min(int(grid.stripe_xs[stripe] / grid.tile_len), grid.n_tiles_x - 1)
     ky = min(int(y / grid.tile_len), grid.n_tiles_y - 1)
 
@@ -49,7 +49,10 @@ def reference_path(
     else:
         rail_tiles, sign = range(kx, ks + 1), -1.0
     for k in rail_tiles:
-        seg_ids += [grid.vdd_rail_tile(rh_row, k), grid.vss_rail_tile(rh_row, k)]
+        seg_ids += [
+            grid.vdd_rail_base + rh_row * grid.n_tiles_x + k,
+            grid.vss_rail_base + rh_row * grid.n_tiles_x + k,
+        ]
         values += [sign, -sign]
 
     from_bottom = y < 0.5 * grid.die_height
@@ -58,7 +61,10 @@ def reference_path(
     else:
         stripe_tiles, sign = range(ky, grid.n_tiles_y), -1.0
     for k in stripe_tiles:
-        seg_ids += [grid.vdd_stripe_tile(stripe, k), grid.vss_stripe_tile(stripe, k)]
+        seg_ids += [
+            grid.vdd_stripe_base + stripe * grid.n_tiles_y + k,
+            grid.vss_stripe_base + stripe * grid.n_tiles_y + k,
+        ]
         values += [sign, -sign]
 
     if from_bottom:
@@ -66,10 +72,10 @@ def reference_path(
     else:
         vdd_base, vss_base = grid.ring_vdd_top_base, grid.ring_vss_top_base
     for k in range(0, ks + 1):
-        seg_ids.append(grid.ring_tile(vdd_base, k))
+        seg_ids.append(vdd_base + k)
         values.append(grid.ring_current_fraction)
     for k in range(ks, grid.n_tiles_x):
-        seg_ids.append(grid.ring_tile(vss_base, k))
+        seg_ids.append(vss_base + k)
         values.append(grid.ring_current_fraction)
     return seg_ids, values
 

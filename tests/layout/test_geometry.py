@@ -11,7 +11,6 @@ from repro.layout.geometry import (
     enclosed_area,
     polyline_length,
     rectangular_spiral,
-    segments_from_polyline,
 )
 from repro.units import UM
 
@@ -25,11 +24,6 @@ def test_rect_basic_properties():
     assert r.contains(-0.05, 1, tol=0.1)
 
 
-def test_rect_shrunk():
-    r = Rect(0, 0, 10, 10).shrunk(1)
-    assert (r.x0, r.y0, r.x1, r.y1) == (1, 1, 9, 9)
-
-
 def test_degenerate_rect_rejected():
     with pytest.raises(LayoutError):
         Rect(1, 0, 0, 1)
@@ -40,19 +34,9 @@ def test_polyline_length_simple():
     assert polyline_length(pts) == pytest.approx(7.0)
 
 
-def test_segments_from_polyline():
-    pts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0]], dtype=float)
-    s, e = segments_from_polyline(pts)
-    assert s.shape == (2, 3)
-    assert np.array_equal(s[1], [1, 0, 0])
-    assert np.array_equal(e[1], [1, 1, 0])
-
-
 def test_polyline_validation():
     with pytest.raises(LayoutError):
         polyline_length(np.zeros((1, 3)))
-    with pytest.raises(LayoutError):
-        segments_from_polyline(np.zeros((2, 2)))
 
 
 @settings(max_examples=20, deadline=None)

@@ -56,12 +56,6 @@ def test_rails_on_m1_stripes_on_m5(grid_setup):
     assert np.allclose(stripe_z, z_stripe)
 
 
-def test_nearest_stripe(grid_setup):
-    _nl, _fp, grid = grid_setup
-    for i, xs in enumerate(grid.stripe_xs):
-        assert grid.nearest_stripe(xs + 1e-7) == i
-
-
 def test_current_map_shape_and_balance(grid_setup):
     nl, fp, grid = grid_setup
     from repro.layout.placement import place_netlist

@@ -19,6 +19,7 @@ from repro.errors import NetlistError
 from repro.logic.netlist import Netlist
 from repro.logic.simulator import CompiledNetlist
 from repro.rng import derive
+from tests.logic.probes import read
 
 
 @dataclass
@@ -106,8 +107,8 @@ def random_equivalence_check(
 
     def compare(cycle: int) -> None:
         for out in a.outputs:
-            va = sim_a.read(state_a, out)
-            vb = sim_b.read(state_b, out)
+            va = read(sim_a, state_a, out)
+            vb = read(sim_b, state_b, out)
             bad = np.nonzero(va != vb)[0]
             for idx in bad[: max_mismatches - len(report.mismatches)]:
                 report.mismatches.append(

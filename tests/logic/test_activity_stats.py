@@ -13,7 +13,6 @@ from repro.logic import (
 )
 from repro.logic.activity import FOLD_ROWS, MAX_ACTIVITY_CODE
 from repro.logic.simulator import PackedState, lane_counts, pack_bits
-from repro.logic.stats import format_table
 from tests.logic.recorders import TraceRecorder, record, record_all
 
 
@@ -32,17 +31,6 @@ def test_toggle_counts_of_counter():
     # The LSB flop toggles on every one of the 8 cycles.
     assert rec.counts.max() == 8
     assert rec.cycles == 8
-    assert rec.activity_factor().max() == pytest.approx(1.0)
-
-
-def test_toggle_counts_by_group():
-    sim = _counter_sim()
-    state = sim.reset()
-    rec = ToggleCountRecorder(sim)
-    rec.record(sim.step(state), state.batch)
-    by_group = rec.counts_by_group()
-    assert set(by_group) == {"core"}
-    assert by_group["core"] > 0
 
 
 @pytest.mark.parametrize("batch", (2, 5, 64, 70))
@@ -77,13 +65,6 @@ def test_packed_toggle_counts_match_single_lanes():
         for _ in range(8):
             single.record(sim.step(state), state.batch)
     assert np.array_equal(packed.counts, single.counts)
-
-
-def test_activity_factor_requires_cycles():
-    sim = _counter_sim()
-    rec = ToggleCountRecorder(sim)
-    with pytest.raises(SimulationError):
-        rec.activity_factor()
 
 
 def test_activity_accumulator_weighted_bins():
@@ -237,14 +218,3 @@ def test_netlist_stats_groups_and_percentages():
     assert stats.gate_percentage("trojan", "aes") == pytest.approx(10.0)
     assert 0 < stats.area_percentage("trojan", "aes") <= 100
     assert stats.total_gates == 11
-
-
-def test_format_table_contains_rows():
-    b = NetlistBuilder("die", group="aes")
-    a = b.input("a")
-    b.inv(a)
-    with b.in_group("trojan1"):
-        b.inv(a)
-    stats = netlist_stats(b.build())
-    table = format_table(stats, reference="aes")
-    assert "aes" in table and "trojan1" in table and "%" in table

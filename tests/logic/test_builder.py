@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import NetlistError
 from repro.logic.builder import NetlistBuilder
 from repro.logic.simulator import CompiledNetlist
+from tests.logic.probes import read, read_bus
 
 
 def _run_comb(build, inputs):
@@ -20,7 +21,7 @@ def _run_comb(build, inputs):
         batch=batch,
         inputs={n: np.asarray(v, dtype=bool) for n, v in inputs.items()},
     )
-    return {o: sim.read(state, net) for o, net in outs.items()}, sim, state
+    return {o: read(sim, state, net) for o, net in outs.items()}, sim, state
 
 
 def test_adder_bus_matches_integer_addition():
@@ -36,7 +37,7 @@ def test_adder_bus_matches_integer_addition():
         inputs[f"a[{i}]"] = ((avals >> (5 - i)) & 1).astype(bool)
         inputs[f"b[{i}]"] = ((bvals >> (5 - i)) & 1).astype(bool)
     state = sim.reset(batch=len(avals), inputs=inputs)
-    total = sim.read_bus(state, s_bus) + (sim.read(state, carry) << 6)
+    total = read_bus(sim, state, s_bus) + (read(sim, state, carry) << 6)
     assert np.array_equal(total, avals + bvals)
 
 
@@ -48,7 +49,7 @@ def test_decoder_is_one_hot():
     vals = np.arange(8)
     inputs = {f"s[{i}]": ((vals >> (2 - i)) & 1).astype(bool) for i in range(3)}
     state = sim.reset(batch=8, inputs=inputs)
-    matrix = np.stack([sim.read(state, l) for l in lines])
+    matrix = np.stack([read(sim, state, l) for l in lines])
     assert np.array_equal(matrix.sum(axis=0), np.ones(8))
     assert np.array_equal(np.argmax(matrix, axis=0), vals)
 
@@ -63,7 +64,7 @@ def test_rom_returns_programmed_words(words):
     vals = np.arange(8)
     inputs = {f"a[{i}]": ((vals >> (2 - i)) & 1).astype(bool) for i in range(3)}
     state = sim.reset(batch=8, inputs=inputs)
-    assert np.array_equal(sim.read_bus(state, out), np.array(words))
+    assert np.array_equal(read_bus(sim, state, out), np.array(words))
 
 
 def test_rom_wrong_word_count_rejected():
@@ -87,7 +88,7 @@ def test_mux_tree_selects():
         {f"s[{i}]": ((sels >> (2 - i)) & 1).astype(bool) for i in range(3)}
     )
     state = sim.reset(batch=batch, inputs=inputs)
-    got = sim.read(state, out)
+    got = read(sim, state, out)
     expected = np.array([bool((data >> (7 - k)) & 1) for k in sels])
     assert np.array_equal(got, expected)
 
@@ -108,7 +109,7 @@ def test_counter_counts_and_wraps():
     seen = []
     for _ in range(10):
         sim.step(state)
-        seen.append(int(sim.read_bus(state, q)[0]))
+        seen.append(int(read_bus(sim, state, q)[0]))
     assert seen == [1, 2, 3, 4, 5, 6, 7, 0, 1, 2]
 
 
@@ -120,38 +121,12 @@ def test_counter_enable_freezes():
     state = sim.reset(inputs={"en": np.array([True])})
     for _ in range(3):
         sim.step(state)
-    assert int(sim.read_bus(state, q)[0]) == 3
+    assert int(read_bus(sim, state, q)[0]) == 3
     sim.step(state, {"en": np.array([False])})
-    frozen = int(sim.read_bus(state, q)[0])
+    frozen = int(read_bus(sim, state, q)[0])
     for _ in range(5):
         sim.step(state)
-    assert int(sim.read_bus(state, q)[0]) == frozen
-
-
-@pytest.mark.parametrize(
-    "width,taps,period",
-    [(3, (0, 2), 7), (4, (0, 3), 15), (16, (10, 12, 13, 15), 65535)],
-)
-def test_lfsr_maximal_period(width, taps, period):
-    b = NetlistBuilder("lfsr")
-    q = b.lfsr(width, taps=taps, init=1)
-    sim = CompiledNetlist(b.build())
-    state = sim.reset()
-    start = int(sim.read_bus(state, q)[0])
-    count = 0
-    while True:
-        sim.step(state)
-        count += 1
-        if int(sim.read_bus(state, q)[0]) == start:
-            break
-        assert count <= period, "period exceeded expectation"
-    assert count == period
-
-
-def test_lfsr_rejects_zero_seed():
-    b = NetlistBuilder("lfsr")
-    with pytest.raises(NetlistError):
-        b.lfsr(4, taps=(0, 3), init=0)
+    assert int(read_bus(sim, state, q)[0]) == frozen
 
 
 def test_equals_const_detects_value():
@@ -162,7 +137,7 @@ def test_equals_const_detects_value():
     vals = np.arange(16)
     inputs = {f"x[{i}]": ((vals >> (3 - i)) & 1).astype(bool) for i in range(4)}
     state = sim.reset(batch=16, inputs=inputs)
-    got = sim.read(state, hit)
+    got = read(sim, state, hit)
     assert np.array_equal(np.nonzero(got)[0], np.array([0b1010]))
 
 
@@ -176,7 +151,7 @@ def test_shift_register_delays_stream():
     seen_last = []
     for bit in pattern:
         sim.step(state, {"d": np.array([bool(bit)])})
-        seen_last.append(int(sim.read(state, stages[-1])[0]))
+        seen_last.append(int(read(sim, state, stages[-1])[0]))
     # Last stage reproduces the input delayed by 4 cycles.
     assert seen_last[4:] == pattern[:4]
 
@@ -186,7 +161,7 @@ def test_const_bus_encodes_value():
     bus = b.const_bus(0b1011, 4)
     sim = CompiledNetlist(b.build())
     state = sim.reset()
-    assert int(sim.read_bus(state, bus)[0]) == 0b1011
+    assert int(read_bus(sim, state, bus)[0]) == 0b1011
 
 
 def test_tie_cells_are_shared_within_group():

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import LibraryError
 from repro.logic.cells import CellKind
-from repro.logic.library import LIBRARY, get_cell, list_cells
+from repro.logic.library import LIBRARY, get_cell
 
 TRUTH_TABLES = {
     "INV": lambda a: not a,
@@ -76,12 +76,6 @@ def test_all_cells_have_positive_physical_data():
         if cell.kind is not CellKind.TIE:
             assert cell.input_cap > 0
             assert cell.drive_current > 0
-
-
-def test_list_cells_sorted_and_complete():
-    names = list_cells()
-    assert names == sorted(names)
-    assert set(names) == set(LIBRARY)
 
 
 def test_flop_area_exceeds_inverter():

@@ -9,6 +9,7 @@ from repro.errors import NetlistError
 from repro.logic.builder import NetlistBuilder
 from repro.logic.simulator import CompiledNetlist
 from tests.logic.equivalence import random_equivalence_check
+from tests.logic.probes import read
 
 _OPS = {
     "AND2": lambda a, b: a & b,
@@ -110,4 +111,4 @@ def test_simulator_matches_direct_evaluation(gates, stimulus):
     for op, x, y in gates:
         values.append(_OPS[op](values[x], values[y]))
     for net, expected in zip(nets[4:], values[4:]):
-        assert sim.read(state, net)[0] == expected[0]
+        assert read(sim, state, net)[0] == expected[0]

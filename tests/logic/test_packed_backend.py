@@ -22,6 +22,7 @@ from repro.logic.simulator import (
     packed_words,
     unpack_bits,
 )
+from tests.logic.probes import force_net, read, read_bus
 from tests.logic.representation import THRESHOLD, representation
 
 # ----------------------------------------------------------------------
@@ -192,13 +193,13 @@ def _run_both(nl, nets, batch, n_cycles=20, force=None):
             if isinstance(state, PackedState):
                 t = unpack_bits(t, batch)
             if force is not None and cycle == n_cycles // 2:
-                sim.force_net(state, force[0], force[1])
+                force_net(sim, state, force[0], force[1])
             toggles.append(t.copy())
-            reads.append(np.stack([sim.read(state, n) for n in nets]))
+            reads.append(np.stack([read(sim, state, n) for n in nets]))
         out[name] = (
             np.stack(toggles),
             np.stack(reads),
-            sim.read_bus(state, nets[:8]),
+            read_bus(sim, state, nets[:8]),
         )
     return out
 
@@ -227,13 +228,13 @@ def _cycle_snapshots(sim, nets, stim):
     batch = stim[0]["a"].size
     state = sim.reset(batch=batch, inputs=stim[0])
     toggles = []
-    reads = [np.stack([sim.read(state, n) for n in nets])]
+    reads = [np.stack([read(sim, state, n) for n in nets])]
     for inputs in stim[1:]:
         t = sim.step(state, inputs)
         if isinstance(state, PackedState):
             t = unpack_bits(t, batch)
         toggles.append(t)
-        reads.append(np.stack([sim.read(state, n) for n in nets]))
+        reads.append(np.stack([read(sim, state, n) for n in nets]))
     return np.stack(toggles), np.stack(reads)
 
 
@@ -275,8 +276,8 @@ def test_read_bus_matches_shift_loop():
     bus = nets[:10]
     expected = np.zeros(70, dtype=np.int64)
     for net in bus:  # MSB first
-        expected = (expected << 1) | sim.read(state, net).astype(np.int64)
-    assert np.array_equal(sim.read_bus(state, bus), expected)
+        expected = (expected << 1) | read(sim, state, net).astype(np.int64)
+    assert np.array_equal(read_bus(sim, state, bus), expected)
 
 
 def test_read_bus_guards_63_bits():
@@ -285,5 +286,5 @@ def test_read_bus_guards_63_bits():
     state = sim.reset(batch=2)
     wide = (nets * 5)[:64]
     with pytest.raises(SimulationError, match="63"):
-        sim.read_bus(state, wide)
+        read_bus(sim, state, wide)
 

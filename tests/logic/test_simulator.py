@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.logic.builder import NetlistBuilder
 from repro.logic.simulator import CompiledNetlist, unpack_bits
+from tests.logic.probes import force_net, read, read_bus
 from tests.logic.representation import representation
 
 
@@ -26,7 +27,7 @@ def test_reset_settles_combinational():
     state = sim.reset(
         batch=2, inputs={"a": np.array([1, 0], bool), "b": np.array([0, 0], bool)}
     )
-    assert np.array_equal(sim.read(state, y), np.array([True, False]))
+    assert np.array_equal(read(sim, state, y), np.array([True, False]))
 
 
 def test_flop_captures_on_edge_not_reset():
@@ -35,9 +36,9 @@ def test_flop_captures_on_edge_not_reset():
     state = sim.reset(
         batch=1, inputs={"a": np.array([True]), "b": np.array([False])}
     )
-    assert not sim.read(state, q)[0]
+    assert not read(sim, state, q)[0]
     sim.step(state)
-    assert sim.read(state, q)[0]
+    assert read(sim, state, q)[0]
 
 
 def test_input_applied_after_capture():
@@ -50,9 +51,9 @@ def test_input_applied_after_capture():
     # New input a=0 arrives with this step; the flop still captures the
     # old settled value (1).
     sim.step(state, {"a": np.array([False])})
-    assert sim.read(state, q)[0]
+    assert read(sim, state, q)[0]
     sim.step(state)
-    assert not sim.read(state, q)[0]
+    assert not read(sim, state, q)[0]
 
 
 def test_toggle_matrix_shape_and_content():
@@ -85,9 +86,9 @@ def test_dffe_holds_when_disabled():
         batch=1, inputs={"d": np.array([True]), "en": np.array([True])}
     )
     sim.step(state, {"en": np.array([False]), "d": np.array([False])})
-    assert sim.read(state, q)[0]  # captured while enabled
+    assert read(sim, state, q)[0]  # captured while enabled
     sim.step(state)
-    assert sim.read(state, q)[0]  # held while disabled
+    assert read(sim, state, q)[0]  # held while disabled
 
 
 def test_ff_init_values_applied():
@@ -96,8 +97,8 @@ def test_ff_init_values_applied():
     q0 = b.dff(b.const(1), init=0)
     sim = CompiledNetlist(b.build())
     state = sim.reset()
-    assert sim.read(state, q1)[0]
-    assert not sim.read(state, q0)[0]
+    assert read(sim, state, q1)[0]
+    assert not read(sim, state, q0)[0]
 
 
 def test_unknown_input_rejected():
@@ -120,7 +121,7 @@ def test_scalar_input_broadcasts():
     nl, y, _q = _xor_chain()
     sim = CompiledNetlist(nl)
     state = sim.reset(batch=4, inputs={"a": True, "b": False})
-    assert sim.read(state, y).all()
+    assert read(sim, state, y).all()
 
 
 def test_zero_batch_rejected():
@@ -136,7 +137,7 @@ def test_read_bus_width_limit():
     sim = CompiledNetlist(b.build())
     state = sim.reset()
     with pytest.raises(SimulationError):
-        sim.read_bus(state, bus)
+        read_bus(sim, state, bus)
     assert sim.read_bus_bits(state, bus).shape == (64, 1)
 
 
@@ -146,9 +147,9 @@ def test_force_net_propagates():
     y = b.inv(a)
     sim = CompiledNetlist(b.build())
     state = sim.reset(inputs={"a": np.array([False])})
-    assert sim.read(state, y)[0]
-    sim.force_net(state, a, True)
-    assert not sim.read(state, y)[0]
+    assert read(sim, state, y)[0]
+    force_net(sim, state, a, True)
+    assert not read(sim, state, y)[0]
 
 
 def test_output_values_tracks_instances():
@@ -192,7 +193,7 @@ def test_batched_equals_sequential_simulation(a_val, b_val):
     xa = b.input_bus("xa", 16)
     xb = b.input_bus("xb", 16)
     s, carry = b.adder_bus(xa, xb)
-    q = b.register_bus(s)
+    q = [b.dff(d) for d in s]
     sim = CompiledNetlist(b.build())
 
     def run(batch_vals):
@@ -204,7 +205,7 @@ def test_batched_equals_sequential_simulation(a_val, b_val):
             inputs[f"xb[{i}]"] = ((bv >> (15 - i)) & 1).astype(bool)
         state = sim.reset(batch=len(batch_vals), inputs=inputs)
         sim.step(state)
-        return sim.read_bus(state, q)
+        return read_bus(sim, state, q)
 
     together = run([(a_val, b_val), (b_val, a_val)])
     alone0 = run([(a_val, b_val)])

@@ -7,12 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import EmModelError
 from repro.layout.technology import make_tech180
 from repro.logic.builder import NetlistBuilder
-from repro.power.charges import (
-    clock_charges,
-    leakage_power,
-    switching_charges,
-    total_dynamic_energy,
-)
+from repro.power.charges import clock_charges, switching_charges
 from repro.power.pulse import (
     current_kernel,
     emf_kernel,
@@ -60,21 +55,6 @@ def test_clock_charges_only_for_flops(small_netlist):
             assert value > 0
         else:
             assert value == 0
-
-
-def test_leakage_power_positive(small_netlist):
-    assert leakage_power(small_netlist, make_tech180()) > 0
-
-
-def test_total_dynamic_energy(small_netlist):
-    tech = make_tech180()
-    names = list(small_netlist.instances)
-    q = switching_charges(small_netlist, names, tech)
-    counts = np.ones(len(names))
-    energy = total_dynamic_energy(counts, q, tech.vdd)
-    assert energy == pytest.approx(float(q.sum()) * tech.vdd)
-    with pytest.raises(ValueError):
-        total_dynamic_energy(np.ones(3), q, tech.vdd)
 
 
 def test_current_kernel_unit_area():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import CACHE_DIR_ENV, CACHE_MB_ENV
 from repro.experiments.campaign import (
     campaign_pipeline_key,
     collect_ed_traces,
@@ -21,8 +22,6 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.parallel import campaign_spec, run_campaigns
 from repro.io.cache import (
-    CACHE_DIR_ENV,
-    CACHE_MB_ENV,
     PipelineKey,
     TraceCache,
     canonical_json,

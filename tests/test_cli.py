@@ -24,11 +24,11 @@ class TestList:
 
 class TestDetectors:
     def test_lists_every_detector(self, capsys):
-        from repro.detectors import detector_names
+        from repro.detectors.registry import REGISTRY as DETECTORS
 
         assert main(["detectors"]) == 0
         out = capsys.readouterr().out
-        for name in detector_names():
+        for name in DETECTORS:
             assert name in out
         assert "4 detectors" in out
         assert "REPRO_DETECTOR" in out

@@ -1,12 +1,13 @@
 """Tests for trace-bundle persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.errors import MeasurementError
 from repro.io import (
     TraceBundle,
-    load_json_report,
     load_traces,
     resolve_store_path,
     save_json_report,
@@ -77,7 +78,7 @@ def test_json_report_roundtrip(tmp_path):
     }
     path = tmp_path / "report.json"
     save_json_report(report, path)
-    loaded = load_json_report(path)
+    loaded = json.loads(path.read_text())
     assert loaded["snr_db"] == pytest.approx(29.97)
     assert loaded["count"] == 42
     assert loaded["values"] == [0, 1, 2]

@@ -1,7 +1,6 @@
 """Tests for repro.rng (deterministic stream derivation)."""
 
 import numpy as np
-import pytest
 
 from repro import rng as rng_mod
 
@@ -24,18 +23,6 @@ def test_different_seeds_differ():
     a = rng_mod.derive(1, "x").normal(size=16)
     b = rng_mod.derive(2, "x").normal(size=16)
     assert not np.array_equal(a, b)
-
-
-def test_spawn_seeds_deterministic():
-    s1 = rng_mod.spawn_seeds(7, "workers", 5)
-    s2 = rng_mod.spawn_seeds(7, "workers", 5)
-    assert s1 == s2
-    assert len(set(s1)) == 5
-
-
-def test_spawn_seeds_rejects_negative_count():
-    with pytest.raises(ValueError):
-        rng_mod.spawn_seeds(7, "workers", -1)
 
 
 def test_large_seed_supported():

@@ -1,4 +1,5 @@
-"""Scope guard: every ``src/repro`` module must be reached by a result.
+"""Scope guard: every ``src/repro`` module and definition must be
+reached by a result.
 
 A module belongs in the package only if a result reaches it: a
 registered ``repro run`` experiment (``repro.cli`` and
@@ -13,11 +14,22 @@ resolved through package re-exports to the module that defines
 ``name``, so a package ``__init__`` that re-exports a module does not by
 itself keep that module alive; an ``__init__`` reaches only what its
 own code uses.
+
+The same rule holds one level down: every top-level function and class,
+and every method, of a reached module must be read by root code (the
+benchmark files and the Python of the CI workflows), by code a reached
+module runs at import, or by the body of another reached definition.
+A decorated definition (a registration, a property) counts as reached,
+and so do the dunder methods of a reached class.  Names are matched
+bare, so a common name can keep a dead definition alive; it can never
+flag a live one.  Top-level imports that a module never reads fail too.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+import textwrap
 from functools import lru_cache
 from pathlib import Path
 
@@ -26,6 +38,7 @@ from repro.detectors import REGISTRY
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 BENCHMARKS = REPO / "benchmarks"
+WORKFLOWS = REPO / ".github" / "workflows"
 ROOT_MODULES = ("repro.cli", "repro.experiments.registry", "repro.fleet.cli")
 
 
@@ -236,3 +249,155 @@ def test_signoff_benchmark_keeps_drc():
     # paper's design-flow claim is what keeps it.
     bench = _tree(BENCHMARKS / "bench_signoff.py")
     assert "repro.layout.drc" in _reached_from(bench, package_init=False)
+
+
+# ----------------------------------------------------------------------
+# Definitions
+# ----------------------------------------------------------------------
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = _FUNCTIONS + (ast.ClassDef,)
+#: A tracer target as ``benchmarks/pipeline/tracer.py`` writes them.
+_TARGET = re.compile(r"[\w.]+:([\w.]+)")
+#: A ``python - <<'PY'`` heredoc in a workflow ``run:`` block.
+_HEREDOC = re.compile(r"<<'PY'\n(.*?)\n[ \t]*PY$", re.S | re.M)
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Names *node* reads: ``Name`` ids, ``Attribute`` attributes and the
+    dotted tail of ``"module:Class.method"`` strings."""
+    out: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            match = _TARGET.fullmatch(sub.value)
+            if match:
+                out.update(match.group(1).split("."))
+    return out
+
+
+def _workflow_python() -> list[ast.Module]:
+    """The Python the CI workflows run inline."""
+    return [
+        ast.parse(textwrap.dedent(match.group(1)))
+        for path in sorted(WORKFLOWS.glob("*.yml"))
+        for match in _HEREDOC.finditer(path.read_text())
+    ]
+
+
+def _import_time(body: list[ast.stmt]) -> list[ast.AST]:
+    """What a module or class body runs when it is executed: every
+    statement, but of a definition only its decorators, defaults and
+    bases -- function bodies run only when called."""
+    out: list[ast.AST] = []
+    for stmt in body:
+        if isinstance(stmt, _FUNCTIONS):
+            out += stmt.decorator_list + [stmt.args]
+        elif isinstance(stmt, ast.ClassDef):
+            out += stmt.decorator_list + stmt.bases + stmt.keywords
+            out += _import_time(stmt.body)
+        else:
+            out.append(stmt)
+    return out
+
+
+def _definitions(module: str) -> list[tuple[str, ast.AST, str | None]]:
+    """``(qualified name, node, owning class)`` of every top-level
+    function and class of *module* and every method of its classes."""
+    out = []
+    for stmt in _tree(MODULES[module]).body:
+        if not isinstance(stmt, _DEFINITIONS):
+            continue
+        owner = f"{module}:{stmt.name}"
+        out.append((owner, stmt, None))
+        if isinstance(stmt, ast.ClassDef):
+            out += [
+                (f"{owner}.{sub.name}", sub, owner)
+                for sub in stmt.body
+                if isinstance(sub, _FUNCTIONS)
+            ]
+    return out
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreached_definitions() -> list[str]:
+    """Definitions of reached modules that no result reads."""
+    read: set[str] = set()
+    files, pending = set(), _root_files()
+    while pending:
+        path = pending.pop()
+        if path not in files:
+            files.add(path)
+            read |= _names_read(_tree(path))
+            pending.extend(_sibling_imports(path))
+    for tree in _workflow_python():
+        read |= _names_read(tree)
+    definitions = []
+    for module in sorted(reached_modules()):
+        for node in _import_time(_tree(MODULES[module]).body):
+            read |= _names_read(node)
+        definitions += _definitions(module)
+    reached: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for name, node, owner in definitions:
+            if name in reached:
+                continue
+            if _is_dunder(node.name) and owner is not None:
+                # ``Cls(...)`` and operators call these, not their name.
+                hit = owner in reached
+            else:
+                hit = node.name in read or bool(node.decorator_list)
+            if hit:
+                reached.add(name)
+                grew = True
+                if isinstance(node, _FUNCTIONS):
+                    read |= _names_read(node)
+    return [name for name, _node, _owner in definitions if name not in reached]
+
+
+def test_every_definition_is_reached_by_a_result():
+    unreached = unreached_definitions()
+    assert not unreached, (
+        "src/repro definitions that no experiment, fleet command, detector "
+        f"plugin, benchmark or CI step reads: {', '.join(unreached)}"
+    )
+
+
+def test_workflow_python_is_a_root():
+    # The CI smoke jobs validate artifacts and load journals inline.
+    read = set().union(*map(_names_read, _workflow_python()))
+    assert {"validate_artifact", "load", "EventJournal"} <= read
+
+
+def test_tracer_targets_count_as_reads():
+    node = ast.parse('T = "repro.chip.chip:Chip.build"')
+    assert {"Chip", "build"} <= _names_read(node)
+
+
+def test_no_unused_imports():
+    unused = []
+    for module, path in MODULES.items():
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path)
+        used = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{module}:{local}"
+                    for alias in node.names
+                    if (local := alias.asname or alias.name.split(".")[0])
+                    not in used
+                ]
+    assert not unused, f"unused top-level imports: {', '.join(unused)}"

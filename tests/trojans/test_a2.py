@@ -1,4 +1,4 @@
-"""Tests for the A2 analog Trojan (charge pump + gated trigger)."""
+"""Tests for the A2 analog Trojan (gated trigger and its analog tap)."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,11 @@ import pytest
 from repro.crypto import build_aes_circuit
 from repro.errors import TrojanError
 from repro.logic import CompiledNetlist, NetlistBuilder
-from repro.trojans import A2ChargePump, attach_a2
+from repro.trojans import attach_a2
 from repro.trojans.a2 import A2Params
 from repro.trojans.base import TapMode
+from tests.crypto.aes_reference import bits_to_bytes, encrypt_block
+from tests.logic.probes import force_net, read
 
 
 @pytest.fixture(scope="module")
@@ -19,51 +21,6 @@ def a2_die():
     return aes, a2, CompiledNetlist(b.build())
 
 
-def test_pump_fires_under_sustained_fast_toggling():
-    pump = A2ChargePump(A2Params())
-    fired_at = None
-    for cycle in range(1, 1000):
-        if pump.step(toggles=1):
-            fired_at = cycle
-            break
-    assert fired_at is not None
-    assert fired_at < 200
-
-
-def test_pump_immune_to_sparse_toggling():
-    """The A2 design point: occasional toggles leak away harmlessly."""
-    pump = A2ChargePump(A2Params())
-    for cycle in range(1, 20000):
-        assert not pump.step(toggles=1 if cycle % 40 == 0 else 0)
-    assert pump.voltage < pump.threshold_voltage
-
-
-def test_pump_saturates_at_vdd():
-    pump = A2ChargePump(A2Params(leak_fraction=0.0))
-    for _ in range(10000):
-        pump.step(toggles=4)
-    assert pump.voltage <= pump.vdd + 1e-12
-
-
-def test_pump_fires_once_until_reset():
-    pump = A2ChargePump(A2Params())
-    fires = sum(pump.step(toggles=3) for _ in range(500))
-    assert fires == 1
-    pump.reset()
-    assert pump.charge == 0.0 and not pump.fired
-    assert sum(pump.step(toggles=3) for _ in range(500)) == 1
-
-
-def test_pump_parameter_validation():
-    with pytest.raises(TrojanError):
-        A2ChargePump(A2Params(threshold_fraction=1.5))
-    with pytest.raises(TrojanError):
-        A2ChargePump(A2Params(leak_fraction=1.0))
-    pump = A2ChargePump(A2Params())
-    with pytest.raises(TrojanError):
-        pump.step(toggles=-1)
-
-
 def test_trigger_wire_quiet_until_enabled(a2_die):
     aes, a2, sim = a2_die
     wire = a2.monitor_nets["trigger_wire"]
@@ -71,7 +28,7 @@ def test_trigger_wire_quiet_until_enabled(a2_die):
     values = []
     for _ in range(24):
         sim.step(state)
-        values.append(int(sim.read(state, wire)[0]))
+        values.append(int(read(sim, state, wire)[0]))
     assert set(values) == {0}, "dormant trigger must not flip"
 
 
@@ -82,7 +39,7 @@ def test_trigger_wire_pulses_at_f_clk_over_3(a2_die):
     values = []
     for _ in range(30):
         sim.step(state)
-        values.append(int(sim.read(state, wire)[0]))
+        values.append(int(read(sim, state, wire)[0]))
     rises = np.nonzero(np.diff(values) > 0)[0]
     assert len(rises) >= 8
     assert (np.diff(rises) == 3).all(), "mod-3 divider period"
@@ -101,9 +58,6 @@ def test_a2_tap_is_rise_mode_and_gated(a2_die):
 def test_a2_payload_fault_injection(a2_die):
     """Once the pump fires, the payload flips a victim bit: the chip's
     ciphertext corrupts (demonstrated via force_net fault injection)."""
-    from repro.crypto import encrypt_block
-    from repro.crypto.encoding import bits_to_bytes
-
     aes, a2, sim = a2_die
     rng = np.random.default_rng(4)
     pt = rng.integers(0, 256, (1, 16), np.uint8)
@@ -112,7 +66,7 @@ def test_a2_payload_fault_injection(a2_die):
     for i in range(aes.latency - 1):
         sim.step(state, aes.idle_inputs(1) if i == 0 else None)
     # Payload fires during the final round: flip one state bit.
-    sim.force_net(state, aes.state_q[0], ~sim.read(state, aes.state_q[0]))
+    force_net(sim, state, aes.state_q[0], ~read(sim, state, aes.state_q[0]))
     sim.step(state)
     ct = bits_to_bytes(sim.read_bus_bits(state, aes.state_q))
     good = encrypt_block(bytes(pt[0]), bytes(key[0]))

@@ -20,6 +20,7 @@ from repro.trojans.t1_am import CYCLES_PER_BIT, Trojan1Params
 from repro.trojans.t2_leakage import Trojan2Params
 from repro.trojans.t3_cdma import CHIPS_PER_BIT, LFSR_TAPS, LFSR_WIDTH, Trojan3Params
 from repro.trojans.t4_power import Trojan4Params
+from tests.logic.probes import read
 from tests.trojans.demod import (
     despread_cdma_bits,
     leakage_symbol_bits,
@@ -41,11 +42,11 @@ def _run(sim, aes, trojan, cycles, record):
     inputs[aes.start] = np.array([False])  # key applied, no encryption
     inputs[trojan.enable_pin] = np.array([True])
     state = sim.reset(batch=1, inputs=inputs)
-    log = {label: [sim.read(state, net)[0]] for label, net in record.items()}
+    log = {label: [read(sim, state, net)[0]] for label, net in record.items()}
     for _ in range(cycles):
         sim.step(state)
         for label, net in record.items():
-            log[label].append(sim.read(state, net)[0])
+            log[label].append(read(sim, state, net)[0])
     return {k: np.array(v, dtype=np.uint8) for k, v in log.items()}
 
 
@@ -152,5 +153,5 @@ def test_t4_bank_silent_when_dormant(t4_die):
     values = []
     for _ in range(16):
         sim.step(state)
-        values.append(int(sim.read(state, t4.monitor_nets["toggle0"])[0]))
+        values.append(int(read(sim, state, t4.monitor_nets["toggle0"])[0]))
     assert len(set(values)) == 1
