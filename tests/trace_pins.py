@@ -38,35 +38,35 @@ PIN_BUILD = (
 #: ``{pin: (CACHE_SALT it was taken under, SHA-256 of the traces)}``.
 TRACE_PINS: dict[str, tuple[str, str]] = {
     # TRACE_COLLECTORS kinds on the tiny configs of tests/test_trace_pins.py.
-    "collector/ed": ("repro-pipeline-7", "c7fffaa1a9b2de0aaa948d1764b3b19f8ac4cf12f81c0c6a862ac2acc376a0c9"),
-    "collector/spectral": ("repro-pipeline-7", "7bc04613b41b8e189b4df9deffa2f57deddf2b2922cdc9adcb49b76706fda6a7"),
-    "collector/raw": ("repro-pipeline-7", "cf88fb7bfe0dcad2eafbd27d09a539208570cd56a63e8e47827d0915e0554c62"),
+    "collector/ed": ("repro-pipeline-8", "e43b272d2cecade7ff99723dce2e8130b173ee85cfed86540a86483d5ee8013f"),
+    "collector/spectral": ("repro-pipeline-8", "e31c1c03ff41309a13cf48af951674ae23f7f1b912c7e2d9542ca5e2f064b6a7"),
+    "collector/raw": ("repro-pipeline-8", "b7600001e531787d78febfca2fe8fe4320e9a88868fac4e344d04c7a8cbf7845"),
     # All 18 receivers of the seed-1 4x4 array chip, per Trojan and batch.
-    "acquire/array/golden/1": ("repro-pipeline-7", "2f5d1d0b3f3363ef3bd187c1a82300c9cede399a1ea997268e927f915b45b7f4"),
-    "acquire/array/golden/8": ("repro-pipeline-7", "4a2baa44c9179472e25784b95738e8881c14256439e9e8e3e870d04bef2eec3e"),
-    "acquire/array/golden/33": ("repro-pipeline-7", "e51a0a86cb45d917512cf71db1792f1e1ba96daa909572cee77864666dfe6b62"),
-    "acquire/array/trojan1/1": ("repro-pipeline-7", "5f565314c991118183818731cf58475f12d50bd3ba5a51559222a7ab540b7224"),
-    "acquire/array/trojan1/8": ("repro-pipeline-7", "921cae278b0fcf6ec19771058ab2b08b0f0375789e229ea2bdb2155f7b17e7c8"),
-    "acquire/array/trojan1/33": ("repro-pipeline-7", "fac4a844a731d6f9107ecb2925c2d177cb47f69fedaf44fa496bfa8bfb2fbf11"),
-    "acquire/array/trojan2/1": ("repro-pipeline-7", "3b482304d8ac945ea1201d494fcad3f3c1e12193a696709160b907dca89bcf1b"),
-    "acquire/array/trojan2/8": ("repro-pipeline-7", "4abb78ac12db5d231b7acc24462aec6ecef6e4c60003c79344a1fb659bc0163d"),
-    "acquire/array/trojan2/33": ("repro-pipeline-7", "bb8a82e398782872922ee77dfa421f114ff6cd9bfe6395f5eaa9502f0e4b7f13"),
-    "acquire/array/trojan3/1": ("repro-pipeline-7", "81e75e54390c18f07bfefe024659af7bb4c61673ab7b2a6a20f250db9d3b7988"),
-    "acquire/array/trojan3/8": ("repro-pipeline-7", "e6a300b9261fffef5d0f7232a4e3a8d973f99fd468bc3b8cff0ef7e694a3533b"),
-    "acquire/array/trojan3/33": ("repro-pipeline-7", "60ba7ecbab1f966dad7f41be2375b38dbdece78471ac3afca33f8b24f4ec640e"),
-    "acquire/array/trojan4/1": ("repro-pipeline-7", "2cb9cd9803f6545fa9192ea65e22e25aa2d57c40c5b963f7a71ce512261bfdca"),
-    "acquire/array/trojan4/8": ("repro-pipeline-7", "9668ee797e631d82347f0f04074876b0448af2f8fb09b93700fd655e63c6b5e7"),
-    "acquire/array/trojan4/33": ("repro-pipeline-7", "9f248dd6605a583e182e483353e651ef25418453a727413cba9146731a264834"),
-    "acquire/array/a2/1": ("repro-pipeline-7", "4ef8fd354f58c9732e9bc81e931e822cbfbf5c2d1097bb02a42ccecde3a787bf"),
-    "acquire/array/a2/8": ("repro-pipeline-7", "1083f9b331db550087018e20d073fda16ce8e2683b0cb533291af6f4202e8c7f"),
-    "acquire/array/a2/33": ("repro-pipeline-7", "ab0ddf10853c46f2d7a2c82c076da74eba03cafe63ac3bff8053a6362246f7f0"),
+    "acquire/array/golden/1": ("repro-pipeline-8", "2591c9ef6f4f298102da5ef3b912fc22de655a49040184236c156a89d65bcea0"),
+    "acquire/array/golden/8": ("repro-pipeline-8", "b78037e37bb8eb02e59552671d02dc5af6972eb302f3d72886d9e004fd8c993c"),
+    "acquire/array/golden/33": ("repro-pipeline-8", "92fd89647de7bf1465d4d71990a59dc2c343d220de50935618a8acf7da098428"),
+    "acquire/array/trojan1/1": ("repro-pipeline-8", "b4dd5e63fd9ac8930f38347323e8607c8c6f01e802bf14b85e710afc202b5c09"),
+    "acquire/array/trojan1/8": ("repro-pipeline-8", "570255e5280c7a033b81a754dcce112bc88de7cc70280e2920c720f61c1d8101"),
+    "acquire/array/trojan1/33": ("repro-pipeline-8", "588e4b1580750acc1bbb6bd4e1d735bd63453c2c6bea101ca6acacd5b32ac4f1"),
+    "acquire/array/trojan2/1": ("repro-pipeline-8", "957d5748ab610202e57af310243cd04d87ffbae026baae56f027075e37a6ce08"),
+    "acquire/array/trojan2/8": ("repro-pipeline-8", "98e4b4b404b0c55b3709dba30a715ff7aa90ec53027fd80cae30c68a102da96b"),
+    "acquire/array/trojan2/33": ("repro-pipeline-8", "6951c447fe1db8deddccdde3f56f95718e0324eec50734ebdaa99c204c560fe2"),
+    "acquire/array/trojan3/1": ("repro-pipeline-8", "d41e25cd761cd471679d66781f2e9837b2d6f13c10bf21ef5039d40266bf5d17"),
+    "acquire/array/trojan3/8": ("repro-pipeline-8", "f0b24562d5dca7fc97c1e6085236185436624c7acb4fe2eb8841e4f42d2e22b6"),
+    "acquire/array/trojan3/33": ("repro-pipeline-8", "5595a1f4b87d048868d0dfb68196dad8fd689b7f983ba157942b6c36a7f343c4"),
+    "acquire/array/trojan4/1": ("repro-pipeline-8", "04a494dcea93fcb20f89a99f84978f6dd75a9256c89a3a2fb48eeb92bd571c51"),
+    "acquire/array/trojan4/8": ("repro-pipeline-8", "f94c876318b9f2d4db0da415e5e696a65dfafddf524386a6f696c7dec7b71140"),
+    "acquire/array/trojan4/33": ("repro-pipeline-8", "5bc3157f9dece48cbd2a00adeee9591958f24026270bac51a0aa2af4aba6394e"),
+    "acquire/array/a2/1": ("repro-pipeline-8", "9bdfbb91716f6e12ed76ce8c168c75b6bfa070279b21cc89a7683a2bf19b97dd"),
+    "acquire/array/a2/8": ("repro-pipeline-8", "619eb5f69ed83a72206e54d02e11cba26c27b6ec38a262e4fb834414bad8d0cd"),
+    "acquire/array/a2/33": ("repro-pipeline-8", "07ba2d09506f07e0ffae263ae9d7aab1c5fb02d1a088e32159576f9be805b65b"),
     # Noise-off coil subset of the array chip, Trojan 3 at batch 8.
-    "acquire/array/subset": ("repro-pipeline-7", "3b39da3f7fc24eafe7670258aa052cb658c94df0b67ee795167ce1e8956bfd96"),
+    "acquire/array/subset": ("repro-pipeline-8", "c7ba7ed41eebcb24ebe78595e0266e4ba584ef1f009d3c1762a32ea4ae3aa5cc"),
     # Power-monitor chip, silicon scenario, Trojan 2 at batch 8.
-    "acquire/power": ("repro-pipeline-7", "de97686d22f6d57f8db07b10eea0e518ba18c43fbfb251e5cba97c8855e16dba"),
+    "acquire/power": ("repro-pipeline-8", "9d83a13b1df47817688a9ab745e86b857486c18df48f0699c68182bf1b36e7d3"),
     # Flushed journal of the chip-backed fleet campaign in
     # tests/fleet/test_campaign_pin.py (SHA-256 of the JSONL bytes).
-    "fleet/campaign-journal": ("repro-pipeline-7", "fce132cec2f113646ff34b2f4e9584e87149595f7e1d360dc71458417a8ab878"),
+    "fleet/campaign-journal": ("repro-pipeline-8", "cbebe3ca846ce5aae3a157c65c6e226c37cb590efc7be49265644c17a2d32098"),
 }
 
 
