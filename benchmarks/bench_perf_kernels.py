@@ -3,8 +3,8 @@
 Timings (and speedups against the retained loop reference
 implementations) for the hot paths every figure funnels through: the
 Biot–Savart field solver, the Neumann mutual-inductance quadrature,
-the cycle-by-cycle acquisition engine and its activity fold — plus the
-parallel campaign runner.  Sizes mirror real use: a full-die field map is ~2000 power-grid
+the netlist lowering, the cycle-by-cycle acquisition engine and its
+activity fold — plus the parallel campaign runner.  Sizes mirror real use: a full-die field map is ~2000 power-grid
 segments × a 40×40 surface grid, and the coil couples through a 64-side
 spiral approximation.
 """
@@ -34,12 +34,14 @@ from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
 from repro.chip.scenario import array_scenario
 from repro.logic.activity import ActivityAccumulator
-from repro.logic.simulator import unpack_bits
+from repro.logic.simulator import CompiledNetlist, unpack_bits
 from repro.em.biot_savart import b_field_of_segments
 from repro.em.mutual import mutual_inductance_to_loops
+from repro.em.sensor import SensorArray
 from repro.power.pulse import emf_kernel, step_kernel, synthesize_events
 from repro.experiments import campaign_spec, run_campaigns
 from tests.chip.reference_fold import ReferenceFoldEngine, dense_fold_matrix
+from tests.logic.kahn_reference import kahn_levels, reference_compile
 from tests.logic.representation import representation
 from tests.em.reference_kernels import (
     b_field_of_segments_loop,
@@ -101,8 +103,14 @@ def test_biot_savart_kernel(benchmark):
     assert speedup >= 5.0, speedup
 
 
-def test_mutual_inductance_kernel(benchmark):
-    """Vectorised Neumann quadrature beats the per-coil-segment loop."""
+def test_mutual_inductance_kernel(benchmark, chip):
+    """Vectorised Neumann quadrature beats the per-coil-segment loop.
+
+    A 64-side circle over synthetic rails, then the seed-1 chip's own
+    power grid against its Manhattan spiral and against a 4x4 array,
+    where the parallel-pair grouping skips the orthogonal pairs.  Every
+    case must stay within 1e-12 of the loop reference.
+    """
     rng = np.random.default_rng(2021)
     s, e, _currents, _points = _grid_geometry(rng)
     theta = np.linspace(0.0, 2.0 * np.pi, 65)
@@ -131,7 +139,79 @@ def test_mutual_inductance_kernel(benchmark):
     )
     rel = np.max(np.abs(m - reference)) / np.max(np.abs(reference))
     assert rel <= 1e-12, rel
-    assert speedup >= 1.5, speedup
+    smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+    if not smoke:
+        assert speedup >= 1.5, speedup
+
+    cfg = chip.config
+    array = SensorArray.design_grid(
+        chip.floorplan.die,
+        chip.tech,
+        rows=4,
+        cols=4,
+        turns=cfg.sensor_array_turns,
+        trace_width=cfg.sensor_array_trace_width,
+        edge_margin=cfg.sensor_array_edge_margin,
+    )
+    # Smoke runs take every 8th grid segment.
+    stride = 8 if smoke else 1
+    gs, ge = chip.grid.seg_start[::stride], chip.grid.seg_end[::stride]
+    cases = (
+        ("mutual_spiral", [chip.sensor.polyline]),
+        ("mutual_array4x4", [c.polyline for c in array.coils]),
+    )
+    for label, loops in cases:
+        got = mutual_inductance_to_loops(gs, ge, loops)
+        t_vec = _best_of(lambda: mutual_inductance_to_loops(gs, ge, loops))
+        t0 = time.perf_counter()
+        refs = [mutual_inductance_to_loop_loop(gs, ge, lp) for lp in loops]
+        t_loop = time.perf_counter() - t0
+        err = max(
+            np.max(np.abs(row - ref)) / np.max(np.abs(ref))
+            for row, ref in zip(got, refs)
+        )
+        record_timing(
+            label, t_vec, loop_s=t_loop, speedup=t_loop / t_vec,
+            segments=int(gs.shape[0]),
+            coil_segments=int(sum(len(lp) - 1 for lp in loops)),
+            max_rel_err=float(err), smoke=smoke,
+        )
+        print(
+            f"\n{label} ({gs.shape[0]} grid segments x {len(loops)} coils): "
+            f"{t_vec * 1e3:.0f} ms vs loop {t_loop * 1e3:.0f} ms; "
+            f"max rel err {err:.1e}"
+        )
+        assert err <= 1e-12, (label, err)
+
+
+def test_netlist_compile_kernel(benchmark, chip):
+    """Array lowering of the seed-1 chip against the dict-walking Kahn
+    oracle: same levels, output indices and schedule, timed."""
+    netlist = chip.netlist
+    sim = run_once(benchmark, CompiledNetlist, netlist)
+    ref = reference_compile(netlist)
+    assert np.array_equal(sim.instance_levels, ref.instance_levels)
+    assert np.array_equal(sim.instance_out_idx, ref.instance_out_idx)
+    assert len(sim._schedule) == len(ref.schedule)
+    for group, (_fn, in_idx, out_idx) in zip(sim._schedule, ref.schedule):
+        assert np.array_equal(group.out_idx, out_idx)
+        assert all(map(np.array_equal, group.in_idx, in_idx))
+    t_compile = _best_of(lambda: CompiledNetlist(netlist))
+    t_oracle = _best_of(lambda: reference_compile(netlist))
+    t_levels = _best_of(netlist.levelize)
+    t_kahn = _best_of(lambda: kahn_levels(netlist))
+    record_timing(
+        "compile_lowering", t_compile, oracle_s=t_oracle,
+        speedup=t_oracle / t_compile, levelize_s=t_levels, kahn_s=t_kahn,
+        instances=sim.num_instances, levels=sim.max_level + 1,
+        groups=len(sim._schedule),
+    )
+    print(
+        f"\nCompiledNetlist ({sim.num_instances} instances, "
+        f"{len(sim._schedule)} groups): {t_compile * 1e3:.0f} ms vs oracle "
+        f"{t_oracle * 1e3:.0f} ms; levelize {t_levels * 1e3:.0f} ms vs "
+        f"Kahn {t_kahn * 1e3:.0f} ms"
+    )
 
 
 def test_acquisition_engine(benchmark, chip, sim_scenario):
