@@ -12,7 +12,7 @@ Two studies behind the paper's motivation:
 
 from conftest import run_once
 
-from repro.chip import silicon_scenario, simulation_scenario
+from repro.chip import simulation_scenario
 from repro.experiments.baseline_power import (
     build_power_baseline_chip,
     run_crosschip_study,

@@ -1,7 +1,5 @@
 """Tests for the ablation drivers (reduced sizes for speed)."""
 
-import pytest
-
 from repro.experiments.ablation import (
     sweep_pca_dimensions,
     threshold_study,

@@ -5,7 +5,6 @@ import pytest
 from scipy import signal
 
 from repro.experiments.campaign import (
-    DEFAULT_KEY,
     ED_DECIMATE,
     ED_PERIOD,
     WARMUP_WINDOWS,

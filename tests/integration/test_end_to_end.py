@@ -5,7 +5,6 @@ framework in one pass, using the shared session chip and the
 SNR-calibrated scenarios.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis import EuclideanDetector

@@ -1,8 +1,5 @@
 """Tests for the design-rule checker."""
 
-import numpy as np
-import pytest
-
 from repro.layout.drc import (
     DrcReport,
     check_floorplan,

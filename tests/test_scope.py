@@ -22,7 +22,9 @@ module runs at import, or by the body of another reached definition.
 A decorated definition (a registration, a property) counts as reached,
 and so do the dunder methods of a reached class.  Names are matched
 bare, so a common name can keep a dead definition alive; it can never
-flag a live one.  Top-level imports that a module never reads fail too.
+flag a live one.  Top-level imports that a module never reads fail too,
+in ``src/repro``, ``tests/`` and ``benchmarks/`` alike (a test file's
+parameter names count as reads, for imported pytest fixtures).
 """
 
 from __future__ import annotations
@@ -381,23 +383,56 @@ def test_tracer_targets_count_as_reads():
     assert {"Chip", "build"} <= _names_read(node)
 
 
-def test_no_unused_imports():
+def _unused_imports(path: Path, parameters_read: bool) -> list[str]:
+    """Top-level imports of *path* that no name in the file reads.
+
+    With *parameters_read*, a parameter name counts as a read, so a
+    pytest fixture imported only to be requested by name is kept.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if parameters_read:
+        used |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
     unused = []
-    for module, path in MODULES.items():
-        if path.name == "__init__.py":
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        tree = _tree(path)
-        used = {
-            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
-        }
-        for node in tree.body:
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                unused += [
-                    f"{module}:{local}"
-                    for alias in node.names
-                    if (local := alias.asname or alias.name.split(".")[0])
-                    not in used
-                ]
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            unused += [
+                local
+                for alias in node.names
+                if (local := alias.asname or alias.name.split(".")[0])
+                not in used
+            ]
+    return unused
+
+
+def test_no_unused_imports():
+    unused = [
+        f"{module}:{local}"
+        for module, path in MODULES.items()
+        if path.name != "__init__.py"
+        for local in _unused_imports(path, parameters_read=False)
+    ]
+    for path in sorted(REPO.glob("tests/**/*.py")) + sorted(
+        BENCHMARKS.glob("**/*.py")
+    ):
+        if path.name != "__init__.py":
+            rel = path.relative_to(REPO)
+            unused += [
+                f"{rel}:{local}"
+                for local in _unused_imports(path, parameters_read=True)
+            ]
     assert not unused, f"unused top-level imports: {', '.join(unused)}"
+
+
+def test_fixture_imports_read_by_parameter_name_are_used(tmp_path):
+    path = tmp_path / "test_fixture_import.py"
+    path.write_text(
+        "from tests.fleet.conftest import tiny_fleet\n"
+        "import numpy as np\n\n\n"
+        "def test_requests_fixture(tiny_fleet):\n"
+        "    pass\n"
+    )
+    assert _unused_imports(path, parameters_read=True) == ["np"]
+    assert _unused_imports(path, parameters_read=False) == ["tiny_fleet", "np"]

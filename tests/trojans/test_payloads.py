@@ -18,7 +18,7 @@ from repro.trojans import (
 )
 from repro.trojans.t1_am import CYCLES_PER_BIT, Trojan1Params
 from repro.trojans.t2_leakage import Trojan2Params
-from repro.trojans.t3_cdma import CHIPS_PER_BIT, LFSR_TAPS, LFSR_WIDTH, Trojan3Params
+from repro.trojans.t3_cdma import CHIPS_PER_BIT, LFSR_TAPS, LFSR_WIDTH
 from repro.trojans.t4_power import Trojan4Params
 from tests.logic.probes import read
 from tests.trojans.demod import (
