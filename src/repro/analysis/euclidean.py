@@ -279,8 +279,8 @@ class EuclideanDetector:
         Row-wise normalisation alone is independent across traces, so
         features of many chips' windows can be extracted in one
         batched call with bit-identical results; the PCA matmul is not
-        row-blocking-invariant, so batched consumers check this flag
-        and fall back to per-chip extraction when it is set.
+        row-blocking-invariant, so the dense fleet engine scores a
+        detector with this flag set session by session.
         """
         return self._pca is not None
 

@@ -20,8 +20,7 @@ environment variable keep seeing the change immediately, while the
 CLI can pin one immutable snapshot for a whole run.
 
 :meth:`ReproConfig.describe` produces the JSON snapshot embedded in
-every saved :class:`~repro.experiments.result.RunResult` artifact;
-:meth:`ReproConfig.from_snapshot` round-trips it.
+every saved :class:`~repro.experiments.result.RunResult` artifact.
 
 See ``docs/CONFIG.md`` for the full knob table.
 """
@@ -309,25 +308,10 @@ class ReproConfig:
 
         Embedded in every saved :class:`~repro.experiments.result.
         RunResult` artifact so a result file records the exact runtime
-        configuration that produced it;
-        :meth:`from_snapshot` reconstructs an equal config.
+        configuration that produced it; the constructor takes it back
+        (``ReproConfig(**snapshot)``) and rebuilds an equal config.
         """
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Mapping) -> "ReproConfig":
-        """Inverse of :meth:`describe`."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(snapshot) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown config snapshot key(s) {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        values = dict(snapshot)
-        if values.get("cache_dir") is not None:
-            values["cache_dir"] = str(values["cache_dir"])
-        return cls(**values)
 
 
 # -- the active config -------------------------------------------------

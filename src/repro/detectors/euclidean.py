@@ -29,8 +29,9 @@ class EuclideanPlugin(EuclideanDetector):
         reference_free=False,
         paper_ref="Section IV-C, Eq. (1)",
     )
-    #: Feature extraction is row-independent (unless PCA is fitted), so
-    #: the dense batched fleet engine can score this detector.
+    #: Feature extraction is row-independent, so the dense batched
+    #: fleet engine can score this detector (unless PCA is fitted:
+    #: the engine checks ``uses_pca`` too).
     supports_batched = True
 
     def score(self, traces: np.ndarray) -> np.ndarray:

@@ -68,22 +68,6 @@ class FieldMap:
             "magnitude": [[float(v) for v in row] for row in self.magnitude],
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "FieldMap":
-        """Inverse of :meth:`as_payload`."""
-        try:
-            xs = np.asarray(payload["xs"], dtype=np.float64)
-            ys = np.asarray(payload["ys"], dtype=np.float64)
-            magnitude = np.asarray(payload["magnitude"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as err:
-            raise EmModelError(f"malformed field-map payload: {err}") from None
-        if magnitude.shape != (ys.size, xs.size):
-            raise EmModelError(
-                f"field-map payload shape mismatch: magnitude "
-                f"{magnitude.shape} vs grid ({ys.size}, {xs.size})"
-            )
-        return cls(xs=xs, ys=ys, magnitude=magnitude)
-
     def save(self, path) -> "Path":
         """Write the grid as ``<path>.npy`` plus a ``<path>.json`` axis
         sidecar; returns the ``.npy`` path.  Writes are atomic renames,

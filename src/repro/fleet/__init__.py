@@ -6,14 +6,14 @@ output" — scaled out to a fleet of deployed chips:
 * :class:`~repro.fleet.feed.TraceFeed` — replays acquisition/cache
   campaigns as per-chip streams with arrival batching and
   deterministic injected link faults (drops / duplicates / reorders);
-* :class:`~repro.fleet.session.MonitorSession` — a checkpointable,
-  instrumented :class:`~repro.framework.monitor.RuntimeMonitor`
-  wrapper with bit-identical ``state_dict()``/``from_state`` resume;
+* :class:`~repro.fleet.session.MonitorSession` — an instrumented
+  :class:`~repro.framework.monitor.RuntimeMonitor` wrapper with
+  stream accounting;
 * :class:`~repro.fleet.scheduler.FleetScheduler` — the one
   single-process tick loop every fleet run takes: bounded per-chip
   queues, an explicit backpressure policy (``block`` /
   ``drop_oldest``, drop counts always surfaced), batched scoring and
-  checkpoint/resume;
+  an early stop that a second run continues;
 * :class:`~repro.fleet.producer.StreamingTraceProducer` — live trace
   generation: chunked, double-buffered acquisition overlapped with
   scoring, with the :class:`~repro.fleet.producer.ChunkPlan` and its
@@ -27,8 +27,8 @@ output" — scaled out to a fleet of deployed chips:
   ``repro fleet`` command — the simulated golden + T1–T4 + A2
   fleet campaign with combined time/spectral verdicts.
 
-See ``docs/FLEET.md`` for the architecture, the backpressure policy,
-the metrics glossary and the checkpoint format.
+See ``docs/FLEET.md`` for the architecture, the backpressure policy
+and the metrics glossary.
 """
 
 from repro.fleet.feed import FaultSpec, NO_FAULTS, TraceFeed, WindowBatch

@@ -3,8 +3,7 @@
 Assembles everything in :mod:`repro.fleet` into the paper's deployment
 story at fleet scale: one golden-characterised evaluator supervising a
 set of deployed chips (one golden, five Trojaned), each streaming EM
-trace windows over a faulty link into a checkpointable monitor
-session, with a frequency-domain sweep covering what the time-domain
+trace windows over a faulty link into a monitor session, with a frequency-domain sweep covering what the time-domain
 path cannot see (the A2 analog Trojan leaves no usable time-domain
 trace; its gated trigger comb stands out spectrally — see
 ``tests/integration/test_end_to_end.py``).

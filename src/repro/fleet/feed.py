@@ -12,9 +12,9 @@ source sequence number, with deterministic injected fault points
 seeded RNG streams.
 
 The delivery schedule is computed eagerly from ``(seed, chip_id)``
-alone, so two feeds over the same campaign are identical — the
-property the scheduler's checkpoint/resume support leans on
-(:meth:`TraceFeed.batch_at` is random access).
+alone, so two feeds over the same campaign are identical, and
+:meth:`TraceFeed.batch_at` is random access: the scheduler queues
+batch indices, not batches.
 
 Where the rows themselves come from is a :class:`TraceSource`: a
 prematerialised trace matrix (:class:`MatrixTraceSource` — memmapped

@@ -18,9 +18,7 @@ incrementally at acquisition boundaries.  :class:`ChunkPlan` fixes
 those boundaries and :func:`chunk_role` derives one RNG role per
 chunk (``fleet/ed/<chip>/chunk<k>``).  Each chunk is a pure function
 of ``(seed, role, chunk index)`` — independently regenerable, which is
-what makes mid-stream checkpoint/resume O(1): a resumed producer
-starts at the first chunk the checkpoint still needs and never
-replays the past.
+what lets a freed chunk be regenerated on demand with the same bytes.
 
 Memory stays bounded by the consumption watermarks the feeds push
 back (:meth:`TraceFeed.batch_at` → ``source.advance``): a chunk is
@@ -108,7 +106,7 @@ class ArrayChunkSource:
     """Chunk source over prematerialised per-chip matrices.
 
     The test/bench harness: serves chunk slices of arrays that already
-    exist, so streaming-pipeline behaviour (ordering, freeing, resume)
+    exist, so streaming-pipeline behaviour (ordering, freeing, regeneration)
     can be asserted without paying for chip simulation.
     """
 
@@ -235,7 +233,6 @@ class StreamingTraceProducer:
         chunk: int = DEFAULT_CHUNK_WINDOWS,
         prefetch: int = DEFAULT_PREFETCH,
         metrics: MetricsRegistry | None = None,
-        start_chunk: int = 0,
         on_chunk=None,
     ) -> None:
         """
@@ -253,10 +250,6 @@ class StreamingTraceProducer:
             ``2`` = double buffering).
         metrics:
             Sink for the ``producer.*`` instruments (optional).
-        start_chunk:
-            First chunk to generate — a resumed run passes the
-            checkpoint's producer cursor so generation picks up at the
-            first chunk any pending batch still needs.
         on_chunk:
             Optional ``f(index, lo, hi, {chip: rows})`` called once
             per freshly generated chunk, from the producer thread —
@@ -270,27 +263,20 @@ class StreamingTraceProducer:
         self.chip_ids = list(chip_ids)
         if not self.chip_ids:
             raise ExperimentError("producer needs at least one chip")
-        if not 0 <= start_chunk < self.plan.n_chunks:
-            raise ExperimentError(
-                f"start chunk {start_chunk} out of range "
-                f"[0, {self.plan.n_chunks})"
-            )
         self.source = source
         self.prefetch = prefetch
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.start_chunk = start_chunk
         self._on_chunk = on_chunk
         self._cond = threading.Condition()
         self._chunks: dict[int, dict[str, np.ndarray]] = {}
-        self._next_gen = start_chunk
+        self._next_gen = 0
         # Highest chunk a consumer is blocked on: generation may run
         # past the prefetch window to satisfy it (reordered/duplicated
         # deliveries can reference slightly ahead of the watermarks,
         # and demand-driven generation must never deadlock on the
         # look-ahead gate).
-        self._demand = start_chunk
-        start_lo = self.plan.bounds(start_chunk)[0]
-        self._watermarks = {c: start_lo for c in self.chip_ids}
+        self._demand = 0
+        self._watermarks = {c: 0 for c in self.chip_ids}
         self._error: BaseException | None = None
         self._closed = False
         self._started = False
@@ -491,22 +477,6 @@ class StreamingTraceProducer:
                 ]:
                     del self._chunks[k]
                 self._cond.notify_all()
-
-    # -- checkpointing -------------------------------------------------
-    def state_dict(self) -> dict:
-        """Producer cursor state, JSON-encodable.
-
-        ``next_chunk`` is the first chunk any *future* delivery still
-        needs (the slowest consumer watermark's chunk) — a resumed
-        producer passes it as ``start_chunk`` and regenerates nothing
-        before it.
-        """
-        with self._cond:
-            return {
-                "chunk": self.plan.chunk,
-                "n_windows": self.plan.n_windows,
-                "next_chunk": self._min_needed_chunk(),
-            }
 
 
 class ProducerTraceSource(TraceSource):

@@ -15,15 +15,15 @@ decides, explicitly:
   ``drop`` event with the lost sequence numbers, and surfaced in the
   fleet report — **never silent**.
 
-Checkpoint/resume: :meth:`FleetScheduler.run` with ``max_ticks``
-stops at a tick boundary, :meth:`state_dict` captures the sessions
-plus the production/queue bookkeeping, and :meth:`from_state` + a
-second :meth:`run` over identically rebuilt feeds continues
-**bit-identically** — same alarms, same journal tail.
+Early stop: :meth:`FleetScheduler.run` with ``max_ticks`` stops at a
+tick boundary and journals a ``checkpoint`` event; a later
+:meth:`~FleetScheduler.run` on the same scheduler and feeds continues
+the stream where it stopped — same alarms, same journal tail as an
+uninterrupted run.
 
 Every tick's arrivals drain through one :class:`~repro.framework.
-batched.BatchedFleetMonitor`, which decides from the fleet whether to
-score it densely or session by session.
+batched.BatchedFleetMonitor`, built with the scheduler, which decides
+from the fleet whether to score it densely or session by session.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class FleetResult:
             f"{self.windows_ingested} windows in "
             f"{self.elapsed_seconds:.2f}s "
             f"({self.throughput:.0f} windows/s)"
-            + ("" if self.complete else "  [PARTIAL — checkpointed]")
+            + ("" if self.complete else "  [PARTIAL — stopped early]")
         ]
         for chip_id, r in self.reports.items():
             status = (
@@ -199,18 +199,18 @@ class FleetScheduler:
         self.consume_every = consume_every
         self.journal = journal if journal is not None else sessions[0].journal
         self.metrics = metrics if metrics is not None else sessions[0].metrics
-        # Tick-loop bookkeeping (also the checkpointable state).
+        # Tick-loop bookkeeping; a second run() continues from it.
         self._tick = 0
         self._produced: dict[str, int] = {c: 0 for c in ids}
         self._pending: dict[str, list[int]] = {c: [] for c in ids}
         self._queue_dropped: dict[str, list[int]] = {c: [] for c in ids}
-        #: Scoring engine (built per run).
-        self._engine: BatchedFleetMonitor | None = None
-        # Time-to-first-verdict bookkeeping + (streaming ingest) the
-        # live producer behind the feeds, both bound by run().
+        #: Scoring engine; its dense arrays hold the window state.
+        self._engine = BatchedFleetMonitor(
+            [self.sessions[c] for c in ids], metrics=self.metrics
+        )
+        # Time-to-first-verdict bookkeeping, reset by run().
         self._t0 = 0.0
         self._ttfv_done = False
-        self._producer = None
 
     # ------------------------------------------------------------------
     def run(
@@ -218,10 +218,10 @@ class FleetScheduler:
     ) -> FleetResult:
         """Stream every feed through its session; returns the outcome.
 
-        ``max_ticks`` stops after that many
-        *absolute* production/consumption ticks, journals a
-        ``checkpoint`` event, and leaves the scheduler resumable via
-        :meth:`state_dict`.
+        ``max_ticks`` stops after that many *absolute*
+        production/consumption ticks and journals a ``checkpoint``
+        event; calling :meth:`run` again with the same feeds continues
+        from there.
         """
         feed_map = {f.chip_id: f for f in feeds}
         if sorted(feed_map) != sorted(self.order):
@@ -229,28 +229,10 @@ class FleetScheduler:
                 f"feeds {sorted(feed_map)} do not match sessions "
                 f"{sorted(self.order)}"
             )
-        # Duck-typed on purpose: ProducerTraceSource is the only
-        # source exposing .producer, and checking structurally keeps
-        # the scheduler import-independent of the streaming layer.
-        self._producer = next(
-            (
-                f.source.producer
-                for f in feeds
-                if hasattr(f.source, "producer")
-            ),
-            None,
-        )
         start = time.perf_counter()
         self._t0 = start
         self._ttfv_done = False
-        self._engine = BatchedFleetMonitor(
-            [self.sessions[c] for c in self.order], metrics=self.metrics
-        )
-        try:
-            complete = self._run_serial(feed_map, max_ticks)
-        finally:
-            self._engine.sync_to_sessions()
-            self._engine = None
+        complete = self._run_serial(feed_map, max_ticks)
         elapsed = time.perf_counter() - start
         self.journal.flush()
         return self._result(feed_map, complete, elapsed)
@@ -270,8 +252,8 @@ class FleetScheduler:
         """Record time-to-first-verdict at the fleet's first alarm.
 
         Driven by the ingest return values (not the alarm counter), so
-        an all-clear run creates no instrument — snapshot parity with
-        pre-TTFV checkpoints and between matrix and producer feeds.
+        an all-clear run creates no instrument — snapshot parity
+        between matrix and producer feeds.
         """
         if alarmed and not self._ttfv_done:
             self._ttfv_done = True
@@ -390,85 +372,3 @@ class FleetScheduler:
                 str(self.journal.path) if self.journal.path else None
             ),
         )
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Checkpoint of a (partially run) fleet, JSON-encodable.
-
-        Captures every session's monitor state plus the scheduler's
-        production/queue bookkeeping.  Queued-but-not-yet-ingested
-        batches are stored as feed batch *indices* — feeds are
-        deterministic replays, so the queue contents rebuild exactly.
-        The captured state does not depend on the scoring path: a run
-        syncs its dense engine state back into the sessions when it
-        stops, so dense and per-session scoring resume each other's
-        checkpoints bit-identically.
-        """
-        state = {
-            "tick": self._tick,
-            "queue_depth": self.queue_depth,
-            "policy": self.policy,
-            "consume_every": self.consume_every,
-            "order": list(self.order),
-            "produced": dict(self._produced),
-            "pending": {c: list(v) for c, v in self._pending.items()},
-            "queue_dropped": {
-                c: list(v) for c, v in self._queue_dropped.items()
-            },
-            "sessions": {
-                c: self.sessions[c].state_dict() for c in self.order
-            },
-        }
-        if self._producer is not None:
-            # A live producer rides along as an extra key every
-            # from_state tolerates: the producer's resume cursor (the
-            # tick loop advances watermarks exactly at consumption,
-            # so the producer's own view is the right one here).
-            state["producer"] = self._producer.state_dict()
-        return state
-
-    @classmethod
-    def from_state(
-        cls,
-        state: dict,
-        evaluator,
-        journal: EventJournal | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> "FleetScheduler":
-        """Rebuild a checkpointed fleet against the same evaluator.
-
-        Resuming :meth:`run` with identically rebuilt feeds continues
-        the stream bit-identically (same alarms and journal tail as an
-        uninterrupted run).
-        """
-        metrics = metrics if metrics is not None else MetricsRegistry()
-        journal = journal if journal is not None else EventJournal()
-        sessions = [
-            MonitorSession.from_state(
-                state["sessions"][chip_id],
-                evaluator,
-                metrics=metrics,
-                journal=journal,
-            )
-            for chip_id in state["order"]
-        ]
-        scheduler = cls(
-            sessions,
-            queue_depth=int(state["queue_depth"]),
-            policy=state["policy"],
-            consume_every=int(state["consume_every"]),
-            journal=journal,
-            metrics=metrics,
-        )
-        scheduler._tick = int(state["tick"])
-        scheduler._produced = {
-            c: int(v) for c, v in state["produced"].items()
-        }
-        scheduler._pending = {
-            c: [int(i) for i in v] for c, v in state["pending"].items()
-        }
-        scheduler._queue_dropped = {
-            c: [int(i) for i in v]
-            for c, v in state["queue_dropped"].items()
-        }
-        return scheduler

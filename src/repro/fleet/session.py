@@ -1,4 +1,4 @@
-"""Per-chip monitor sessions: instrumented, checkpointable streaming.
+"""Per-chip monitor sessions: instrumented streaming.
 
 A :class:`MonitorSession` wraps one :class:`~repro.framework.monitor.
 RuntimeMonitor` for one fleet chip and adds what a long-running
@@ -9,11 +9,11 @@ service needs on top of the alarm logic:
   ingestion/alarm/anomaly counts are surfaced per chip;
 * **stream accounting** — sequence-number gaps (missing windows) and
   regressions (out-of-order delivery) are counted, never silently
-  absorbed;
-* **checkpoint/resume** — :meth:`state_dict` / :meth:`from_state`
-  round-trip the complete mutable state through JSON-encodable
-  primitives, bit-identically (the monitor's running feature sum and
-  deque serialise exactly; see :meth:`RuntimeMonitor.state_dict`).
+  absorbed.
+
+:meth:`MonitorSession.ingest` is the per-session scoring path, taken
+for fleets the dense engine cannot hold (see
+:class:`~repro.framework.batched.BatchedFleetMonitor`).
 
 Sessions default to the **floor-calibrated** alarm threshold
 (:func:`floor_scaled_threshold`): the detector's bootstrapped
@@ -249,59 +249,3 @@ class MonitorSession:
                 f"chip.{self.chip_id}.out_of_order"
             ).inc(n_ooo)
         self._last_seq = last_seq
-
-    # ------------------------------------------------------------------
-    @property
-    def alarmed(self) -> bool:
-        """True once any alarm has fired on this stream."""
-        return bool(self.monitor.alarms)
-
-    @property
-    def first_alarm(self) -> AlarmEvent | None:
-        return self.monitor.alarms[0] if self.monitor.alarms else None
-
-    def current_separation(self) -> float:
-        return self.monitor.current_separation()
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Complete mutable session state, JSON-encodable.
-
-        Restoring via :meth:`from_state` against the same evaluator
-        resumes the stream bit-identically — same future alarms (same
-        indices and separations) from the same remaining windows.
-        """
-        return {
-            "chip_id": self.chip_id,
-            "last_seq": self._last_seq,
-            "windows_ingested": self.windows_ingested,
-            "gaps": self.gaps,
-            "out_of_order": self.out_of_order,
-            "monitor": self.monitor.state_dict(),
-        }
-
-    @classmethod
-    def from_state(
-        cls,
-        state: dict,
-        evaluator: RuntimeTrustEvaluator,
-        metrics: MetricsRegistry | None = None,
-        journal: EventJournal | None = None,
-    ) -> "MonitorSession":
-        """Rebuild a session mid-stream from :meth:`state_dict` output."""
-        monitor_state = state["monitor"]
-        session = cls(
-            state["chip_id"],
-            evaluator,
-            window=int(monitor_state["window"]),
-            confirm=int(monitor_state["confirm"]),
-            threshold=float(monitor_state["threshold"]),
-            metrics=metrics,
-            journal=journal,
-        )
-        session.monitor = RuntimeMonitor.from_state(monitor_state, evaluator)
-        session._last_seq = state["last_seq"]
-        session.windows_ingested = int(state["windows_ingested"])
-        session.gaps = int(state["gaps"])
-        session.out_of_order = int(state["out_of_order"])
-        return session

@@ -17,10 +17,8 @@ whole fleet into a fixed number of vectorised operations:
 
 Feature extraction for the whole arrival tick happens in one
 ``detector.features`` call (row-wise normalisation is independent
-across traces; when a PCA projection is fitted the engine falls back
-to per-chip extraction, because a matmul is not row-blocking
-invariant), and every chip's separation comes out of one row-norm over
-the mean-feature matrix.
+across traces), and every chip's separation comes out of one row-norm
+over the mean-feature matrix.
 
 **Bit-identity.**  The engine performs, per chip, exactly the float64
 operation sequence of :meth:`RuntimeMonitor._observe_feature`:
@@ -35,17 +33,17 @@ journal byte.
 
 **Engine selection.**  The fleet scheduler scores through this engine,
 which picks its path once, at construction: dense when the sessions
-share one detector object that declares ``supports_batched`` and one
-sliding-window length, per session otherwise (:meth:`ingest_tick` then
-hands each batch to :meth:`MonitorSession.ingest`, in pair order).
-The fallback is counted once on ``fleet.scoring.batched_fallback``.
+share one detector object that declares ``supports_batched``, has no
+fitted PCA projection (a matmul is not row-blocking invariant) and
+one sliding-window length; per session otherwise (:meth:`ingest_tick`
+then hands each batch to :meth:`MonitorSession.ingest`, in pair
+order).  The fallback is counted once on
+``fleet.scoring.batched_fallback``.
 
-State lives in the dense arrays while the engine runs;
-:meth:`sync_to_sessions` writes it back into the per-chip
-:class:`RuntimeMonitor` deques so the existing per-session
-``state_dict`` checkpoints (and everything else that reads monitor
-state) keep working unchanged.  Construction performs the inverse
-load, so a checkpoint written under either path resumes under either.
+Under dense scoring the window state lives only in the dense arrays;
+the sessions' :class:`RuntimeMonitor` objects receive the alarms and
+the stream accounting, not the windows.  The engine starts every chip
+at the beginning of its stream.
 """
 
 from __future__ import annotations
@@ -67,9 +65,8 @@ class BatchedFleetMonitor:
     ----------
     sessions:
         The :class:`~repro.fleet.session.MonitorSession` objects to
-        score (one per chip).  Thresholds and confirmation counts
-        may differ per chip.  Any state the monitors already hold
-        (mid-stream resume) is loaded into the dense arrays.
+        score (one per chip), at the start of their streams.
+        Thresholds and confirmation counts may differ per chip.
     metrics:
         Registry for stage timings and scoring counters; defaults to
         the first session's.
@@ -90,6 +87,7 @@ class BatchedFleetMonitor:
         #: ``False`` scores every batch through its session.
         self.dense = (
             getattr(self.detector, "supports_batched", True)
+            and not self.detector.uses_pca
             and all(s.evaluator.detector is self.detector for s in sessions)
             and all(s.monitor.window == self.window for s in sessions)
         )
@@ -116,8 +114,6 @@ class BatchedFleetMonitor:
         self._confirms = np.array(
             [s.monitor.confirm for s in sessions], dtype=np.int64
         )
-        for k, session in enumerate(sessions):
-            self._load_monitor(k, session.monitor)
         # Hot-loop instrument cache: registry lookups (f-string + lock)
         # are measurable at fleet scale, the instruments are not.
         self._scoring_hists = {
@@ -132,35 +128,11 @@ class BatchedFleetMonitor:
             "stage.separation.seconds"
         )
 
-    def _load_monitor(self, k: int, monitor: RuntimeMonitor) -> None:
-        """Adopt one monitor's (possibly mid-stream) state into row *k*."""
-        count = monitor.windows_seen
-        self._counts[k] = count
-        self._streaks[k] = monitor._streak
-        entries = list(monitor._features)
-        if not entries:
-            return
-        if count >= self.window:
-            # Oldest entry belongs at the current write position.
-            pos = count % self.window
-            for j, row in enumerate(entries):
-                self._ring[(pos + j) % self.window, k] = row
-        else:
-            self._ring[: len(entries), k] = entries
-        if monitor._feature_sum is not None:
-            self._sums[k] = monitor._feature_sum
-
     # ------------------------------------------------------------------
     def _extract_features(self, pairs) -> np.ndarray:
         """One feature-extraction call for the whole arrival tick."""
         if len(pairs) == 1:
             return self.detector.features(pairs[0][1].traces)
-        if self.detector.uses_pca:
-            # A PCA matmul is not row-blocking invariant; extract per
-            # chip so features stay bitwise equal to sequential runs.
-            return np.concatenate(
-                [self.detector.features(b.traces) for _, b in pairs], axis=0
-            )
         return self.detector.features(
             np.concatenate([b.traces for _, b in pairs], axis=0)
         )
@@ -261,12 +233,11 @@ class BatchedFleetMonitor:
         extracting the arrival matrix in step-major order (step 0 of
         every chip first) yields the same per-row values while letting
         every scoring step read one contiguous ``(chips, features)``
-        slab with no transpose.  A fitted PCA projection keeps the
-        per-chip path (a matmul is not row-blocking invariant).
+        slab with no transpose.
         """
         start = time.perf_counter()
         n = len(pairs)
-        if n > 1 and not self.detector.uses_pca:
+        if n > 1:
             stacked = np.stack([b.traces for _, b in pairs], axis=1)
             feats = self.detector.features(
                 stacked.reshape(n * length, stacked.shape[2])
@@ -478,45 +449,3 @@ class BatchedFleetMonitor:
             prev_max[rows, lens_arr - 1], body[rows, lens_arr - 1]
         )
         return list(zip(gaps.tolist(), ooo.tolist(), last.tolist()))
-
-    # ------------------------------------------------------------------
-    def sync_to_sessions(self) -> None:
-        """Write the dense state back into the per-chip monitors.
-
-        After this the monitors' deques, running sums, counts and
-        streaks equal what per-session scoring of the same stream
-        would hold — so per-session ``state_dict`` checkpoints (and any
-        other reader of monitor state) interconvert freely with the
-        dense arrays.  Per-session scoring keeps its state in the
-        monitors already, so there is nothing to write.
-        """
-        if not self.dense:
-            return
-        for k, session in enumerate(self.sessions):
-            monitor = session.monitor
-            count = int(self._counts[k])
-            monitor._count = count
-            monitor._streak = int(self._streaks[k])
-            monitor._features.clear()
-            if count == 0:
-                continue
-            if count >= self.window:
-                pos = count % self.window
-                ordered = np.roll(self._ring[:, k], -pos, axis=0)
-            else:
-                ordered = np.ascontiguousarray(self._ring[:count, k])
-            # ``ordered`` is a fresh array owned by nothing else, so
-            # the deque can hold row views without copying each row.
-            monitor._features.extend(ordered)
-            monitor._feature_sum = self._sums[k].copy()
-
-    def state_dict(self) -> dict:
-        """Per-chip session states (after a sync), JSON-encodable.
-
-        The batched engine does not define its own checkpoint format:
-        it syncs into the sessions and returns their ``state_dict``
-        output keyed by chip id, so checkpoints are interchangeable
-        between dense and per-session scoring.
-        """
-        self.sync_to_sessions()
-        return {s.chip_id: s.state_dict() for s in self.sessions}

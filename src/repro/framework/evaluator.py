@@ -39,7 +39,6 @@ class EvaluatorConfig:
     n_reference: int = 512
     spectral_cycles: int = 2048
     spectral_boost_ratio: float = 1.6
-    pca_components: int | None = None
     #: Registry name of the window detector; ``None`` resolves the
     #: active configuration's ``detector`` knob (``REPRO_DETECTOR``).
     detector: str | None = None
@@ -89,14 +88,6 @@ class RuntimeTrustEvaluator:
             if config.detector is not None
             else active_config().detector
         )
-        detector_kwargs: dict = {}
-        if detector_name == "euclidean":
-            detector_kwargs["n_components"] = config.pca_components
-        elif config.pca_components is not None:
-            raise AnalysisError(
-                "pca_components only applies to the 'euclidean' "
-                f"detector, not {detector_name!r}"
-            )
         detector = get_or_fit_detector(
             chip,
             scenario,
@@ -104,7 +95,6 @@ class RuntimeTrustEvaluator:
             ed_params,
             golden,
             detector_name=detector_name,
-            **detector_kwargs,
         )
         record = get_or_generate_traces(
             chip,

@@ -14,14 +14,15 @@ subtracted, new ones added), so the windowed mean never re-stacks the
 whole window.  The sum is recomputed exactly from the deque every
 :data:`RuntimeMonitor.REFRESH_EVERY` observations to keep float64
 drift bounded on unbounded streams; the refresh schedule is a pure
-function of the observation count, so checkpoint/resume (see
-:meth:`RuntimeMonitor.state_dict`) replays bit-identically.
+function of the observation count, so the dense fleet engine
+(:class:`~repro.framework.batched.BatchedFleetMonitor`) reproduces it
+bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,11 +143,6 @@ class RuntimeMonitor:
             raise AnalysisError(f"threshold must be > 0, got {threshold}")
         self.threshold = float(threshold)
 
-    @property
-    def windows_seen(self) -> int:
-        """Total trace windows processed."""
-        return self._count
-
     def current_separation(self) -> float:
         """Separation of the sliding window's mean feature vector."""
         if not self._features or self._feature_sum is None:
@@ -229,54 +225,3 @@ class RuntimeMonitor:
             self.alarms.append(event)
             return event
         return None
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Full mutable state as JSON-encodable primitives.
-
-        Restoring with :meth:`from_state` (against the same evaluator)
-        continues the stream bit-identically: the feature deque, the
-        running sum, the streak, the observation count and the stored
-        threshold all round-trip exactly (Python's JSON float encoding
-        is shortest-round-trip, so every float64 survives).
-        """
-        return {
-            "window": self.window,
-            "confirm": self.confirm,
-            "threshold": self.threshold,
-            "count": self._count,
-            "streak": self._streak,
-            "features": [f.tolist() for f in self._features],
-            "feature_sum": (
-                self._feature_sum.tolist()
-                if self._feature_sum is not None
-                else None
-            ),
-            "alarms": [asdict(a) for a in self.alarms],
-        }
-
-    @classmethod
-    def from_state(
-        cls, state: dict, evaluator: RuntimeTrustEvaluator
-    ) -> "RuntimeMonitor":
-        """Rebuild a monitor mid-stream from :meth:`state_dict` output.
-
-        *evaluator* must be the evaluator the state was captured
-        against (same fitted detector); the stored threshold is
-        restored verbatim rather than recomputed, so resumed alarms
-        carry bit-identical thresholds.
-        """
-        monitor = cls(
-            evaluator, window=int(state["window"]), confirm=int(state["confirm"])
-        )
-        monitor.threshold = float(state["threshold"])
-        monitor._count = int(state["count"])
-        monitor._streak = int(state["streak"])
-        for feat in state["features"]:
-            monitor._features.append(np.asarray(feat, dtype=np.float64))
-        if state["feature_sum"] is not None:
-            monitor._feature_sum = np.asarray(
-                state["feature_sum"], dtype=np.float64
-            )
-        monitor.alarms = [AlarmEvent(**a) for a in state["alarms"]]
-        return monitor

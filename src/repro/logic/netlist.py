@@ -13,7 +13,7 @@ subsystem in its own region, mirroring the paper's Figure 3 layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -204,10 +204,6 @@ class Netlist:
             if group is None or inst.group == group:
                 yield inst
 
-    def groups(self) -> list[str]:
-        """Sorted list of distinct instance group labels."""
-        return sorted({inst.group for inst in self.instances.values()})
-
     @property
     def num_instances(self) -> int:
         return len(self.instances)
@@ -327,25 +323,6 @@ class Netlist:
         order = comb[np.argsort(lowered.levels[comb], kind="stable")]
         names = list(self.instances)
         return {names[i]: int(lowered.levels[i]) for i in order}
-
-    # ------------------------------------------------------------------
-    # Bulk helpers
-    # ------------------------------------------------------------------
-    def gate_count(self, groups: Iterable[str] | None = None) -> int:
-        """Number of instances, optionally restricted to some groups."""
-        if groups is None:
-            return len(self.instances)
-        wanted = set(groups)
-        return sum(1 for i in self.instances.values() if i.group in wanted)
-
-    def total_area(self, groups: Iterable[str] | None = None) -> float:
-        """Sum of cell areas in m², optionally restricted to some groups."""
-        wanted = None if groups is None else set(groups)
-        return sum(
-            i.cell.area
-            for i in self.instances.values()
-            if wanted is None or i.group in wanted
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

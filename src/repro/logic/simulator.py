@@ -381,26 +381,6 @@ class CompiledNetlist:
         toggled ^= self.output_values(state)
         return toggled
 
-    def run(
-        self,
-        state: SimulationState | PackedState,
-        cycles: int,
-        inputs: dict[str, BoolArray] | None = None,
-    ) -> BoolArray:
-        """Run *cycles* steps with constant inputs; return summed toggles.
-
-        The result has shape ``(num_instances, batch)`` with integer
-        toggle counts — handy for activity statistics.
-        """
-        total = np.zeros((self.num_instances, state.batch), dtype=np.int64)
-        for _ in range(cycles):
-            toggled = self.step(state, inputs)
-            if isinstance(state, PackedState):
-                toggled = unpack_bits(toggled, state.batch)
-            total += toggled
-            inputs = None  # only applied on the first cycle
-        return total
-
     def output_values(self, state: SimulationState | PackedState) -> BoolArray:
         """Current output-net value of every instance, ``(n_inst, batch)``.
 

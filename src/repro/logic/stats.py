@@ -32,14 +32,6 @@ class NetlistStats:
     name: str
     groups: dict[str, GroupStats]
 
-    @property
-    def total_gates(self) -> int:
-        return sum(g.gate_count for g in self.groups.values())
-
-    @property
-    def total_area(self) -> float:
-        return sum(g.area for g in self.groups.values())
-
     def gate_percentage(self, group: str, reference: str) -> float:
         """Gate count of *group* as a percentage of *reference*'s count.
 

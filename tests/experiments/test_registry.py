@@ -130,7 +130,7 @@ class TestRunResult:
         result = self._result()
         result.config = cfg.describe()
         loaded = RunResult.load(result.save(tmp_path / "demo.json"))
-        assert ReproConfig.from_snapshot(loaded.config) == cfg
+        assert ReproConfig(**loaded.config) == cfg
 
 
 class TestRunExperiment:
@@ -172,7 +172,7 @@ class TestRunExperiment:
         cfg = ReproConfig.resolve(environ={}, workers=1)
         result = run_experiment("euclidean", smoke=True, config=cfg)
         assert result.config == cfg.describe()
-        assert ReproConfig.from_snapshot(result.config) == cfg
+        assert ReproConfig(**result.config) == cfg
         counters = result.metrics["counters"]
         assert any(k.startswith("sim.backend.") for k in counters)
         loaded = RunResult.load(result.save(tmp_path / "euclidean.json"))

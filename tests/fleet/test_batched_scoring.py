@@ -3,16 +3,17 @@
 The :class:`~repro.framework.batched.BatchedFleetMonitor` replaces the
 per-chip feature/separation loop with one dense pass per tick; these
 tests drive the same multi-chip fleets — link faults, backpressure
-drops, checkpoint/resume — once densely and once through the
+drops, the running-sum refresh — once densely and once through the
 per-session reference evaluator, and require the exact same alarm
-stream, stream accounting and journal tail.
+stream, stream accounting and journal.
 """
 
-import json
+import copy
 
 import numpy as np
 import pytest
 
+from repro.analysis.euclidean import EuclideanDetector
 from repro.errors import AnalysisError
 from repro.fleet import (
     EventJournal,
@@ -124,40 +125,6 @@ def test_batched_matches_sequential_under_drop_oldest(
     assert j_seq.events == j_bat.events
 
 
-@pytest.mark.parametrize("first,second", [
-    ("sequential", "batched"), ("batched", "sequential"),
-])
-def test_checkpoint_resume_across_scoring_modes(
-    synthetic, fleet_streams, first, second
-):
-    """A checkpoint taken under one engine resumes under the other."""
-    ev, _ = synthetic
-    evaluators = {"batched": ev, "sequential": per_session_evaluator(ev)}
-    ref, feeds, _, _ = _build(evaluators["sequential"], fleet_streams)
-    r_ref = ref.run(feeds)
-
-    part, feeds_p, _, _ = _build(evaluators[first], fleet_streams)
-    r_part = part.run(feeds_p, max_ticks=5)
-    assert not r_part.complete
-    state = json.loads(json.dumps(part.state_dict()))
-
-    metrics = MetricsRegistry()
-    resumed = FleetScheduler.from_state(
-        state, evaluators[second], journal=EventJournal(), metrics=metrics
-    )
-    feeds_r = [
-        TraceFeed(c, fleet_streams[c], batch=8, faults=FAULTS, seed=11)
-        for c in fleet_streams
-    ]
-    r_resumed = resumed.run(feeds_r)
-    assert r_resumed.complete
-    _assert_identical(r_ref, r_resumed, fleet_streams)
-    fallback = metrics.snapshot()["counters"].get(
-        "fleet.scoring.batched_fallback", 0
-    )
-    assert fallback == (second == "sequential")
-
-
 def test_batched_matches_sequential_across_sum_refresh(
     synthetic, fleet_streams, monkeypatch
 ):
@@ -193,35 +160,28 @@ def test_engine_rejects_mismatched_sessions(synthetic, fleet_streams):
         ])
 
 
-def test_engine_adopts_mid_stream_state(synthetic, fleet_streams):
-    """An engine built over part-way sessions continues bit-identically."""
-    ev, _ = synthetic
-    chips = tuple(fleet_streams)
+def test_pca_fitted_detector_is_scored_per_session(synthetic, fleet_streams):
+    """A PCA projection is not row-blocking invariant: no dense scoring."""
+    _, base = synthetic
+    golden = base[None, :] + 0.05 * np.random.default_rng(7).normal(
+        size=(128, base.size)
+    )
+    ev = copy.copy(synthetic[0])
+    ev.detector = EuclideanDetector(n_components=8).fit(golden)
+    assert ev.detector.uses_pca
+    scheduler, feeds, _, metrics = _build(ev, fleet_streams, faults=None)
+    assert scheduler._engine.dense is False
+    result = scheduler.run(feeds)
+    counters = metrics.snapshot()["counters"]
+    assert counters["fleet.scoring.batched_fallback"] == 1
+    assert "fleet.scoring.batched" not in counters
 
-    def sessions():
-        return {c: MonitorSession(c, ev, window=16, confirm=2) for c in chips}
-
-    batches = {
-        c: list(TraceFeed(c, fleet_streams[c], batch=8, seed=11))
-        for c in chips
-    }
-    n_head = 3
-
-    ref = sessions()
-    for c in chips:
-        for b in batches[c]:
-            ref[c].ingest(b)
-
-    mid = sessions()
-    for c in chips:
-        for b in batches[c][:n_head]:
-            mid[c].ingest(b)
-    engine = BatchedFleetMonitor(list(mid.values()))
-    for i in range(n_head, max(len(b) for b in batches.values())):
-        engine.ingest_tick([
-            (mid[c], batches[c][i]) for c in chips if i < len(batches[c])
-        ])
-    engine.sync_to_sessions()
-    for c in chips:
-        assert mid[c].monitor.alarms == ref[c].monitor.alarms, c
-        assert mid[c].monitor.state_dict() == ref[c].monitor.state_dict(), c
+    for chip, traces in fleet_streams.items():
+        session = scheduler.sessions[chip]
+        monitor = RuntimeMonitor(
+            ev, window=16, confirm=2, threshold=session.monitor.threshold
+        )
+        for batch in TraceFeed(chip, traces, batch=8, seed=11):
+            monitor.observe_stream(batch.traces)
+        assert result.reports[chip].alarms == monitor.alarms, chip
+    assert any(r.alarms for r in result.reports.values())

@@ -14,8 +14,6 @@ and the ``fleet.ttfv.seconds`` gauge, which only exist on the streamed
 side and measure wall clock, not campaign content.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -59,8 +57,8 @@ def fleet_streams(synthetic, fleet_rng):
     }
 
 
-def _producer(streams, *, chunk=16, metrics=None, start_chunk=0,
-              on_chunk=None, prefetch=2):
+def _producer(streams, *, chunk=16, metrics=None, on_chunk=None,
+              prefetch=2):
     n_windows = next(iter(streams.values())).shape[0]
     return StreamingTraceProducer(
         ArrayChunkSource(streams),
@@ -69,14 +67,13 @@ def _producer(streams, *, chunk=16, metrics=None, start_chunk=0,
         chunk=chunk,
         prefetch=prefetch,
         metrics=metrics,
-        start_chunk=start_chunk,
         on_chunk=on_chunk,
     )
 
 
 def _build(cls, synthetic, streams, *, ingest="replay", chunk=16,
            policy="block", queue_depth=4, consume_every=1,
-           faults=FAULTS, per_session=False, start_chunk=0, **kw):
+           faults=FAULTS, per_session=False, **kw):
     """Scheduler + feeds; feeds pull from a live producer when asked."""
     ev, _ = synthetic
     if per_session:
@@ -90,10 +87,7 @@ def _build(cls, synthetic, streams, *, ingest="replay", chunk=16,
     ]
     producer = None
     if ingest == "stream":
-        producer = _producer(
-            streams, chunk=chunk, metrics=metrics,
-            start_chunk=start_chunk,
-        ).start()
+        producer = _producer(streams, chunk=chunk, metrics=metrics).start()
         sources = {c: producer.source_for(c) for c in streams}
     else:
         sources = dict(streams)
@@ -244,8 +238,6 @@ def test_producer_requires_start_and_validates_arguments(fleet_rng):
         producer.source_for("nope")
     with pytest.raises(ExperimentError, match="prefetch"):
         _producer(streams, chunk=8, prefetch=0)
-    with pytest.raises(ExperimentError, match="start chunk"):
-        _producer(streams, chunk=8, start_chunk=4)
 
 
 def test_producer_metrics_and_cursor(fleet_rng):
@@ -256,13 +248,13 @@ def test_producer_metrics_and_cursor(fleet_rng):
         counters = metrics.snapshot()["counters"]
         assert counters["producer.chunks"] == 3
         assert counters["producer.windows"] == 40
-        # Nothing consumed yet: the resume cursor still points at the
-        # first chunk.
-        assert producer.state_dict() == {
-            "chunk": 16, "n_windows": 40, "next_chunk": 0,
-        }
+        # Nothing consumed yet: the cursor (the first chunk any future
+        # delivery needs) still points at the first chunk; passing the
+        # watermark over it moves the cursor and frees the chunk.
+        assert producer._min_needed_chunk() == 0
         producer.advance("a", 16)
-        assert producer.state_dict()["next_chunk"] == 1
+        assert producer._min_needed_chunk() == 1
+        assert sorted(producer._chunks) == [1, 2]
 
 
 def test_on_chunk_fires_once_per_chunk_in_order(fleet_rng):
@@ -349,48 +341,32 @@ def test_all_clear_stream_creates_no_ttfv_instrument(synthetic):
     assert "fleet.ttfv.seconds" not in metrics.snapshot()["gauges"]
 
 
-# -- mid-stream checkpoint / resume ------------------------------------
+# -- early stop, then the rest of the stream -------------------------
 
-def test_stream_checkpoint_resumes_mid_stream(synthetic, fleet_streams):
-    """Producer cursor round-trips; the resumed tail is identical."""
-    ev, _ = synthetic
-    ref, feeds_r, _, _, _ = _build(
+def test_stream_early_stop_then_rerun_continues(synthetic, fleet_streams):
+    """A stopped streamed run continues on the same scheduler and
+    producer; the whole stream matches an uninterrupted replay."""
+    ref, feeds_r, j_ref, _, _ = _build(
         FleetScheduler, synthetic, fleet_streams, ingest="replay"
     )
     r_ref = ref.run(feeds_r)
 
-    part, feeds_p, _, _, producer = _build(
+    sched, feeds_s, j_st, _, producer = _build(
         FleetScheduler, synthetic, fleet_streams, ingest="stream"
     )
     try:
-        r_part = part.run(feeds_p, max_ticks=5)
+        r_part = sched.run(feeds_s, max_ticks=5)
         assert not r_part.complete
-        state = json.loads(json.dumps(part.state_dict()))
+        # The stop left the producer mid-campaign.
+        assert 0 < producer._min_needed_chunk() < ChunkPlan(96, 16).n_chunks
+        r_rest = sched.run(feeds_s)
     finally:
         producer.close()
-    cursor = state["producer"]
-    assert cursor["chunk"] == 16
-    assert 0 < cursor["next_chunk"] < ChunkPlan(96, 16).n_chunks
-
-    resumed_producer = _producer(
-        fleet_streams, chunk=cursor["chunk"],
-        start_chunk=cursor["next_chunk"],
-    ).start()
-    try:
-        resumed = FleetScheduler.from_state(
-            state, ev, journal=EventJournal(), metrics=MetricsRegistry()
-        )
-        r_resumed = resumed.run([
-            TraceFeed(
-                c, resumed_producer.source_for(c),
-                batch=8, faults=FAULTS, seed=11,
-            )
-            for c in fleet_streams
-        ])
-    finally:
-        resumed_producer.close()
-    assert r_resumed.complete
-    _assert_identical(r_ref, r_resumed, fleet_streams)
+    assert r_rest.complete
+    _assert_identical(r_ref, r_rest, fleet_streams)
+    assert [
+        e for e in j_st.events if e["kind"] != "checkpoint"
+    ] == j_ref.events
 
 
 # -- the streaming one-shot accumulator --------------------------------

@@ -51,7 +51,7 @@ def test_monitor_quiet_on_golden_stream(rng):
     stream = base[None, :] + 0.05 * rng.normal(size=(200, base.size))
     events = monitor.observe_stream(stream)
     assert events == []
-    assert monitor.windows_seen == 200
+    assert monitor.alarms == []
 
 
 def test_monitor_alarms_on_shifted_stream(rng):
@@ -106,7 +106,6 @@ def test_monitor_no_alarm_before_window_fills(rng):
     bad = base + 2.0 * np.cos(np.linspace(0, 9, base.size))
     stream = bad[None, :] + 0.05 * rng.normal(size=(15, base.size))
     assert monitor.observe_stream(stream) == []
-    assert monitor.windows_seen == 15
     # The very next window completes the estimate and trips confirm=1.
     event = monitor.observe(stream[0])
     assert event is not None
@@ -237,26 +236,3 @@ def test_monitor_explicit_threshold(rng):
         RuntimeMonitor(ev, threshold=0.0)
     with pytest.raises(AnalysisError):
         RuntimeMonitor(ev, threshold=-1.0)
-
-
-def test_monitor_state_roundtrip_resumes_bit_identically(rng):
-    import json
-
-    ev, base = _synthetic_evaluator(rng)
-    bad = base + 0.4 * np.cos(np.linspace(0, 9, base.size))
-    stream = bad[None, :] + 0.05 * rng.normal(size=(60, base.size))
-
-    reference = RuntimeMonitor(ev, window=8, confirm=2)
-    reference.observe_stream(stream)
-
-    halted = RuntimeMonitor(ev, window=8, confirm=2)
-    halted.observe_stream(stream[:25])
-    state = json.loads(json.dumps(halted.state_dict()))
-    resumed = RuntimeMonitor.from_state(state, ev)
-    assert resumed.windows_seen == 25
-    assert resumed.threshold == halted.threshold
-    resumed.observe_stream(stream[25:])
-
-    assert resumed.alarms == reference.alarms
-    assert resumed.current_separation() == reference.current_separation()
-    assert resumed.windows_seen == reference.windows_seen

@@ -217,4 +217,3 @@ def test_netlist_stats_groups_and_percentages():
     assert stats.groups["trojan"].gate_count == 1
     assert stats.gate_percentage("trojan", "aes") == pytest.approx(10.0)
     assert 0 < stats.area_percentage("trojan", "aes") <= 100
-    assert stats.total_gates == 11

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import NetlistError, SimulationError
 from repro.logic.netlist import INPUT_DRIVER, Netlist
+from repro.logic.stats import netlist_stats
 
 
 def _tiny() -> Netlist:
@@ -113,10 +114,12 @@ def test_flop_breaks_loop():
 
 def test_group_queries():
     nl = _tiny()
-    assert nl.groups() == ["core"]
-    assert nl.gate_count(["core"]) == 1
-    assert nl.gate_count(["other"]) == 0
-    assert nl.total_area(["core"]) > 0
+    stats = netlist_stats(nl)
+    assert list(stats.groups) == ["core"]
+    assert stats.groups["core"].gate_count == 1
+    assert stats.groups["core"].area > 0
+    assert [i.name for i in nl.iter_instances("core")] == list(nl.instances)
+    assert list(nl.iter_instances("other")) == []
 
 
 def test_sequential_and_combinational_partitions():

@@ -120,8 +120,8 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown config override"):
             ReproConfig.resolve(environ={}, em_chunk_bytes=0)
         snapshot = {**ReproConfig().describe(), "em_chunk_bytes": 1 << 20}
-        with pytest.raises(ConfigError, match="unknown config snapshot"):
-            ReproConfig.from_snapshot(snapshot)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ReproConfig(**snapshot)
 
     def test_unknown_backend(self):
         # The batch picks the simulator's representation: the one
@@ -141,7 +141,7 @@ class TestValidation:
         for bad in ("bool", "packed"):
             snapshot = {**ReproConfig().describe(), "sim_backend": bad}
             with pytest.raises(ConfigError, match="sim_backend"):
-                ReproConfig.from_snapshot(snapshot)
+                ReproConfig(**snapshot)
 
     def test_unknown_fleet_scoring_mode(self):
         # The fleet engine picks its own scoring path: the one
@@ -157,7 +157,7 @@ class TestValidation:
         ) == ReproConfig.resolve(environ={})
         snapshot = {**ReproConfig().describe(), "fleet_scoring": "sequential"}
         with pytest.raises(ConfigError, match="fleet_scoring"):
-            ReproConfig.from_snapshot(snapshot)
+            ReproConfig(**snapshot)
 
     def test_fleet_shard_knobs(self):
         # The sharded transport is gone: the one remaining shard field
@@ -180,8 +180,8 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown config override"):
             ReproConfig.resolve(environ={}, fleet_ingest="stream")
         snapshot = {**ReproConfig().describe(), "fleet_ingest": "replay"}
-        with pytest.raises(ConfigError, match="unknown config snapshot"):
-            ReproConfig.from_snapshot(snapshot)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ReproConfig(**snapshot)
 
     def test_empty_detector_rejected(self):
         with pytest.raises(ConfigError, match="non-empty"):
@@ -220,18 +220,18 @@ class TestSnapshot:
         snapshot = cfg.describe()
         assert snapshot["workers"] == 4
         assert snapshot["host_cpus"] == 8
-        assert ReproConfig.from_snapshot(snapshot) == cfg
+        assert ReproConfig(**snapshot) == cfg
 
     def test_snapshot_is_json_clean(self):
         import json
 
         doc = json.dumps(ReproConfig.resolve(environ={}).describe())
-        restored = ReproConfig.from_snapshot(json.loads(doc))
+        restored = ReproConfig(**json.loads(doc))
         assert restored == ReproConfig.resolve(environ={})
 
     def test_unknown_snapshot_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config snapshot"):
-            ReproConfig.from_snapshot({"workerz": 4})
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ReproConfig(workerz=4)
 
 
 class TestActiveConfig:
@@ -317,8 +317,8 @@ class TestPoolDegrade:
                 host_cpus=1,
             )
         snapshot = {**ReproConfig().describe(), "force_pool": True}
-        with pytest.raises(ConfigError, match="unknown config snapshot"):
-            ReproConfig.from_snapshot(snapshot)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ReproConfig(**snapshot)
 
     def test_effective_workers_defaults_to_host_cpus(self):
         assert ReproConfig(host_cpus=6).effective_workers() == 6
@@ -362,7 +362,7 @@ class TestSensorArrayKnob:
 
     def test_describe_round_trip(self):
         cfg = ReproConfig(sensor_array="4x4")
-        assert ReproConfig.from_snapshot(cfg.describe()) == cfg
+        assert ReproConfig(**cfg.describe()) == cfg
 
 
 CONFIG_DOC = Path(__file__).resolve().parents[1] / "docs" / "CONFIG.md"

@@ -19,8 +19,11 @@ The same rule holds one level down: every top-level function and class,
 and every method, of a reached module must be read by root code (the
 benchmark files and the Python of the CI workflows), by code a reached
 module runs at import, or by the body of another reached definition.
-A decorated definition (a registration, a property) counts as reached,
-and so do the dunder methods of a reached class.  Names are matched
+A definition under a decorator that registers it (``register_detector``)
+counts as reached, and so do the dunder methods of a reached class;
+Python's own wrappers (``property``, ``classmethod``, ``dataclass`` and
+the like, :data:`WRAPPERS`) only reshape a definition, so it still has
+to be read by name.  Names are matched
 bare, so a common name can keep a dead definition alive; it can never
 flag a live one.  Top-level imports that a module never reads fail too,
 in ``src/repro``, ``tests/`` and ``benchmarks/`` alike (a test file's
@@ -262,6 +265,12 @@ _DEFINITIONS = _FUNCTIONS + (ast.ClassDef,)
 _TARGET = re.compile(r"[\w.]+:([\w.]+)")
 #: A ``python - <<'PY'`` heredoc in a workflow ``run:`` block.
 _HEREDOC = re.compile(r"<<'PY'\n(.*?)\n[ \t]*PY$", re.S | re.M)
+#: Decorators that wrap a definition without calling or registering
+#: it: a definition under only these is reached when its name is read.
+WRAPPERS = frozenset({
+    "property", "classmethod", "staticmethod", "cached_property",
+    "lru_cache", "contextmanager", "dataclass", "runtime_checkable",
+})
 
 
 def _names_read(node: ast.AST) -> set[str]:
@@ -327,6 +336,17 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _registers(decorator: ast.expr) -> bool:
+    """Whether *decorator* can call or register what it decorates,
+    i.e. is not one of Python's own :data:`WRAPPERS`
+    (``@lru_cache(...)`` and ``@functools.lru_cache`` included)."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    if isinstance(decorator, ast.Attribute):
+        return decorator.attr not in WRAPPERS
+    return not (isinstance(decorator, ast.Name) and decorator.id in WRAPPERS)
+
+
 def unreached_definitions() -> list[str]:
     """Definitions of reached modules that no result reads."""
     read: set[str] = set()
@@ -355,7 +375,9 @@ def unreached_definitions() -> list[str]:
                 # ``Cls(...)`` and operators call these, not their name.
                 hit = owner in reached
             else:
-                hit = node.name in read or bool(node.decorator_list)
+                hit = node.name in read or any(
+                    map(_registers, node.decorator_list)
+                )
             if hit:
                 reached.add(name)
                 grew = True
@@ -376,6 +398,22 @@ def test_workflow_python_is_a_root():
     # The CI smoke jobs validate artifacts and load journals inline.
     read = set().union(*map(_names_read, _workflow_python()))
     assert {"validate_artifact", "load", "EventJournal"} <= read
+
+
+def test_wrapper_decorators_do_not_count_as_reads():
+    tree = ast.parse(
+        "@property\ndef a(self): ...\n"
+        "@functools.lru_cache(maxsize=None)\ndef b(): ...\n"
+        "@dataclass(frozen=True)\nclass C: ...\n"
+        "@register_detector\nclass D: ...\n"
+        "@registry.register('x')\ndef e(): ...\n"
+    )
+    registers = {
+        node.name: any(map(_registers, node.decorator_list))
+        for node in tree.body
+    }
+    assert registers == {"a": False, "b": False, "C": False,
+                         "D": True, "e": True}
 
 
 def test_tracer_targets_count_as_reads():
