@@ -23,24 +23,26 @@ import numpy as np
 from conftest import record_timing, run_once
 
 from repro.chip.acquire import (
-    FALL_CODE,
     FALL_CURRENT_FRACTION,
     RISE_CODE,
     AcquisitionEngine,
     EncryptionWorkload,
+    _LaneColumns,
     _clock_sum,
+    _lookup_codes,
 )
 from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
 from repro.chip.scenario import array_scenario
 from repro.logic.activity import ActivityAccumulator
-from repro.logic.simulator import CompiledNetlist, unpack_bits
+from repro.logic.simulator import CompiledNetlist, packed_words, unpack_bits
 from repro.em.biot_savart import b_field_of_segments
 from repro.em.mutual import mutual_inductance_to_loops
 from repro.em.sensor import SensorArray
 from repro.power.pulse import emf_kernel, step_kernel, synthesize_events
 from repro.experiments import campaign_spec, run_campaigns
 from tests.chip.reference_fold import ReferenceFoldEngine, dense_fold_matrix
+from tests.logic.fold_oracle import level_run_fold
 from tests.logic.kahn_reference import kahn_levels, reference_compile
 from tests.logic.representation import representation
 from tests.em.reference_kernels import (
@@ -301,84 +303,128 @@ def _array_engine() -> AcquisitionEngine:
     return AcquisitionEngine(chip, array_scenario(4, 4, seed=1))
 
 
-def _fold_block(chip, batch: int, cycles: int, warmup: int = 8):
-    """``cycles`` AES cycles of toggle and rising masks after *warmup*,
-    as ``(insts, cycles * batch)`` cycle-major column blocks."""
-    sim = chip.sim
-    workload = EncryptionWorkload(chip.aes, b"\x2b" * 16, period=12)
+def _fold_block(engine, batch: int, cycles: int, warmup: int = 8):
+    """``cycles`` AES cycles of toggle and rise lane words after
+    *warmup*, level-ordered and cycle-major ``(cycles, insts, words)``,
+    as the engine's cycle loop buffers them."""
+    sim = engine.chip.sim
+    order = engine.fold_plan.level_order
+    workload = EncryptionWorkload(engine.chip.aes, b"\x2b" * 16, period=12)
     workload.begin(batch, np.random.default_rng(2024))
     state = sim.reset(batch=batch, inputs=workload.inputs(0, batch))
-    tog, ris = [], []
+    shape = (cycles, sim.num_instances, packed_words(batch))
+    tog, ris = np.empty(shape, dtype="<u8"), np.empty(shape, dtype="<u8")
     for k in range(1, warmup + cycles + 1):
         toggles = sim.step(state, workload.inputs(k, batch))
         if k > warmup:
-            tog.append(unpack_bits(toggles, batch))
-            ris.append(unpack_bits(toggles & sim.output_values(state), batch))
-    return np.hstack(tog), np.hstack(ris)
+            rising = toggles & sim.output_values(state)
+            np.take(toggles, order, axis=0, out=tog[k - warmup - 1])
+            np.take(rising, order, axis=0, out=ris[k - warmup - 1])
+    return tog, ris
 
 
 def test_level_fold_kernel(benchmark):
-    """Level fold vs the tests-side dense float64 reference fold.
+    """Live-row fold vs the tests-side dense level-run oracle.
 
     One 256-column block (8 AES cycles x batch 32) of the seed-1 4x4
-    array chip, folded for its 16 coils and for one coil.  The level
-    fold gets the engine's inputs — level-ordered, cycle-major integer
-    activity codes and weights per code unit — already materialised,
-    so both sides time the fold alone; it must match the dense
-    ``(receivers x levels, insts) @ (insts, cols)`` float64 product of
-    the unrounded weights and ``toggles * 0.35 + rising * 0.65`` to
-    1e-5 of each receiver's largest frame value.
+    array chip, folded for its 16 coils and for one coil.  The live-row
+    fold reads the block's lane words through the engine's column
+    source (:class:`_LaneColumns`), so its time includes finding the
+    live rows, looking up their codes and gathering their weights.
+    The oracle (:func:`tests.logic.fold_oracle.level_run_fold`) folds
+    every row, level run by level run, as the engine did before it
+    skipped idle rows: ``oracle_s`` looks up each run's codes from the
+    lane words as it goes, ``fold_only_s`` gets every code already
+    materialised and times the fold alone.  Both
+    folds are exact, so they must agree byte for byte, and both must
+    match the dense ``(receivers x levels, insts) @ (insts, cols)``
+    float64 product of the unrounded weights and
+    ``toggles * 0.35 + rising * 0.65`` to 1e-5 of each receiver's
+    largest frame value.
     """
     smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
     engine = _array_engine()
     chip = engine.chip
     batch, cycles = 32, 8
-    tog, ris = _fold_block(chip, batch, cycles)
-    codes = FALL_CODE * (tog & ~ris) + RISE_CODE * ris.astype(np.float64)
+    tog_words, ris_words = _fold_block(engine, batch, cycles)
+    n_inst = chip.sim.num_instances
+    # The dense reference reads instance-ordered (insts, cols) masks.
+    inverse = np.argsort(engine.fold_plan.level_order)
+    tog, ris = (
+        unpack_bits(w[:, inverse], batch).transpose(1, 0, 2)
+        .reshape(n_inst, cycles * batch)
+        for w in (tog_words, ris_words)
+    )
     weighted = tog * FALL_CURRENT_FRACTION + ris * (1.0 - FALL_CURRENT_FRACTION)
     levels = chip.sim.instance_levels
     coils = chip.receiver_groups["array"]
     repeats = 2 if smoke else 5
+    lanes = _LaneColumns(tog_words, ris_words, batch)
+    live_share = lanes.live_rows().size / (cycles * n_inst)
+    n_bytes = -(-batch // 8)
 
-    def level_fold(accs, columns):
+    def live_fold(accs):
         for acc in accs:
             acc.clear()
-        ActivityAccumulator.record_all_blocks(accs, columns, cycles, batch)
+        ActivityAccumulator.record_all_blocks(accs, lanes, cycles, batch)
         return np.stack([acc.result() for acc in accs])
 
-    for label, names in (("fold_level_16", coils), ("fold_level_1", coils[:1])):
-        accs = [ActivityAccumulator(engine._w_data[n], levels) for n in names]
-        columns = np.ascontiguousarray(
-            codes[accs[0].level_order]
-            .reshape(-1, cycles, batch)
-            .transpose(1, 0, 2)
-        )
+    tog_bytes = tog_words.view(np.uint8)[..., :n_bytes]
+    ris_bytes = ris_words.view(np.uint8)[..., :n_bytes]
+    codes = np.empty((cycles, n_inst, batch))
+    _lookup_codes(
+        tog_bytes, ris_bytes, np.empty(tog_bytes.shape, np.uint16), codes
+    )
+
+    class LaneSlices:
+        """``[:, lo:hi]`` looks up rows ``lo:hi`` of every cycle."""
+
+        shape = codes.shape
+
+        def __getitem__(self, key):
+            rows = key[1]
+            out = np.empty((cycles, rows.stop - rows.start, batch))
+            _lookup_codes(
+                tog_bytes[:, rows], ris_bytes[:, rows],
+                np.empty(out.shape[:2] + (n_bytes,), np.uint16), out,
+            )
+            return out
+
+    def oracle(accs, columns=LaneSlices()):
+        return np.stack(level_run_fold(accs, columns))
+
+    for label, names in (("fold_live_16", coils), ("fold_live_1", coils[:1])):
+        accs = engine.fold_accumulators(names)
         dense = np.vstack([
-            dense_fold_matrix(engine._w_data[n] * RISE_CODE, levels)
-            for n in names
+            dense_fold_matrix(acc.weights * RISE_CODE, levels) for acc in accs
         ])
         ref = (dense @ weighted).reshape(len(names), -1, cycles, batch)
         ref = ref.transpose(0, 2, 1, 3)
-        got = level_fold(accs, columns)
-        t_level = _best_of(lambda: level_fold(accs, columns), repeats)
-        t_dense = _best_of(lambda: dense @ weighted, repeats)
+        got = live_fold(accs)
+        assert got.tobytes() == oracle(accs).tobytes(), label
+        t_live = _best_of(lambda: live_fold(accs), repeats)
+        t_oracle = _best_of(lambda: oracle(accs), repeats)
+        t_fold_only = _best_of(lambda: oracle(accs, codes), repeats)
         err = max(
             np.max(np.abs(g - r)) / np.max(np.abs(r))
             for g, r in zip(got, ref)
         )
         record_timing(
-            label, t_level, dense_s=t_dense, speedup=t_dense / t_level,
-            receivers=len(names), insts=chip.sim.num_instances,
+            label, t_live, oracle_s=t_oracle, speedup=t_oracle / t_live,
+            fold_only_s=t_fold_only,
+            receivers=len(names), insts=n_inst,
             levels=int(levels.max()) + 1, cols=cycles * batch,
-            max_rel_err=float(err), smoke=smoke,
+            live_share=float(live_share), max_rel_err=float(err),
+            smoke=smoke,
         )
         print(
-            f"\n{label} ({len(names)} receivers, {cycles * batch} cols): "
-            f"{t_level * 1e3:.1f} ms vs dense {t_dense * 1e3:.1f} ms "
-            f"-> {t_dense / t_level:.1f}x, max rel err {err:.1e}"
+            f"\n{label} ({len(names)} receivers, {cycles * batch} cols, "
+            f"{live_share:.0%} rows live): {t_live * 1e3:.1f} ms vs oracle "
+            f"{t_oracle * 1e3:.1f} ms -> {t_oracle / t_live:.1f}x, "
+            f"max rel err {err:.1e}"
         )
         assert err < 1e-5, (label, err)
-    run_once(benchmark, level_fold, accs, columns)
+    run_once(benchmark, live_fold, accs)
 
 
 def test_clock_amplitude_kernel(benchmark):

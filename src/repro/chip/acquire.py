@@ -26,7 +26,7 @@ from repro.chip.scenario import Scenario
 from repro.crypto.encoding import random_blocks
 from repro.em.noise import thermal_noise_rms, white_noise
 from repro.errors import ExperimentError, MeasurementError
-from repro.logic.activity import FOLD_ROWS, ActivityAccumulator, grid_step
+from repro.logic.activity import ActivityAccumulator, FoldPlan, grid_step
 from repro.logic.simulator import (
     PackedState,
     lane_slices,
@@ -64,12 +64,12 @@ FALL_CODE, RISE_CODE = (
 )
 
 #: Column budget of one blocked activity fold: the engine buffers
-#: ``max(1, FOLD_BLOCK_COLS // batch)`` cycles of toggle data, cycle
-#: by cycle (``(cycles, instances, lanes)``), and folds them together,
-#: one GEMM per cycle and run of up to ``FOLD_ROWS`` same-level
-#: instances.  Only one such run's float64 activity codes are ever
-#: materialised — ``FOLD_ROWS x FOLD_BLOCK_COLS`` (1 MB) at batches up
-#: to 256 — next to the buffered toggle and rise lane words.
+#: ``max(1, FOLD_BLOCK_COLS // batch)`` cycles of toggle and rise lane
+#: words, cycle by cycle (``(cycles, instances, words)``), and folds them
+#: together.  The fold reads only the live rows — instances toggled in
+#: some lane of a cycle — and materialises the float64 activity codes of
+#: at most ``FOLD_ROWS`` of them per buffered cycle at a time:
+#: ``FOLD_ROWS x FOLD_BLOCK_COLS`` (1 MB) at batches up to 256.
 FOLD_BLOCK_COLS = 256
 
 
@@ -77,11 +77,11 @@ FOLD_BLOCK_COLS = 256
 def _lane_code_lut() -> np.ndarray:
     """Activity codes of 8 lanes, looked up by ``(rise_byte << 8) | toggle_byte``.
 
-    Row ``code`` of the ``(65536, 8)`` float64 table holds, per lane of
-    the byte pair, :data:`RISE_CODE` where the rise bit is set,
+    Entry ``code`` of the ``(65536,)`` uint64 table packs, as 8 uint8
+    bytes in lane order, :data:`RISE_CODE` where the rise bit is set,
     :data:`FALL_CODE` where only the toggle bit is set and ``0``
     otherwise — the codes the bool backend writes for its toggle and
-    rising masks.  Built on first use (4 MB), read-only, shared by
+    rising masks.  Built on first use (512 kB), read-only, shared by
     every engine.
     """
     code = np.arange(1 << 16, dtype=np.uint32)[:, None]
@@ -89,8 +89,9 @@ def _lane_code_lut() -> np.ndarray:
     toggle = ((code >> lane) & 1).astype(bool)
     rise = ((code >> (lane + 8)) & 1).astype(bool)
     lut = np.where(
-        rise, float(RISE_CODE), np.where(toggle, float(FALL_CODE), 0.0)
-    )
+        rise, np.uint8(RISE_CODE),
+        np.where(toggle, np.uint8(FALL_CODE), np.uint8(0)),
+    ).view(np.uint64).ravel()
     lut.flags.writeable = False
     return lut
 
@@ -103,54 +104,54 @@ def _lookup_codes(
 ) -> None:
     """Fill a block of activity codes from toggle and rise lane bytes.
 
-    *tog_bytes* and *ris_bytes* are cycle-major
-    ``(cycles, n_inst, ceil(batch/8))`` uint8 lane bytes (little-endian
-    words, so byte ``j`` holds lanes ``8j .. 8j + 7``), as the cycle
-    loop buffers them, *codes* a uint16 scratch of the same shape and
-    *out* the ``(cycles, n_inst, batch)`` float64 block.  Whole bytes
-    are looked up into a ``(..., 8)`` view of *out*; a ragged last byte
-    takes the table's first ``batch % 8`` columns.
+    *tog_bytes* and *ris_bytes* are ``(..., ceil(batch/8))`` uint8 lane
+    bytes (little-endian words, so byte ``j`` holds lanes
+    ``8j .. 8j + 7``), *codes* a uint16 scratch of the same shape and
+    *out* the ``(..., batch)`` float64 block.  Each byte pair looks up 8
+    lanes' uint8 codes at once; a ragged last byte's padding lanes are
+    dropped on the way into *out*.
     """
     np.left_shift(ris_bytes, 8, out=codes, dtype=np.uint16)
     np.bitwise_or(codes, tog_bytes, out=codes)
-    cycles, n_inst, batch = out.shape
-    full, rem = divmod(batch, 8)
-    lut = _lane_code_lut()
-    if full:
-        np.take(
-            lut, codes[..., :full], axis=0, mode="clip",
-            out=out[..., : 8 * full].reshape(cycles, n_inst, full, 8),
-        )
-    if rem:
-        np.take(
-            lut[:, :rem], codes[..., full], axis=0, mode="clip",
-            out=out[..., 8 * full :],
-        )
+    lanes = np.take(_lane_code_lut(), codes, mode="clip").view(np.uint8)
+    out[...] = lanes[..., : out.shape[-1]]
 
 
-class _LevelBlock:
-    """One flush's level-ordered fold block, built slice by slice.
+class _LaneColumns:
+    """One flush's toggle and rise lane words as the fold's column source.
 
-    ``block[:, lo:hi]`` returns the float64 activity codes of the
-    level-ordered instances ``lo:hi`` over the buffered cycles, as
-    :meth:`ActivityAccumulator.record_all_blocks` reads them:
-    ``build(lo, hi, out)`` writes them into a ``(cycles, hi - lo,
-    batch)`` view of the reused *buffer*, so a slice is valid until the
-    next one is taken.
+    *tog_words* and *ris_words* are the cycle loop's contiguous
+    ``(cycles, n_inst, nwords)`` little-endian lane words, rows in level
+    order.  :meth:`live_rows` numbers the ``(cycle, instance)`` rows
+    cycle-major and reports those whose toggle words are nonzero in any
+    lane; :meth:`codes` gathers the words of the rows asked for and
+    looks up their float64 activity codes (:func:`_lookup_codes`), as
+    :meth:`ActivityAccumulator.record_all_blocks` reads them.
     """
 
-    def __init__(self, shape: tuple[int, int, int], build, buffer) -> None:
-        self.shape = shape
-        self._build = build
-        self._buffer = buffer
+    def __init__(
+        self, tog_words: np.ndarray, ris_words: np.ndarray, batch: int
+    ) -> None:
+        cycles, n_inst, nwords = tog_words.shape
+        self.shape = (cycles, n_inst, batch)
+        # Whole words are gathered from the contiguous buffers: a gather
+        # from their strided byte view would copy the whole buffer.
+        self._tog = tog_words.reshape(cycles * n_inst, nwords)
+        self._ris = ris_words.reshape(cycles * n_inst, nwords)
+        self._n_bytes = -(-batch // 8)
 
-    def __getitem__(self, key: tuple[slice, slice]) -> np.ndarray:
-        _, rows = key
-        cycles, _, batch = self.shape
-        n = cycles * (rows.stop - rows.start) * batch
-        out = self._buffer[:n].reshape(cycles, -1, batch)
-        self._build(rows.start, rows.stop, out)
-        return out
+    def live_rows(self) -> np.ndarray:
+        # Word by word: ``any(axis=1)`` over a short row is 8x slower.
+        live = self._tog[:, 0] != 0
+        for word in range(1, self._tog.shape[1]):
+            live |= self._tog[:, word] != 0
+        return np.flatnonzero(live)
+
+    def codes(self, rows: np.ndarray, out: np.ndarray) -> None:
+        n_bytes = self._n_bytes
+        tog = np.take(self._tog, rows, axis=0).view(np.uint8)[:, :n_bytes]
+        ris = np.take(self._ris, rows, axis=0).view(np.uint8)[:, :n_bytes]
+        _lookup_codes(tog, ris, np.empty(tog.shape, dtype=np.uint16), out)
 
 
 def _clock_grid(
@@ -392,18 +393,34 @@ class AcquisitionEngine:
         self._clock_nets = {
             f"__clk{j}": net_names[net] for j, net in enumerate(en_nets)
         }
-        # Per-receiver event weights.
-        self._w_data: dict[str, np.ndarray] = {}
+        # Per-receiver event weights.  The data weights, per
+        # activity-code unit (a rise folds as RISE_CODE units), form one
+        # fold plan: every acquisition's accumulators share its level
+        # order and rounded weights, read-only.
+        w_data = np.empty((len(chip.receivers), sim.num_instances))
         self._clock_grid: dict[str, tuple[float, np.ndarray]] = {}
-        for name, rcv in chip.receivers.items():
-            # Data weights per activity-code unit (a rise folds as
-            # RISE_CODE units).
-            w = rcv.cell_coupling * chip.q_switch * scale
-            self._w_data[name] = w / RISE_CODE
+        for row, (name, rcv) in enumerate(chip.receivers.items()):
+            np.divide(
+                rcv.cell_coupling * chip.q_switch * scale, RISE_CODE,
+                out=w_data[row],
+            )
             w_clk = rcv.cell_coupling * chip.q_clock * scale
             self._clock_grid[name] = _clock_grid(
                 w_clk[sim.seq_instance_idx], codes, en_nets.size + 1
             )
+        w_data.flags.writeable = False
+        self.fold_plan = FoldPlan(w_data, sim.instance_levels)
+        self._fold_row = {name: row for row, name in enumerate(chip.receivers)}
+
+    # ------------------------------------------------------------------
+    def fold_accumulators(
+        self, names: tuple[str, ...]
+    ) -> list[ActivityAccumulator]:
+        """Fresh accumulators of receivers *names* on the shared fold plan."""
+        return [
+            ActivityAccumulator.from_plan(self.fold_plan, self._fold_row[name])
+            for name in names
+        ]
 
     # ------------------------------------------------------------------
     def acquire(
@@ -622,12 +639,8 @@ class AcquisitionEngine:
             first_inputs.update(wl0)
         state = sim.reset(batch=total, inputs=first_inputs)
 
-        levels = sim.instance_levels
-        accumulators = {
-            name: ActivityAccumulator(self._w_data[name], levels)
-            for name in names
-        }
-        acc_list = list(accumulators.values())
+        acc_list = self.fold_accumulators(names)
+        accumulators = dict(zip(names, acc_list))
         watch: dict[str, str] = dict(record_nets or {})
         for i, tap in enumerate(chip.taps):
             watch[f"__tap{i}_net"] = tap.net
@@ -726,19 +739,18 @@ class AcquisitionEngine:
 
         Buffers up to ``FOLD_BLOCK_COLS // batch`` cycles of toggle
         data, then folds them through
-        :meth:`ActivityAccumulator.record_all_blocks`, which reads the
-        block ``FOLD_ROWS`` level-ordered instances at a time.  The
-        buffers are cycle-major, ``(block, n_inst, ...)``: each cycle
-        gathers its rows into level order straight into one contiguous
-        slab, and each fold slice ``[:c, lo:hi]`` is built on demand as
-        cycle-major float64 activity codes (:data:`FALL_CODE` for
-        toggled-and-fell, :data:`RISE_CODE` for rising).  The packed
-        backend buffers toggle and rise lane words and looks the codes
-        up 8 lanes at a time (:func:`_lane_code_lut`); the bool backend
-        buffers the uint8 codes themselves.  Both hand the fold
-        identical codes, and the fold of integer codes is exact, so the
-        folded frames — and therefore the traces — are bit-identical by
-        construction.
+        :meth:`ActivityAccumulator.record_all_blocks`, which reads only
+        the live rows of the block.  The buffers are cycle-major,
+        ``(block, n_inst, ...)``: each cycle gathers its rows into level
+        order straight into one contiguous slab.  The packed backend
+        buffers toggle and rise lane words and hands the fold a
+        :class:`_LaneColumns` source, which looks the live rows' codes
+        up 8 lanes at a time (:func:`_lane_code_lut`) — :data:`FALL_CODE`
+        for toggled-and-fell, :data:`RISE_CODE` for rising; the bool
+        backend buffers the uint8 codes themselves and hands the fold
+        that block.  Both give the fold identical codes, and the fold of
+        integer codes is exact, so the folded frames — and therefore the
+        traces — are bit-identical by construction.
 
         Returns the watched nets' values as a bool array of shape
         ``(n_cycles + 1, len(watch_idx), batch)``, row 0 the post-reset
@@ -749,18 +761,12 @@ class AcquisitionEngine:
         packed = isinstance(state, PackedState)
         block = max(1, min(n_cycles, FOLD_BLOCK_COLS // batch))
         order = acc_list[0].level_order
-        slice_len = min(FOLD_ROWS, n_inst) * block * batch
-        slice_buf = np.empty(slice_len)
         if packed:
             nwords = state.nwords
             # Little-endian words, so a uint8 view walks the lanes in
             # order: byte j of a row holds lanes 8j .. 8j + 7.
             tog_words = np.empty((block, n_inst, nwords), dtype="<u8")
             ris_words = np.empty_like(tog_words)
-            n_bytes = -(-batch // 8)
-            tog_bytes = tog_words.view(np.uint8)[..., :n_bytes]
-            ris_bytes = ris_words.view(np.uint8)[..., :n_bytes]
-            scratch = np.empty(slice_len // batch * n_bytes, dtype=np.uint16)
             rec_words = np.empty(
                 (n_cycles + 1, watch_idx.size, nwords), dtype=np.uint64
             )
@@ -773,25 +779,6 @@ class AcquisitionEngine:
             )
             if watch_idx.size:
                 rec_buf[0] = state.values[watch_idx]
-
-        def flush(c: int) -> None:
-            if packed:
-                def build(lo: int, hi: int, out: np.ndarray) -> None:
-                    k = hi - lo
-                    _lookup_codes(
-                        tog_bytes[:c, lo:hi], ris_bytes[:c, lo:hi],
-                        scratch[: c * k * n_bytes].reshape(c, k, n_bytes),
-                        out,
-                    )
-            else:
-                def build(lo: int, hi: int, out: np.ndarray) -> None:
-                    out[...] = code_block[:c, lo:hi]
-
-            ActivityAccumulator.record_all_blocks(
-                acc_list,
-                _LevelBlock((c, n_inst, batch), build, slice_buf),
-                c, batch,
-            )
 
         fill = 0
         for k in range(1, n_cycles + 1):
@@ -812,11 +799,15 @@ class AcquisitionEngine:
                 if watch_idx.size:
                     rec_buf[k] = state.values[watch_idx]
             fill += 1
-            if fill == block:
-                flush(fill)
+            if fill == block or k == n_cycles:
+                columns = (
+                    _LaneColumns(tog_words[:fill], ris_words[:fill], batch)
+                    if packed else code_block[:fill]
+                )
+                ActivityAccumulator.record_all_blocks(
+                    acc_list, columns, fill, batch
+                )
                 fill = 0
-        if fill:
-            flush(fill)
 
         if packed:
             rec_buf = unpack_bits(rec_words, batch)

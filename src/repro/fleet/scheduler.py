@@ -16,7 +16,7 @@ decides, explicitly:
   fleet report — **never silent**.
 
 Early stop: :meth:`FleetScheduler.run` with ``max_ticks`` stops at a
-tick boundary and journals a ``checkpoint`` event; a later
+tick boundary and journals an ``early_stop`` event; a later
 :meth:`~FleetScheduler.run` on the same scheduler and feeds continues
 the stream where it stopped — same alarms, same journal tail as an
 uninterrupted run.
@@ -219,7 +219,7 @@ class FleetScheduler:
         """Stream every feed through its session; returns the outcome.
 
         ``max_ticks`` stops after that many *absolute*
-        production/consumption ticks and journals a ``checkpoint``
+        production/consumption ticks and journals an ``early_stop``
         event; calling :meth:`run` again with the same feeds continues
         from there.
         """
@@ -286,7 +286,7 @@ class FleetScheduler:
                 return True
             if max_ticks is not None and self._tick >= max_ticks:
                 self.journal.record(
-                    "checkpoint",
+                    "early_stop",
                     tick=self._tick,
                     windows={
                         c: self.sessions[c].windows_ingested

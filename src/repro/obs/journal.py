@@ -1,7 +1,7 @@
 """JSONL event journal for instrumented runs.
 
 Every noteworthy fleet event — an alarm, an early stop
-(``checkpoint``), a dropped window, a spectral-sweep verdict — is one
+(``early_stop``), a dropped window, a spectral-sweep verdict — is one
 JSON object per line.  Events carry **no wall-clock timestamps or
 global counters** by design: a journal is a pure function of the
 (seeded) run that produced it, so tests can assert that two runs'
@@ -26,7 +26,7 @@ from repro.io.store import _json_default, atomic_write_bytes
 
 #: Event kinds the fleet layer emits (free-form kinds are allowed; this
 #: is the documented core vocabulary).
-EVENT_KINDS = ("alarm", "drop", "checkpoint", "spectral", "campaign")
+EVENT_KINDS = ("alarm", "drop", "early_stop", "spectral", "campaign")
 
 
 class EventJournal:

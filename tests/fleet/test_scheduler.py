@@ -105,7 +105,7 @@ def test_early_stop_then_rerun_continues_bit_identically(
     scheduler, feeds, journal = _fleet(fleet, streams, faults=FAULTS)
     r_part = scheduler.run(feeds, max_ticks=5)
     assert not r_part.complete and r_part.ticks == 5
-    assert journal.events[-1]["kind"] == "checkpoint"
+    assert journal.events[-1]["kind"] == "early_stop"
     assert "PARTIAL" in r_part.format()
     r_rest = scheduler.run(feeds)
     assert r_rest.complete and r_rest.ticks == r_full.ticks
@@ -118,7 +118,7 @@ def test_early_stop_then_rerun_continues_bit_identically(
         assert rest.out_of_order == full.out_of_order
     assert r_full.reports["bad"].alarms
     assert [
-        e for e in journal.events if e["kind"] != "checkpoint"
+        e for e in journal.events if e["kind"] != "early_stop"
     ] == full_journal.events
 
 

@@ -365,7 +365,7 @@ def test_stream_early_stop_then_rerun_continues(synthetic, fleet_streams):
     assert r_rest.complete
     _assert_identical(r_ref, r_rest, fleet_streams)
     assert [
-        e for e in j_st.events if e["kind"] != "checkpoint"
+        e for e in j_st.events if e["kind"] != "early_stop"
     ] == j_ref.events
 
 
