@@ -27,11 +27,7 @@ from repro.crypto.encoding import random_blocks
 from repro.em.noise import thermal_noise_rms, white_noise
 from repro.errors import ExperimentError, MeasurementError
 from repro.logic.activity import ActivityAccumulator, FoldPlan, grid_step
-from repro.logic.simulator import (
-    PackedState,
-    lane_slices,
-    unpack_bits,
-)
+from repro.logic.simulator import lane_slices, unpack_bits
 from repro.obs import active_metrics
 from repro.power.pulse import (
     current_kernel,
@@ -72,6 +68,11 @@ FALL_CODE, RISE_CODE = (
 #: ``FOLD_ROWS x FOLD_BLOCK_COLS`` (1 MB) at batches up to 256.
 FOLD_BLOCK_COLS = 256
 
+#: Label prefixes of the nets the engine watches for itself (Trojan taps
+#: and clock enables).  They never reach ``AcquisitionResult.recorded``,
+#: so a ``record_nets`` label carrying one is rejected.
+_RESERVED_LABELS = ("__tap", "__clk")
+
 
 @lru_cache(maxsize=1)
 def _lane_code_lut() -> np.ndarray:
@@ -80,9 +81,8 @@ def _lane_code_lut() -> np.ndarray:
     Entry ``code`` of the ``(65536,)`` uint64 table packs, as 8 uint8
     bytes in lane order, :data:`RISE_CODE` where the rise bit is set,
     :data:`FALL_CODE` where only the toggle bit is set and ``0``
-    otherwise — the codes the bool backend writes for its toggle and
-    rising masks.  Built on first use (512 kB), read-only, shared by
-    every engine.
+    otherwise.  Built on first use (512 kB), read-only, shared by every
+    engine.
     """
     code = np.arange(1 << 16, dtype=np.uint32)[:, None]
     lane = np.arange(8, dtype=np.uint32)
@@ -465,13 +465,11 @@ class AcquisitionEngine:
             golden-vs-Trojan spectra compare "the same operation").
 
         A solo acquisition is a lane group of one: it runs the same
-        body as :meth:`acquire_group`.  The cycle loop runs on the
-        representation :meth:`repro.logic.simulator.CompiledNetlist.
-        reset` picks for *batch* (bool for one lane, packed from 2 up);
-        both feed the same activity codes to the same exact level fold
-        and produce bit-identical traces, toggles and recorded nets for
-        the same RNG streams.
-        Empty or repeated *receivers* and unknown *record_nets* nets raise
+        body as :meth:`acquire_group`, on the simulator's lane words
+        (one word per net for a single lane).
+        Empty or repeated *receivers*, unknown *record_nets* nets and
+        *record_nets* labels starting with ``__tap`` or ``__clk`` (the
+        engine's own watch labels) raise
         :class:`~repro.errors.MeasurementError` before anything is
         simulated.
         """
@@ -526,9 +524,7 @@ class AcquisitionEngine:
             workload instances distinct (workloads hold per-campaign
             state).
         n_cycles, record_nets, receivers, include_noise:
-            As in :meth:`acquire`, shared by the whole group.  The
-            *combined* batch picks the simulator's representation, so
-            a group of single-lane members still runs packed.
+            As in :meth:`acquire`, shared by the whole group.
 
         Returns
         -------
@@ -586,6 +582,11 @@ class AcquisitionEngine:
             dup = sorted({n for n in names if names.count(n) > 1})
             raise MeasurementError(f"receivers repeats {dup}")
         for label, net in (record_nets or {}).items():
+            if label.startswith(_RESERVED_LABELS):
+                raise MeasurementError(
+                    f"record_nets label {label!r} is reserved (labels may "
+                    f"not start with {' or '.join(_RESERVED_LABELS)})"
+                )
             if net not in sim.net_index:
                 raise MeasurementError(
                     f"record_nets[{label!r}] names unknown net {net!r}"
@@ -652,12 +653,10 @@ class AcquisitionEngine:
             [sim.net_index[net] for net in watch.values()], dtype=np.int64
         )
 
-        # Per-stage observability: which representation ran, and how
-        # long the cycle loop took, land in the active metrics registry
+        # Per-stage observability: the cycle-lanes simulated and how
+        # long the cycle loop took land in the active metrics registry
         # (and so in every saved RunResult artifact).
         metrics = active_metrics()
-        kind = "packed" if isinstance(state, PackedState) else "bool"
-        metrics.counter(f"sim.backend.{kind}").inc()
         metrics.counter("acquire.cycles").inc(n_cycles * total)
 
         with metrics.time("stage.sim_cycles.seconds"):
@@ -699,7 +698,7 @@ class AcquisitionEngine:
                     recorded={
                         label: arr
                         for label, arr in rec_arrays.items()
-                        if not label.startswith(("__tap", "__clk"))
+                        if not label.startswith(_RESERVED_LABELS)
                     },
                 ))
         return results
@@ -737,20 +736,16 @@ class AcquisitionEngine:
     ) -> np.ndarray:
         """Cycle loop with a blocked, level-ordered activity fold.
 
-        Buffers up to ``FOLD_BLOCK_COLS // batch`` cycles of toggle
-        data, then folds them through
+        Buffers up to ``FOLD_BLOCK_COLS // batch`` cycles of toggle and
+        rise lane words, then folds them through
         :meth:`ActivityAccumulator.record_all_blocks`, which reads only
         the live rows of the block.  The buffers are cycle-major,
-        ``(block, n_inst, ...)``: each cycle gathers its rows into level
-        order straight into one contiguous slab.  The packed backend
-        buffers toggle and rise lane words and hands the fold a
-        :class:`_LaneColumns` source, which looks the live rows' codes
-        up 8 lanes at a time (:func:`_lane_code_lut`) — :data:`FALL_CODE`
-        for toggled-and-fell, :data:`RISE_CODE` for rising; the bool
-        backend buffers the uint8 codes themselves and hands the fold
-        that block.  Both give the fold identical codes, and the fold of
-        integer codes is exact, so the folded frames — and therefore the
-        traces — are bit-identical by construction.
+        ``(block, n_inst, nwords)``: each cycle gathers its rows into
+        level order straight into one contiguous slab.  The fold reads
+        them through a :class:`_LaneColumns` source, which looks the
+        live rows' codes up 8 lanes at a time (:func:`_lane_code_lut`) —
+        :data:`FALL_CODE` for toggled-and-fell, :data:`RISE_CODE` for
+        rising.
 
         Returns the watched nets' values as a bool array of shape
         ``(n_cycles + 1, len(watch_idx), batch)``, row 0 the post-reset
@@ -758,60 +753,36 @@ class AcquisitionEngine:
         """
         sim = self.chip.sim
         n_inst = sim.num_instances
-        packed = isinstance(state, PackedState)
         block = max(1, min(n_cycles, FOLD_BLOCK_COLS // batch))
         order = acc_list[0].level_order
-        if packed:
-            nwords = state.nwords
-            # Little-endian words, so a uint8 view walks the lanes in
-            # order: byte j of a row holds lanes 8j .. 8j + 7.
-            tog_words = np.empty((block, n_inst, nwords), dtype="<u8")
-            ris_words = np.empty_like(tog_words)
-            rec_words = np.empty(
-                (n_cycles + 1, watch_idx.size, nwords), dtype=np.uint64
-            )
-            if watch_idx.size:
-                rec_words[0] = state.words[watch_idx]
-        else:
-            code_block = np.empty((block, n_inst, batch), dtype=np.uint8)
-            rec_buf = np.empty(
-                (n_cycles + 1, watch_idx.size, batch), dtype=bool
-            )
-            if watch_idx.size:
-                rec_buf[0] = state.values[watch_idx]
+        # Little-endian words, so a uint8 view walks the lanes in order:
+        # byte j of a row holds lanes 8j .. 8j + 7.
+        tog_words = np.empty((block, n_inst, state.nwords), dtype="<u8")
+        ris_words = np.empty_like(tog_words)
+        rec_words = np.empty(
+            (n_cycles + 1, watch_idx.size, state.nwords), dtype=np.uint64
+        )
+        if watch_idx.size:
+            rec_words[0] = state.words[watch_idx]
 
         fill = 0
         for k in range(1, n_cycles + 1):
-            if packed:
-                toggles = sim.step(state, workload.inputs(k, batch))
-                np.take(toggles, order, axis=0, out=tog_words[fill])
-                np.take(toggles & sim.output_values(state), order, axis=0,
-                        out=ris_words[fill])
-                if watch_idx.size:
-                    rec_words[k] = state.words[watch_idx]
-            else:
-                toggles = sim.step(state, workload.inputs(k, batch))
-                rising = (toggles & sim.output_values(state))[order]
-                codes = code_block[fill]
-                np.take(toggles, order, axis=0, out=codes.view(bool))
-                codes *= FALL_CODE
-                np.copyto(codes, RISE_CODE, where=rising)
-                if watch_idx.size:
-                    rec_buf[k] = state.values[watch_idx]
+            toggles = sim.step(state, workload.inputs(k, batch))
+            np.take(toggles, order, axis=0, out=tog_words[fill])
+            np.take(toggles & sim.output_values(state), order, axis=0,
+                    out=ris_words[fill])
+            if watch_idx.size:
+                rec_words[k] = state.words[watch_idx]
             fill += 1
             if fill == block or k == n_cycles:
-                columns = (
-                    _LaneColumns(tog_words[:fill], ris_words[:fill], batch)
-                    if packed else code_block[:fill]
-                )
                 ActivityAccumulator.record_all_blocks(
-                    acc_list, columns, fill, batch
+                    acc_list,
+                    _LaneColumns(tog_words[:fill], ris_words[:fill], batch),
+                    fill,
+                    batch,
                 )
                 fill = 0
-
-        if packed:
-            rec_buf = unpack_bits(rec_words, batch)
-        return rec_buf
+        return unpack_bits(rec_words, batch)
 
     # ------------------------------------------------------------------
     def _synthesis_groups(

@@ -119,11 +119,11 @@ class ReproConfig:
 
     #: Campaign worker processes; ``None`` means "one per host CPU".
     workers: int | None = None
-    #: Logic-simulation representation, fixed at ``"auto"``: the batch
-    #: picks it (:meth:`repro.logic.simulator.CompiledNetlist.reset`,
-    #: packed from batch 2).  The field stays only because
-    #: ``benchmarks/pipeline/run.py`` still pins it; any other value is
-    #: rejected.
+    #: Logic-simulation representation, fixed at ``"auto"``: the
+    #: simulator has one, lane words at every batch
+    #: (:meth:`repro.logic.simulator.CompiledNetlist.reset`).  The field
+    #: stays only because ``benchmarks/pipeline/run.py`` still pins it;
+    #: any other value is rejected.
     sim_backend: str = "auto"
     #: Trace-cache directory; ``None`` disables the cache.
     cache_dir: str | None = None
@@ -179,7 +179,7 @@ class ReproConfig:
         if self.sim_backend != "auto":
             raise ConfigError(
                 f"sim_backend must be 'auto', got {self.sim_backend!r}: "
-                "the batch picks the simulator's representation"
+                "the simulator has one representation"
             )
         if self.cache_dir is not None and not self.cache_dir:
             object.__setattr__(self, "cache_dir", None)

@@ -20,7 +20,6 @@ from repro.logic.builder import NetlistBuilder
 from repro.logic.simulator import (
     CompiledNetlist,
     PackedState,
-    SimulationState,
     lane_slices,
     pack_bits,
     unpack_bits,
@@ -40,7 +39,6 @@ __all__ = [
     "NetlistBuilder",
     "CompiledNetlist",
     "PackedState",
-    "SimulationState",
     "lane_slices",
     "pack_bits",
     "unpack_bits",

@@ -49,9 +49,9 @@ class ToggleCountRecorder:
         self.cycles = 0
 
     def record(self, toggles: np.ndarray, batch: int) -> None:
-        """Fold in one cycle's toggle matrix, summed over its *batch*
-        lanes — bool or packed, as :meth:`CompiledNetlist.step` returned
-        it; packed padding lanes are not counted."""
+        """Fold in one cycle's toggle lane words, as
+        :meth:`CompiledNetlist.step` returned them, summed over their
+        *batch* lanes; padding lanes are not counted."""
         if toggles.shape[0] != self._sim.num_instances:
             raise SimulationError(
                 f"toggle matrix has {toggles.shape[0]} rows, expected "
@@ -120,24 +120,6 @@ class FoldPlan:
             arr.flags.writeable = False
 
 
-class _DenseColumns:
-    """A materialised ``(cycles, insts, batch)`` block as a column source.
-
-    Its live rows are the ``(cycle, instance)`` rows with any nonzero
-    lane; their codes are gathered as they are.
-    """
-
-    def __init__(self, block: np.ndarray) -> None:
-        cycles, insts, batch = self.shape = block.shape
-        self._rows = block.reshape(cycles * insts, batch)
-
-    def live_rows(self) -> np.ndarray:
-        return np.flatnonzero(self._rows.any(axis=1))
-
-    def codes(self, rows: np.ndarray, out: np.ndarray) -> None:
-        out[...] = np.take(self._rows, rows, axis=0)
-
-
 class ActivityAccumulator:
     """Per-cycle weighted toggle sums, grouped by switching-delay level.
 
@@ -168,7 +150,7 @@ class ActivityAccumulator:
     ``n`` is the size of the longest level (6e-11 on the 35 k-instance
     test chip, whose longest level holds 10 275 cells).  Fed integer
     activity codes of magnitude at most :data:`MAX_ACTIVITY_CODE` —
-    bool toggles, or the acquisition engine's fall/rise codes — every
+    0/1 toggles, or the acquisition engine's fall/rise codes — every
     partial sum is an integer below ``2**53``, which float64 holds
     without rounding, and the frames are that sum times :attr:`step`.
     So the folded frames do not depend on summation order: any BLAS
@@ -212,14 +194,13 @@ class ActivityAccumulator:
     ) -> None:
         """Fold a whole block of cycles into several accumulators at once.
 
-        *columns* holds ``n_cycles`` toggle matrices stacked cycle by
-        cycle, rows in **level order** (``level_order`` of the
-        accumulators, which must all share ``bins``): shape
-        ``(n_cycles, insts, batch)``.  It is either that ndarray or a
-        column source with the same ``shape`` that numbers its rows
-        cycle-major (row ``k * insts + i`` is instance ``i`` of cycle
-        ``k``) and offers ``live_rows()``, the sorted rows with a
-        nonzero code in some lane (it may report more), and
+        *columns* is a column source over ``n_cycles`` activity-code
+        matrices stacked cycle by cycle, rows in **level order**
+        (``level_order`` of the accumulators, which must all share
+        ``bins``).  Its ``shape`` is ``(n_cycles, insts, batch)``; it
+        numbers its rows cycle-major (row ``k * insts + i`` is instance
+        ``i`` of cycle ``k``) and offers ``live_rows()``, the sorted rows
+        with a nonzero code in some lane (it may report more), and
         ``codes(rows, out)``, which writes those rows' codes into a
         float64 ``(len(rows), batch)`` *out*.  The acquisition engine
         passes one that reads its lane words, so no whole block of codes
@@ -242,8 +223,6 @@ class ActivityAccumulator:
                 raise SimulationError(
                     "accumulators folded together must share delay bins"
                 )
-        if isinstance(columns, np.ndarray):
-            columns = _DenseColumns(columns)
         level_weights = [acc.level_weights for acc in accumulators]
         n_levels = first.num_bins
         frames = np.zeros((n_cycles * n_levels, len(accumulators), batch))

@@ -17,22 +17,12 @@ cycle the gate switches — is the sole interface between logic and the
 power/EM models, mirroring how the paper couples Hspice currents to the
 EM solver.
 
-Two bit-identical representations share one compiled netlist, and the
-batch alone picks between them (:meth:`CompiledNetlist.reset`):
-
-* ``bool`` — one byte per logic value, ``(num_nets, batch)`` bool
-  arrays (:class:`SimulationState`), for a single lane.  A lane's
-  uint64 word would be 8× its byte, and the bool cycle loop is the
-  faster one there.
-* ``packed`` — bit-sliced: 64 batch lanes per ``uint64`` word,
-  ``(num_nets, ceil(batch/64))`` arrays (:class:`PackedState`), from
-  :data:`PACKED_BATCH_THRESHOLD` lanes up.  Up to 8× smaller state and
-  about 3× faster stepping.
-
-Every library cell function is a pure ``& | ^ ~`` composition, so one
-schedule evaluates either representation.  Both follow the identical
-per-cycle toggle contract — unpacking a packed toggle word with
-:func:`unpack_bits` yields exactly the bool representation's matrix.
+State is bit-sliced: 64 batch lanes per ``uint64`` word, one
+``(num_nets, ceil(batch/64))`` array (:class:`PackedState`), so a single
+lane is one word per net.  Every library cell function is a pure
+``& | ^ ~`` composition, so one schedule evaluates all 64 lanes of a
+word at once.  Toggle matrices come back as the same lane words;
+:func:`unpack_bits` turns them into ``(n_inst, batch)`` bool matrices.
 """
 
 from __future__ import annotations
@@ -46,13 +36,8 @@ from repro.logic.netlist import Netlist
 
 BoolArray = np.ndarray
 
-#: Batch lanes per machine word in the packed backend.
+#: Batch lanes per machine word of the simulator state.
 WORD_BITS = 64
-
-#: Smallest batch :meth:`CompiledNetlist.reset` runs packed.  A single
-#: lane gains nothing from packing: its word is 8× the bool state's
-#: byte, and the bool cycle loop is the faster one there.
-PACKED_BATCH_THRESHOLD = 2
 
 #: Little-endian word dtype the pack/unpack helpers round-trip through,
 #: so the lane order is fixed regardless of host byte order.
@@ -111,15 +96,12 @@ def unpack_bits(words: np.ndarray, batch: int) -> np.ndarray:
 def lane_counts(matrix: np.ndarray, batch: int) -> np.ndarray:
     """Per-row count of the set lanes among the first *batch*.
 
-    *matrix* is a simulator matrix in either representation — bool
-    ``(rows, batch)`` or packed ``(rows, nwords)`` lane words, such as a
-    toggle matrix or :meth:`CompiledNetlist.clock_enable_values` — and
-    padding lanes beyond *batch* are never counted.  Returns int64
-    ``(rows,)``.
+    *matrix* holds ``(rows, nwords)`` lane words, such as a toggle
+    matrix or :meth:`CompiledNetlist.clock_enable_values`, and padding
+    lanes beyond *batch* are never counted.  Returns int64 ``(rows,)``.
     """
-    if matrix.dtype == np.uint64:
-        matrix = np.bitwise_count(matrix & _lane_mask(batch))
-    return matrix.sum(axis=-1, dtype=np.int64)
+    counts = np.bitwise_count(matrix & _lane_mask(batch))
+    return counts.sum(axis=-1, dtype=np.int64)
 
 
 def _row_view(arr: np.ndarray) -> np.ndarray:
@@ -165,28 +147,6 @@ def lane_slices(batches) -> list[slice]:
 
 
 @dataclass
-class SimulationState:
-    """Mutable per-run simulator state.
-
-    ``values`` has shape ``(num_nets, batch)`` and dtype bool; ``cycle``
-    counts completed :meth:`CompiledNetlist.step` calls since reset.
-    """
-
-    values: np.ndarray
-    cycle: int = 0
-
-    @property
-    def batch(self) -> int:
-        """Number of stimulus vectors simulated in parallel."""
-        return self.values.shape[1]
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The per-net value rows, :attr:`values`."""
-        return self.values
-
-
-@dataclass
 class PackedState:
     """Bit-sliced simulator state: 64 batch lanes per uint64 word.
 
@@ -205,11 +165,6 @@ class PackedState:
     def nwords(self) -> int:
         """Words per net row."""
         return self.words.shape[1]
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The per-net value rows, :attr:`words`."""
-        return self.words
 
 
 @dataclass(frozen=True)
@@ -303,9 +258,9 @@ class CompiledNetlist:
             name: self.net_index[name] for name in netlist.inputs
         }
         # Scratch buffers for _propagate's input gathers (one set per
-        # comb group), keyed by row width and dtype, so the hot loop
+        # comb group), keyed by row width in words, so the hot loop
         # stops allocating.
-        self._scratch: dict[tuple, list[tuple[np.ndarray, ...]]] = {}
+        self._scratch: dict[int, list[tuple[np.ndarray, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Execution
@@ -314,64 +269,53 @@ class CompiledNetlist:
         self,
         batch: int = 1,
         inputs: dict[str, BoolArray] | None = None,
-    ) -> SimulationState | PackedState:
+    ) -> PackedState:
         """Return a freshly reset state with combinational logic settled.
 
         Flip-flops take their ``ff_init`` values; unspecified primary
-        inputs are 0.  The batch picks the representation: a
-        :class:`SimulationState` below :data:`PACKED_BATCH_THRESHOLD`
-        lanes, a bit-sliced :class:`PackedState` from there on.  The two
-        are bit-identical through every accessor.
+        inputs are 0.  The state holds ``packed_words(batch)`` lane
+        words per net, one word for a single lane.
         """
         if batch <= 0:
             raise SimulationError(f"batch size must be positive, got {batch}")
-        if batch < PACKED_BATCH_THRESHOLD:
-            state = SimulationState(
-                values=np.zeros((self.num_nets, batch), dtype=bool)
-            )
-            on = True
-        else:
-            state = PackedState(
-                words=np.zeros(
-                    (self.num_nets, packed_words(batch)), dtype=np.uint64
-                ),
-                batch=batch,
-            )
-            on = _lane_mask(batch)
-        rows = state.rows
+        state = PackedState(
+            words=np.zeros(
+                (self.num_nets, packed_words(batch)), dtype=np.uint64
+            ),
+            batch=batch,
+        )
+        on = _lane_mask(batch)
         if self._seq_q_idx.size:
-            rows[self._seq_q_idx[self._seq_init]] = on
+            state.words[self._seq_q_idx[self._seq_init]] = on
         if self._tie_idx.size:
-            rows[self._tie_idx[self._tie_val]] = on
+            state.words[self._tie_idx[self._tie_val]] = on
         self._apply_inputs(state, inputs)
         self._propagate(state)
         return state
 
     def step(
         self,
-        state: SimulationState | PackedState,
+        state: PackedState,
         inputs: dict[str, BoolArray] | None = None,
-    ) -> BoolArray:
+    ) -> np.ndarray:
         """Advance one clock cycle; return the per-instance toggle matrix.
 
-        On a bool state the returned array has shape
-        ``(num_instances, batch)`` and is True where the instance's
-        output net changed during this cycle.  On a packed state it is
-        the same matrix as uint64 lane words,
-        ``(num_instances, nwords)`` — ``unpack_bits(t, batch)`` recovers
-        the bool form exactly (padding lanes are unspecified).
+        The matrix is uint64 lane words, ``(num_instances, nwords)``,
+        with a lane's bit set where the instance's output net changed
+        during this cycle; ``unpack_bits(t, batch)`` gives the
+        ``(num_instances, batch)`` bool form (padding lanes are
+        unspecified).
         """
-        rows = state.rows
+        words = state.words
         toggled = self.output_values(state)
 
         # Clock edge: capture D into Q (with enables) from settled values,
-        # as the lane-wise "EN ? D : Q" q ^ ((q ^ d) & en), which is
-        # np.where(en, d, q) on bools and needs no truthiness on words.
+        # as the lane-wise "EN ? D : Q" q ^ ((q ^ d) & en).
         if self._seq_q_idx.size:
-            d_vals = np.take(rows, self._seq_d_idx, axis=0)
-            q_vals = np.take(rows, self._seq_q_idx, axis=0)
-            en_vals = self._enable_rows(rows)
-            _row_view(rows)[self._seq_q_idx] = _row_view(
+            d_vals = np.take(words, self._seq_d_idx, axis=0)
+            q_vals = np.take(words, self._seq_q_idx, axis=0)
+            en_vals = self._enable_rows(words)
+            _row_view(words)[self._seq_q_idx] = _row_view(
                 q_vals ^ ((q_vals ^ d_vals) & en_vals)
             )
 
@@ -381,67 +325,54 @@ class CompiledNetlist:
         toggled ^= self.output_values(state)
         return toggled
 
-    def output_values(self, state: SimulationState | PackedState) -> BoolArray:
-        """Current output-net value of every instance, ``(n_inst, batch)``.
+    def output_values(self, state: PackedState) -> np.ndarray:
+        """Current output-net value of every instance as lane words,
+        ``(n_inst, nwords)``.
 
         Combined with a toggle matrix this distinguishes rising from
         falling output transitions (a cell that just toggled and now
         reads 1 rose) — the power model draws more VDD current on rises.
-        On a packed state the matrix comes back as uint64 lane words,
-        ``(n_inst, nwords)``, ready for bitwise combination with a
-        packed toggle matrix.
         """
         # np.take, not fancy indexing: several times faster on rows of
         # more than one element.
-        return np.take(state.rows, self.instance_out_idx, axis=0)
+        return np.take(state.words, self.instance_out_idx, axis=0)
 
-    def clock_enable_values(
-        self, state: SimulationState | PackedState
-    ) -> BoolArray:
-        """Per-sequential-instance clock-enable status, ``(n_seq, batch)``.
+    def clock_enable_values(self, state: PackedState) -> np.ndarray:
+        """Per-sequential-instance clock-enable lane words, ``(n_seq,
+        nwords)``.
 
         Rows align with :attr:`seq_instance_idx`.  Plain DFFs are always
         clocked; DFFEs only when their EN pin is high — the model's
         stand-in for integrated clock gating, which is what keeps a
         dormant (clock-gated) Trojan free of clock-tree current.
-        Packed states return lane words, ``(n_seq, nwords)``.
         """
-        return self._enable_rows(state.rows)
+        return self._enable_rows(state.words)
 
-    def _enable_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Every register's enable row gathered from the net *rows*, a
-        fresh ``(n_seq, rows.shape[1])`` array; plain DFFs read all
-        ones."""
-        on = _FULL_WORD if rows.dtype == np.uint64 else True
+    def _enable_rows(self, words: np.ndarray) -> np.ndarray:
+        """Every register's enable row gathered from the net *words*, a
+        fresh ``(n_seq, nwords)`` array; plain DFFs read all ones."""
         if not self._seq_any_en:
             return np.full(
-                (self._seq_d_idx.size, rows.shape[1]), on, dtype=rows.dtype
+                (self._seq_d_idx.size, words.shape[1]), _FULL_WORD
             )
-        en_vals = np.take(rows, self._seq_en_gather, axis=0)
-        en_vals[self._seq_no_en] = on
+        en_vals = np.take(words, self._seq_en_gather, axis=0)
+        en_vals[self._seq_no_en] = _FULL_WORD
         return en_vals
 
-    def read_bus_bits(
-        self, state: SimulationState | PackedState, bus: list[str]
-    ) -> np.ndarray:
+    def read_bus_bits(self, state: PackedState, bus: list[str]) -> np.ndarray:
         """Bus values as a bool array of shape ``(width, batch)``, MSB first."""
         idx = [self.net_index[n] for n in bus]
-        if isinstance(state, PackedState):
-            return unpack_bits(state.words[idx], state.batch)
-        return state.values[idx].copy()
+        return unpack_bits(state.words[idx], state.batch)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _apply_inputs(
-        self,
-        state: SimulationState | PackedState,
-        inputs: dict[str, BoolArray] | None,
+        self, state: PackedState, inputs: dict[str, BoolArray] | None
     ) -> None:
         if not inputs:
             return
-        packed = isinstance(state, PackedState)
-        rows = np.empty((len(inputs), state.batch), dtype=bool) if packed else None
+        rows = np.empty((len(inputs), state.batch), dtype=bool)
         idxs: list[int] = []
         for row, (name, vals) in enumerate(inputs.items()):
             idx = self._input_index.get(name)
@@ -455,36 +386,31 @@ class CompiledNetlist:
                     f"input {name!r} has shape {arr.shape}, "
                     f"expected ({state.batch},)"
                 )
-            if packed:
-                rows[row] = arr
-                idxs.append(idx)
-            else:
-                state.values[idx] = arr
-        if packed:
-            # One packbits call for the whole stimulus dict keeps the
-            # per-cycle workload → packed-state hand-off cheap.
-            state.words[np.asarray(idxs, dtype=np.int64)] = pack_bits(rows)
+            rows[row] = arr
+            idxs.append(idx)
+        # One packbits call for the whole stimulus dict keeps the
+        # per-cycle workload → state hand-off cheap.
+        state.words[np.asarray(idxs, dtype=np.int64)] = pack_bits(rows)
 
-    def _propagate(self, state: SimulationState | PackedState) -> None:
-        rows = state.rows
-        width = rows.shape[1]
-        key = (width, rows.dtype)
-        scratch = self._scratch.get(key)
+    def _propagate(self, state: PackedState) -> None:
+        words = state.words
+        width = words.shape[1]
+        scratch = self._scratch.get(width)
         if scratch is None:
             scratch = [
                 tuple(
-                    np.empty((grp.out_idx.size, width), dtype=rows.dtype)
+                    np.empty((grp.out_idx.size, width), dtype=np.uint64)
                     for _ in grp.in_idx
                 )
                 for grp in self._schedule
             ]
             if len(self._scratch) >= 4:  # bound the cache across shapes
                 self._scratch.pop(next(iter(self._scratch)))
-            self._scratch[key] = scratch
-        out = _row_view(rows)
+            self._scratch[width] = scratch
+        out = _row_view(words)
         for grp, bufs in zip(self._schedule, scratch):
             args = [
-                np.take(rows, idx, axis=0, out=buf)
+                np.take(words, idx, axis=0, out=buf)
                 for idx, buf in zip(grp.in_idx, bufs)
             ]
             out[grp.out_idx] = _row_view(grp.function(*args))

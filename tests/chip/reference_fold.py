@@ -1,9 +1,10 @@
 """Per-cycle float64 dense reference for the engine's activity fold.
 
 :class:`ReferenceFoldEngine` is an :class:`AcquisitionEngine` whose
-cycle loop is the plain one: bool backend, one toggle matrix per cycle,
-weighted ``toggles * FALL_CURRENT_FRACTION + rising * (1 -
-FALL_CURRENT_FRACTION)`` and folded in float64 through a dense
+cycle loop is the plain one: each cycle's toggle lane words are
+unpacked to one bool toggle matrix, weighted ``toggles *
+FALL_CURRENT_FRACTION + rising * (1 - FALL_CURRENT_FRACTION)`` and
+folded in float64 through a dense
 ``(levels, insts)`` matrix of the unrounded per-instance weights — none
 of the production fold's level ordering, integer activity codes or
 weight rounding.  Everything else — validation, RNG streams, enables,
@@ -32,7 +33,7 @@ from repro.chip.acquire import (
     AcquisitionEngine,
 )
 from repro.logic.activity import ActivityAccumulator
-from repro.logic.simulator import PackedState, SimulationState, unpack_bits
+from repro.logic.simulator import unpack_bits
 
 
 def dense_fold_matrix(weights: np.ndarray, bins: np.ndarray) -> np.ndarray:
@@ -58,13 +59,6 @@ class ReferenceFoldEngine(AcquisitionEngine):
         watch_idx: np.ndarray,
     ) -> np.ndarray:
         sim = self.chip.sim
-        if isinstance(state, PackedState):
-            # The packed reset is bit-exact, so its unpacked lanes are
-            # the bool backend's post-reset state.
-            state = SimulationState(
-                values=np.ascontiguousarray(unpack_bits(state.words, batch)),
-                cycle=state.cycle,
-            )
         # The accumulators hold weights per activity-code unit; a full
         # (rising) transition is RISE_CODE units.
         dense = np.stack([
@@ -75,18 +69,20 @@ class ReferenceFoldEngine(AcquisitionEngine):
         clock_en = np.empty((n_cycles, n_seq, batch), dtype=bool)
         rec_buf = np.empty((n_cycles + 1, watch_idx.size, batch), dtype=bool)
         frames = np.empty((len(acc_list), n_cycles, dense.shape[1], batch))
-        if watch_idx.size:
-            rec_buf[0] = state.values[watch_idx]
+        rec_buf[0] = unpack_bits(state.words[watch_idx], batch)
         for k in range(1, n_cycles + 1):
-            clock_en[k - 1] = sim.clock_enable_values(state)
-            toggles = sim.step(state, workload.inputs(k, batch))
-            rising = toggles & sim.output_values(state)
+            clock_en[k - 1] = unpack_bits(
+                sim.clock_enable_values(state), batch
+            )
+            toggles = unpack_bits(
+                sim.step(state, workload.inputs(k, batch)), batch
+            )
+            rising = toggles & unpack_bits(sim.output_values(state), batch)
             weighted = toggles * FALL_CURRENT_FRACTION + rising * (
                 1.0 - FALL_CURRENT_FRACTION
             )
             frames[:, k - 1] = dense @ weighted
-            if watch_idx.size:
-                rec_buf[k] = state.values[watch_idx]
+            rec_buf[k] = unpack_bits(state.words[watch_idx], batch)
         # Hand the float64 frames to the engine's synthesis path.
         for acc, frame in zip(acc_list, frames):
             acc.clear()

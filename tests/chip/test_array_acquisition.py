@@ -7,7 +7,8 @@ Three contracts gate the array refactor:
   acquired traces on an array chip equal a plain chip's exactly.
 * **Solo == multi** — acquiring one array channel alone produces the
   same bits as acquiring the whole grid and selecting that channel
-  (per-channel derived RNG streams), on the bool and packed backends.
+  (per-channel derived RNG streams), and each lane of a wide pass the
+  same bits as that campaign acquired alone at batch 1.
 * **One simulation pass** — a multi-channel acquire steps the logic
   exactly once, asserted via the ``acquire.cycles`` counter.
 """
@@ -18,13 +19,12 @@ import numpy as np
 import pytest
 
 import repro.chip.chip as chip_mod
-from repro.chip import EncryptionWorkload
+from repro.chip import EncryptionWorkload, GroupMember
 from repro.chip.acquire import AcquisitionEngine
 from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
 from repro.chip.scenario import array_scenario
 from repro.errors import EmModelError, ExperimentError, MeasurementError
-from tests.logic.representation import representation
 from repro.obs import use_metrics
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -133,24 +133,38 @@ class TestAcquisition:
         for name in subset.traces:
             assert np.array_equal(subset.traces[name], multi.traces[name])
 
-    @pytest.mark.parametrize("kind", ("bool", "packed"))
-    def test_backends_bit_identical(self, array_chip, array_engine, kind):
-        with representation(kind):
-            got = _acquire(
-                array_chip,
-                array_engine,
-                array_chip.receiver_groups["array"],
-                trojans=("trojan4",),
+    def test_lane_slice_equals_batch1_acquisition(
+        self, array_chip, array_engine
+    ):
+        """Five one-lane campaigns in one pass, Trojan 4 on the even
+        lanes: each lane's array traces equal its batch-1 acquisition."""
+        channels = array_chip.receiver_groups["array"]
+        members = [
+            GroupMember(
+                name=f"lane{i}",
+                workload=EncryptionWorkload(array_chip.aes, KEY),
+                batch=1,
+                trojan_enables=("trojan4",) if i % 2 == 0 else (),
+                rng_role=f"array-eq/lane{i}",
             )
-        with representation("bool"):
-            ref = _acquire(
-                array_chip,
-                array_engine,
-                array_chip.receiver_groups["array"],
-                trojans=("trojan4",),
+            for i in range(5)
+        ]
+        group = array_engine.acquire_group(
+            members, n_cycles=36, receivers=channels
+        )
+        for m in (members[0], members[3], members[4]):
+            solo = array_engine.acquire(
+                EncryptionWorkload(array_chip.aes, KEY),
+                n_cycles=36,
+                batch=1,
+                trojan_enables=m.trojan_enables,
+                receivers=channels,
+                rng_role=m.rng_role,
             )
-        for name in ref.traces:
-            assert np.array_equal(got.traces[name], ref.traces[name]), name
+            for name in channels:
+                assert np.array_equal(
+                    group[m.name].traces[name], solo.traces[name]
+                ), (m.name, name)
 
     def test_multi_channel_is_one_simulation_pass(
         self, array_chip, array_engine

@@ -18,7 +18,7 @@ passes whose events are all zero skipped.  Two contracts guard it:
 
 The clock train's amplitudes are exact sums over the chip's enable nets
 of grid-rounded weights; :class:`TestClockAmplitudes` holds them to the
-per-register ``einsum`` of the unrounded weights on both backends.
+per-register ``einsum`` of the unrounded weights.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.chip.config import ChipConfig
 from repro.chip.scenario import array_scenario, silicon_scenario
 from repro.obs import use_metrics
 from tests.chip.reference_fold import ReferenceFoldEngine
-from tests.logic.representation import representation
 from tests.trace_pins import check_pin, traces_digest
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -143,9 +142,7 @@ class TestOnePass:
 
 
 class TestClockAmplitudes:
-    @pytest.mark.parametrize("kind", ("bool", "packed"))
-    def test_match_per_register_einsum(self, array_engine, monkeypatch,
-                                       kind):
+    def test_match_per_register_einsum(self, array_engine, monkeypatch):
         """Every receiver's clock amplitudes, per cycle and lane, agree
         with ``np.einsum("s,csb->cb", w, clock_en)`` of the unrounded
         per-register weights to 1e-10 of the largest amplitude."""
@@ -165,8 +162,7 @@ class TestClockAmplitudes:
             return sums[-1]
 
         monkeypatch.setattr(acquire_mod, "_clock_sum", recording)
-        with representation(kind):
-            _acquire(array_engine, batch, "trojan2", include_noise=False)
+        _acquire(array_engine, batch, "trojan2", include_noise=False)
         got = np.concatenate(sums).reshape(-1, N_CYCLES, batch)
 
         names = [

@@ -1,8 +1,9 @@
 """The live-row activity fold against the dense level-run oracle.
 
 :meth:`ActivityAccumulator.record_all_blocks` folds only the rows that
-toggled in some lane, reading them either from a dense block or from
-the acquisition engine's lane words (:class:`~repro.chip.acquire.
+toggled in some lane, reading them either from a dense block
+(:class:`tests.logic.dense_columns.DenseColumns`) or from the
+acquisition engine's lane words (:class:`~repro.chip.acquire.
 _LaneColumns`).  Both must give the dense level-run fold of
 :mod:`tests.logic.fold_oracle` byte for byte, and one fold's working
 set must stay bounded by its chunk, not by the block.
@@ -23,6 +24,7 @@ from repro.chip.acquire import (
 from repro.logic import activity
 from repro.logic.activity import ActivityAccumulator, FoldPlan
 from repro.logic.simulator import pack_bits
+from tests.logic.dense_columns import DenseColumns
 from tests.logic.fold_oracle import level_run_fold
 
 
@@ -36,7 +38,7 @@ def _lane_words(toggles: np.ndarray, rising: np.ndarray) -> _LaneColumns:
 
 
 def _codes(toggles: np.ndarray, rising: np.ndarray) -> np.ndarray:
-    """The bool backend's uint8 activity codes of the same masks."""
+    """The uint8 activity codes of the same masks."""
     codes = toggles * np.uint8(FALL_CODE)
     codes[rising] = RISE_CODE
     return codes
@@ -95,7 +97,7 @@ def test_live_row_fold_matches_level_run_oracle(case, fold_rows):
     want = [f.tobytes() for f in level_run_fold(accs, codes)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(activity, "FOLD_ROWS", fold_rows)
-        assert _fold(accs, codes, n_cycles, batch) == want
+        assert _fold(accs, DenseColumns(codes), n_cycles, batch) == want
         lanes = _lane_words(toggles, rising)
         assert _fold(accs, lanes, n_cycles, batch) == want
 
@@ -114,7 +116,7 @@ def test_edge_blocks_match_oracle():
         rising = toggles & (rng.random(shape) < 0.5)
         codes = _codes(toggles, rising)
         want = [f.tobytes() for f in level_run_fold(accs, codes)]
-        assert _fold(accs, codes, n_cycles, batch) == want
+        assert _fold(accs, DenseColumns(codes), n_cycles, batch) == want
         lanes = _lane_words(toggles, rising)
         assert _fold(accs, lanes, n_cycles, batch) == want
     # A live row's idle lanes add -0.0 products of a negative weight,
@@ -122,7 +124,7 @@ def test_edge_blocks_match_oracle():
     neg = [ActivityAccumulator(-np.ones(n_inst), bins)]
     codes = np.zeros(shape, np.uint8)
     codes[0, 0, 0] = FALL_CODE
-    _fold(neg, codes, n_cycles, batch)
+    _fold(neg, DenseColumns(codes), n_cycles, batch)
     assert np.signbit(neg[0].result()).sum() == 1
 
 

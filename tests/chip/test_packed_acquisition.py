@@ -1,11 +1,12 @@
-"""Full-campaign equivalence of the packed simulator representation.
+"""Full-campaign lane independence of the simulator's lane words.
 
-The packed representation must be *bit-identical* to the bool one —
-same traces, same recorded nets, for every Trojan — because both feed
-the same activity codes to the same exact level fold.  The batch picks
-the representation, so each comparison pins one with
-:func:`tests.logic.representation.representation`.  The per-cycle
-float64 dense reference fold
+A wide acquisition packs many campaigns' lanes into each uint64 word.
+Each lane must be *bit-identical* to the same campaign acquired on its
+own at batch 1, one word per net: same traces and same recorded nets,
+for every Trojan, at batches that fill part of a word, a whole word and
+spill into a second one.  The batch-1 acquisitions themselves are held
+to SHA-256 pins (``acquire/array/*/1`` in :mod:`tests.trace_pins`).  The
+per-cycle float64 dense reference fold
 (:class:`tests.chip.reference_fold.ReferenceFoldEngine`) is a numerical
 baseline and is only required to agree to within 1e-5 of each trace's
 peak.
@@ -30,28 +31,14 @@ from repro.chip.scenario import simulation_scenario
 from repro.experiments import clear_campaign_caches
 from repro.logic.simulator import packed_words, unpack_bits
 from tests.chip.reference_fold import ReferenceFoldEngine
-from tests.logic.representation import representation
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+N_CYCLES = 48
 
 
 @pytest.fixture(scope="module")
 def engine(chip, sim_scenario):
     return AcquisitionEngine(chip, sim_scenario)
-
-
-def _campaign(chip, engine, kind, *, batch, trojans=(), n_cycles=48, **kw):
-    wl = EncryptionWorkload(chip.aes, KEY)
-    with representation(kind):
-        return engine.acquire(
-            wl,
-            n_cycles=n_cycles,
-            batch=batch,
-            trojan_enables=trojans,
-            record_nets={"busy": chip.aes.busy},
-            rng_role=f"packed-eq/{'+'.join(trojans) or 'golden'}",
-            **kw,
-        )
 
 
 def _assert_identical(a, b):
@@ -63,53 +50,69 @@ def _assert_identical(a, b):
         assert np.array_equal(a.recorded[name], b.recorded[name]), name
 
 
+def _assert_lanes_match_batch1(chip, engine, tag, lane_trojans, lanes):
+    """Acquire one one-lane member per entry of *lane_trojans* (member
+    ``i`` enables ``lane_trojans[i]``) in one pass; each lane in *lanes*
+    must equal its member's batch-1 solo acquisition."""
+    record = {"busy": chip.aes.busy}
+    members = [
+        GroupMember(
+            name=f"lane{i}",
+            workload=EncryptionWorkload(chip.aes, KEY),
+            batch=1,
+            trojan_enables=trojans,
+            rng_role=f"lanes/{tag}/{i}",
+        )
+        for i, trojans in enumerate(lane_trojans)
+    ]
+    group = engine.acquire_group(members, n_cycles=N_CYCLES, record_nets=record)
+    for lane in lanes:
+        m = members[lane]
+        solo = engine.acquire(
+            EncryptionWorkload(chip.aes, KEY),
+            n_cycles=N_CYCLES,
+            batch=1,
+            trojan_enables=m.trojan_enables,
+            record_nets=record,
+            rng_role=m.rng_role,
+        )
+        _assert_identical(group[m.name], solo)
+
+
 @pytest.mark.parametrize("batch", (1, 8, 32, 33, 64, 65))
 def test_golden_campaign_bit_identity(chip, engine, batch):
-    """Noise, both receivers, recorded nets — exact equality end to end."""
-    packed = _campaign(chip, engine, "packed", batch=batch)
-    boolr = _campaign(chip, engine, "bool", batch=batch)
-    _assert_identical(packed, boolr)
+    """Noise, both receivers, recorded nets — the first, a middle and
+    the last lane of a batch-*batch* pass each equal a batch-1 pass."""
+    _assert_lanes_match_batch1(
+        chip, engine, f"golden/{batch}", [()] * batch,
+        sorted({0, batch // 2, batch - 1}),
+    )
 
 
 @pytest.mark.parametrize(
     "trojans", [("trojan1",), ("trojan2",), ("trojan3",), ("trojan4",), ("a2",)]
 )
 def test_trojan_campaign_bit_identity(chip, engine, trojans):
-    packed = _campaign(chip, engine, "packed", batch=64, trojans=trojans)
-    boolr = _campaign(chip, engine, "bool", batch=64, trojans=trojans)
-    _assert_identical(packed, boolr)
+    """64 lanes in one word, the even ones enabling the Trojan: lanes 0
+    and 32 (Trojan) and 63 (golden) each equal a batch-1 pass."""
+    _assert_lanes_match_batch1(
+        chip, engine, "+".join(trojans),
+        [trojans if i % 2 == 0 else () for i in range(64)], (0, 32, 63),
+    )
 
 
 def test_lane_group_bit_identity(chip, engine):
-    """Three 5-lane members share one word: packed equals bool per member."""
-    def group(kind):
-        members = [
-            GroupMember(
-                name=name,
-                workload=EncryptionWorkload(chip.aes, KEY),
-                batch=5,
-                trojan_enables=trojans,
-                rng_role=f"packed-eq/group/{name}",
-            )
-            for name, trojans in (
-                ("golden", ()), ("t1", ("trojan1",)), ("a2", ("a2",))
-            )
-        ]
-        with representation(kind):
-            return engine.acquire_group(
-                members, n_cycles=48, record_nets={"busy": chip.aes.busy}
-            )
-
-    packed, boolr = group("packed"), group("bool")
-    assert list(packed) == list(boolr)
-    for name in packed:
-        _assert_identical(packed[name], boolr[name])
+    """Golden, Trojan 1 and A2 share one word, one lane each: every lane
+    equals its member's batch-1 pass."""
+    _assert_lanes_match_batch1(
+        chip, engine, "group", [(), ("trojan1",), ("a2",)], (0, 1, 2)
+    )
 
 
 @pytest.mark.parametrize("batch", (1, 7, 8, 9, 32, 63, 64, 65, 130))
 def test_lookup_block_equals_bool_formula(batch):
-    """The byte-lookup code block holds exactly the bool backend's codes
-    ``FALL_CODE * (t ^ r) + RISE_CODE * r`` (in the ratio
+    """The byte-lookup code block holds exactly the codes ``FALL_CODE *
+    (t ^ r) + RISE_CODE * r`` of the unpacked masks (in the ratio
     ``FALL_CURRENT_FRACTION``), read as the engine reads its buffers:
     rows ``lo:hi`` (``lo > 0``) of a partial block's first ``cycles``
     cycles of cycle-major ``(block, n_inst, nwords)`` lane words,

@@ -91,8 +91,8 @@ def test_average_cell_activity(chip):
 
 
 def test_average_cell_activity_runs_packed_and_pinned(chip, monkeypatch):
-    """Field maps step the batch's representation — packed at batch 4 —
-    and give the bytes the bool representation gave before (pinned)."""
+    """Field maps step lane words at batch 4 and give the pinned bytes,
+    which a bool simulator of the same netlist produced first."""
     from repro.logic.simulator import PackedState
 
     resets = []

@@ -174,7 +174,7 @@ class TestRunExperiment:
         assert result.config == cfg.describe()
         assert ReproConfig(**result.config) == cfg
         counters = result.metrics["counters"]
-        assert any(k.startswith("sim.backend.") for k in counters)
+        assert counters["acquire.cycles"] > 0
         loaded = RunResult.load(result.save(tmp_path / "euclidean.json"))
         assert validate_artifact(loaded) is loaded
 

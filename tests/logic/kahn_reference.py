@@ -1,4 +1,4 @@
-"""Dict-walking oracle for the array lowering of a netlist.
+"""Dict-walking oracles for the array lowering and the simulator.
 
 :func:`kahn_levels` is Kahn's algorithm over the combinational
 instances, one instance at a time through the net and instance dicts,
@@ -8,6 +8,12 @@ time.  Together they are the compiler that
 :meth:`repro.logic.netlist.Netlist.lower` and
 :class:`repro.logic.simulator.CompiledNetlist` replaced; the tests hold
 the array lowering to them exactly.
+
+:class:`KahnSimulator` runs a netlist on one bool array per net, walking
+the instances one at a time in :func:`kahn_levels` order and applying
+each library cell's function.  It shares no index array or schedule
+with :class:`~repro.logic.simulator.CompiledNetlist`, so the tests hold
+the lane-word simulator to it cycle by cycle.
 """
 
 from __future__ import annotations
@@ -134,3 +140,81 @@ def reference_compile(netlist: Netlist) -> ReferenceCompile:
         tie_val=np.array([i.cell.name == "TIE1" for i in ties], dtype=bool),
         schedule=schedule,
     )
+
+
+class KahnSimulator:
+    """Bool reference simulator: one ``(batch,)`` array per net.
+
+    Same synchronous zero-delay contract as
+    :class:`~repro.logic.simulator.CompiledNetlist`: :meth:`reset`
+    zeroes every net, loads the ``ff_init`` values and the ties, applies
+    the inputs and settles the logic; :meth:`step` captures each
+    register's D (where its EN is high), applies the new inputs,
+    settles, and returns which instance outputs changed.
+    """
+
+    def __init__(self, netlist: Netlist) -> None:
+        self.netlist = netlist
+        levels = kahn_levels(netlist)
+        instances = list(netlist.instances.values())
+        self.instances = instances
+        # A stable sort by level is a topological order: every driver of
+        # a level-l gate sits on a lower level.
+        self.comb = sorted(
+            (i for i in instances if i.cell.kind is CellKind.COMBINATIONAL),
+            key=lambda i: levels[i.name],
+        )
+        self.seq = [i for i in instances if i.cell.is_sequential]
+        self.values: dict[str, np.ndarray] = {}
+        self.batch = 0
+
+    def reset(
+        self, batch: int, inputs: dict[str, np.ndarray] | None = None
+    ) -> None:
+        self.batch = batch
+        self.values = {
+            name: np.zeros(batch, dtype=bool) for name in self.netlist.nets
+        }
+        for inst in self.seq:
+            init = bool(self.netlist.ff_init.get(inst.name, False))
+            self.values[inst.output_net][:] = init
+        for inst in self.instances:
+            if inst.cell.is_tie:
+                self.values[inst.output_net][:] = inst.cell.name == "TIE1"
+        self._apply(inputs)
+        self.settle()
+
+    def step(self, inputs: dict[str, np.ndarray] | None = None) -> np.ndarray:
+        """Advance one cycle; return the ``(instances, batch)`` toggles."""
+        before = self.outputs()
+        captured = {}
+        for inst in self.seq:
+            d = self.values[inst.pins["D"]]
+            q = self.values[inst.output_net]
+            en = self.values[inst.pins["EN"]] if "EN" in inst.pins else True
+            captured[inst.output_net] = np.where(en, d, q)
+        self.values.update(captured)
+        self._apply(inputs)
+        self.settle()
+        return before ^ self.outputs()
+
+    def outputs(self) -> np.ndarray:
+        """Every instance's output value, ``(instances, batch)``."""
+        return np.stack([self.values[i.output_net] for i in self.instances])
+
+    def force(self, net: str, value: np.ndarray) -> None:
+        """Override one net and re-settle the logic."""
+        self.values[net] = np.array(value, dtype=bool)
+        self.settle()
+
+    def settle(self) -> None:
+        """Evaluate every combinational instance once, in level order."""
+        for inst in self.comb:
+            args = [self.values[net] for net in inst.input_nets()]
+            self.values[inst.output_net] = inst.cell.function(*args)
+
+    def _apply(self, inputs: dict[str, np.ndarray] | None) -> None:
+        for name, vals in (inputs or {}).items():
+            self.values[name] = np.broadcast_to(
+                np.asarray(vals, dtype=bool), (self.batch,)
+            ).copy()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.logic.simulator import CompiledNetlist, PackedState, pack_bits
+from repro.logic.simulator import CompiledNetlist, pack_bits
 
 
 def read(sim: CompiledNetlist, state, net: str) -> np.ndarray:
@@ -40,8 +40,5 @@ def force_net(sim: CompiledNetlist, state, net: str, value) -> None:
     arr = np.asarray(value, dtype=bool)
     if arr.ndim == 0:
         arr = np.full(state.batch, bool(arr))
-    if isinstance(state, PackedState):
-        state.words[idx] = pack_bits(arr)
-    else:
-        state.values[idx] = arr
+    state.words[idx] = pack_bits(arr)
     sim._propagate(state)

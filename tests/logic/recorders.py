@@ -14,6 +14,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.logic.activity import ActivityAccumulator
 from repro.logic.simulator import CompiledNetlist
+from tests.logic.dense_columns import DenseColumns
 
 
 def record_all(
@@ -32,7 +33,10 @@ def record_all(
             f"({first.weights.size}, batch)"
         )
     ActivityAccumulator.record_all_blocks(
-        accumulators, toggles[None, first.level_order], 1, toggles.shape[1]
+        accumulators,
+        DenseColumns(toggles[None, first.level_order]),
+        1,
+        toggles.shape[1],
     )
 
 
@@ -42,7 +46,9 @@ def record(acc: ActivityAccumulator, toggles: np.ndarray) -> None:
 
 
 class TraceRecorder:
-    """Keeps the raw toggle matrix of every cycle (small circuits only)."""
+    """Keeps every cycle's toggle lane words, as
+    :meth:`~repro.logic.simulator.CompiledNetlist.step` returned them
+    (small circuits only)."""
 
     def __init__(self, sim: CompiledNetlist, limit_cycles: int = 100_000) -> None:
         self._sim = sim
@@ -50,7 +56,7 @@ class TraceRecorder:
         self._frames: list[np.ndarray] = []
 
     def record(self, toggles: np.ndarray) -> None:
-        """Store one cycle's toggle matrix."""
+        """Store one cycle's toggle lane words."""
         if len(self._frames) >= self._limit:
             raise SimulationError(
                 f"TraceRecorder limit of {self._limit} cycles exceeded"
@@ -58,12 +64,7 @@ class TraceRecorder:
         self._frames.append(toggles.copy())
 
     def history(self) -> np.ndarray:
-        """Array of shape ``(cycles, num_instances, batch)``."""
+        """Array of shape ``(cycles, num_instances, nwords)``."""
         if not self._frames:
             raise SimulationError("no cycles recorded yet")
         return np.stack(self._frames, axis=0)
-
-    def toggles_of(self, instance_name: str) -> np.ndarray:
-        """Toggle history of one instance, shape ``(cycles, batch)``."""
-        idx = self._sim.instance_index[instance_name]
-        return self.history()[:, idx, :]

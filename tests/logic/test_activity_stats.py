@@ -13,6 +13,7 @@ from repro.logic import (
 )
 from repro.logic.activity import FOLD_ROWS, MAX_ACTIVITY_CODE
 from repro.logic.simulator import PackedState, lane_counts, pack_bits
+from tests.logic.dense_columns import DenseColumns
 from tests.logic.recorders import TraceRecorder, record, record_all
 
 
@@ -49,7 +50,6 @@ def test_toggle_counts_ignore_set_padding_lanes(batch):
     assert np.array_equal(
         lane_counts(pack_bits(bits) | padding, batch), bits.sum(axis=1)
     )
-    assert np.array_equal(lane_counts(bits, batch), bits.sum(axis=1))
 
 
 def test_packed_toggle_counts_match_single_lanes():
@@ -125,7 +125,10 @@ def test_fold_paths_agree_bit_for_bit():
         record_all(group, t)
     blocked = [ActivityAccumulator(w, bins) for w in (weights, weights * 3)]
     ActivityAccumulator.record_all_blocks(
-        blocked, toggles[:, blocked[0].level_order], n_cycles, batch
+        blocked,
+        DenseColumns(toggles[:, blocked[0].level_order]),
+        n_cycles,
+        batch,
     )
     out = solo.result()
     assert out.shape == (n_cycles, 6, batch)
@@ -181,9 +184,13 @@ def test_fold_requires_shared_bins():
     with pytest.raises(SimulationError, match="share delay bins"):
         record_all([a, b], toggles)
     with pytest.raises(SimulationError, match="share delay bins"):
-        ActivityAccumulator.record_all_blocks([a, b], toggles[None], 1, 2)
+        ActivityAccumulator.record_all_blocks(
+            [a, b], DenseColumns(toggles[None]), 1, 2
+        )
     with pytest.raises(SimulationError, match="column block"):
-        ActivityAccumulator.record_all_blocks([a], toggles[None], 2, 2)
+        ActivityAccumulator.record_all_blocks(
+            [a], DenseColumns(toggles[None]), 2, 2
+        )
 
 
 def test_trace_recorder_history():

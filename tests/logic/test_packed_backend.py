@@ -1,8 +1,10 @@
-"""Packed (bit-sliced) representation against the bool one.
+"""The simulator's lane words against bool references.
 
-The batch picks the representation (bool for one lane, packed from
-:data:`~repro.logic.simulator.PACKED_BATCH_THRESHOLD` up), so the tests
-that compare both at one batch move the threshold with ``monkeypatch``.
+The simulator keeps 64 batch lanes per uint64 word at every batch.  The
+pack/unpack primitives and each library cell are checked lane by lane
+against bool arrays, and whole netlists against the bool
+:class:`~tests.logic.kahn_reference.KahnSimulator`, which walks the
+instances one at a time in Kahn order.
 """
 
 import numpy as np
@@ -14,16 +16,14 @@ from repro.errors import SimulationError
 from repro.logic.builder import NetlistBuilder
 from repro.logic.library import LIBRARY
 from repro.logic.simulator import (
-    PACKED_BATCH_THRESHOLD,
     CompiledNetlist,
     PackedState,
-    SimulationState,
     pack_bits,
     packed_words,
     unpack_bits,
 )
+from tests.logic.kahn_reference import KahnSimulator
 from tests.logic.probes import force_net, read, read_bus
-from tests.logic.representation import THRESHOLD, representation
 
 # ----------------------------------------------------------------------
 # pack/unpack primitives
@@ -68,26 +68,20 @@ def test_pack_pads_with_zero_lanes():
     assert words[1] == np.uint64(1)  # lanes 65..127 are zero
 
 
-def test_resolve_backend_threshold_and_env(monkeypatch):
-    """The batch picks the representation: bool below the threshold,
-    packed from it.  ``resolve_backend`` and its environment override
-    are gone, so nothing else decides."""
+def test_reset_is_packed_at_every_batch(monkeypatch):
+    """Every batch runs on lane words, one word per net for a single
+    lane; the retired environment variable is ignored."""
     nl, _ = _every_cell_netlist()
     sim = CompiledNetlist(nl)
-    assert PACKED_BATCH_THRESHOLD == 2
-    assert isinstance(sim.reset(batch=1), SimulationState)
-    for batch in (2, 4, 8, 63, 64, 65, 4096):
-        assert isinstance(sim.reset(batch=batch), PackedState)
-    # The retired environment variable is ignored.
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "bool")
-    assert isinstance(sim.reset(batch=4), PackedState)
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "packed")
-    assert isinstance(sim.reset(batch=1), SimulationState)
-    # The threshold is read at every reset.
-    monkeypatch.setattr(THRESHOLD, 1)
-    assert isinstance(sim.reset(batch=1), PackedState)
-    monkeypatch.setattr(THRESHOLD, 5)
-    assert isinstance(sim.reset(batch=4), SimulationState)
+    for raw in (None, "bool", "packed"):
+        if raw is not None:
+            monkeypatch.setenv("REPRO_SIM_BACKEND", raw)
+        for batch in (1, 2, 63, 64, 65, 4096):
+            state = sim.reset(batch=batch)
+            assert isinstance(state, PackedState)
+            assert state.words.shape == (sim.num_nets, packed_words(batch))
+            assert state.words.dtype == np.uint64
+            assert state.batch == batch
 
 
 def test_reset_takes_no_backend_argument():
@@ -177,31 +171,41 @@ def _stimulus(rng, batch, n_cycles):
     ]
 
 
+def _bus_value(bits):
+    """MSB-first bool rows as ``(batch,)`` integers."""
+    weights = np.int64(1) << np.arange(len(bits) - 1, -1, -1, dtype=np.int64)
+    return weights @ np.asarray(bits, dtype=np.int64)
+
+
 def _run_both(nl, nets, batch, n_cycles=20, force=None):
-    """Drive identical stimulus through both representations at one
-    batch; return snapshots."""
+    """Drive identical stimulus through the lane-word simulator
+    (``"packed"``) and the bool Kahn-order oracle (``"bool"``) at one
+    batch; return per-cycle toggles, net reads and a final bus read."""
     stim = _stimulus(np.random.default_rng(99), batch, n_cycles)
-    out = {}
-    for name, kind in (("bool", SimulationState), ("packed", PackedState)):
-        sim = CompiledNetlist(nl)
-        with representation(name):
-            state = sim.reset(batch=batch, inputs=stim[0])
-        assert isinstance(state, kind)
-        toggles, reads = [], []
-        for cycle in range(1, n_cycles):
-            t = sim.step(state, stim[cycle])
-            if isinstance(state, PackedState):
-                t = unpack_bits(t, batch)
-            if force is not None and cycle == n_cycles // 2:
-                force_net(sim, state, force[0], force[1])
-            toggles.append(t.copy())
-            reads.append(np.stack([read(sim, state, n) for n in nets]))
-        out[name] = (
-            np.stack(toggles),
-            np.stack(reads),
-            read_bus(sim, state, nets[:8]),
+    sim = CompiledNetlist(nl)
+    state = sim.reset(batch=batch, inputs=stim[0])
+    oracle = KahnSimulator(nl)
+    oracle.reset(batch, stim[0])
+    toggles = {"packed": [], "bool": []}
+    reads = {"packed": [], "bool": []}
+    for cycle in range(1, n_cycles):
+        toggles["packed"].append(
+            unpack_bits(sim.step(state, stim[cycle]), batch)
         )
-    return out
+        toggles["bool"].append(oracle.step(stim[cycle]))
+        if force is not None and cycle == n_cycles // 2:
+            force_net(sim, state, force[0], force[1])
+            oracle.force(force[0], force[1])
+        reads["packed"].append(np.stack([read(sim, state, n) for n in nets]))
+        reads["bool"].append(np.stack([oracle.values[n] for n in nets]))
+    bus = {
+        "packed": read_bus(sim, state, nets[:8]),
+        "bool": _bus_value([oracle.values[n] for n in nets[:8]]),
+    }
+    return {
+        name: (np.stack(toggles[name]), np.stack(reads[name]), bus[name])
+        for name in bus
+    }
 
 
 @pytest.mark.parametrize("batch", (1, 65, 128))
@@ -213,11 +217,15 @@ def test_netlist_packed_matches_bool(batch):
 
 
 def test_force_net_packed_matches_bool():
+    """A forced gate output is re-settled at once; a forced primary
+    input re-settles the logic and is the state the next cycle's toggles
+    and register captures start from."""
     nl, nets = _every_cell_netlist()
     forced = np.array([bool(i % 3 == 0) for i in range(65)])
-    out = _run_both(nl, nets, 65, force=(nets[0], forced))
-    for got, want in zip(out["packed"], out["bool"]):
-        assert np.array_equal(got, want)
+    for net in (nets[0], "a", "en"):
+        out = _run_both(nl, nets, 65, force=(net, forced))
+        for got, want in zip(out["packed"], out["bool"]):
+            assert np.array_equal(got, want), net
 
 
 _ALLCELLS = _every_cell_netlist()
@@ -230,10 +238,7 @@ def _cycle_snapshots(sim, nets, stim):
     toggles = []
     reads = [np.stack([read(sim, state, n) for n in nets])]
     for inputs in stim[1:]:
-        t = sim.step(state, inputs)
-        if isinstance(state, PackedState):
-            t = unpack_bits(t, batch)
-        toggles.append(t)
+        toggles.append(unpack_bits(sim.step(state, inputs), batch))
         reads.append(np.stack([read(sim, state, n) for n in nets]))
     return np.stack(toggles), np.stack(reads)
 
@@ -245,7 +250,7 @@ def _cycle_snapshots(sim, nets, stim):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_packed_lanes_are_independent_single_lane_runs(batch, n_cycles, seed):
-    """Each lane of a packed run equals a batch-1 (bool) run fed that
+    """Each lane of a wide run equals a batch-1 (one-word) run fed that
     lane's stimulus, cycle by cycle: toggles, every gate output and the
     register state (the two DFF outputs are among the read nets)."""
     nl, nets = _ALLCELLS

@@ -8,7 +8,6 @@ from repro.errors import SimulationError
 from repro.logic.builder import NetlistBuilder
 from repro.logic.simulator import CompiledNetlist, unpack_bits
 from tests.logic.probes import force_net, read, read_bus
-from tests.logic.representation import representation
 
 
 def _xor_chain():
@@ -57,23 +56,23 @@ def test_input_applied_after_capture():
 
 
 def test_toggle_matrix_shape_and_content():
-    """Bool toggles are ``(n_inst, batch)``; packed ones are lane words
-    ``(n_inst, 1)`` that unpack to the same matrix."""
+    """Toggles are lane words ``(n_inst, 1)`` that unpack to the
+    ``(n_inst, batch)`` matrix, at one lane as at three."""
     nl, _y, _q = _xor_chain()
     sim = CompiledNetlist(nl)
-    for kind in ("bool", "packed"):
-        with representation(kind):
-            state = sim.reset(batch=3)
-        toggles = sim.step(
-            state,
-            {"a": np.array([1, 0, 1], bool), "b": np.array([0, 0, 1], bool)},
+    xor = sim.instance_index[nl.nets[_y].driver]
+    a, b = np.array([1, 0, 1], bool), np.array([0, 0, 1], bool)
+    for lanes in (slice(0, 3), slice(0, 1), slice(1, 2)):
+        batch = len(a[lanes])
+        state = sim.reset(batch=batch)
+        toggles = sim.step(state, {"a": a[lanes], "b": b[lanes]})
+        assert toggles.shape == (sim.num_instances, 1)
+        assert toggles.dtype == np.uint64
+        toggles = unpack_bits(toggles, batch)
+        assert toggles.shape == (sim.num_instances, batch)
+        assert np.array_equal(
+            toggles[xor], np.array([True, False, False])[lanes]
         )
-        if kind == "packed":
-            assert toggles.shape == (sim.num_instances, 1)
-            toggles = unpack_bits(toggles, 3)
-        assert toggles.shape == (sim.num_instances, 3)
-        xor_row = toggles[sim.instance_index[nl.nets[_y].driver]]
-        assert np.array_equal(xor_row, np.array([True, False, False]))
 
 
 def test_dffe_holds_when_disabled():
@@ -170,19 +169,19 @@ def test_clock_enable_values():
     b.dff(d)  # always clocked
     b.dff(d, enable=en)
     sim = CompiledNetlist(b.build())
-    for kind in ("bool", "packed"):
-        with representation(kind):
-            state = sim.reset(
-                batch=2,
-                inputs={"d": np.zeros(2, bool), "en": np.array([True, False])},
-            )
+    en = np.array([True, False])
+    for lanes in (slice(0, 2), slice(0, 1), slice(1, 2)):
+        batch = len(en[lanes])
+        state = sim.reset(
+            batch=batch,
+            inputs={"d": np.zeros(batch, bool), "en": en[lanes]},
+        )
         ce = sim.clock_enable_values(state)
-        if kind == "packed":
-            assert ce.shape == (2, 1)
-            ce = unpack_bits(ce, 2)
-        assert ce.shape == (2, 2)
+        assert ce.shape == (2, 1)
+        ce = unpack_bits(ce, batch)
+        assert ce.shape == (2, batch)
         assert ce[0].all()  # plain DFF always enabled
-        assert np.array_equal(ce[1], np.array([True, False]))
+        assert np.array_equal(ce[1], en[lanes])
 
 
 @settings(max_examples=15, deadline=None)

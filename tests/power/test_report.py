@@ -65,9 +65,9 @@ def test_dormant_trojan_draws_only_leakage(power_setup):
 
 
 def test_power_workload_runs_packed_and_pinned(chip, monkeypatch):
-    """The standard power workload at batch 8 steps the packed
-    representation, counts toggles and clock enables over its lanes
-    only, and gives the bytes the bool representation gave before."""
+    """The standard power workload at batch 8 steps lane words, counts
+    toggles and clock enables over its lanes only, and gives the pinned
+    bytes, which a bool simulator of the same netlist produced first."""
     from repro.logic.simulator import PackedState
 
     resets = []

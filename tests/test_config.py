@@ -30,7 +30,7 @@ from repro.config import (
 )
 from repro.errors import ConfigError, ExperimentError
 from repro.experiments.parallel import resolve_workers
-from repro.logic.simulator import PackedState, SimulationState
+from repro.logic.simulator import PackedState
 
 
 class TestPrecedence:
@@ -124,7 +124,7 @@ class TestValidation:
             ReproConfig(**snapshot)
 
     def test_unknown_backend(self):
-        # The batch picks the simulator's representation: the one
+        # The simulator has one representation: the one
         # remaining field is pinned at "auto", the retired environment
         # variable is ignored (even a bogus value), and old snapshots
         # naming "bool" or "packed" are rejected.
@@ -269,8 +269,8 @@ class TestActiveConfig:
             assert TraceCache.from_env() is None
 
     def test_simulator_ignores_sim_backend_variable(self, monkeypatch):
-        # REPRO_SIM_BACKEND is no longer read: the batch alone picks
-        # bool for a single lane and packed from batch 2 up.
+        # REPRO_SIM_BACKEND is no longer read: every batch runs on
+        # lane words, one word per net for a single lane.
         from repro.logic import CompiledNetlist, NetlistBuilder
 
         b = NetlistBuilder("tiny")
@@ -278,7 +278,7 @@ class TestActiveConfig:
         sim = CompiledNetlist(b.build())
         for raw in ("bool", "packed", "bogus"):
             monkeypatch.setenv("REPRO_SIM_BACKEND", raw)
-            assert isinstance(sim.reset(batch=1), SimulationState)
+            assert sim.reset(batch=1).words.shape == (sim.num_nets, 1)
             assert isinstance(sim.reset(batch=2), PackedState)
             assert isinstance(sim.reset(batch=512), PackedState)
 
