@@ -7,8 +7,9 @@ Three contracts gate the array refactor:
   acquired traces on an array chip equal a plain chip's exactly.
 * **Solo == multi** — acquiring one array channel alone produces the
   same bits as acquiring the whole grid and selecting that channel
-  (per-channel derived RNG streams), and each lane of a wide pass the
-  same bits as that campaign acquired alone at batch 1.
+  (per-channel derived RNG streams), with the logic stepped on lane
+  words or as bool arrays, and each lane of a wide pass the same bits
+  as that campaign acquired alone at batch 1.
 * **One simulation pass** — a multi-channel acquire steps the logic
   exactly once, asserted via the ``acquire.cycles`` counter.
 """
@@ -25,6 +26,7 @@ from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
 from repro.chip.scenario import array_scenario
 from repro.errors import EmModelError, ExperimentError, MeasurementError
+from tests.chip.bool_engine import engine_for
 from repro.obs import use_metrics
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -132,6 +134,25 @@ class TestAcquisition:
         subset = _acquire(array_chip, array_engine, channels[::-1][:3])
         for name in subset.traces:
             assert np.array_equal(subset.traces[name], multi.traces[name])
+
+    @pytest.mark.parametrize("kind", ("bool", "packed"))
+    def test_backends_bit_identical(self, array_chip, array_engine, kind):
+        """The array traces with the logic stepped on ``kind`` equal
+        those with it stepped as bool arrays."""
+        got = _acquire(
+            array_chip,
+            engine_for(kind, array_engine),
+            array_chip.receiver_groups["array"],
+            trojans=("trojan4",),
+        )
+        ref = _acquire(
+            array_chip,
+            engine_for("bool", array_engine),
+            array_chip.receiver_groups["array"],
+            trojans=("trojan4",),
+        )
+        for name in ref.traces:
+            assert np.array_equal(got.traces[name], ref.traces[name]), name
 
     def test_lane_slice_equals_batch1_acquisition(
         self, array_chip, array_engine

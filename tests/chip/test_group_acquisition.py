@@ -18,6 +18,7 @@ from repro.chip.acquire import IdleWorkload
 from repro.errors import MeasurementError, SimulationError
 from repro.logic.simulator import lane_slices
 from repro.obs import use_metrics
+from tests.chip.bool_engine import engine_for
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
@@ -48,10 +49,11 @@ def _solo(chip, engine, name, batch, trojans=(), **kw):
     )
 
 
-def test_ragged_group_matches_solo_acquisitions(chip, engine):
+@pytest.mark.parametrize("kind", ("bool", "packed"))
+def test_ragged_group_matches_solo_acquisitions(chip, engine, kind):
     """Golden + three Trojans, ragged batches: each member's lanes of the
-    33-lane, two-word group equal its solo acquisition at its own
-    batch."""
+    33-lane, two-word group, its logic stepped on ``kind``, equal its
+    solo acquisition at its own batch."""
     specs = [
         ("golden", (), 8),
         ("t1", ("trojan1",), 8),
@@ -59,7 +61,7 @@ def test_ragged_group_matches_solo_acquisitions(chip, engine):
         ("a2", ("a2",), 5),
     ]
     members = [_member(chip, n, b, tr) for n, tr, b in specs]
-    group = engine.acquire_group(
+    group = engine_for(kind, engine).acquire_group(
         members,
         n_cycles=48,
         record_nets={"busy": chip.aes.busy},

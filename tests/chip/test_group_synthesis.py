@@ -18,7 +18,8 @@ passes whose events are all zero skipped.  Two contracts guard it:
 
 The clock train's amplitudes are exact sums over the chip's enable nets
 of grid-rounded weights; :class:`TestClockAmplitudes` holds them to the
-per-register ``einsum`` of the unrounded weights.
+per-register ``einsum`` of the unrounded weights, with the logic stepped
+on lane words or as bool arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
 from repro.chip.scenario import array_scenario, silicon_scenario
 from repro.obs import use_metrics
+from tests.chip.bool_engine import engine_for
 from tests.chip.reference_fold import ReferenceFoldEngine
 from tests.trace_pins import check_pin, traces_digest
 
@@ -142,7 +144,9 @@ class TestOnePass:
 
 
 class TestClockAmplitudes:
-    def test_match_per_register_einsum(self, array_engine, monkeypatch):
+    @pytest.mark.parametrize("kind", ("bool", "packed"))
+    def test_match_per_register_einsum(self, array_engine, monkeypatch,
+                                       kind):
         """Every receiver's clock amplitudes, per cycle and lane, agree
         with ``np.einsum("s,csb->cb", w, clock_en)`` of the unrounded
         per-register weights to 1e-10 of the largest amplitude."""
@@ -162,7 +166,8 @@ class TestClockAmplitudes:
             return sums[-1]
 
         monkeypatch.setattr(acquire_mod, "_clock_sum", recording)
-        _acquire(array_engine, batch, "trojan2", include_noise=False)
+        _acquire(engine_for(kind, array_engine), batch, "trojan2",
+                 include_noise=False)
         got = np.concatenate(sums).reshape(-1, N_CYCLES, batch)
 
         names = [
