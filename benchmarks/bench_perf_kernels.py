@@ -35,12 +35,20 @@ from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
 from repro.chip.scenario import array_scenario
 from repro.logic.activity import ActivityAccumulator
+from repro.obs import use_metrics
 from repro.logic.simulator import CompiledNetlist, packed_words, unpack_bits
 from repro.em.biot_savart import b_field_of_segments
 from repro.em.mutual import mutual_inductance_to_loops
 from repro.em.sensor import SensorArray
 from repro.power.pulse import emf_kernel, step_kernel, synthesize_events
 from repro.experiments import campaign_spec, run_campaigns
+from repro.experiments.campaign import (
+    collect_ed_traces,
+    collect_spectral_record,
+    get_or_generate_campaigns,
+)
+from repro.experiments.localization import ARRAY_TROJANS
+from repro.fleet.campaign import DEFAULT_FLEET
 from tests.chip.reference_fold import ReferenceFoldEngine, dense_fold_matrix
 from tests.logic.fold_oracle import level_run_fold
 from tests.logic.kahn_reference import kahn_levels, reference_compile
@@ -662,22 +670,28 @@ def test_cycle_loop_kernel(benchmark, chip, sim_scenario):
     run_once(benchmark, rerun, cap, batch)
 
 
-def test_parallel_campaign_sweep(benchmark, chip, sim_scenario):
-    """4-campaign Trojan sweep: parallel output identical to serial."""
-    trojans = ("trojan1", "trojan2", "trojan3", "trojan4")
+def test_parallel_campaign_sweep(benchmark, chip, sim_scenario, sil_scenario):
+    """Trojan sweep over 4 campaign groups: pooled output equals serial.
+
+    ``run_campaigns`` packs the campaigns of one scenario and record
+    length into one acquisition pass, so the sweep spans two scenarios
+    and two record lengths to give the pool four groups to fan out.
+    """
     specs = [
         campaign_spec(
-            name,
+            f"{scenario.name}/{n}/{name}",
             "ed",
             chip,
-            sim_scenario,
-            n_traces=48,
+            scenario,
+            n_traces=n,
             batch=16,
             trojan_enables=(name,),
             receivers=("sensor",),
             rng_role=f"bench/{name}",
         )
-        for name in trojans
+        for scenario in (sim_scenario, sil_scenario)
+        for n in (48, 64)
+        for name in ("trojan1", "trojan4")
     ]
 
     t0 = time.perf_counter()
@@ -693,17 +707,18 @@ def test_parallel_campaign_sweep(benchmark, chip, sim_scenario):
         t_serial,
         speedup=speedup,
         workers=4,
+        groups=4,
         cpu_count=os.cpu_count(),
     )
     print(
-        f"\n4-campaign sweep: serial {t_serial:.1f} s, "
+        f"\n4-group campaign sweep: serial {t_serial:.1f} s, "
         f"4 workers {t_parallel:.1f} s -> {speedup:.1f}x "
         f"({os.cpu_count()} CPUs)"
     )
-    for name in trojans:
+    for spec in specs:
         assert np.array_equal(
-            serial[name]["sensor"], parallel[name]["sensor"]
-        ), name
+            serial[spec.name]["sensor"], parallel[spec.name]["sensor"]
+        ), spec.name
     # The fan-out can only beat the serial loop when the machine has
     # cores to fan onto.  On a single-CPU host run_campaigns degrades
     # to the serial loop on its own (a pool there measured 0.79× of
@@ -715,3 +730,100 @@ def test_parallel_campaign_sweep(benchmark, chip, sim_scenario):
         assert speedup >= 1.2, speedup
     else:
         assert speedup >= 0.85, speedup
+
+
+def _packed_campaign_cases(chip, scenario, smoke: bool):
+    """``(case, chip, scenario, requests)``: the fleet spectral sweep and
+    the array-localization campaigns, as their drivers request them."""
+    n_cycles = 96 if smoke else 1536
+    spectral = [("spectral", dict(
+        n_cycles=n_cycles, receivers=("sensor",), rng_role="fleet/spec-ref",
+    ))] + [
+        ("spectral", dict(
+            n_cycles=n_cycles, trojan_enables=enables, receivers=("sensor",),
+            rng_role=f"fleet/spec/{chip_id}",
+        ))
+        for chip_id, enables in DEFAULT_FLEET
+    ]
+    array = _array_engine()
+    channels = array.chip.receiver_groups["array"]
+    n_fit, n_eval, n_suspect = (32, 32, 32) if smoke else (256, 128, 128)
+    trojans = ARRAY_TROJANS[:1] if smoke else ARRAY_TROJANS
+
+    def ed(enables, n, role):
+        return ("ed", dict(
+            n_traces=n, receivers=channels, trojan_enables=enables,
+            rng_role=role, batch=32,
+        ))
+
+    localization = [
+        ed((), n_eval, "arrayloc/eval"), ed((), n_fit, "arrayloc/fit"),
+    ] + [
+        ed(() if name == "golden" else (name,), n_suspect,
+           f"arrayloc/suspect/{name}")
+        for name in ("golden",) + trojans
+    ]
+    return [
+        ("fleet_spectral", chip, scenario, spectral),
+        ("array_localization", array.chip, array.scenario, localization),
+    ]
+
+
+def test_packed_campaigns(benchmark, chip, sim_scenario):
+    """Campaigns of one shape in one lane-packed pass: same bytes, less
+    time than one pass per campaign.
+
+    Times the fleet's spectral sweep (reference + six chips) and the
+    sensor-array localization campaigns (evaluation, fit, golden and
+    Trojan suspects) generated solo, one collector call each, against
+    one :func:`get_or_generate_campaigns` request list, alternating
+    the two twice and keeping each side's best.  Every grouped result
+    must equal its solo one byte for byte; timing is recorded, not
+    gated.  ``REPRO_BENCH_SMOKE=1`` shrinks both cases.
+    """
+    smoke = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+    solo_collect = {
+        "ed": collect_ed_traces,
+        "spectral": collect_spectral_record,
+    }
+    cases = _packed_campaign_cases(chip, sim_scenario, smoke)
+
+    def grouped_all():
+        return [
+            get_or_generate_campaigns(c, scen, requests, cache=False)
+            for _case, c, scen, requests in cases
+        ]
+
+    grouped = run_once(benchmark, grouped_all)
+    for (case, c, scen, requests), got in zip(cases, grouped):
+        solo_s, grouped_s = [], []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            solo = [
+                solo_collect[kind](c, scen, **params)
+                for kind, params in requests
+            ]
+            solo_s.append(time.perf_counter() - t0)
+            with use_metrics() as metrics:
+                t0 = time.perf_counter()
+                get_or_generate_campaigns(c, scen, requests, cache=False)
+                grouped_s.append(time.perf_counter() - t0)
+        for i, (want, have) in enumerate(zip(solo, got)):
+            for rcv in want:
+                assert np.array_equal(have[rcv], want[rcv]), (case, i, rcv)
+        passes = metrics.counter("acquire.passes").value
+        t_solo, t_grouped = min(solo_s), min(grouped_s)
+        record_timing(
+            f"packed_campaigns_{case}",
+            t_grouped,
+            solo_s=t_solo,
+            speedup=t_solo / t_grouped,
+            campaigns=len(requests),
+            passes=passes,
+            smoke=smoke,
+        )
+        print(
+            f"\n{case}: {len(requests)} campaigns solo {t_solo:.2f} s, "
+            f"grouped ({passes} passes) {t_grouped:.2f} s "
+            f"-> {t_solo / t_grouped:.2f}x"
+        )

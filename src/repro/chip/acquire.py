@@ -13,6 +13,7 @@ call gives you what the scope stored for one campaign.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -291,33 +292,39 @@ class GroupMember:
 
 
 class _GroupStimulus:
-    """Column-concatenates the member workloads' per-cycle stimulus."""
+    """Column-concatenates the member workloads' per-cycle stimulus.
 
-    def __init__(self, members: tuple[GroupMember, ...]) -> None:
+    A pin keeps the value its lanes last had wherever a member does not
+    drive it on a cycle (no stimulus at all, or fewer pins than the
+    other members), exactly as in that member's solo run, where an
+    undriven input holds.  *slices* locate each member's lanes and
+    *initial* gives the pins' reset values across the whole group;
+    other pins reset to 0.
+    """
+
+    def __init__(
+        self,
+        members: tuple[GroupMember, ...],
+        slices: list[slice],
+        initial: dict[str, np.ndarray],
+    ) -> None:
         self._members = members
+        self._slices = slices
+        self._total = slices[-1].stop
+        self._held = {pin: lanes.copy() for pin, lanes in initial.items()}
 
     def inputs(self, cycle: int, batch: int):
-        parts = [
-            (m, m.workload.inputs(cycle, m.batch)) for m in self._members
-        ]
-        if all(p is None for _, p in parts):
+        driven: dict[str, None] = {}
+        for m, sl in zip(self._members, self._slices):
+            for pin, vals in (m.workload.inputs(cycle, m.batch) or {}).items():
+                held = self._held.get(pin)
+                if held is None:
+                    held = self._held[pin] = np.zeros(self._total, dtype=bool)
+                held[sl] = np.asarray(vals, dtype=bool)
+                driven[pin] = None
+        if not driven:
             return None
-        keys = next(set(p) for _, p in parts if p is not None)
-        if any(p is None or set(p) != keys for _, p in parts):
-            raise MeasurementError(
-                "lane-group members must share stimulus cadence and "
-                f"input pins at every cycle (cycle {cycle})"
-            )
-        merged: dict[str, np.ndarray] = {}
-        for key in keys:
-            cols = []
-            for m, p in parts:
-                arr = np.asarray(p[key], dtype=bool)
-                if arr.ndim == 0:
-                    arr = np.full(m.batch, bool(arr))
-                cols.append(arr)
-            merged[key] = np.concatenate(cols)
-        return merged
+        return {pin: self._held[pin].copy() for pin in driven}
 
 
 @dataclass
@@ -494,7 +501,8 @@ class AcquisitionEngine:
         record_nets: dict[str, str] | None = None,
         receivers: tuple[str, ...] | None = None,
         include_noise: bool = True,
-    ) -> dict[str, AcquisitionResult]:
+        finish: Callable[..., object] | None = None,
+    ) -> dict:
         """Acquire several same-netlist campaigns in one packed pass.
 
         Fleet chips instantiated from one netlist (golden vs the
@@ -542,7 +550,7 @@ class AcquisitionEngine:
                 "(workloads hold per-campaign state)"
             )
         results = self._acquire_lanes(
-            members, n_cycles, record_nets, receivers, include_noise
+            members, n_cycles, record_nets, receivers, include_noise, finish
         )
         metrics = active_metrics()
         metrics.counter("acquire.group.chips").inc(len(members))
@@ -559,14 +567,15 @@ class AcquisitionEngine:
         record_nets: dict[str, str] | None,
         receivers: tuple[str, ...] | None,
         include_noise: bool,
-    ) -> list[AcquisitionResult]:
+        finish: Callable[..., object] | None = None,
+    ) -> list:
         """The one acquisition body behind :meth:`acquire` and
         :meth:`acquire_group`: validate, derive every member's RNG
         streams, reset the lane-packed state, run the cycle loop once
         and synthesise each member's traces from its lane slice.
-        Returns one result per member, in member order."""
+        Returns one result per member, in member order, each passed
+        through *finish* when given."""
         chip = self.chip
-        cfg = chip.config
         sim = chip.sim
         if n_cycles <= 0:
             raise MeasurementError(f"n_cycles must be positive, got {n_cycles}")
@@ -633,7 +642,7 @@ class AcquisitionEngine:
                     lanes[sl] = True
             enable_inputs[tr.enable_pin] = lanes
 
-        stimulus = _GroupStimulus(members)
+        stimulus = _GroupStimulus(members, slices, enable_inputs)
         first_inputs = dict(enable_inputs)
         wl0 = stimulus.inputs(0, total)
         if wl0:
@@ -658,50 +667,77 @@ class AcquisitionEngine:
         # (and so in every saved RunResult artifact).
         metrics = active_metrics()
         metrics.counter("acquire.cycles").inc(n_cycles * total)
+        metrics.counter("acquire.passes").inc()
 
         with metrics.time("stage.sim_cycles.seconds"):
             rec_full = self._run_cycles_blocked(
                 state, stimulus, n_cycles, total, acc_list, watch_idx
             )
 
-        n_samples = (n_cycles + 1) * cfg.samples_per_cycle
-        folded = {name: accumulators[name].result() for name in names}
-        groups = self._synthesis_groups(names)
+        folded = {}
+        for name, acc in accumulators.items():
+            folded[name] = acc.result()
+            acc.clear()  # the blocks are copied into the result
 
-        results: list[AcquisitionResult] = []
+        results = []
         with metrics.time("stage.synthesize.seconds"):
             for m, sl, rng in zip(members, slices, rngs):
-                rec_arrays = {
-                    label: np.ascontiguousarray(rec_full[:, j, sl])
-                    for j, label in enumerate(watch_labels)
-                }
-                signal: dict[str, np.ndarray] = {}
-                for group in groups:
-                    signal.update(self._synthesize_group(
-                        group, folded, sl, rec_arrays,
-                        n_cycles, n_samples, m.batch,
-                    ))
-                # Noise and scope consume the member's shared stream in
-                # receiver order, exactly as each receiver's solo pass.
-                traces = {
-                    name: self._finish_receiver(
-                        name, signal[name], include_noise,
-                        self._channel_rng(name, rng, m.rng_role),
-                    )
-                    for name in names
-                }
-                results.append(AcquisitionResult(
-                    traces=traces,
-                    fs=cfg.fs,
-                    n_cycles=n_cycles,
-                    samples_per_cycle=cfg.samples_per_cycle,
-                    recorded={
-                        label: arr
-                        for label, arr in rec_arrays.items()
-                        if not label.startswith(_RESERVED_LABELS)
-                    },
-                ))
+                result = self._member_result(
+                    m, sl, rng, names, folded, rec_full, watch_labels,
+                    n_cycles, include_noise,
+                )
+                if finish is not None:
+                    # Drop the full-rate record before the next member's.
+                    result = finish(m, result)
+                results.append(result)
         return results
+
+    # ------------------------------------------------------------------
+    def _member_result(
+        self,
+        m: GroupMember,
+        lanes: slice,
+        rng: np.random.Generator,
+        names: tuple[str, ...],
+        folded: dict[str, np.ndarray],
+        rec_full: np.ndarray,
+        watch_labels: list[str],
+        n_cycles: int,
+        include_noise: bool,
+    ) -> AcquisitionResult:
+        """Synthesise member *m*'s traces from its lane slice *lanes*."""
+        cfg = self.chip.config
+        n_samples = (n_cycles + 1) * cfg.samples_per_cycle
+        rec_arrays = {
+            label: np.ascontiguousarray(rec_full[:, j, lanes])
+            for j, label in enumerate(watch_labels)
+        }
+        signal: dict[str, np.ndarray] = {}
+        for group in self._synthesis_groups(names):
+            signal.update(self._synthesize_group(
+                group, folded, lanes, rec_arrays,
+                n_cycles, n_samples, m.batch,
+            ))
+        # Noise and scope consume the member's shared stream in
+        # receiver order, exactly as each receiver's solo pass.
+        traces = {
+            name: self._finish_receiver(
+                name, signal.pop(name), include_noise,
+                self._channel_rng(name, rng, m.rng_role),
+            )
+            for name in names
+        }
+        return AcquisitionResult(
+            traces=traces,
+            fs=cfg.fs,
+            n_cycles=n_cycles,
+            samples_per_cycle=cfg.samples_per_cycle,
+            recorded={
+                label: arr
+                for label, arr in rec_arrays.items()
+                if not label.startswith(_RESERVED_LABELS)
+            },
+        )
 
     # ------------------------------------------------------------------
     def _channel_rng(

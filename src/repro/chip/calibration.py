@@ -23,6 +23,7 @@ from dataclasses import replace
 from repro.chip.acquire import (
     AcquisitionEngine,
     EncryptionWorkload,
+    GroupMember,
     IdleWorkload,
 )
 from repro.chip.chip import Chip
@@ -67,21 +68,27 @@ def calibrate_scenario(
                 f"no default SNR targets for scenario {scenario.name!r}; "
                 "pass targets explicitly"
             ) from None
-    engine = AcquisitionEngine(chip, scenario)
-    signal = engine.acquire(
-        EncryptionWorkload(chip.aes, _CAL_KEY, period=12),
+    # The signal and idle records share one lane-packed pass; each
+    # equals its solo acquisition byte for byte.
+    records = AcquisitionEngine(chip, scenario).acquire_group(
+        [
+            GroupMember(
+                name="signal",
+                workload=EncryptionWorkload(chip.aes, _CAL_KEY, period=12),
+                batch=batch,
+                rng_role="calibration/signal",
+            ),
+            GroupMember(
+                name="idle",
+                workload=IdleWorkload(),
+                batch=batch,
+                rng_role="calibration/idle",
+            ),
+        ],
         n_cycles=n_cycles,
-        batch=batch,
         include_noise=False,
-        rng_role="calibration/signal",
     )
-    idle = engine.acquire(
-        IdleWorkload(),
-        n_cycles=n_cycles,
-        batch=batch,
-        include_noise=False,
-        rng_role="calibration/idle",
-    )
+    signal, idle = records["signal"], records["idle"]
     # Preserve any receiver overrides the scenario already carries and
     # is not being recalibrated for.
     overrides: list[tuple[str, float]] = [

@@ -16,14 +16,14 @@ mapping to the paper:
 """
 
 from repro.experiments.campaign import (
+    CAMPAIGN_PLANNERS,
     DEFAULT_KEY,
-    TRACE_COLLECTORS,
     calibrated,
     clear_campaign_caches,
     collect_ed_traces,
-    collect_raw_records,
     collect_spectral_record,
     get_or_fit_detector,
+    get_or_generate_campaigns,
     get_or_generate_traces,
     shared_array_chip,
     shared_chip,
@@ -74,14 +74,14 @@ from repro.experiments.registry import (
 )
 
 __all__ = [
+    "CAMPAIGN_PLANNERS",
     "DEFAULT_KEY",
-    "TRACE_COLLECTORS",
     "calibrated",
     "clear_campaign_caches",
     "collect_ed_traces",
-    "collect_raw_records",
     "collect_spectral_record",
     "get_or_fit_detector",
+    "get_or_generate_campaigns",
     "get_or_generate_traces",
     "shared_array_chip",
     "shared_chip",

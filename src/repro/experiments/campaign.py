@@ -1,34 +1,47 @@
 """Shared campaign plumbing for the experiment drivers.
 
 Chips take seconds to assemble, so :func:`shared_chip` memoises one
-instance per (seed, trojan-set); trace collectors wrap the acquisition
-engine with the two standard campaign styles:
+instance per (seed, trojan-set).  A campaign is planned by one of three
+planners (:data:`CAMPAIGN_PLANNERS`), each describing it as a lane
+group member, a shape it shares with the other members of its pass,
+and a per-member post-process:
 
-* :func:`collect_ed_traces` — back-to-back encryptions cut into
+* :func:`ed_campaign` — back-to-back encryptions cut into
   per-encryption windows (the fingerprinting view).  Cutting windows
   out of one long run, rather than resetting per trace, is what gives
   every Trojan counter a *random phase* relative to the encryption —
   on a real bench the 750 kHz carrier is never reset-synchronised to
   the AES start pulse, and T1's characteristic flat/bimodal histogram
   (Fig. 6e) only appears because of that.
-* :func:`collect_spectral_record` — one long continuous record for FFT
+* :func:`spectral_campaign` — one long continuous record for FFT
   analysis.
-* :func:`collect_raw_records` — undecimated full-bench records (the
-  SNR experiment's view).
+* :func:`raw_campaign` — undecimated full-bench records (the SNR
+  experiment's view).
 
-:func:`get_or_generate_traces` is the shared entry point every driver
-funnels through: it canonicalises the collector call into a
-:class:`~repro.io.cache.PipelineKey` and serves the traces from the
-content-addressed disk cache (``REPRO_CACHE_DIR``) when one is
-enabled, so two drivers — or two whole experiment suites — requesting
-the same (seed, scenario, trojan-set, receiver) bundle only ever pay
-for one generation pass.
+:func:`acquire_campaigns` acquires any list of plans with one
+lane-packed ``acquire_group`` pass per shape; the golden and Trojan
+campaigns of one netlist differ only in their enable pins and random
+streams, so they share the simulator's lane words, and every result
+equals its solo acquisition byte for byte.
+:func:`collect_ed_traces` and :func:`collect_spectral_record` acquire
+one campaign alone.
+
+:func:`get_or_generate_campaigns` is the entry point every driver
+funnels through: it canonicalises each request into a
+:class:`~repro.io.cache.PipelineKey`, serves hits from the
+content-addressed disk cache (``REPRO_CACHE_DIR``) when one is enabled
+and generates every miss in one :func:`acquire_campaigns` call, so two
+drivers — or two whole experiment suites — requesting the same (seed,
+scenario, trojan-set, receiver) bundle only ever pay for one
+generation pass.  :func:`get_or_generate_traces` is its one-request
+case.
 """
 
 from __future__ import annotations
 
 import inspect
-
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +49,9 @@ import numpy as np
 from scipy import signal
 
 from repro.chip.acquire import (
+    AcquisitionResult,
     EncryptionWorkload,
+    GroupMember,
     IdleWorkload,
     acquisition_engine,
 )
@@ -157,7 +172,33 @@ def calibrated(chip: Chip, scenario: Scenario) -> Scenario:
     return cached
 
 
-def collect_ed_traces(
+@dataclass(frozen=True)
+class CampaignShape:
+    """What lane-packed campaigns share: one ``acquire_group`` pass's
+    arguments.  ``receivers=None`` means all of the chip's receivers."""
+
+    n_cycles: int
+    receivers: tuple[str, ...] | None
+    include_noise: bool
+
+
+@dataclass(frozen=True)
+class CampaignPlan:
+    """One collector call as the three parts a grouped pass needs.
+
+    :attr:`member` is the campaign's lane group member (its name is
+    replaced when it joins a group), :attr:`shape` what it must share
+    with the other members of its pass, and :attr:`finish` turns its
+    :class:`~repro.chip.acquire.AcquisitionResult` into the collector's
+    ``{receiver: 2-D trace matrix}``.
+    """
+
+    member: GroupMember
+    shape: CampaignShape
+    finish: Callable[[AcquisitionResult], dict[str, np.ndarray]]
+
+
+def ed_campaign(
     chip: Chip,
     scenario: Scenario,
     n_traces: int,
@@ -167,36 +208,42 @@ def collect_ed_traces(
     batch: int = 64,
     key: bytes = DEFAULT_KEY,
     decimate: int = ED_DECIMATE,
-) -> dict[str, np.ndarray]:
-    """Per-encryption EM traces, ``{receiver: (n_traces, window_samples)}``.
+) -> CampaignPlan:
+    """Plan of per-encryption EM traces, ``{receiver: (n_traces,
+    window_samples)}``.
 
     Runs ``ceil(n_traces / batch)`` windows worth of back-to-back
     encryptions per batch column, segments each receiver record into
     one window per encryption, and band-limits/decimates to the
     analysis rate (set ``decimate=1`` for raw traces).
     """
+    receivers = tuple(receivers)
     windows_per_col = -(-n_traces // batch) + WARMUP_WINDOWS
-    n_cycles = windows_per_col * ED_PERIOD
-    engine = acquisition_engine(chip, scenario)
-    workload = EncryptionWorkload(chip.aes, key, period=ED_PERIOD)
-    result = engine.acquire(
-        workload,
-        n_cycles=n_cycles,
-        batch=batch,
-        trojan_enables=trojan_enables,
-        receivers=receivers,
-        rng_role=rng_role,
-    )
-    return {
-        name: segment_ed_windows(
-            result.traces[name],
+    spc = chip.config.samples_per_cycle
+
+    def finish(result: AcquisitionResult) -> dict[str, np.ndarray]:
+        return {
+            name: segment_ed_windows(
+                result.traces[name],
+                batch=batch,
+                n_traces=n_traces,
+                spc=spc,
+                decimate=decimate,
+            )
+            for name in receivers
+        }
+
+    return CampaignPlan(
+        GroupMember(
+            name=rng_role,
+            workload=EncryptionWorkload(chip.aes, key, period=ED_PERIOD),
             batch=batch,
-            n_traces=n_traces,
-            spc=chip.config.samples_per_cycle,
-            decimate=decimate,
-        )
-        for name in receivers
-    }
+            trojan_enables=tuple(trojan_enables),
+            rng_role=rng_role,
+        ),
+        CampaignShape(windows_per_col * ED_PERIOD, receivers, True),
+        finish,
+    )
 
 
 def segment_ed_windows(
@@ -209,15 +256,11 @@ def segment_ed_windows(
 ) -> np.ndarray:
     """Cut one receiver record into per-encryption analysis windows.
 
-    The shared post-processing of :func:`collect_ed_traces`:
-    band-limit/decimate the ``(batch, samples)`` record, strip the
-    warm-up windows, and interleave batch columns into ``(n_traces,
-    window_samples)``.  Factored out so the streaming fleet producer
-    (:class:`repro.fleet.producer.GroupChunkSource`), which acquires
-    its records lane-packed through ``acquire_group``, lands on
-    byte-identical windows to a solo-acquired campaign chunk — every
-    operation here is row-wise, so it cannot reintroduce a
-    cross-member dependency.
+    The post-processing of :func:`ed_campaign`: band-limit/decimate the
+    ``(batch, samples)`` record, strip the warm-up windows, and
+    interleave batch columns into ``(n_traces, window_samples)``.
+    Every operation here is row-wise, so a member of a lane-packed pass
+    lands on byte-identical windows to its solo campaign.
     """
     window = ED_PERIOD * spc
     windows_per_col = -(-n_traces // batch) + WARMUP_WINDOWS
@@ -233,10 +276,12 @@ def segment_ed_windows(
     segs = segs.reshape(batch, usable, w)
     # Interleave batch columns so truncation keeps phase diversity.
     segs = segs.transpose(1, 0, 2).reshape(batch * usable, w)
-    return segs[:n_traces]
+    # With one usable window per column the reshapes are views of the
+    # whole record: copy, so the windows do not keep the record alive.
+    return np.ascontiguousarray(segs[:n_traces])
 
 
-def collect_spectral_record(
+def spectral_campaign(
     chip: Chip,
     scenario: Scenario,
     n_cycles: int = 4096,
@@ -247,12 +292,15 @@ def collect_spectral_record(
     key: bytes = DEFAULT_KEY,
     batch: int = 4,
     include_noise: bool = False,
-) -> dict[str, np.ndarray]:
-    """Long continuous records per receiver, ``(batch, samples)``.
+) -> CampaignPlan:
+    """Plan of long continuous records, ``{receiver: (batch, samples)}``.
 
     Rows are independent records; averaging their magnitude spectra
     (which :func:`repro.analysis.spectral.amplitude_spectrum` does)
     knocks the noise floor down like a spectrum analyser's averaging.
+    Every spectral campaign replays one plaintext sequence (the
+    ``spectral/shared-operation`` workload role), so golden and Trojan
+    records compare "the same operation".
 
     ``include_noise`` defaults to False: the paper's spectral figures
     are simulation plots / heavily averaged captures whose additive
@@ -261,26 +309,26 @@ def collect_spectral_record(
     drivers analyse the noise-free signal path instead (the noisy
     variant remains available for ablations).
     """
-    engine = acquisition_engine(chip, scenario)
-    workload = (
-        EncryptionWorkload(chip.aes, key, period=SPECTRAL_PERIOD)
-        if encrypting
-        else IdleWorkload()
+    receivers = tuple(receivers)
+    return CampaignPlan(
+        GroupMember(
+            name=rng_role,
+            workload=(
+                EncryptionWorkload(chip.aes, key, period=SPECTRAL_PERIOD)
+                if encrypting
+                else IdleWorkload()
+            ),
+            batch=batch,
+            trojan_enables=tuple(trojan_enables),
+            rng_role=rng_role,
+            workload_role="spectral/shared-operation",
+        ),
+        CampaignShape(n_cycles, receivers, include_noise),
+        lambda result: {name: result.traces[name] for name in receivers},
     )
-    result = engine.acquire(
-        workload,
-        n_cycles=n_cycles,
-        batch=batch,
-        trojan_enables=trojan_enables,
-        receivers=receivers,
-        rng_role=rng_role,
-        workload_role="spectral/shared-operation",
-        include_noise=include_noise,
-    )
-    return {name: result.traces[name] for name in receivers}
 
 
-def collect_raw_records(
+def raw_campaign(
     chip: Chip,
     scenario: Scenario,
     n_cycles: int,
@@ -292,71 +340,212 @@ def collect_raw_records(
     key: bytes = DEFAULT_KEY,
     period: int = ED_PERIOD,
     include_noise: bool = True,
-) -> dict[str, np.ndarray]:
-    """Full-rate continuous records, ``{receiver: (batch, samples)}``.
+) -> CampaignPlan:
+    """Plan of full-rate continuous records, ``{receiver: (batch,
+    samples)}``.
 
     The undecimated, unsegmented view the SNR experiment measures:
     either back-to-back encryptions (*encrypting*) or the idle noise
     record.  *receivers* defaults to all of the chip's receivers.
     """
-    engine = acquisition_engine(chip, scenario)
-    workload = (
-        EncryptionWorkload(chip.aes, key, period=period)
-        if encrypting
-        else IdleWorkload()
-    )
-    result = engine.acquire(
-        workload,
-        n_cycles=n_cycles,
-        batch=batch,
-        trojan_enables=trojan_enables,
-        receivers=receivers,
-        rng_role=rng_role,
-        include_noise=include_noise,
-    )
+    if receivers is not None:
+        receivers = tuple(receivers)
     names = receivers if receivers is not None else tuple(chip.receivers)
-    return {name: result.traces[name] for name in names}
+    return CampaignPlan(
+        GroupMember(
+            name=rng_role,
+            workload=(
+                EncryptionWorkload(chip.aes, key, period=period)
+                if encrypting
+                else IdleWorkload()
+            ),
+            batch=batch,
+            trojan_enables=tuple(trojan_enables),
+            rng_role=rng_role,
+        ),
+        CampaignShape(n_cycles, receivers, include_noise),
+        lambda result: {name: result.traces[name] for name in names},
+    )
 
 
-#: Collector registry of :func:`get_or_generate_traces` — every entry
-#: returns ``{receiver: 2-D trace matrix}`` deterministically from
-#: (chip, scenario, params).
-TRACE_COLLECTORS = {
-    "ed": collect_ed_traces,
-    "spectral": collect_spectral_record,
-    "raw": collect_raw_records,
+#: Campaign kinds of :func:`get_or_generate_campaigns`: each planner
+#: describes its campaign deterministically from (chip, scenario,
+#: params).
+CAMPAIGN_PLANNERS = {
+    "ed": ed_campaign,
+    "spectral": spectral_campaign,
+    "raw": raw_campaign,
 }
+
+
+def acquire_campaigns(
+    chip: Chip, scenario: Scenario, plans: Sequence[CampaignPlan]
+) -> list[dict[str, np.ndarray]]:
+    """Acquire planned campaigns, one lane-packed pass per shape.
+
+    Plans of equal :class:`CampaignShape` join one
+    :meth:`~repro.chip.acquire.AcquisitionEngine.acquire_group` pass, in
+    first-seen order, and each member is finished as soon as its
+    synthesis is done.  Every result equals that plan's solo
+    acquisition byte for byte.  Returns the results in plan order.
+    """
+    engine = acquisition_engine(chip, scenario)
+    by_shape: dict[CampaignShape, list[int]] = {}
+    for i, plan in enumerate(plans):
+        by_shape.setdefault(plan.shape, []).append(i)
+    out: list[dict[str, np.ndarray]] = [{} for _ in plans]
+    for shape, indices in by_shape.items():
+        results = engine.acquire_group(
+            [replace(plans[i].member, name=str(i)) for i in indices],
+            n_cycles=shape.n_cycles,
+            receivers=shape.receivers,
+            include_noise=shape.include_noise,
+            finish=lambda member, result: plans[int(member.name)].finish(
+                result
+            ),
+        )
+        for i in indices:
+            out[i] = results[str(i)]
+    return out
+
+
+def collect_ed_traces(chip, scenario, *args, **kwargs):
+    """One :func:`ed_campaign`, acquired alone."""
+    plan = ed_campaign(chip, scenario, *args, **kwargs)
+    return acquire_campaigns(chip, scenario, [plan])[0]
+
+
+def collect_spectral_record(chip, scenario, *args, **kwargs):
+    """One :func:`spectral_campaign`, acquired alone."""
+    plan = spectral_campaign(chip, scenario, *args, **kwargs)
+    return acquire_campaigns(chip, scenario, [plan])[0]
+
+
+def _planner(kind: str):
+    planner = CAMPAIGN_PLANNERS.get(kind)
+    if planner is None:
+        raise ExperimentError(
+            f"unknown campaign kind {kind!r}; expected one of "
+            f"{tuple(CAMPAIGN_PLANNERS)}"
+        )
+    return planner
+
+
+def _bound_params(kind: str, params: dict) -> dict:
+    """*params* of a *kind* call with every default bound."""
+    bound = inspect.signature(_planner(kind)).bind(None, None, **params)
+    bound.apply_defaults()
+    full = dict(bound.arguments)
+    full.pop("chip")
+    full.pop("scenario")
+    return full
 
 
 def campaign_pipeline_key(
     chip: Chip, scenario: Scenario, kind: str, params: dict
 ) -> PipelineKey:
-    """Canonical cache key of one collector call.
+    """Canonical cache key of one campaign request.
 
     Parameter defaults are bound before hashing, so spelling a default
     out explicitly (``batch=64``) addresses the same cache entry as
     omitting it.
     """
-    collector = TRACE_COLLECTORS.get(kind)
-    if collector is None:
-        raise ExperimentError(
-            f"unknown campaign kind {kind!r}; expected one of "
-            f"{tuple(TRACE_COLLECTORS)}"
+    return PipelineKey.for_campaign(
+        chip, scenario, kind, _bound_params(kind, params)
+    )
+
+
+def get_or_generate_campaigns(
+    chip: Chip,
+    scenario: Scenario,
+    requests: Sequence[tuple[str, dict]],
+    cache: TraceCache | None | bool = None,
+) -> list[dict[str, np.ndarray]]:
+    """Serve several trace campaigns of one chip and scenario.
+
+    *requests* holds ``(kind, params)`` pairs: *kind* picks the planner
+    from :data:`CAMPAIGN_PLANNERS` and *params* are its keyword
+    arguments.  Requests the cache holds are served from it; every miss
+    is generated by :func:`acquire_campaigns`, one lane-packed pass per
+    campaign shape, and only the misses are written back.  Returns one
+    ``{receiver: traces}`` per request, in request order.
+
+    *cache* resolves to the ``REPRO_CACHE_DIR`` environment cache when
+    ``None``; pass a :class:`~repro.io.cache.TraceCache` to use a
+    specific store, or ``False`` to force regeneration.  With no cache
+    the campaigns are generated directly — same results, no disk
+    traffic.
+
+    Cache hits return **read-only memmapped** arrays bit-identical to
+    what generation would produce; misses persist one bundle per
+    receiver (atomic renames, so concurrent workers sharing the cache
+    directory race benignly).
+    """
+    requests = [(kind, dict(params)) for kind, params in requests]
+    for kind, _ in requests:
+        _planner(kind)
+    metrics = active_metrics()
+    if cache is None:
+        cache = configured_cache()
+    elif cache is False:
+        cache = None
+
+    out: list[dict[str, np.ndarray] | None] = [None] * len(requests)
+    keys: dict[int, PipelineKey] = {}
+    for i, (kind, params) in enumerate(requests):
+        if cache is None:
+            break
+        key = campaign_pipeline_key(chip, scenario, kind, params)
+        receivers = _bound_params(kind, params)["receivers"]
+        names = receivers if receivers is not None else chip.receivers
+        cached: dict[str, np.ndarray] = {}
+        for name in names:
+            bundle = cache.get_bundle(key, receiver=name)
+            if bundle is None:
+                break
+            cached[name] = bundle.traces
+        if len(cached) == len(names):
+            metrics.counter("traces.cache.hit").inc()
+            out[i] = cached
+        else:
+            metrics.counter("traces.cache.miss").inc()
+            keys[i] = key
+
+    misses = [i for i, traces in enumerate(out) if traces is None]
+    if not misses:
+        return out
+    with metrics.time("stage.traces.generate.seconds"):
+        fresh = acquire_campaigns(
+            chip,
+            scenario,
+            [
+                _planner(kind)(chip, scenario, **params)
+                for kind, params in (requests[i] for i in misses)
+            ],
         )
-    bound = inspect.signature(collector).bind(None, None, **params)
-    bound.apply_defaults()
-    full = dict(bound.arguments)
-    full.pop("chip")
-    full.pop("scenario")
-    return PipelineKey.for_campaign(chip, scenario, kind, full)
-
-
-def _campaign_receivers(chip: Chip, kind: str, params: dict) -> tuple[str, ...]:
-    """Receiver names a collector call will return, defaults included."""
-    bound = inspect.signature(TRACE_COLLECTORS[kind]).bind(None, None, **params)
-    bound.apply_defaults()
-    receivers = bound.arguments.get("receivers")
-    return tuple(receivers) if receivers is not None else tuple(chip.receivers)
+    for i, traces in zip(misses, fresh):
+        out[i] = traces
+        if cache is None:
+            continue
+        trojan_enables = tuple(requests[i][1].get("trojan_enables", ()))
+        for name, arr in traces.items():
+            cache.put_bundle(
+                keys[i],
+                TraceBundle(
+                    traces=arr,
+                    receiver=name,
+                    fs=chip.config.fs,
+                    chip_seed=chip.seed,
+                    scenario=scenario.name,
+                    trojan_enables=trojan_enables,
+                    extras={
+                        "kind": requests[i][0],
+                        "pipeline_key": keys[i].digest(),
+                    },
+                ),
+                receiver=name,
+            )
+    return out
 
 
 def get_or_generate_traces(
@@ -366,67 +555,14 @@ def get_or_generate_traces(
     cache: TraceCache | None | bool = None,
     **params,
 ) -> dict[str, np.ndarray]:
-    """Serve a trace campaign from the cache, generating it on a miss.
+    """Serve one trace campaign from the cache, generating it on a miss.
 
-    The shared entry point of every experiment driver (and of the
-    parallel campaign workers).  *kind* picks the collector from
-    :data:`TRACE_COLLECTORS`; *params* are its keyword arguments.
-
-    *cache* resolves to the ``REPRO_CACHE_DIR`` environment cache when
-    ``None``; pass a :class:`~repro.io.cache.TraceCache` to use a
-    specific store, or ``False`` to force regeneration.  With no cache
-    the collector runs directly — same results, no disk traffic.
-
-    Cache hits return **read-only memmapped** arrays bit-identical to
-    what the collector would produce; misses run the collector once
-    and persist one bundle per receiver (atomic renames, so concurrent
-    workers sharing the cache directory race benignly).
+    The one-request case of :func:`get_or_generate_campaigns`, the
+    shared entry point of every experiment driver.
     """
-    if kind not in TRACE_COLLECTORS:
-        raise ExperimentError(
-            f"unknown campaign kind {kind!r}; expected one of "
-            f"{tuple(TRACE_COLLECTORS)}"
-        )
-    metrics = active_metrics()
-    if cache is None:
-        cache = configured_cache()
-    elif cache is False:
-        cache = None
-    if cache is None:
-        with metrics.time("stage.traces.generate.seconds"):
-            return TRACE_COLLECTORS[kind](chip, scenario, **params)
-
-    key = campaign_pipeline_key(chip, scenario, kind, params)
-    receivers = _campaign_receivers(chip, kind, params)
-    cached: dict[str, np.ndarray] = {}
-    for name in receivers:
-        bundle = cache.get_bundle(key, receiver=name)
-        if bundle is None:
-            break
-        cached[name] = bundle.traces
-    if len(cached) == len(receivers):
-        metrics.counter("traces.cache.hit").inc()
-        return cached
-
-    metrics.counter("traces.cache.miss").inc()
-    with metrics.time("stage.traces.generate.seconds"):
-        fresh = TRACE_COLLECTORS[kind](chip, scenario, **params)
-    trojan_enables = tuple(params.get("trojan_enables", ()))
-    for name, traces in fresh.items():
-        cache.put_bundle(
-            key,
-            TraceBundle(
-                traces=traces,
-                receiver=name,
-                fs=chip.config.fs,
-                chip_seed=chip.seed,
-                scenario=scenario.name,
-                trojan_enables=trojan_enables,
-                extras={"kind": kind, "pipeline_key": key.digest()},
-            ),
-            receiver=name,
-        )
-    return fresh
+    return get_or_generate_campaigns(
+        chip, scenario, [(kind, params)], cache=cache
+    )[0]
 
 
 def get_or_fit_detector(

@@ -21,7 +21,7 @@ from repro.analysis.spectral import (
 )
 from repro.chip.chip import Chip
 from repro.chip.scenario import Scenario
-from repro.experiments.campaign import get_or_generate_traces
+from repro.experiments.campaign import get_or_generate_campaigns
 
 
 @dataclass
@@ -84,23 +84,18 @@ def run_a2_spectrum(
     the paper's figure, which shows the clock spot and its doubled
     harmonic.
     """
-    golden_rec = get_or_generate_traces(
-        chip,
-        scenario,
-        "spectral",
-        n_cycles=n_cycles,
-        receivers=(receiver,),
-        rng_role="a2/golden",
-    )[receiver]
-    trig_rec = get_or_generate_traces(
-        chip,
-        scenario,
-        "spectral",
-        n_cycles=n_cycles,
-        trojan_enables=("a2",),
-        receivers=(receiver,),
-        rng_role="a2/trig",
-    )[receiver]
+    # One lane-packed pass: the records differ only in the A2 enable
+    # and their noise streams, and replay the same plaintexts.
+    golden_rec, trig_rec = (
+        traces[receiver]
+        for traces in get_or_generate_campaigns(chip, scenario, [
+            ("spectral", dict(
+                n_cycles=n_cycles, trojan_enables=enables,
+                receivers=(receiver,), rng_role=f"a2/{role}",
+            ))
+            for enables, role in (((), "golden"), (("a2",), "trig"))
+        ])
+    )
     fs = chip.config.fs
     # Both records transform in one batched rfft dispatch.
     golden_full, trig_full = amplitude_spectra([golden_rec, trig_rec], fs)

@@ -29,7 +29,7 @@ from repro.errors import ExperimentError
 from repro.experiments.campaign import (
     DEFAULT_KEY,
     ED_PERIOD,
-    get_or_generate_traces,
+    get_or_generate_campaigns,
 )
 
 LOCALIZABLE_TROJANS = ("trojan1", "trojan2", "trojan4")
@@ -286,9 +286,10 @@ def run_array_localization(
     always evaluated too — :attr:`ArrayLocalizationResult.golden_flagged`
     is the array's false-positive check.
 
-    All channels of every campaign come from **one** acquisition pass
-    per round (the multi-channel synthesis path), so an N×M array
-    costs the same simulation time as one coil.
+    All channels of a campaign come from one acquisition (the
+    multi-channel synthesis path), so an N×M array costs the same
+    simulation time as one coil, and the evaluation, fit and suspect
+    campaigns of equal length share one lane-packed pass.
     """
     from repro.detectors.registry import create_detector, get_detector_class
 
@@ -308,7 +309,9 @@ def run_array_localization(
     info = get_detector_class(detector_name).info
     rows, cols = array.rows, array.cols
 
-    def ed(enables, n, role, raw):
+    raw = bool(info.reference_free)
+
+    def ed(enables, n, role):
         params = dict(
             n_traces=n,
             receivers=channels,
@@ -319,10 +322,22 @@ def run_array_localization(
         )
         if raw:
             params["decimate"] = 1
-        return get_or_generate_traces(chip, scenario, "ed", cache=cache, **params)
+        return ("ed", params)
 
-    raw = bool(info.reference_free)
-    eval_traces = ed((), n_eval, "arrayloc/eval", raw)
+    # Every campaign of the run in one request list: those of one shape
+    # share a lane-packed acquisition pass.
+    rounds = ("golden",) + tuple(trojans)
+    requests = [ed((), n_eval, "arrayloc/eval")]
+    if not info.reference_free:
+        requests.append(ed((), n_golden, "arrayloc/fit"))
+    requests += [
+        ed(() if name == "golden" else (name,), n_suspect,
+           f"arrayloc/suspect/{name}")
+        for name in rounds
+    ]
+    traces = get_or_generate_campaigns(chip, scenario, requests, cache=cache)
+    eval_traces = traces[0]
+    suspects = traces[-len(rounds):]
     if info.reference_free:
         detectors = {
             ch: create_detector(detector_name).fit(np.empty((0, 0)))
@@ -330,7 +345,7 @@ def run_array_localization(
         }
         neg_scores = {}
     else:
-        fit_traces = ed((), n_golden, "arrayloc/fit", raw)
+        fit_traces = traces[1]
         detectors = {
             ch: create_detector(detector_name).fit(fit_traces[ch])
             for ch in channels
@@ -339,12 +354,9 @@ def run_array_localization(
             ch: detectors[ch].score(eval_traces[ch]) for ch in channels
         }
 
-    rounds = ("golden",) + tuple(trojans)
     outcomes: dict[str, ArrayChannelOutcome] = {}
     golden_outcome: ArrayChannelOutcome | None = None
-    for name in rounds:
-        enables = () if name == "golden" else (name,)
-        suspect = ed(enables, n_suspect, f"arrayloc/suspect/{name}", raw)
+    for name, suspect in zip(rounds, suspects):
         z = np.zeros(rows * cols, dtype=np.float64)
         detected = 0
         for i, ch in enumerate(channels):

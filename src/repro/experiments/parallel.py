@@ -1,13 +1,19 @@
 """Parallel campaign runner.
 
-Trojan sweeps are embarrassingly parallel: one acquisition campaign per
-(Trojan, scenario, receiver) combination, no shared mutable state.
-:func:`run_campaigns` fans a list of :class:`CampaignSpec` across a
-``ProcessPoolExecutor`` and returns exactly what the serial loop would
-have produced — every random stream is derived from
-``(chip.seed ^ scenario.seed, rng_role)`` through :func:`repro.rng.derive`
-inside the acquisition engine, so a campaign's traces depend only on its
-spec, never on which process ran it or in what order.
+Trojan sweeps are one acquisition campaign per (Trojan, scenario,
+receiver) combination, with no shared mutable state.
+:func:`run_campaigns` first groups its :class:`CampaignSpec` list by
+(chip, scenario, campaign shape): the campaigns of one group differ
+only in enable pins and random streams, so each group is generated in
+one lane-packed acquisition pass
+(:func:`repro.experiments.campaign.get_or_generate_campaigns`).  The
+groups then run in a serial loop or fan out across a
+``ProcessPoolExecutor``, and the result is exactly what solo campaigns
+in a serial loop would have produced — every random stream is derived
+from ``(chip.seed ^ scenario.seed, rng_role)`` through
+:func:`repro.rng.derive` inside the acquisition engine, so a campaign's
+traces depend only on its spec, never on its group, the process that
+ran it or the order.
 
 Workers rebuild (or, under the ``fork`` start method, inherit) the chip
 via :func:`repro.experiments.campaign.shared_chip`; a caller holding a
@@ -18,7 +24,7 @@ Worker count: ``run_campaigns(..., workers=N)``, else the
 ``REPRO_WORKERS`` environment variable, else ``os.cpu_count()``.  With
 one worker (or one campaign) everything runs in-process — same results,
 no pool overhead.  The runner also degrades to the serial loop on its
-own when the pool cannot win: never more workers than campaigns, and no
+own when the pool cannot win: never more workers than groups, and no
 pool at all on a single-CPU host (where fork + pickle overhead measured
 0.79× of serial; tests that exercise the pool itself pin a config with
 ``host_cpus=2``).  See ``docs/PERFORMANCE.md`` for when the fan-out
@@ -31,8 +37,8 @@ the result; the parent folds it into :func:`repro.obs.active_metrics`
 through :meth:`~repro.obs.metrics.MetricsRegistry.merge_state`, so
 counters and histogram samples match the serial run's.  A worker that
 dies (killed, out of memory) fails the run with an
-:class:`~repro.errors.ExperimentError` naming the campaign, instead of
-a bare ``BrokenProcessPool``.
+:class:`~repro.errors.ExperimentError` naming the campaigns of its
+group, instead of a bare ``BrokenProcessPool``.
 """
 
 from __future__ import annotations
@@ -48,14 +54,14 @@ from repro.chip.scenario import Scenario
 from repro.config import active_config
 from repro.errors import ExperimentError
 from repro.experiments.campaign import (
-    TRACE_COLLECTORS,
-    get_or_generate_traces,
+    CAMPAIGN_PLANNERS,
+    get_or_generate_campaigns,
     shared_chip,
 )
 from repro.obs import active_metrics, use_metrics
 
-#: Campaign kinds understood by the runner (the collector registry).
-CAMPAIGN_KINDS = tuple(TRACE_COLLECTORS)
+#: Campaign kinds understood by the runner (the planner registry).
+CAMPAIGN_KINDS = tuple(CAMPAIGN_PLANNERS)
 
 #: Chips registered by callers, keyed like :func:`shared_chip`.  Forked
 #: workers inherit this (copy-on-write), so a registered chip is never
@@ -67,9 +73,9 @@ _CHIP_CACHE: dict[tuple[int, tuple[str, ...]], Chip] = {}
 class CampaignSpec:
     """One acquisition campaign, fully described by picklable values.
 
-    ``params`` are keyword arguments for the collector chosen by
+    ``params`` are keyword arguments for the planner chosen by
     ``kind`` (an entry of :data:`repro.experiments.campaign.
-    TRACE_COLLECTORS`), stored as a sorted item tuple so specs are
+    CAMPAIGN_PLANNERS`), stored as a sorted item tuple so specs are
     hashable and order-insensitive.
     """
 
@@ -141,73 +147,97 @@ def _resolve_chip(spec: CampaignSpec) -> Chip:
     return chip
 
 
-def _run_one(spec: CampaignSpec) -> Any:
-    """Execute one campaign (also the worker-process entry point).
+def _group_specs(specs: list[CampaignSpec]) -> list[list[CampaignSpec]]:
+    """*specs* grouped by (chip, scenario, campaign shape), first-seen
+    order: each group is one lane-packed acquisition pass."""
+    groups: dict[tuple, list[CampaignSpec]] = {}
+    for spec in specs:
+        chip = _resolve_chip(spec)
+        shape = CAMPAIGN_PLANNERS[spec.kind](
+            chip, spec.scenario, **dict(spec.params)
+        ).shape
+        key = (spec.chip_seed, spec.chip_trojans, spec.scenario, shape)
+        groups.setdefault(key, []).append(spec)
+    return list(groups.values())
+
+
+def _run_group(group: list[CampaignSpec]) -> dict[str, Any]:
+    """Execute one campaign group (also the worker-process entry point).
 
     Routed through :func:`~repro.experiments.campaign.
-    get_or_generate_traces`, so when ``REPRO_CACHE_DIR`` is set every
+    get_or_generate_campaigns`, so when ``REPRO_CACHE_DIR`` is set every
     worker consults — and, on a miss, populates — the shared
     content-addressed cache.  Writes are atomic renames, so concurrent
     workers generating the same bundle race benignly (last writer
     wins with identical bytes).
     """
-    chip = _resolve_chip(spec)
-    return get_or_generate_traces(
-        chip, spec.scenario, spec.kind, **dict(spec.params)
+    first = group[0]
+    results = get_or_generate_campaigns(
+        _resolve_chip(first),
+        first.scenario,
+        [(spec.kind, dict(spec.params)) for spec in group],
     )
+    return {spec.name: traces for spec, traces in zip(group, results)}
 
 
-def _run_in_worker(spec: CampaignSpec) -> tuple[Any, dict]:
-    """Pool entry point: one campaign plus the metrics it recorded."""
+def _run_in_worker(group: list[CampaignSpec]) -> tuple[dict, dict]:
+    """Pool entry point: one campaign group plus the metrics it recorded."""
     with use_metrics() as registry:
-        result = _run_one(spec)
-    return result, registry.state_dict()
+        results = _run_group(group)
+    return results, registry.state_dict()
 
 
 def run_campaigns(
     specs: Iterable[CampaignSpec],
     workers: int | None = None,
 ) -> dict[str, Any]:
-    """Run every campaign and return ``{spec.name: collector result}``.
+    """Run every campaign and return ``{spec.name: traces}``.
 
-    Results are bit-identical to running the specs serially in a loop:
-    campaigns share nothing, and all randomness is seeded from the spec
-    itself.  The returned dict preserves the input order.  Metrics the
-    pool workers record are merged into the active registry.
+    Campaigns of one chip, scenario and shape are generated together in
+    one lane-packed pass per group.  Results are bit-identical to
+    running each spec alone in a serial loop: campaigns share nothing,
+    and all randomness is seeded from the spec itself.  The returned
+    dict preserves the input order.  Metrics the pool workers record
+    are merged into the active registry.
 
     Raises
     ------
     ExperimentError
-        If a pool worker process dies; the message names the campaign
-        whose result was lost.
+        If a pool worker process dies; the message names the campaigns
+        whose results were lost.
     """
     spec_list = list(specs)
     names = [spec.name for spec in spec_list]
     if len(set(names)) != len(names):
         raise ExperimentError(f"campaign names must be unique, got {names}")
-    # More workers than campaigns only adds idle processes; a pool on a
+    groups = _group_specs(spec_list)
+    # More workers than groups only adds idle processes; a pool on a
     # single CPU only adds fork + pickle overhead (measured 0.79× of
     # serial) — degrade to the bit-identical serial loop in both cases.
     # The single-CPU decision is taken once by ReproConfig from its
     # host_cpus snapshot, not re-read per call here.
-    n_workers = min(resolve_workers(workers), len(spec_list))
+    n_workers = min(resolve_workers(workers), len(groups))
     if n_workers > 1 and not active_config().pool_allowed:
         n_workers = 1
-    if n_workers <= 1 or len(spec_list) <= 1:
-        return {spec.name: _run_one(spec) for spec in spec_list}
+    results: dict[str, Any] = {}
+    if n_workers <= 1:
+        for group in groups:
+            results.update(_run_group(group))
+        return {name: results[name] for name in names}
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     metrics = active_metrics()
-    results: dict[str, Any] = {}
     with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
-        futures = [pool.submit(_run_in_worker, spec) for spec in spec_list]
-        for spec, fut in zip(spec_list, futures):
+        futures = [pool.submit(_run_in_worker, group) for group in groups]
+        for group, fut in zip(groups, futures):
             try:
-                results[spec.name], state = fut.result()
+                done, state = fut.result()
             except BrokenProcessPool as exc:
+                lost = ", ".join(repr(spec.name) for spec in group)
                 raise ExperimentError(
-                    f"campaign {spec.name!r}: a pool worker process died "
-                    "before returning its result"
+                    f"campaigns {lost}: a pool worker process died "
+                    "before returning their results"
                 ) from exc
+            results.update(done)
             metrics.merge_state(state)
-    return results
+    return {name: results[name] for name in names}

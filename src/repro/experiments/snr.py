@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 from repro.chip.chip import Chip
 from repro.chip.scenario import Scenario
 from repro.em.snr import SnrResult, measure_snr
-from repro.experiments.campaign import DEFAULT_KEY, get_or_generate_traces
+from repro.experiments.campaign import (
+    DEFAULT_KEY,
+    get_or_generate_campaigns,
+)
 from repro.io.cache import cache_stats
 
 #: Paper values for side-by-side reporting (dB).
@@ -64,26 +67,14 @@ def run_snr_experiment(
     repeated run (or another driver requesting the same records)
     serves them from disk instead of re-simulating.
     """
-    signal = get_or_generate_traces(
-        chip,
-        scenario,
-        "raw",
-        n_cycles=n_cycles,
-        batch=batch,
-        encrypting=True,
-        key=key,
-        rng_role="snr/signal",
-    )
-    noise = get_or_generate_traces(
-        chip,
-        scenario,
-        "raw",
-        n_cycles=n_cycles,
-        batch=batch,
-        encrypting=False,
-        key=key,
-        rng_role="snr/noise",
-    )
+    # The signal and idle records share one lane-packed pass.
+    signal, noise = get_or_generate_campaigns(chip, scenario, [
+        ("raw", dict(
+            n_cycles=n_cycles, batch=batch, encrypting=encrypting, key=key,
+            rng_role=f"snr/{role}",
+        ))
+        for encrypting, role in ((True, "signal"), (False, "noise"))
+    ])
     per_receiver = {
         name: measure_snr(signal[name], noise[name])
         for name in chip.receivers

@@ -41,7 +41,7 @@ from repro.detectors.roc import roc_curve
 from repro.errors import ExperimentError
 from repro.experiments.campaign import (
     get_or_fit_detector,
-    get_or_generate_traces,
+    get_or_generate_campaigns,
 )
 
 #: Tournament scenarios: the null row plus every implemented Trojan.
@@ -181,6 +181,12 @@ def run_detector_tournament(
         if missing:
             raise ExperimentError(f"unknown detectors {missing}")
     sweep: dict = {name: {} for name in infos}
+    # Suspect windows: decimated for the golden-based plugins, full-rate
+    # (decimate=1) for the reference-free ones.
+    decimations = tuple(
+        d for d in (None, 1)
+        if any((d == 1) == info.reference_free for info in infos.values())
+    )
 
     for scale in noise_scales:
         scen = scaled_noise_scenario(scenario, scale)
@@ -195,16 +201,32 @@ def run_detector_tournament(
             )
             if decimate is not None:
                 params["decimate"] = decimate
-            return (
-                get_or_generate_traces(chip, scen, "ed", **params)[receiver],
-                params,
-            )
+            return ("ed", params)
 
-        # Standard decimated ED windows for the golden-based plugins.
-        ref_dec, fit_params = ed((), n_reference, "tournament/fit", None)
-        eval_dec, _ = ed((), n_eval, "tournament/eval", None)
-        # Full-rate windows for the reference-free plugins.
-        eval_raw, _ = ed((), n_eval, "tournament/eval", 1)
+        # Every campaign of this noise scale in one request list, so
+        # the campaigns of one shape share a lane-packed pass.
+        requests = {
+            "fit": ed((), n_reference, "tournament/fit", None),
+            "eval_dec": ed((), n_eval, "tournament/eval", None),
+            "eval_raw": ed((), n_eval, "tournament/eval", 1),
+        }
+        for scenario_name in SCENARIOS:
+            for decimate in decimations:
+                requests[(scenario_name, decimate)] = ed(
+                    _enables(scenario_name), n_suspect,
+                    "tournament/suspect", decimate,
+                )
+        traces = {
+            label: t[receiver]
+            for label, t in zip(
+                requests,
+                get_or_generate_campaigns(chip, scen, list(requests.values())),
+            )
+        }
+        ref_dec, eval_dec, eval_raw = (
+            traces["fit"], traces["eval_dec"], traces["eval_raw"]
+        )
+        fit_params = requests["fit"][1]
 
         for name, info in infos.items():
             cells: dict = {}
@@ -218,20 +240,14 @@ def run_detector_tournament(
                 neg = detector.score(eval_dec)
             for scenario_name in SCENARIOS:
                 if info.reference_free:
-                    suspect, _ = ed(
-                        _enables(scenario_name), n_suspect,
-                        "tournament/suspect", 1,
-                    )
+                    suspect = traces[(scenario_name, 1)]
                     scores = detector.score(
                         np.vstack([eval_raw, suspect])
                     )
                     neg_s, pos_s = scores[:n_eval], scores[n_eval:]
                     decision = detector.decide(scores)
                 else:
-                    suspect, _ = ed(
-                        _enables(scenario_name), n_suspect,
-                        "tournament/suspect", None,
-                    )
+                    suspect = traces[(scenario_name, None)]
                     neg_s, pos_s = neg, detector.score(suspect)
                     decision = detector.decide(pos_s)
                 curve = roc_curve(neg_s, pos_s)

@@ -127,16 +127,13 @@ class ArrayChunkSource:
 class GroupChunkSource:
     """Acquisition-backed chunk source: one lane-packed pass per chunk.
 
-    Every fleet chip shares one netlist, so a chunk's campaigns fold
-    into a single :meth:`~repro.chip.acquire.AcquisitionEngine.
-    acquire_group` call — one stepping pass and one activity-fold GEMM
-    for the whole fleet — whose per-member traces are bitwise equal to
-    solo acquisitions with the same per-chunk RNG roles.  Records then
-    go through the same
-    :func:`~repro.experiments.campaign.segment_ed_windows`
-    post-processing as ``collect_ed_traces``, so a streamed chunk is
-    byte-identical to a solo ``collect_ed_traces`` campaign under the
-    chunk's role.
+    Every fleet chip shares one netlist, so a chunk's ``ed`` campaigns
+    (one per chip, each under the chunk's RNG role) have one shape and
+    :func:`~repro.experiments.campaign.acquire_campaigns` generates
+    them in a single ``acquire_group`` pass — one stepping pass and
+    one activity fold for the whole fleet.  A streamed chunk is
+    therefore byte-identical to a solo ``collect_ed_traces`` campaign
+    under the chunk's role.
     """
 
     def __init__(
@@ -148,66 +145,38 @@ class GroupChunkSource:
         receiver: str = "sensor",
         base_role: str = "fleet/ed",
         batch: int = 64,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
-        # Imported here so the pure streaming machinery stays usable
-        # without the simulation stack (tests, benches).
-        from repro.chip.acquire import EncryptionWorkload, GroupMember
-        from repro.experiments.campaign import (
-            DEFAULT_KEY,
-            ED_DECIMATE,
-            ED_PERIOD,
-            WARMUP_WINDOWS,
-            acquisition_engine,
-            segment_ed_windows,
-        )
-
-        self._workload_cls = EncryptionWorkload
-        self._member_cls = GroupMember
-        self._segment = segment_ed_windows
-        self._key = DEFAULT_KEY
-        self._period = ED_PERIOD
-        self._warmup = WARMUP_WINDOWS
-        self._decimate = ED_DECIMATE
         self.chip = chip
+        self.scenario = scenario
         self.fleet = tuple(fleet)
         self.plan = plan
         self.receiver = receiver
         self.base_role = base_role
         self.batch = batch
-        self.metrics = metrics
-        self._engine = acquisition_engine(chip, scenario)
 
     def generate(self, index: int, lo: int, hi: int) -> dict[str, np.ndarray]:
-        n = hi - lo
-        members = [
-            self._member_cls(
-                name=chip_id,
-                workload=self._workload_cls(
-                    self.chip.aes, self._key, period=self._period
-                ),
-                batch=self.batch,
+        # Imported here so the pure streaming machinery stays usable
+        # without the simulation stack (tests, benches).
+        from repro.experiments.campaign import acquire_campaigns, ed_campaign
+
+        plans = [
+            ed_campaign(
+                self.chip,
+                self.scenario,
+                hi - lo,
                 trojan_enables=tuple(enables),
+                receivers=(self.receiver,),
                 rng_role=chunk_role(
                     f"{self.base_role}/{chip_id}", self.plan, index
                 ),
+                batch=self.batch,
             )
             for chip_id, enables in self.fleet
         ]
-        windows_per_col = -(-n // self.batch) + self._warmup
-        results = self._engine.acquire_group(
-            members,
-            n_cycles=windows_per_col * self._period,
-            receivers=(self.receiver,),
-        )
+        results = acquire_campaigns(self.chip, self.scenario, plans)
         return {
-            chip_id: self._segment(
-                results[chip_id].traces[self.receiver],
-                batch=self.batch,
-                n_traces=n,
-                spc=self.chip.config.samples_per_cycle,
-            )
-            for chip_id, _ in self.fleet
+            chip_id: traces[self.receiver]
+            for (chip_id, _), traces in zip(self.fleet, results)
         }
 
 

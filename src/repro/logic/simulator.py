@@ -27,7 +27,7 @@ word at once.  Toggle matrices come back as the same lane words;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,6 +160,13 @@ class PackedState:
     words: np.ndarray
     batch: int
     cycle: int = 0
+    #: :meth:`CompiledNetlist._propagate`'s input-gather buffers, one
+    #: tuple per comb group, allocated on the state's first propagation.
+    #: They live on the state, so two states of one netlist, stepped on
+    #: two threads, never share them.
+    gather: list[tuple[np.ndarray, ...]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def nwords(self) -> int:
@@ -257,10 +264,6 @@ class CompiledNetlist:
         self._input_index = {
             name: self.net_index[name] for name in netlist.inputs
         }
-        # Scratch buffers for _propagate's input gathers (one set per
-        # comb group), keyed by row width in words, so the hot loop
-        # stops allocating.
-        self._scratch: dict[int, list[tuple[np.ndarray, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Execution
@@ -394,21 +397,16 @@ class CompiledNetlist:
 
     def _propagate(self, state: PackedState) -> None:
         words = state.words
-        width = words.shape[1]
-        scratch = self._scratch.get(width)
-        if scratch is None:
-            scratch = [
+        if state.gather is None:
+            state.gather = [
                 tuple(
-                    np.empty((grp.out_idx.size, width), dtype=np.uint64)
+                    np.empty((grp.out_idx.size, state.nwords), dtype=np.uint64)
                     for _ in grp.in_idx
                 )
                 for grp in self._schedule
             ]
-            if len(self._scratch) >= 4:  # bound the cache across shapes
-                self._scratch.pop(next(iter(self._scratch)))
-            self._scratch[width] = scratch
         out = _row_view(words)
-        for grp, bufs in zip(self._schedule, scratch):
+        for grp, bufs in zip(self._schedule, state.gather):
             args = [
                 np.take(words, idx, axis=0, out=buf)
                 for idx, buf in zip(grp.in_idx, bufs)

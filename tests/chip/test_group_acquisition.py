@@ -38,10 +38,10 @@ def _member(chip, name, batch, trojans=()):
     )
 
 
-def _solo(chip, engine, name, batch, trojans=(), **kw):
+def _solo(chip, engine, name, batch, trojans=(), n_cycles=48, **kw):
     return engine.acquire(
         EncryptionWorkload(chip.aes, KEY),
-        n_cycles=48,
+        n_cycles=n_cycles,
         batch=batch,
         trojan_enables=trojans,
         rng_role=f"group-eq/{name}",
@@ -102,14 +102,61 @@ def _solo_plaintexts(chip, name, batch):
     return wl.plaintexts
 
 
+class _SparseWorkload(EncryptionWorkload):
+    """Encryptions that drive only the start pin on odd cycles."""
+
+    def inputs(self, cycle: int, batch: int):
+        stim = super().inputs(cycle, batch)
+        if stim is not None and cycle % 2:
+            return {self.aes.start: stim[self.aes.start]}
+        return stim
+
+
 def test_mixed_workload_group(chip, engine):
-    """Idle and encrypting members cannot share one stimulus cadence."""
+    """Idle, encrypting and sparsely driving members share one pass: an
+    input a member does not drive holds on its lanes, so each member
+    equals its solo acquisition byte for byte."""
     members = [
-        GroupMember(name="idle", workload=IdleWorkload(), batch=4),
+        GroupMember(
+            name="idle", workload=IdleWorkload(), batch=4,
+            rng_role="mixed/idle",
+        ),
         _member(chip, "busy", 4),
+        GroupMember(
+            name="sparse",
+            workload=_SparseWorkload(chip.aes, KEY, period=13),
+            batch=3,
+            trojan_enables=("trojan2",),
+            rng_role="mixed/sparse",
+        ),
     ]
-    with pytest.raises(MeasurementError):
-        engine.acquire_group(members, n_cycles=16)
+    record = {"busy": chip.aes.busy, "start": chip.aes.start}
+    group = engine.acquire_group(members, n_cycles=40, record_nets=record)
+    solos = {
+        "idle": engine.acquire(
+            IdleWorkload(), n_cycles=40, batch=4, record_nets=record,
+            rng_role="mixed/idle",
+        ),
+        "busy": _solo(chip, engine, "busy", 4, n_cycles=40,
+                      record_nets=record),
+        "sparse": engine.acquire(
+            _SparseWorkload(chip.aes, KEY, period=13), n_cycles=40,
+            batch=3, trojan_enables=("trojan2",), record_nets=record,
+            rng_role="mixed/sparse",
+        ),
+    }
+    assert group["busy"].recorded["busy"].any()
+    assert not group["idle"].recorded["busy"].any()
+    for name, solo in solos.items():
+        got = group[name]
+        for rcv in solo.traces:
+            assert np.array_equal(got.traces[rcv], solo.traces[rcv]), (
+                name, rcv,
+            )
+        for label in record:
+            assert np.array_equal(
+                got.recorded[label], solo.recorded[label]
+            ), (name, label)
 
 
 def test_group_validation(chip, engine):

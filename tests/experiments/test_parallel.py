@@ -19,7 +19,6 @@ import repro.experiments.parallel as parallel
 from repro.config import WORKERS_ENV_VAR, ReproConfig, use_config
 from repro.errors import ExperimentError
 from repro.experiments.parallel import (
-    CampaignSpec,
     campaign_spec,
     resolve_workers,
     run_campaigns,
@@ -144,25 +143,28 @@ def test_pool_worker_metrics_merge_into_the_active_registry(
     }
 
 
-def test_killed_pool_worker_fails_typed_and_fast(monkeypatch):
-    # A worker SIGKILLed in the middle of its campaign must surface as
-    # an ExperimentError naming the campaign, not a BrokenProcessPool
-    # and not a hang.
-    monkeypatch.setattr(parallel, "_resolve_chip", lambda spec: None)
-
-    def collector(chip, scenario, kind, **params):
-        if scenario == "victim":
+def test_killed_pool_worker_fails_typed_and_fast(
+    chip, sim_scenario, sil_scenario, monkeypatch
+):
+    # A worker SIGKILLed in the middle of its campaign group must
+    # surface as an ExperimentError naming the group's campaigns, not a
+    # BrokenProcessPool and not a hang.  The two scenarios put the
+    # campaigns in two groups, so each runs in its own worker.
+    def run_group(group):
+        if group[0].name == "victim":
             os.kill(os.getpid(), signal.SIGKILL)
         time.sleep(0.2)
-        return {}
+        return {spec.name: {} for spec in group}
 
-    monkeypatch.setattr(parallel, "get_or_generate_traces", collector)
+    monkeypatch.setattr(parallel, "_run_group", run_group)
     specs = [
-        CampaignSpec(
-            name=name, kind="ed", scenario=name,
-            chip_seed=0, chip_trojans=(), params=(),
+        campaign_spec(
+            name, "ed", chip, scenario, n_traces=4, batch=4,
+            receivers=("sensor",),
         )
-        for name in ("victim", "bystander")
+        for name, scenario in (
+            ("victim", sim_scenario), ("bystander", sil_scenario),
+        )
     ]
 
     def hung(signum, frame):

@@ -212,3 +212,43 @@ def test_batched_equals_sequential_simulation(a_val, b_val):
     assert together[0] == alone0[0]
     assert together[1] == alone1[0]
     assert together[0] == (a_val + b_val) % 65536
+
+
+def test_states_step_independently_on_two_threads(chip):
+    """Two states of one netlist at one word width, stepped on two
+    threads, each follow their sequential run: the gather buffers of
+    a propagation belong to its state."""
+    import hashlib
+    import sys
+    import threading
+
+    from repro.chip.acquire import EncryptionWorkload
+
+    sim = chip.sim
+
+    def run(seed: int) -> str:
+        workload = EncryptionWorkload(chip.aes, bytes(range(16)), period=12)
+        workload.begin(64, np.random.default_rng(seed))
+        state = sim.reset(batch=64, inputs=workload.inputs(0, 64))
+        digest = hashlib.sha256()
+        for cycle in range(1, 25):
+            digest.update(sim.step(state, workload.inputs(cycle, 64)))
+        return digest.hexdigest()
+
+    want = {seed: run(seed) for seed in (1, 2)}
+    got: dict[int, str] = {}
+    threads = [
+        threading.Thread(target=lambda s=seed: got.__setitem__(s, run(s)))
+        for seed in want
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want

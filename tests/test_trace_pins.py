@@ -1,6 +1,6 @@
 """Collector output pins, bound to ``CACHE_SALT``.
 
-Every :data:`~repro.experiments.campaign.TRACE_COLLECTORS` kind runs
+Every :data:`~repro.experiments.campaign.CAMPAIGN_PLANNERS` kind runs
 once on a tiny fixed configuration of the shared seed-1 chip under the
 uncalibrated simulation scenario, through
 :func:`~repro.experiments.campaign.get_or_generate_traces` with the
@@ -19,7 +19,10 @@ from __future__ import annotations
 import pytest
 
 from repro.chip import simulation_scenario
-from repro.experiments.campaign import TRACE_COLLECTORS, get_or_generate_traces
+from repro.experiments.campaign import (
+    CAMPAIGN_PLANNERS,
+    get_or_generate_traces,
+)
 from repro.io import cache
 from tests.trace_pins import TRACE_PINS, check_pin, traces_digest
 
@@ -43,8 +46,10 @@ def scenario():
 
 
 def test_every_collector_is_pinned():
-    assert set(COLLECTOR_PARAMS) == set(TRACE_COLLECTORS)
-    assert {f"collector/{kind}" for kind in TRACE_COLLECTORS} <= set(TRACE_PINS)
+    assert set(COLLECTOR_PARAMS) == set(CAMPAIGN_PLANNERS)
+    assert {
+        f"collector/{kind}" for kind in CAMPAIGN_PLANNERS
+    } <= set(TRACE_PINS)
 
 
 @pytest.mark.parametrize("kind", sorted(COLLECTOR_PARAMS))

@@ -8,7 +8,7 @@ served as if nothing changed.  :func:`check_pin` enforces that rule — a
 digest that moved while the salt stayed put fails with instructions,
 and so does a pin left behind by a salt bump.
 
-The pins cover every :data:`repro.experiments.campaign.TRACE_COLLECTORS`
+The pins cover every :data:`repro.experiments.campaign.CAMPAIGN_PLANNERS`
 kind (``tests/test_trace_pins.py``), the channel-group synthesis
 layer (``tests/chip/test_group_synthesis.py``) and the journal the
 chip-backed fleet campaign flushes (``tests/fleet/test_campaign_pin.py``).
@@ -37,7 +37,7 @@ PIN_BUILD = (
 
 #: ``{pin: (CACHE_SALT it was taken under, SHA-256 of the traces)}``.
 TRACE_PINS: dict[str, tuple[str, str]] = {
-    # TRACE_COLLECTORS kinds on the tiny configs of tests/test_trace_pins.py.
+    # CAMPAIGN_PLANNERS kinds on the tiny configs of tests/test_trace_pins.py.
     "collector/ed": ("repro-pipeline-8", "e43b272d2cecade7ff99723dce2e8130b173ee85cfed86540a86483d5ee8013f"),
     "collector/spectral": ("repro-pipeline-8", "e31c1c03ff41309a13cf48af951674ae23f7f1b912c7e2d9542ca5e2f064b6a7"),
     "collector/raw": ("repro-pipeline-8", "b7600001e531787d78febfca2fe8fe4320e9a88868fac4e344d04c7a8cbf7845"),
