@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.chip.chip import Chip
 from repro.chip.scenario import Scenario
 from repro.errors import ExperimentError
-from repro.experiments.campaign import get_or_generate_traces
+from repro.experiments.campaign import get_or_generate_campaigns
 
 DIGITAL_TROJANS = ("trojan1", "trojan2", "trojan3", "trojan4")
 
@@ -76,30 +76,31 @@ def run_detection_latency(
         scenario,
         EvaluatorConfig(n_reference=n_reference, spectral_cycles=512),
     )
-    golden_stream = get_or_generate_traces(
-        chip,
-        scenario,
-        "ed",
-        n_traces=golden_prefix,
-        receivers=(evaluator.config.receiver,),
-        rng_role="latency/golden",
-    )[evaluator.config.receiver]
+    receiver = evaluator.config.receiver
+    # The golden prefix and every Trojan's stream in one request list:
+    # the Trojan streams share one lane-packed pass.
+    golden_stream, *dirty_streams = (
+        traces[receiver]
+        for traces in get_or_generate_campaigns(chip, scenario, [
+            ("ed", dict(
+                n_traces=golden_prefix, receivers=(receiver,),
+                rng_role="latency/golden",
+            )),
+        ] + [
+            ("ed", dict(
+                n_traces=horizon, trojan_enables=(trojan,),
+                receivers=(receiver,), rng_role=f"latency/{trojan}",
+            ))
+            for trojan in trojans
+        ])
+    )
 
     latencies: dict[str, int | None] = {}
     false_alarms = 0
-    for trojan in trojans:
+    for trojan, dirty in zip(trojans, dirty_streams):
         monitor = RuntimeMonitor(evaluator, window=window, confirm=confirm)
         pre_events = monitor.observe_stream(golden_stream)
         false_alarms += len(pre_events)
-        dirty = get_or_generate_traces(
-            chip,
-            scenario,
-            "ed",
-            n_traces=horizon,
-            trojan_enables=(trojan,),
-            receivers=(evaluator.config.receiver,),
-            rng_role=f"latency/{trojan}",
-        )[evaluator.config.receiver]
         latency: int | None = None
         for i, trace in enumerate(dirty):
             if monitor.observe(trace) is not None:
