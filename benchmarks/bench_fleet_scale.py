@@ -93,8 +93,6 @@ def _fleet_inputs(n_chips: int, n_windows: int = N_WINDOWS,
     detector = detector_cls().fit(golden)
     ev = RuntimeTrustEvaluator.__new__(RuntimeTrustEvaluator)
     ev.detector = detector
-    ev.golden_spectrum = None
-    ev.fs = 1e9
     ev.config = EvaluatorConfig()
     shape = np.cos(np.linspace(0, 9, SAMPLES))
     streams = {

@@ -26,7 +26,7 @@ def main() -> None:
 
     print("training the evaluator on the golden fingerprint...")
     evaluator = RuntimeTrustEvaluator.train(
-        chip, scenario, EvaluatorConfig(n_reference=256, spectral_cycles=512)
+        chip, scenario, EvaluatorConfig(n_reference=256)
     )
     monitor = RuntimeMonitor(evaluator, window=24, confirm=3)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -339,26 +339,6 @@ class AcquisitionResult:
     #: row 0 is the post-reset value.
     recorded: dict[str, np.ndarray] = field(default_factory=dict)
 
-    @property
-    def n_samples(self) -> int:
-        return next(iter(self.traces.values())).shape[1]
-
-    def stacked(self, names: "tuple[str, ...] | list[str]") -> np.ndarray:
-        """Channel-stacked traces, shape ``(batch, len(names), n_samples)``.
-
-        The multi-channel view a sensor-array consumer wants: pass a
-        channel group (e.g. ``chip.receiver_groups["array"]``) to get
-        every coil's trace from the one shared simulation pass.
-        """
-        if not names:
-            raise MeasurementError("stacked() needs at least one receiver name")
-        return np.stack([self.traces[name] for name in names], axis=1)
-
-    @cached_property
-    def time(self) -> np.ndarray:
-        """Sample time axis [s] (built once, cached on the instance)."""
-        return np.arange(self.n_samples) / self.fs
-
 
 @lru_cache(maxsize=8)
 def acquisition_engine(chip: Chip, scenario: Scenario) -> "AcquisitionEngine":
@@ -425,7 +405,7 @@ class AcquisitionEngine:
     ) -> list[ActivityAccumulator]:
         """Fresh accumulators of receivers *names* on the shared fold plan."""
         return [
-            ActivityAccumulator.from_plan(self.fold_plan, self._fold_row[name])
+            ActivityAccumulator(self.fold_plan, self._fold_row[name])
             for name in names
         ]
 

@@ -369,14 +369,11 @@ class Chip:
 
     def describe(self) -> str:
         """Multi-line summary of the physical build."""
-        lines = [
+        return "\n".join([
             f"chip seed={self.seed}: {self.netlist.num_instances} cells, "
             f"{self.netlist.num_nets} nets",
             self.floorplan.summary(),
             self.sensor.describe(),
             self.probe.describe(),
             f"power grid: {self.grid.n_segments} segments",
-        ]
-        if self.sensor_array is not None:
-            lines.append(self.sensor_array.describe())
-        return "\n".join(lines)
+        ])

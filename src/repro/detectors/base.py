@@ -18,7 +18,7 @@ Every registered detector follows one life cycle:
     restore (scores on any trace set equal before/after).
 
 Detectors that additionally expose ``features`` / ``fingerprint`` /
-``streaming_threshold`` / ``floor_threshold`` plug into the streaming
+``streaming_threshold`` plug into the streaming
 :class:`~repro.framework.monitor.RuntimeMonitor` and the fleet
 sessions; ``supports_batched`` gates the dense
 :class:`~repro.framework.batched.BatchedFleetMonitor` engine.

@@ -268,10 +268,6 @@ class _RobustSpectralDetector:
             3.0 * self._d_rms * np.sqrt(1.0 / window + 1.0 / self._n_fit)
         )
 
-    def floor_threshold(self, window: int) -> float:
-        """Fleet-session threshold; same envelope as streaming."""
-        return self.streaming_threshold(window)
-
     # -- state round trip ----------------------------------------------
     def state_dict(self) -> dict:
         """JSON-encodable fitted state (floats survive exactly)."""

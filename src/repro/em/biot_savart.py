@@ -41,8 +41,8 @@ def b_field_of_segments(
     broadcasting, walking the segment axis in cache-sized chunks so a
     full-die field map (thousands of power-grid segments × thousands of
     surface points) never materialises the complete ``(N, P, 3)``
-    tensor.  Axis-aligned segments — the entire power grid, in
-    practice — take a specialised branch that works directly on the two
+    tensor.  Every segment must lie along a coordinate axis (the power
+    grid is Manhattan), so the kernel works directly on the two
     transverse coordinate planes: no 3-vector temporaries, no cross
     products, and one field component known to vanish.
 
@@ -61,6 +61,11 @@ def b_field_of_segments(
     -------
     numpy.ndarray
         Field vectors, shape ``(P, 3)`` [T].
+
+    Raises
+    ------
+    EmModelError
+        On malformed shapes or a segment that is not axis-aligned.
     """
     a = np.asarray(seg_start, dtype=np.float64)
     b = np.asarray(seg_end, dtype=np.float64)
@@ -83,13 +88,16 @@ def b_field_of_segments(
         return field
     a, axis, length, i_seg = a[ok], axis[ok], length[ok], i_seg[ok]
 
-    # Segments lying exactly on a coordinate axis (the whole power
-    # grid) go through the specialised planar branch; anything oblique
-    # falls back to the general broadcast.
-    generic = np.ones(a.shape[0], dtype=bool)
+    # Every source is a Manhattan grid segment: it lies on one
+    # coordinate axis, and the field works on the two transverse planes.
+    aligned = np.count_nonzero(axis, axis=1) == 1
+    if not aligned.all():
+        raise EmModelError(
+            f"{np.count_nonzero(~aligned)} segment(s) are not axis-aligned; "
+            "only Manhattan sources are supported"
+        )
     for k in range(3):
-        j, l = (k + 1) % 3, (k + 2) % 3
-        sel = (axis[:, j] == 0.0) & (axis[:, l] == 0.0) & (axis[:, k] != 0.0)
+        sel = axis[:, k] != 0.0
         if sel.any():
             _b_axis_aligned(
                 a[sel],
@@ -101,17 +109,6 @@ def b_field_of_segments(
                 min_distance,
                 field,
             )
-            generic &= ~sel
-    if generic.any():
-        _b_generic(
-            a[generic],
-            axis[generic],
-            length[generic],
-            i_seg[generic],
-            pts,
-            min_distance,
-            field,
-        )
     return field
 
 
@@ -177,40 +174,3 @@ def _b_axis_aligned(
         fac *= amp[lo:hi]
         field[:, j] -= np.einsum("sp,sp->p", fac, dl)
         field[:, l] += np.einsum("sp,sp->p", fac, dj)
-
-
-def _b_generic(
-    a: np.ndarray,
-    axis: np.ndarray,
-    length: np.ndarray,
-    i_seg: np.ndarray,
-    pts: np.ndarray,
-    min_distance: float,
-    field: np.ndarray,
-) -> None:
-    """Accumulate the field of arbitrarily oriented segments."""
-    u_all = axis / length[:, None]
-
-    # ~16 (S, P, 3)-sized float64 temporaries live at once per chunk.
-    n_pts = pts.shape[0]
-    step = rows_per_chunk(16 * 24 * n_pts)
-    for lo in range(0, a.shape[0], step):
-        hi = lo + step
-        u = u_all[lo:hi]  # (S, 3)
-        ap = pts[None, :, :] - a[lo:hi, None, :]  # (S, P, 3)
-        proj = np.einsum("spk,sk->sp", ap, u)  # (S, P)
-        radial = ap - proj[:, :, None] * u[:, None, :]
-        d = np.linalg.norm(radial, axis=2)
-        np.maximum(d, min_distance, out=d)
-        bp_proj = proj - length[lo:hi, None]
-        ra = np.sqrt(proj**2 + d**2)
-        rb = np.sqrt(bp_proj**2 + d**2)
-        cos1 = proj / ra
-        cos2 = bp_proj / rb
-        magnitude = (
-            MU_0 * i_seg[lo:hi, None] / (4.0 * math.pi * d) * (cos1 - cos2)
-        )
-        phi = np.cross(np.broadcast_to(u[:, None, :], radial.shape), radial)
-        norm = np.linalg.norm(phi, axis=2)[:, :, None]
-        np.divide(phi, norm, out=phi, where=norm > 0)
-        field += np.einsum("sp,spk->pk", magnitude, phi)

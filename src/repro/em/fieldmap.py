@@ -12,7 +12,6 @@ difference map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -67,47 +66,6 @@ class FieldMap:
             "ys": [float(v) for v in self.ys],
             "magnitude": [[float(v) for v in row] for row in self.magnitude],
         }
-
-    def save(self, path) -> "Path":
-        """Write the grid as ``<path>.npy`` plus a ``<path>.json`` axis
-        sidecar; returns the ``.npy`` path.  Writes are atomic renames,
-        like every other artifact writer in the repo."""
-        import io as _io
-        import json as _json
-
-        from repro.io.store import atomic_write_bytes
-
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        npy = path.with_suffix(".npy")
-        buf = _io.BytesIO()
-        np.save(buf, np.asarray(self.magnitude, dtype=np.float64))
-        atomic_write_bytes(npy, buf.getvalue())
-        sidecar = {
-            "xs": [float(v) for v in self.xs],
-            "ys": [float(v) for v in self.ys],
-        }
-        atomic_write_bytes(
-            path.with_suffix(".json"),
-            _json.dumps(sidecar, sort_keys=True).encode("utf-8"),
-        )
-        return npy
-
-    @classmethod
-    def load(cls, path) -> "FieldMap":
-        """Inverse of :meth:`save` (accepts the ``.npy`` or base path)."""
-        import json as _json
-
-        path = Path(path)
-        magnitude = np.load(path.with_suffix(".npy"))
-        sidecar = _json.loads(
-            path.with_suffix(".json").read_text(encoding="utf-8")
-        )
-        return cls(
-            xs=np.asarray(sidecar["xs"], dtype=np.float64),
-            ys=np.asarray(sidecar["ys"], dtype=np.float64),
-            magnitude=np.asarray(magnitude, dtype=np.float64),
-        )
 
     def render(self, width: int = 48, height: int = 24) -> str:
         """ASCII heat map (darker character = stronger field)."""

@@ -231,14 +231,3 @@ class SensorArray:
             [coil.polyline for coil in self.coils],
             n_quad=n_quad,
         )
-
-    def describe(self) -> str:
-        """One-line geometric summary of the grid."""
-        coil = self.coils[0]
-        um = 1e6
-        return (
-            f"{self.rows}x{self.cols} sensor array: "
-            f"{len(self.coils)} spirals of {coil.turns} turns, "
-            f"pitch {coil.pitch * um:.1f} um, width "
-            f"{coil.trace_width * um:.1f} um on {coil.layer_name}"
-        )

@@ -74,7 +74,7 @@ def run_detection_latency(
     evaluator = RuntimeTrustEvaluator.train(
         chip,
         scenario,
-        EvaluatorConfig(n_reference=n_reference, spectral_cycles=512),
+        EvaluatorConfig(n_reference=n_reference),
     )
     receiver = evaluator.config.receiver
     # The golden prefix and every Trojan's stream in one request list:

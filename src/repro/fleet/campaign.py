@@ -329,8 +329,6 @@ def build_fleet_evaluator(
     )
     return RuntimeTrustEvaluator(
         detector=detector,
-        golden_spectrum=None,
-        fs=chip.config.fs,
         config=EvaluatorConfig(
             receiver=config.receiver,
             n_reference=config.n_golden,
@@ -463,7 +461,6 @@ def run_fleet_campaign(
             for f in feeds
         }
     )
-    producer.start()
     scheduler = FleetScheduler(
         sessions,
         queue_depth=config.queue_depth,
@@ -473,6 +470,7 @@ def run_fleet_campaign(
         metrics=metrics,
     )
     try:
+        producer.start()
         fleet_result = scheduler.run(feeds)
         # Trailing chunks the link dropped every window of still
         # belong to the campaign — wait until the one-shot accumulator

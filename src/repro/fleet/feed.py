@@ -56,10 +56,6 @@ class FaultSpec:
                     f"fault probability {name} must be in [0, 1), got {p}"
                 )
 
-    @property
-    def any(self) -> bool:
-        return self.drop > 0 or self.duplicate > 0 or self.reorder > 0
-
 
 #: The clean link (no injected faults).
 NO_FAULTS = FaultSpec()
@@ -121,20 +117,14 @@ def _delivery_schedule(
 class TraceSource:
     """Where a feed's window rows live.
 
-    A source exposes the campaign's pre-fault window count and serves
-    rows by source sequence number.  :meth:`advance` is a *watermark
-    hint*: the feed guarantees no later :meth:`gather` will ask for a
-    sequence below the watermark, which is what lets a streaming
-    source free already-scored chunks (a matrix source ignores it).
+    A source exposes the campaign's pre-fault window count
+    (``n_windows``) and serves rows by source sequence number
+    (``gather(seqs)``, rows in delivery order, shape ``(len(seqs),
+    S)``).  :meth:`advance` is a *watermark hint*: the feed guarantees
+    no later ``gather`` will ask for a sequence below the watermark,
+    which is what lets a streaming source free already-scored chunks (a
+    matrix source ignores it).
     """
-
-    @property
-    def n_windows(self) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def gather(self, seqs: np.ndarray) -> np.ndarray:
-        """Rows for *seqs* (delivery order), shape ``(len(seqs), S)``."""
-        raise NotImplementedError  # pragma: no cover - interface
 
     def advance(self, watermark: int) -> None:
         """No future gather will need a sequence ``< watermark``."""
@@ -284,7 +274,3 @@ class TraceFeed:
                 f"batch index {index} out of range [0, {self.n_batches})"
             )
         return self.delivered_seqs[index * self.batch:(index + 1) * self.batch]
-
-    def __iter__(self):
-        for i in range(self.n_batches):
-            yield self.batch_at(i)

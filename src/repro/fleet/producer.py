@@ -272,12 +272,6 @@ class StreamingTraceProducer:
         if self._started:
             self._thread.join(timeout=30)
 
-    def __enter__(self) -> "StreamingTraceProducer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     @property
     def n_windows(self) -> int:
         return self.plan.n_windows

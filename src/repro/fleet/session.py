@@ -55,14 +55,14 @@ def floor_scaled_threshold(detector, window: int) -> float:
     ``thr(W) = floor * sqrt((1/W + 1/n) * n / 4)``.
 
     Registry detectors without golden statistics (the reference-free
-    plugins) provide their own window-scaled envelope via
-    ``floor_threshold(window)`` instead.
+    plugins) use their own window-scaled envelope,
+    ``streaming_threshold(window)``, instead.
     """
     floor = getattr(detector, "separation_floor", None)
     golden = getattr(detector, "golden_distances", None)
     if floor is None or golden is None:
-        if hasattr(detector, "floor_threshold"):
-            return float(detector.floor_threshold(window))
+        if hasattr(detector, "streaming_threshold"):
+            return float(detector.streaming_threshold(window))
         raise AnalysisError("detector used before fit()")
     n = golden.shape[0]
     scale = math.sqrt((1.0 / window + 1.0 / n) * n / 4.0)

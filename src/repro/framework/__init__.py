@@ -7,8 +7,9 @@ alarm when either the time-domain Euclidean detector (Eq. (1)) or the
 frequency-domain spot inspector sees the circuit leave its envelope.
 
 * :class:`~repro.framework.evaluator.RuntimeTrustEvaluator` — train on
-  a golden chip, evaluate suspect trace sets, produce
-  :class:`~repro.framework.report.TrustReport`\\ s;
+  a golden chip, evaluate suspect trace sets in the time domain, produce
+  :class:`~repro.framework.report.TrustReport`\\ s (the fleet campaign,
+  :mod:`repro.fleet.campaign`, runs the spectral inspection);
 * :class:`~repro.framework.monitor.RuntimeMonitor` — the streaming
   (window-by-window) alarm logic that makes it *runtime* rather than
   one-shot;

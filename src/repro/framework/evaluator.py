@@ -3,9 +3,11 @@
 "We assume the users know how the circuit will operate, thus the
 features of the circuit's EM side-channel can be defined through
 simulations" — :meth:`RuntimeTrustEvaluator.train` plays that role: it
-characterises the golden chip once (time-domain fingerprint + spectrum)
-and afterwards judges any suspect trace set against the stored
-reference.
+characterises the golden chip once (the time-domain fingerprint) and
+afterwards judges any suspect trace set against the stored reference.
+Fig. 1's spectral path runs in the fleet campaign
+(:func:`repro.fleet.campaign.run_fleet_campaign`), which compares each
+chip's long record against a golden one.
 """
 
 from __future__ import annotations
@@ -15,11 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.euclidean import EuclideanDetector
-from repro.analysis.spectral import (
-    Spectrum,
-    amplitude_spectrum,
-    compare_spectra,
-)
 from repro.chip.chip import Chip
 from repro.chip.scenario import Scenario, simulation_scenario
 from repro.config import active_config
@@ -37,26 +34,24 @@ class EvaluatorConfig:
 
     receiver: str = "sensor"
     n_reference: int = 512
-    spectral_cycles: int = 2048
-    spectral_boost_ratio: float = 1.6
     #: Registry name of the window detector; ``None`` resolves the
     #: active configuration's ``detector`` knob (``REPRO_DETECTOR``).
     detector: str | None = None
 
 
 class RuntimeTrustEvaluator:
-    """Golden reference + the two detection paths of Fig. 1."""
+    """Golden reference + the time-domain detection path of Fig. 1."""
 
     def __init__(
         self,
         detector: EuclideanDetector,
-        golden_spectrum: Spectrum,
-        fs: float,
         config: EvaluatorConfig,
+        golden_spectrum: None = None,
+        fs: float | None = None,
     ) -> None:
+        """*golden_spectrum* and *fs* are accepted for callers that
+        still pass them (``golden_spectrum=None``); both are unused."""
         self.detector = detector
-        self.golden_spectrum = golden_spectrum
-        self.fs = fs
         self.config = config
 
     # ------------------------------------------------------------------
@@ -96,62 +91,19 @@ class RuntimeTrustEvaluator:
             golden,
             detector_name=detector_name,
         )
-        record = get_or_generate_traces(
-            chip,
-            scenario,
-            "spectral",
-            n_cycles=config.spectral_cycles,
-            receivers=(config.receiver,),
-            rng_role="framework/train-spec",
-        )[config.receiver]
-        spectrum = amplitude_spectrum(record, chip.config.fs)
-        return cls(
-            detector=detector,
-            golden_spectrum=spectrum,
-            fs=chip.config.fs,
-            config=config,
-        )
+        return cls(detector=detector, config=config)
 
     # ------------------------------------------------------------------
-    def evaluate_spectrum(self, record: np.ndarray) -> TrustReport:
-        """Frequency-domain evaluation of a long continuous record."""
-        suspect = amplitude_spectrum(record, self.fs)
-        if suspect.freqs.shape != self.golden_spectrum.freqs.shape:
+    def evaluate(self, traces: np.ndarray) -> TrustReport:
+        """Time-domain evaluation of a set of trace windows."""
+        if not hasattr(self.detector, "evaluate"):
             raise AnalysisError(
-                "suspect record length differs from the training record; "
-                f"expected spectra of {self.golden_spectrum.freqs.shape[0]} "
-                f"bins, got {suspect.freqs.shape[0]}"
+                "one-shot DistanceReport evaluation needs a golden-"
+                "based detector; use score()/decide() via the "
+                "registry"
             )
-        comparison = compare_spectra(
-            self.golden_spectrum,
-            suspect,
-            boost_ratio=self.config.spectral_boost_ratio,
+        report = self.detector.evaluate(traces)
+        return TrustReport(
+            verdict=combine_verdicts(bool(report.detected), False),
+            distance=report,
         )
-        verdict = combine_verdicts(False, comparison.detected)
-        return TrustReport(verdict=verdict, spectral=comparison)
-
-    def evaluate(
-        self,
-        traces: np.ndarray | None = None,
-        record: np.ndarray | None = None,
-    ) -> TrustReport:
-        """Joint evaluation; pass either or both inputs."""
-        if traces is None and record is None:
-            raise AnalysisError("need trace windows, a long record, or both")
-        time_report = None
-        spectral = None
-        if traces is not None:
-            if not hasattr(self.detector, "evaluate"):
-                raise AnalysisError(
-                    "one-shot DistanceReport evaluation needs a golden-"
-                    "based detector; use score()/decide() via the "
-                    "registry"
-                )
-            time_report = self.detector.evaluate(traces)
-        if record is not None:
-            spectral = self.evaluate_spectrum(record).spectral
-        verdict = combine_verdicts(
-            bool(time_report.detected) if time_report is not None else False,
-            bool(spectral.detected) if spectral is not None else False,
-        )
-        return TrustReport(verdict=verdict, distance=time_report, spectral=spectral)

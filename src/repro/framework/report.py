@@ -6,7 +6,6 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.analysis.euclidean import DistanceReport
-from repro.analysis.spectral import SpectralComparison
 
 
 class Verdict(enum.Enum):
@@ -29,7 +28,6 @@ class TrustReport:
 
     verdict: Verdict
     distance: DistanceReport | None = None
-    spectral: SpectralComparison | None = None
     notes: list[str] = field(default_factory=list)
 
     def format(self) -> str:
@@ -42,12 +40,6 @@ class TrustReport:
                 f"(noise floor {d.separation_floor:.3f}, "
                 f"EDth {d.threshold:.3f}, "
                 f"{100 * d.exceed_fraction:.1f}% traces beyond EDth)"
-            )
-        if self.spectral is not None:
-            s = self.spectral
-            lines.append(
-                f"  spectral: {len(s.boosted_spots)} boosted spot(s), "
-                f"{len(s.new_spots)} new spot(s)"
             )
         lines.extend(f"  note: {n}" for n in self.notes)
         return "\n".join(lines)

@@ -188,6 +188,11 @@ class CacheStats:
         )
 
 
+#: File endings of one cache entry: a derived artifact, or a trace
+#: payload and its sidecar.
+_ENTRY_EXTS = (".artifact.json", ".json", ".npy")
+
+
 class TraceCache:
     """Disk-backed, content-addressed, LRU-bounded artifact store.
 
@@ -223,10 +228,12 @@ class TraceCache:
         return cls(cfg.cache_dir, max_bytes=cfg.cache_bytes())
 
     # -- paths ---------------------------------------------------------
-    def _base(self, key: PipelineKey | str, suffix: str = "") -> Path:
+    def _path(self, key: PipelineKey | str, ext: str, suffix: str = "") -> Path:
+        """Entry path; *ext* is appended, not substituted, so a dotted
+        receiver name (an array coil) keeps its own file."""
         digest = key.digest() if isinstance(key, PipelineKey) else str(key)
         name = f"{digest}-{suffix}" if suffix else digest
-        return self.root / digest[:2] / name
+        return self.root / digest[:2] / f"{name}{ext}"
 
     @staticmethod
     def _touch(*paths: Path) -> None:
@@ -245,7 +252,7 @@ class TraceCache:
         regardless of campaign size.  A corrupt or torn entry counts
         as a miss and is dropped.
         """
-        payload = self._base(key, receiver).with_suffix(".npy")
+        payload = self._path(key, ".npy", receiver)
         if not payload.exists():
             self.stats.misses += 1
             return None
@@ -263,7 +270,7 @@ class TraceCache:
         self, key: PipelineKey | str, bundle: TraceBundle, receiver: str = ""
     ) -> Path:
         """Store *bundle* under *key*, evicting LRU entries if needed."""
-        payload = self._base(key, receiver).with_suffix(".npy")
+        payload = self._path(key, ".npy", receiver)
         payload.parent.mkdir(parents=True, exist_ok=True)
         path = save_traces(bundle, payload)
         self.stats.puts += 1
@@ -273,7 +280,7 @@ class TraceCache:
     # -- derived JSON artifacts ----------------------------------------
     def get_json(self, key: PipelineKey | str):
         """Stored derived artifact for *key*, or None on a miss."""
-        path = self._base(key).with_suffix(".artifact.json")
+        path = self._path(key, ".artifact.json")
         if not path.exists():
             self.stats.misses += 1
             return None
@@ -289,7 +296,7 @@ class TraceCache:
 
     def put_json(self, key: PipelineKey | str, value) -> Path:
         """Store a JSON-encodable derived artifact (numpy types ok)."""
-        path = self._base(key).with_suffix(".artifact.json")
+        path = self._path(key, ".artifact.json")
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(
             path,
@@ -317,7 +324,7 @@ class TraceCache:
     def _entry_stem(path: Path) -> str:
         """Group key: payload + sidecar of one entry share a stem."""
         name = path.name
-        for ext in (".artifact.json", ".json", ".npy"):
+        for ext in _ENTRY_EXTS:
             if name.endswith(ext):
                 return name[: -len(ext)]
         return name
@@ -325,9 +332,9 @@ class TraceCache:
     def _remove_entry(self, path: Path) -> None:
         """Drop every file of the entry *path* belongs to."""
         stem = self._entry_stem(path)
-        for sibling in path.parent.glob(stem + ".*"):
+        for ext in _ENTRY_EXTS:
             with contextlib.suppress(OSError):
-                sibling.unlink()
+                (path.parent / (stem + ext)).unlink()
 
     def _evict(self) -> None:
         """Remove least-recently-used entries until under budget."""
@@ -340,17 +347,14 @@ class TraceCache:
         groups: dict[tuple[Path, str], dict] = {}
         for p, st in files:
             g = groups.setdefault(
-                (p.parent, self._entry_stem(p)), {"size": 0, "mtime": 0.0, "paths": []}
+                (p.parent, self._entry_stem(p)), {"size": 0, "mtime": 0.0, "path": p}
             )
             g["size"] += st.st_size
             g["mtime"] = max(g["mtime"], st.st_mtime)
-            g["paths"].append(p)
         for _key, g in sorted(groups.items(), key=lambda kv: kv[1]["mtime"]):
             if total <= self.max_bytes:
                 break
-            for p in g["paths"]:
-                with contextlib.suppress(OSError):
-                    p.unlink()
+            self._remove_entry(g["path"])
             total -= g["size"]
             self.stats.evictions += 1
 

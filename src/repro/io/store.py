@@ -51,10 +51,6 @@ class TraceBundle:
     #: :meth:`verify` to check the payload against it.
     stored_digest: str | None = None
 
-    @property
-    def n_traces(self) -> int:
-        return self.traces.shape[0]
-
     def digest(self) -> str:
         """SHA-256 of the trace bytes."""
         return hashlib.sha256(

@@ -33,10 +33,6 @@ class CurrentMap:
     matrix: sparse.csr_matrix  # (n_segments, n_cells)
     grid: PowerGrid
 
-    @property
-    def n_cells(self) -> int:
-        return self.matrix.shape[1]
-
     def cell_weights(self, segment_coupling: np.ndarray) -> np.ndarray:
         """Fold per-segment couplings into per-cell weights.
 

@@ -80,8 +80,8 @@ class FoldPlan:
     rounded once to integer multiples of its power-of-two step
     (:attr:`steps`, :attr:`level_weights`).  Everything the plan
     derives is read-only, so one plan serves every acquisition of an
-    engine, from any thread; :meth:`ActivityAccumulator.from_plan`
-    hands out accumulators that share it.
+    engine, from any thread; each :class:`ActivityAccumulator` binds
+    one row of it.
     """
 
     def __init__(self, weights: np.ndarray, bins: np.ndarray) -> None:
@@ -125,14 +125,11 @@ class ActivityAccumulator:
 
     Parameters
     ----------
-    weights:
-        Per-instance scalar weight, shape ``(num_instances,)``.
-    bins:
-        Per-instance integer delay level, shape ``(num_instances,)``.
-
-    The constructor builds a one-row :class:`FoldPlan`;
-    :meth:`from_plan` binds an accumulator to one row of a shared plan
-    instead, so an engine sorts its levels and rounds its weights once.
+    plan:
+        The shared :class:`FoldPlan`: an engine sorts its levels and
+        rounds its weights once, for all its accumulators.
+    row:
+        The plan row (receiver weights) this accumulator folds with.
 
     The fold of a block (:meth:`record_all_blocks`) touches only its
     **live rows**: the ``(cycle, instance)`` rows toggled in some lane.
@@ -162,17 +159,7 @@ class ActivityAccumulator:
     guarantee.
     """
 
-    def __init__(self, weights: np.ndarray, bins: np.ndarray) -> None:
-        self._bind(FoldPlan(np.asarray(weights)[None], bins), 0)
-
-    @classmethod
-    def from_plan(cls, plan: FoldPlan, row: int) -> "ActivityAccumulator":
-        """An empty accumulator folding with row *row* of *plan*."""
-        acc = cls.__new__(cls)
-        acc._bind(plan, row)
-        return acc
-
-    def _bind(self, plan: FoldPlan, row: int) -> None:
+    def __init__(self, plan: FoldPlan, row: int) -> None:
         self.weights = plan.weights[row]
         self.bins = plan.bins
         self.num_bins = plan.num_bins
@@ -258,11 +245,6 @@ class ActivityAccumulator:
         frames = frames.reshape(n_cycles, n_levels, len(accumulators), batch)
         for i, acc in enumerate(accumulators):
             acc._blocks.append(frames[:, :, i] * acc.step)
-
-    @property
-    def cycles(self) -> int:
-        """Number of cycles recorded so far."""
-        return sum(block.shape[0] for block in self._blocks)
 
     def result(self) -> np.ndarray:
         """Stacked history of shape ``(cycles, num_bins, batch)``."""

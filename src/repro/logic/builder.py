@@ -40,11 +40,6 @@ class NetlistBuilder:
         self._counter += 1
         return f"{hint}__{self._counter}"
 
-    @property
-    def group(self) -> str:
-        """Group label stamped on instances created from now on."""
-        return self._group
-
     @contextmanager
     def in_group(self, group: str) -> Iterator[None]:
         """Temporarily switch the instance group label."""

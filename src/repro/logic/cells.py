@@ -39,7 +39,7 @@ class StdCell:
     Parameters
     ----------
     name:
-        Library cell name, e.g. ``"NAND2"``.
+        Library cell name, e.g. ``"AND2"``.
     kind:
         Behavioural class; sequential cells are handled specially by the
         simulator (their output updates only on the clock edge).
@@ -90,25 +90,6 @@ class StdCell:
         """True for constant-generator cells (TIE0/TIE1)."""
         return self.kind is CellKind.TIE
 
-    def evaluate(self, *pin_values: BoolArray) -> BoolArray:
-        """Evaluate the combinational function on batched pin values.
-
-        Raises
-        ------
-        TypeError
-            If the cell has no combinational function (sequential/tie).
-        ValueError
-            If the number of arguments does not match the pin count.
-        """
-        if self.function is None:
-            raise TypeError(f"cell {self.name} has no combinational function")
-        if len(pin_values) != self.arity:
-            raise ValueError(
-                f"cell {self.name} expects {self.arity} inputs, "
-                f"got {len(pin_values)}"
-            )
-        return self.function(*pin_values)
-
 
 # ---------------------------------------------------------------------------
 # Boolean functions (batched numpy arrays)
@@ -131,36 +112,8 @@ def f_or2(a: BoolArray, b: BoolArray) -> BoolArray:
     return a | b
 
 
-def f_nand2(a: BoolArray, b: BoolArray) -> BoolArray:
-    return ~(a & b)
-
-
-def f_nor2(a: BoolArray, b: BoolArray) -> BoolArray:
-    return ~(a | b)
-
-
 def f_xor2(a: BoolArray, b: BoolArray) -> BoolArray:
     return a ^ b
-
-
-def f_xnor2(a: BoolArray, b: BoolArray) -> BoolArray:
-    return ~(a ^ b)
-
-
-def f_and3(a: BoolArray, b: BoolArray, c: BoolArray) -> BoolArray:
-    return a & b & c
-
-
-def f_or3(a: BoolArray, b: BoolArray, c: BoolArray) -> BoolArray:
-    return a | b | c
-
-
-def f_nand3(a: BoolArray, b: BoolArray, c: BoolArray) -> BoolArray:
-    return ~(a & b & c)
-
-
-def f_nor3(a: BoolArray, b: BoolArray, c: BoolArray) -> BoolArray:
-    return ~(a | b | c)
 
 
 def f_mux2(a: BoolArray, b: BoolArray, s: BoolArray) -> BoolArray:
@@ -170,13 +123,3 @@ def f_mux2(a: BoolArray, b: BoolArray, s: BoolArray) -> BoolArray:
     it equals ``np.where(s, b, a)``.
     """
     return (b & s) | (a & ~s)
-
-
-def f_aoi21(a: BoolArray, b: BoolArray, c: BoolArray) -> BoolArray:
-    """AND-OR-INVERT: ``~((a & b) | c)``."""
-    return ~((a & b) | c)
-
-
-def f_oai21(a: BoolArray, b: BoolArray, c: BoolArray) -> BoolArray:
-    """OR-AND-INVERT: ``~((a | b) & c)``."""
-    return ~((a | b) & c)

@@ -72,32 +72,14 @@ LIBRARY: dict[str, StdCell] = {
               180 * UA, 12 * NA, "non-inverting buffer"),
         _cell("INV", _COMB, ("A",), "Y", _f.f_inv, 2, 3.5 * FF, 2.0 * FF,
               200 * UA, 10 * NA, "inverter"),
-        _cell("NAND2", _COMB, ("A", "B"), "Y", _f.f_nand2, 3, 3.4 * FF,
-              2.6 * FF, 190 * UA, 14 * NA, "2-input NAND"),
-        _cell("NOR2", _COMB, ("A", "B"), "Y", _f.f_nor2, 3, 3.6 * FF,
-              2.8 * FF, 170 * UA, 14 * NA, "2-input NOR"),
         _cell("AND2", _COMB, ("A", "B"), "Y", _f.f_and2, 4, 3.4 * FF,
               2.8 * FF, 185 * UA, 16 * NA, "2-input AND"),
         _cell("OR2", _COMB, ("A", "B"), "Y", _f.f_or2, 4, 3.6 * FF,
               2.9 * FF, 175 * UA, 16 * NA, "2-input OR"),
         _cell("XOR2", _COMB, ("A", "B"), "Y", _f.f_xor2, 6, 4.2 * FF,
               3.4 * FF, 210 * UA, 22 * NA, "2-input XOR"),
-        _cell("XNOR2", _COMB, ("A", "B"), "Y", _f.f_xnor2, 6, 4.2 * FF,
-              3.4 * FF, 210 * UA, 22 * NA, "2-input XNOR"),
-        _cell("AND3", _COMB, ("A", "B", "C"), "Y", _f.f_and3, 5, 3.5 * FF,
-              3.1 * FF, 180 * UA, 20 * NA, "3-input AND"),
-        _cell("OR3", _COMB, ("A", "B", "C"), "Y", _f.f_or3, 5, 3.7 * FF,
-              3.2 * FF, 170 * UA, 20 * NA, "3-input OR"),
-        _cell("NAND3", _COMB, ("A", "B", "C"), "Y", _f.f_nand3, 4, 3.5 * FF,
-              3.0 * FF, 185 * UA, 18 * NA, "3-input NAND"),
-        _cell("NOR3", _COMB, ("A", "B", "C"), "Y", _f.f_nor3, 4, 3.8 * FF,
-              3.1 * FF, 160 * UA, 18 * NA, "3-input NOR"),
         _cell("MUX2", _COMB, ("A", "B", "S"), "Y", _f.f_mux2, 7, 3.9 * FF,
               3.3 * FF, 195 * UA, 24 * NA, "2:1 multiplexer (Y=A when S=0)"),
-        _cell("AOI21", _COMB, ("A", "B", "C"), "Y", _f.f_aoi21, 4, 3.5 * FF,
-              2.9 * FF, 180 * UA, 17 * NA, "AND-OR-INVERT ~((A&B)|C)"),
-        _cell("OAI21", _COMB, ("A", "B", "C"), "Y", _f.f_oai21, 4, 3.6 * FF,
-              2.9 * FF, 180 * UA, 17 * NA, "OR-AND-INVERT ~((A|B)&C)"),
         _cell("DFF", _SEQ, ("D",), "Q", None, 12, 3.8 * FF, 3.6 * FF,
               260 * UA, 45 * NA, "rising-edge D flip-flop"),
         _cell("DFFE", _SEQ, ("D", "EN"), "Q", None, 15, 3.8 * FF, 3.6 * FF,

@@ -323,9 +323,3 @@ class Netlist:
         order = comb[np.argsort(lowered.levels[comb], kind="stable")]
         names = list(self.instances)
         return {names[i]: int(lowered.levels[i]) for i in order}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Netlist({self.name!r}, instances={self.num_instances}, "
-            f"nets={self.num_nets})"
-        )

@@ -59,9 +59,6 @@ class EventJournal:
         with self._lock:
             return list(self._events)
 
-    def __len__(self) -> int:
-        return len(self._events)
-
     def flush(self) -> Path | None:
         """Persist every event as JSONL via an atomic rename.
 
@@ -71,11 +68,9 @@ class EventJournal:
         """
         if self.path is None:
             return None
-        with self._lock:
-            events = list(self._events)
         payload = "".join(
             json.dumps(e, sort_keys=True, default=_json_default) + "\n"
-            for e in events
+            for e in self.events
         ).encode("utf-8")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(self.path, payload)

@@ -93,14 +93,6 @@ class Histogram:
         with self._lock:
             self._values.append(float(value))
 
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    @property
-    def total(self) -> float:
-        return float(sum(self._values))
-
     def percentile(self, q: float) -> float:
         """q-th percentile of the observed samples (0 when empty)."""
         with self._lock:
@@ -235,10 +227,6 @@ class MetricsRegistry:
                 n: h.summary() for n, h in sorted(histograms.items())
             },
         }
-
-    def format(self) -> str:
-        """Human-readable metrics summary."""
-        return format_snapshot(self.snapshot())
 
 
 def format_snapshot(snap: dict) -> str:

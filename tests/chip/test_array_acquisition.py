@@ -25,7 +25,7 @@ from repro.chip.acquire import AcquisitionEngine
 from repro.chip.chip import Chip
 from repro.chip.config import ChipConfig
 from repro.chip.scenario import array_scenario
-from repro.errors import EmModelError, ExperimentError, MeasurementError
+from repro.errors import EmModelError, ExperimentError
 from tests.chip.bool_engine import engine_for
 from repro.obs import use_metrics
 
@@ -200,16 +200,6 @@ class TestAcquisition:
             assert (
                 metrics.counter("acquire.cycles").value == n_cycles * batch
             )
-
-    def test_stacked_view(self, array_chip, array_engine):
-        channels = array_chip.receiver_groups["array"]
-        result = _acquire(array_chip, array_engine, channels, batch=3)
-        stacked = result.stacked(channels)
-        assert stacked.shape[:2] == (3, len(channels))
-        for i, name in enumerate(channels):
-            assert np.array_equal(stacked[:, i], result.traces[name])
-        with pytest.raises(MeasurementError):
-            result.stacked(())
 
 
 class TestArrayScenario:

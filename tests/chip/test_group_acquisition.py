@@ -74,7 +74,7 @@ def test_ragged_group_matches_solo_acquisitions(chip, engine, kind):
         assert got.n_cycles == solo.n_cycles
         assert got.samples_per_cycle == solo.samples_per_cycle
         for rcv in solo.traces:
-            assert got.traces[rcv].shape == (batch, solo.n_samples)
+            assert got.traces[rcv].shape == solo.traces[rcv].shape
             assert np.array_equal(got.traces[rcv], solo.traces[rcv]), (
                 name, rcv,
             )
@@ -254,7 +254,9 @@ def test_solo_acquire_does_not_call_acquire_group(chip, engine, monkeypatch):
     result = engine.acquire(
         EncryptionWorkload(chip.aes, KEY), n_cycles=16, batch=2
     )
-    assert result.traces["sensor"].shape == (2, result.n_samples)
+    assert result.traces["sensor"].shape == (
+        2, 17 * chip.config.samples_per_cycle
+    )
 
 
 def test_solo_acquire_metrics(chip, engine):

@@ -26,6 +26,7 @@ from repro.logic.activity import ActivityAccumulator, FoldPlan
 from repro.logic.simulator import pack_bits
 from tests.logic.dense_columns import DenseColumns
 from tests.logic.fold_oracle import level_run_fold
+from tests.logic.recorders import solo
 
 
 def _lane_words(toggles: np.ndarray, rising: np.ndarray) -> _LaneColumns:
@@ -80,7 +81,7 @@ def blocks(draw):
     rising = toggles & (rng.random(toggles.shape) < 0.5)
     plan = FoldPlan(weights, bins)
     rows = draw(st.permutations(range(n_acc)))
-    accs = [ActivityAccumulator.from_plan(plan, r) for r in rows]
+    accs = [ActivityAccumulator(plan, r) for r in rows]
     order = plan.level_order
     return accs, toggles[:, order], rising[:, order]
 
@@ -110,7 +111,7 @@ def test_edge_blocks_match_oracle():
     bins = rng.choice([0, 2, 3, 3, 3], size=n_inst)
     plan = FoldPlan(rng.normal(size=(3, n_inst)), bins)
     assert np.diff(plan.level_bounds).max() > activity.FOLD_ROWS * n_cycles
-    accs = [ActivityAccumulator.from_plan(plan, r) for r in range(3)]
+    accs = [ActivityAccumulator(plan, r) for r in range(3)]
     shape = (n_cycles, n_inst, batch)
     for toggles in (np.zeros(shape, bool), np.ones(shape, bool)):
         rising = toggles & (rng.random(shape) < 0.5)
@@ -121,7 +122,7 @@ def test_edge_blocks_match_oracle():
         assert _fold(accs, lanes, n_cycles, batch) == want
     # A live row's idle lanes add -0.0 products of a negative weight,
     # yet every zero sum is +0.0, as in the oracle.
-    neg = [ActivityAccumulator(-np.ones(n_inst), bins)]
+    neg = [solo(-np.ones(n_inst), bins)]
     codes = np.zeros(shape, np.uint8)
     codes[0, 0, 0] = FALL_CODE
     _fold(neg, DenseColumns(codes), n_cycles, batch)
@@ -137,7 +138,7 @@ def test_fold_working_set_is_bounded_by_the_chunk():
     n_inst, batch, n_cycles = 20_000, 32, 8
     plan = FoldPlan(rng.normal(size=(16, n_inst)),
                     rng.integers(0, 19, n_inst))
-    accs = [ActivityAccumulator.from_plan(plan, r) for r in range(16)]
+    accs = [ActivityAccumulator(plan, r) for r in range(16)]
     toggles = np.ones((n_cycles, n_inst, batch), dtype=bool)
     lanes = _lane_words(toggles, toggles & (rng.random(toggles.shape) < 0.5))
     del toggles
@@ -157,11 +158,11 @@ def test_accumulators_share_the_read_only_plan():
     threads may share it."""
     rng = np.random.default_rng(3)
     plan = FoldPlan(rng.normal(size=(2, 50)), rng.integers(0, 4, 50))
-    acc = ActivityAccumulator.from_plan(plan, 1)
+    acc = ActivityAccumulator(plan, 1)
     assert np.shares_memory(acc.level_weights, plan.level_weights)
     assert acc.step == plan.steps[1]
     for arr in (plan.level_order, plan.level_bounds, plan.steps,
                 plan.level_weights, acc.level_weights):
         assert not arr.flags.writeable
-    solo = ActivityAccumulator(plan.weights[1], plan.bins)
-    assert solo.level_weights.tobytes() == acc.level_weights.tobytes()
+    alone = solo(plan.weights[1], plan.bins)
+    assert alone.level_weights.tobytes() == acc.level_weights.tobytes()

@@ -40,8 +40,6 @@ def _stream(rng, n, length=256, tone=0.0, amp=1.0):
 def _evaluator(detector):
     ev = RuntimeTrustEvaluator.__new__(RuntimeTrustEvaluator)
     ev.detector = detector
-    ev.golden_spectrum = None
-    ev.fs = 1e9
     ev.config = EvaluatorConfig()
     return ev
 

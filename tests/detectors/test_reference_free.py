@@ -133,7 +133,6 @@ class TestSyntheticSeparation:
     def test_streaming_threshold_shrinks_with_window(self, rng):
         det = SpectralMedianDetector().fit(_stream(rng, 128))
         assert det.streaming_threshold(64) < det.streaming_threshold(4)
-        assert det.floor_threshold(16) == det.streaming_threshold(16)
 
 
 class TestChipAuc:

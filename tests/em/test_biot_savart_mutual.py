@@ -17,9 +17,16 @@ def _one_coil(seg_start, seg_end, loop, **kwargs):
 
 
 def test_field_at_center_of_circular_loop():
+    """A Manhattan staircase along the circle (field sources are
+    axis-aligned) converges on the circle's centre field."""
     radius = 1e-3
     loop = circular_loop(0, 0, 0, radius, n_sides=200)
-    s, e = loop[:-1], loop[1:]
+    corners = loop[1:].copy()
+    corners[:, 1] = loop[:-1, 1]  # x step first, then y
+    s = np.empty((2 * len(corners), 3))
+    e = np.empty_like(s)
+    s[0::2], e[0::2] = loop[:-1], corners
+    s[1::2], e[1::2] = corners, loop[1:]
     field = b_field_of_segments(s, e, np.ones(len(s)), np.array([[0.0, 0.0, 0.0]]))
     assert field[0, 2] == pytest.approx(MU_0 / (2 * radius), rel=1e-3)
     assert abs(field[0, 0]) < 1e-12 and abs(field[0, 1]) < 1e-12

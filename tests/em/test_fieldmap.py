@@ -55,19 +55,6 @@ def test_fieldmap_payload_round_trip():
     np.testing.assert_array_equal(back["magnitude"], mag)
 
 
-def test_fieldmap_save_load_round_trip(tmp_path):
-    xs = np.linspace(0, 1e-3, 7)
-    ys = np.linspace(0, 1e-3, 3)
-    mag = np.random.default_rng(5).normal(size=(3, 7))
-    fm = FieldMap(xs=xs, ys=ys, magnitude=mag)
-    npy = fm.save(tmp_path / "maps" / "diff")
-    assert npy.exists() and npy.with_suffix(".json").exists()
-    back = FieldMap.load(tmp_path / "maps" / "diff")
-    np.testing.assert_array_equal(back.xs, xs)
-    np.testing.assert_array_equal(back.ys, ys)
-    np.testing.assert_array_equal(back.magnitude, mag)
-
-
 def test_fieldmap_region_mean():
     from repro.layout.geometry import Rect
 

@@ -1,11 +1,12 @@
 """Equivalence of the vectorised EM kernels with their loop references.
 
-The vectorised :func:`b_field_of_segments` (axis-aligned fast branch +
-generic broadcast) and :func:`mutual_inductance_to_loops` (GEMM distance
+The vectorised :func:`b_field_of_segments` (axis-aligned segments only)
+and :func:`mutual_inductance_to_loops` (GEMM distance
 expansion with exact recompute of near-coincident pairs) must agree
 with the per-segment loop references in
 :mod:`tests.em.reference_kernels` to 1e-12 relative
-error — on randomised oblique segments, on power-grid-style axis
+error — on randomised segments (oblique for the coupling kernel,
+axis-aligned in random directions for the field), on power-grid-style axis
 geometry, with the distance clamp active, and independently of the
 chunk size (:data:`repro.em.chunking.CACHE_CHUNK_BYTES`, shrunk here to
 force many chunks).
@@ -22,6 +23,7 @@ from repro.em import chunking
 from repro.em.biot_savart import b_field_of_segments
 from repro.em.chunking import rows_per_chunk
 from repro.em.mutual import mutual_inductance_to_loops
+from repro.errors import EmModelError
 from tests.em.reference_kernels import (
     b_field_of_segments_loop,
     mutual_inductance_to_loop_loop,
@@ -55,6 +57,14 @@ def _random_segments(rng: np.random.Generator, n: int):
     return s, e, rng.normal(size=n)
 
 
+def _random_axis_segments(rng: np.random.Generator, n: int):
+    """Segments along a random axis, either way, of random length."""
+    s = rng.normal(size=(n, 3)) * 1e-3
+    e = s.copy()
+    e[np.arange(n), rng.integers(0, 3, n)] += rng.normal(size=n) * 2e-4
+    return s, e, rng.normal(size=n)
+
+
 def _surface_points(rng: np.random.Generator, n: int, z: float = 10e-6):
     pts = np.zeros((n, 3))
     pts[:, 0] = rng.uniform(0.0, 2e-3, n)
@@ -66,7 +76,7 @@ def _surface_points(rng: np.random.Generator, n: int, z: float = 10e-6):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_biot_savart_matches_loop_random_orientations(seed):
     rng = np.random.default_rng(seed)
-    s, e, cur = _random_segments(rng, 300)
+    s, e, cur = _random_axis_segments(rng, 300)
     pts = rng.normal(size=(200, 3)) * 1e-3
     got = b_field_of_segments(s, e, cur, pts)
     ref = b_field_of_segments_loop(s, e, cur, pts)
@@ -97,7 +107,7 @@ def test_biot_savart_matches_loop_with_clamp_active():
 def test_biot_savart_mixed_orientations_and_degenerate_segments():
     rng = np.random.default_rng(6)
     sa, ea, ca = _grid_segments(rng, 40)
-    sr, er, cr = _random_segments(rng, 40)
+    sr, er, cr = _random_axis_segments(rng, 40)
     sz = np.zeros((10, 3))
     sz[:, 0] = rng.uniform(0, 2e-3, 10)
     ez = sz.copy()
@@ -110,6 +120,15 @@ def test_biot_savart_mixed_orientations_and_degenerate_segments():
     got = b_field_of_segments(s, e, cur, pts)
     ref = b_field_of_segments_loop(s, e, cur, pts)
     assert _rel_err(got, ref) <= TOL
+
+
+def test_biot_savart_rejects_oblique_segments():
+    """Field-map sources are Manhattan; an oblique one is a model error."""
+    rng = np.random.default_rng(8)
+    s, e, cur = _grid_segments(rng, 20)
+    e[3] += 1e-6  # tilt one segment off its axis
+    with pytest.raises(EmModelError, match="1 segment"):
+        b_field_of_segments(s, e, cur, _surface_points(rng, 10))
 
 
 def test_biot_savart_chunk_size_invariance(monkeypatch):

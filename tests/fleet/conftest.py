@@ -14,6 +14,11 @@ from repro.analysis.euclidean import EuclideanDetector
 from repro.framework.evaluator import EvaluatorConfig, RuntimeTrustEvaluator
 
 
+def batches(feed):
+    """A feed's arrival batches, in order."""
+    return [feed.batch_at(i) for i in range(feed.n_batches)]
+
+
 def per_session_evaluator(evaluator):
     """*evaluator*'s fitted detector, barred from dense fleet scoring.
 
@@ -43,8 +48,6 @@ def synthetic(fleet_rng):
     detector = EuclideanDetector().fit(golden)
     ev = RuntimeTrustEvaluator.__new__(RuntimeTrustEvaluator)
     ev.detector = detector
-    ev.golden_spectrum = None
-    ev.fs = 1e9
     ev.config = EvaluatorConfig()
     return ev, base
 

@@ -25,7 +25,7 @@ from repro.fleet import (
 )
 from repro.framework.batched import BatchedFleetMonitor
 from repro.framework.monitor import RuntimeMonitor
-from tests.fleet.conftest import per_session_evaluator
+from tests.fleet.conftest import batches, per_session_evaluator
 
 FAULTS = FaultSpec(drop=0.05, duplicate=0.05, reorder=0.1)
 
@@ -181,7 +181,7 @@ def test_pca_fitted_detector_is_scored_per_session(synthetic, fleet_streams):
         monitor = RuntimeMonitor(
             ev, window=16, confirm=2, threshold=session.monitor.threshold
         )
-        for batch in TraceFeed(chip, traces, batch=8, seed=11):
+        for batch in batches(TraceFeed(chip, traces, batch=8, seed=11)):
             monitor.observe_stream(batch.traces)
         assert result.reports[chip].alarms == monitor.alarms, chip
     assert any(r.alarms for r in result.reports.values())

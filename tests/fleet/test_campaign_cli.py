@@ -5,6 +5,8 @@ exercised by CI's ``fleet-smoke`` job via the console entry point; the
 tests here cover the pure logic around it.
 """
 
+import threading
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -52,6 +54,22 @@ def test_fleet_config_ingest_is_stream_only():
 def test_duplicate_fleet_ids_rejected():
     with pytest.raises(ExperimentError):
         run_fleet_campaign(fleet=(("x", ()), ("x", ("trojan1",))))
+
+
+def test_failed_campaign_leaves_no_producer_thread():
+    # The scheduler rejects queue_depth=0 once the campaigns are
+    # acquired; the trace producer must not be left running behind it.
+    baseline = threading.active_count()
+    config = FleetConfig.smoke(
+        queue_depth=0, n_golden=32, n_windows=32, chunk=8,
+        monitor_window=8, spectral_cycles=64,
+    )
+    with pytest.raises(ExperimentError, match="queue depth"):
+        run_fleet_campaign(config, fleet=(("golden", ()),))
+    assert threading.active_count() == baseline
+    assert "fleet-trace-producer" not in {
+        t.name for t in threading.enumerate()
+    }
 
 
 def test_cli_maps_args_onto_config(monkeypatch):

@@ -72,7 +72,6 @@ def test_snapshot_is_json_encodable_and_formats():
     json.dumps(snap)  # must be plain data
     text = format_snapshot(snap)
     assert "a = 2" in text and "b = 1.5" in text and "p95" in text
-    assert m.format() == text
 
 
 def test_histogram_merge_matches_concatenated_reference():
@@ -149,7 +148,7 @@ def test_journal_record_order():
     j.record("campaign", chips=["a"])
     j.record("alarm", chip="a", seq=3)
     j.record("drop", chip="a", seqs=[4, 5])
-    assert len(j) == 3
+    assert len(j.events) == 3
     assert [e["kind"] for e in j.events] == ["campaign", "alarm", "drop"]
     with pytest.raises(ExperimentError):
         j.record("")

@@ -13,7 +13,7 @@ from repro.fleet import (
     MonitorSession,
     TraceFeed,
 )
-from tests.fleet.conftest import per_session_evaluator
+from tests.fleet.conftest import batches, per_session_evaluator
 
 FAULTS = FaultSpec(drop=0.05, duplicate=0.05, reorder=0.1)
 
@@ -179,7 +179,7 @@ def test_fleet_the_dense_engine_cannot_hold_scores_per_session(
     assert "fleet.scoring.batched" not in counters
 
     for session, feed in zip(sessions(), feeds):
-        for batch in feed:
+        for batch in batches(feed):
             session.ingest(batch)
         report = result.reports[session.chip_id]
         assert report.alarms == session.monitor.alarms, session.chip_id

@@ -14,6 +14,8 @@ and the ``fleet.ttfv.seconds`` gauge, which only exist on the streamed
 side and measure wall clock, not campaign content.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,15 @@ def _producer(streams, *, chunk=16, metrics=None, on_chunk=None,
         metrics=metrics,
         on_chunk=on_chunk,
     )
+
+
+@contextlib.contextmanager
+def _running(streams, **kwargs):
+    producer = _producer(streams, **kwargs).start()
+    try:
+        yield producer
+    finally:
+        producer.close()
 
 
 def _build(cls, synthetic, streams, *, ingest="replay", chunk=16,
@@ -167,7 +178,7 @@ def test_array_chunk_source_validation():
 def test_producer_serves_exact_rows_and_read_only_views(fleet_rng):
     streams = {"a": fleet_rng.normal(size=(40, 12)),
                "b": fleet_rng.normal(size=(40, 12))}
-    with _producer(streams, chunk=16) as producer:
+    with _running(streams, chunk=16) as producer:
         # A contiguous in-chunk request comes back as a read-only view.
         view = producer.rows("a", np.arange(4, 9))
         assert not view.flags.writeable
@@ -183,7 +194,7 @@ def test_producer_frees_passed_chunks_and_regenerates_on_demand(
 ):
     streams = {"a": fleet_rng.normal(size=(48, 8)),
                "b": fleet_rng.normal(size=(48, 8))}
-    with _producer(streams, chunk=16, prefetch=1) as producer:
+    with _running(streams, chunk=16, prefetch=1) as producer:
         producer.join()
         assert sorted(producer._chunks) == [0, 1, 2]
         # One chip moving past a chunk is not enough to free it...
@@ -207,7 +218,7 @@ def test_producer_demand_runs_past_the_prefetch_window(fleet_rng):
     # (reordered/duplicated deliveries can reference ahead) must raise
     # demand instead of deadlocking on the look-ahead gate.
     streams = {"a": fleet_rng.normal(size=(96, 8))}
-    with _producer(streams, chunk=8, prefetch=1) as producer:
+    with _running(streams, chunk=8, prefetch=1) as producer:
         rows = producer.rows("a", np.array([88]))  # last chunk
         assert np.array_equal(rows, streams["a"][88:89])
 
@@ -243,7 +254,7 @@ def test_producer_requires_start_and_validates_arguments(fleet_rng):
 def test_producer_metrics_and_cursor(fleet_rng):
     metrics = MetricsRegistry()
     streams = {"a": fleet_rng.normal(size=(40, 8))}
-    with _producer(streams, chunk=16, metrics=metrics) as producer:
+    with _running(streams, chunk=16, metrics=metrics) as producer:
         producer.join()
         counters = metrics.snapshot()["counters"]
         assert counters["producer.chunks"] == 3
@@ -260,7 +271,7 @@ def test_producer_metrics_and_cursor(fleet_rng):
 def test_on_chunk_fires_once_per_chunk_in_order(fleet_rng):
     streams = {"a": fleet_rng.normal(size=(40, 8))}
     seen = []
-    with _producer(
+    with _running(
         streams, chunk=16,
         on_chunk=lambda i, lo, hi, data: seen.append((i, lo, hi)),
     ) as producer:

@@ -39,8 +39,6 @@ def _synthetic_evaluator(rng, n=128, length=200):
     detector = EuclideanDetector().fit(golden)
     ev = RuntimeTrustEvaluator.__new__(RuntimeTrustEvaluator)
     ev.detector = detector
-    ev.golden_spectrum = None
-    ev.fs = 1e9
     ev.config = EvaluatorConfig()
     return ev, base
 

@@ -8,8 +8,10 @@ SNR-calibrated scenarios.
 import pytest
 
 from repro.analysis import EuclideanDetector
+from repro.analysis.spectral import amplitude_spectrum, compare_spectra
 from repro.experiments.campaign import collect_ed_traces, collect_spectral_record
 from repro.framework import RuntimeTrustEvaluator, Verdict
+from repro.fleet.campaign import FleetConfig
 from repro.framework.evaluator import EvaluatorConfig
 
 
@@ -18,7 +20,7 @@ def evaluator(chip, sim_scenario):
     return RuntimeTrustEvaluator.train(
         chip,
         sim_scenario,
-        EvaluatorConfig(n_reference=256, spectral_cycles=1024),
+        EvaluatorConfig(n_reference=256),
     )
 
 
@@ -84,15 +86,22 @@ def test_a2_invisible_in_time_visible_in_frequency(chip, sim_scenario, evaluator
     assert result.detected
 
 
-def test_spectral_evaluation_path(chip, sim_scenario, evaluator):
-    golden_rec = collect_spectral_record(
-        chip,
-        sim_scenario,
-        1024,
-        rng_role="framework/train-spec",  # replay the training record role
-    )["sensor"]
-    report = evaluator.evaluate_spectrum(golden_rec)
-    assert not report.verdict.is_alarm
+def test_spectral_evaluation_path(chip, sim_scenario):
+    """Fig. 1's spectral path as the fleet campaign runs it: a golden
+    record against an independent golden reference raises nothing."""
+    reference, golden = (
+        amplitude_spectrum(
+            collect_spectral_record(
+                chip, sim_scenario, 1024, rng_role=role
+            )["sensor"],
+            chip.config.fs,
+        ).band(*FleetConfig.spectral_band)
+        for role in ("e2e/spec-ref", "e2e/spec-golden")
+    )
+    comparison = compare_spectra(
+        reference, golden, boost_ratio=FleetConfig.boost_ratio
+    )
+    assert not comparison.detected
 
 
 def test_sensor_beats_probe_on_trojan4_contrast(chip, sil_scenario):

@@ -12,9 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.logic.activity import ActivityAccumulator
+from repro.logic.activity import ActivityAccumulator, FoldPlan
 from repro.logic.simulator import CompiledNetlist
 from tests.logic.dense_columns import DenseColumns
+
+
+def solo(weights: np.ndarray, bins: np.ndarray) -> ActivityAccumulator:
+    """An accumulator over a one-row plan of its own."""
+    return ActivityAccumulator(FoldPlan(np.asarray(weights)[None], bins), 0)
 
 
 def record_all(

@@ -14,7 +14,7 @@ from repro.logic import (
 from repro.logic.activity import FOLD_ROWS, MAX_ACTIVITY_CODE
 from repro.logic.simulator import PackedState, lane_counts, pack_bits
 from tests.logic.dense_columns import DenseColumns
-from tests.logic.recorders import TraceRecorder, record, record_all
+from tests.logic.recorders import TraceRecorder, record, record_all, solo
 
 
 def _counter_sim():
@@ -70,7 +70,7 @@ def test_packed_toggle_counts_match_single_lanes():
 def test_activity_accumulator_weighted_bins():
     weights = np.array([1.0, 2.0, 4.0])
     bins = np.array([0, 1, 1])
-    acc = ActivityAccumulator(weights, bins)
+    acc = solo(weights, bins)
     toggles = np.array([[1, 0], [1, 1], [0, 1]], dtype=bool)
     record(acc, toggles)
     out = acc.result()
@@ -81,15 +81,15 @@ def test_activity_accumulator_weighted_bins():
 
 
 def test_activity_accumulator_accepts_float_matrices():
-    acc = ActivityAccumulator(np.ones(2), np.zeros(2, dtype=int))
+    acc = solo(np.ones(2), np.zeros(2, dtype=int))
     record(acc, np.array([[0.35, 1.0], [1.0, 0.35]]))
     assert np.allclose(acc.result()[0, 0], [1.35, 1.35])
 
 
 def test_activity_accumulator_validates_shapes():
     with pytest.raises(SimulationError):
-        ActivityAccumulator(np.ones(3), np.zeros(2, dtype=int))
-    acc = ActivityAccumulator(np.ones(2), np.zeros(2, dtype=int))
+        solo(np.ones(3), np.zeros(2, dtype=int))
+    acc = solo(np.ones(2), np.zeros(2, dtype=int))
     with pytest.raises(SimulationError):
         record(acc, np.zeros((3, 1), dtype=bool))
     with pytest.raises(SimulationError):
@@ -97,10 +97,11 @@ def test_activity_accumulator_validates_shapes():
 
 
 def test_activity_accumulator_clear():
-    acc = ActivityAccumulator(np.ones(1), np.zeros(1, dtype=int))
+    acc = solo(np.ones(1), np.zeros(1, dtype=int))
     record(acc, np.ones((1, 1), dtype=bool))
     acc.clear()
-    assert acc.cycles == 0
+    with pytest.raises(SimulationError):
+        acc.result()  # nothing recorded since
 
 
 def _fold_case(n_inst=1300, n_cycles=5, batch=7, seed=3):
@@ -117,20 +118,20 @@ def test_fold_paths_agree_bit_for_bit():
     weights, bins, toggles = _fold_case()
     assert np.bincount(bins)[4] > FOLD_ROWS
     n_cycles, _, batch = toggles.shape
-    solo = ActivityAccumulator(weights, bins)
+    single = solo(weights, bins)
     for t in toggles:
-        record(solo, t)
-    group = [ActivityAccumulator(w, bins) for w in (weights[::-1], weights)]
+        record(single, t)
+    group = [solo(w, bins) for w in (weights[::-1], weights)]
     for t in toggles:
         record_all(group, t)
-    blocked = [ActivityAccumulator(w, bins) for w in (weights, weights * 3)]
+    blocked = [solo(w, bins) for w in (weights, weights * 3)]
     ActivityAccumulator.record_all_blocks(
         blocked,
         DenseColumns(toggles[:, blocked[0].level_order]),
         n_cycles,
         batch,
     )
-    out = solo.result()
+    out = single.result()
     assert out.shape == (n_cycles, 6, batch)
     assert out.tobytes() == group[1].result().tobytes()
     assert out.tobytes() == blocked[0].result().tobytes()
@@ -139,7 +140,7 @@ def test_fold_paths_agree_bit_for_bit():
 def test_fold_is_exact_for_integer_activity():
     weights, bins, toggles = _fold_case(seed=4)
     codes = toggles * np.int64(MAX_ACTIVITY_CODE)
-    acc = ActivityAccumulator(weights, bins)
+    acc = solo(weights, bins)
     for c in codes:
         record(acc, c)
     w_int = np.rint(weights / acc.step).astype(np.int64)
@@ -153,7 +154,7 @@ def test_fold_is_exact_for_integer_activity():
 
 
 def test_fold_empty_level_is_zero():
-    acc = ActivityAccumulator(np.array([1.0, 2.0, 4.0]), np.array([0, 2, 2]))
+    acc = solo(np.array([1.0, 2.0, 4.0]), np.array([0, 2, 2]))
     record(acc, np.array([[1, 1], [1, 0], [0, 1]], dtype=bool))
     out = acc.result()
     assert out.shape == (1, 3, 2)
@@ -161,7 +162,7 @@ def test_fold_empty_level_is_zero():
 
 
 def test_fold_single_instance():
-    acc = ActivityAccumulator(np.array([0.3]), np.array([2]))
+    acc = solo(np.array([0.3]), np.array([2]))
     record(acc, np.array([[1, 0, 1]], dtype=bool))
     out = acc.result()
     assert out.shape == (1, 3, 3)
@@ -170,16 +171,15 @@ def test_fold_single_instance():
 
 
 def test_fold_zero_instances():
-    acc = ActivityAccumulator(np.empty(0), np.empty(0, dtype=int))
+    acc = solo(np.empty(0), np.empty(0, dtype=int))
     record(acc, np.zeros((0, 4), dtype=bool))
     assert acc.result().shape == (1, 0, 4)
-    assert acc.cycles == 1
 
 
 def test_fold_requires_shared_bins():
     weights = np.ones(4)
-    a = ActivityAccumulator(weights, np.array([0, 0, 1, 1]))
-    b = ActivityAccumulator(weights, np.array([0, 1, 1, 1]))
+    a = solo(weights, np.array([0, 0, 1, 1]))
+    b = solo(weights, np.array([0, 1, 1, 1]))
     toggles = np.ones((4, 2), dtype=bool)
     with pytest.raises(SimulationError, match="share delay bins"):
         record_all([a, b], toggles)

@@ -15,8 +15,6 @@ _OPS = {
     "AND2": lambda a, b: a & b,
     "OR2": lambda a, b: a | b,
     "XOR2": lambda a, b: a ^ b,
-    "NAND2": lambda a, b: ~(a & b),
-    "NOR2": lambda a, b: ~(a | b),
 }
 
 

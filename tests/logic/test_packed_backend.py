@@ -22,6 +22,7 @@ from repro.logic.simulator import (
     packed_words,
     unpack_bits,
 )
+from tests.logic.compound_cells import FUNCTIONS, arity
 from tests.logic.kahn_reference import KahnSimulator
 from tests.logic.probes import force_net, read, read_bus
 
@@ -93,28 +94,24 @@ def test_reset_takes_no_backend_argument():
 # ----------------------------------------------------------------------
 # per-cell equivalence
 # ----------------------------------------------------------------------
-_COMBINATIONAL = sorted(
-    name for name, cell in LIBRARY.items() if cell.function is not None
-)
-
-
-@pytest.mark.parametrize("name", _COMBINATIONAL)
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_library_cell_packed_equivalence(name):
-    """Every combinational cell is lane-safe: run on packed words it
-    matches its bool evaluation lane by lane (and MUX2 matches
-    ``np.where``), with padding bits set in every input word."""
-    cell = LIBRARY[name]
+    """Every combinational cell, and every compound of them, is
+    lane-safe: run on packed words it matches its bool evaluation lane
+    by lane (and MUX2 matches ``np.where``), with padding bits set in
+    every input word."""
+    function = FUNCTIONS[name]
     rng = np.random.default_rng(sum(name.encode()))
     batch = 130  # two full words plus a ragged tail
-    pins = [rng.integers(0, 2, size=batch).astype(bool) for _ in range(cell.arity)]
-    expected = cell.function(*pins)
+    pins = [rng.integers(0, 2, size=batch).astype(bool) for _ in range(arity(name))]
+    expected = function(*pins)
     assert expected.dtype == bool
     if name == "MUX2":
         a, b, s = pins
         assert np.array_equal(expected, np.where(s, b, a))
     padding = ~pack_bits(np.ones(batch, dtype=bool))
     words = [pack_bits(p) | padding for p in pins]
-    got = unpack_bits(cell.function(*words), batch)
+    got = unpack_bits(function(*words), batch)
     assert np.array_equal(got, expected)
 
 
@@ -128,33 +125,26 @@ def test_sequential_and_tie_cells_have_no_function():
 # whole-netlist equivalence
 # ----------------------------------------------------------------------
 def _every_cell_netlist():
-    """A netlist exercising every library cell, including DFFE and ties."""
+    """A netlist exercising every library cell, including DFFE and ties:
+    each combinational cell twice, the second time fed by the first
+    round's outputs."""
     b = NetlistBuilder("allcells")
-    a = b.input("a")
-    c = b.input("c")
-    d = b.input("d")
-    en = b.input("en")
-    one = b.const(1)
-    zero = b.const(0)
-    nets = [
-        b.gate("BUF", a),
-        b.gate("INV", c),
-        b.gate("NAND2", a, c),
-        b.gate("NOR2", c, d),
-        b.gate("AND2", a, d),
-        b.gate("OR2", a, c),
-        b.gate("XOR2", c, d),
-        b.gate("XNOR2", a, d),
-        b.gate("AND3", a, c, d),
-        b.gate("OR3", a, c, one),
-        b.gate("NAND3", a, c, d),
-        b.gate("NOR3", a, d, zero),
-        b.mux2(a, c, d),
-        b.gate("AOI21", a, c, d),
-        b.gate("OAI21", a, c, d),
-    ]
+    a, c, d, en = (b.input(name) for name in ("a", "c", "d", "en"))
+    combinational = sorted(
+        name for name, cell in LIBRARY.items() if cell.function is not None
+    )
+    sources = [a, c, d, b.const(1), b.const(0)]
+    nets = []
+    for _round in range(2):
+        outs = [
+            b.gate(name, *(sources[(k + i) % len(sources)]
+                           for i in range(LIBRARY[name].arity)))
+            for k, name in enumerate(combinational)
+        ]
+        nets += outs
+        sources = outs + [a, d]
     q_plain = b.dff(nets[6])
-    q_en = b.dff(nets[12], enable=en, init=1)
+    q_en = b.dff(nets[9], enable=en, init=1)
     nets += [q_plain, q_en]
     for n in nets:
         b.mark_output(n)
@@ -292,4 +282,3 @@ def test_read_bus_guards_63_bits():
     wide = (nets * 5)[:64]
     with pytest.raises(SimulationError, match="63"):
         read_bus(sim, state, wide)
-

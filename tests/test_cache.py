@@ -228,6 +228,19 @@ def test_json_artifact_roundtrip(tmp_path):
     assert value["taps"] == [0, 1, 2]
 
 
+def test_dotted_receiver_names_keep_their_own_entries(tmp_path, rng):
+    # Array coils are named like ``array.r0c1``; each must round-trip
+    # its own traces, not the last-written coil's.
+    cache = TraceCache(tmp_path)
+    key = "d" * 64
+    coils = {f"array.r0c{i}": _bundle(rng) for i in range(3)}
+    for name, bundle in coils.items():
+        cache.put_bundle(key, bundle, receiver=name)
+    for name, bundle in coils.items():
+        got = cache.get_bundle(key, receiver=name)
+        assert np.array_equal(got.traces, bundle.traces), name
+
+
 def test_lru_eviction_under_budget(tmp_path, rng):
     import os
     import time
@@ -237,7 +250,7 @@ def test_lru_eviction_under_budget(tmp_path, rng):
     for i, key in enumerate(keys):
         cache.put_bundle(key, _bundle(rng, n=32))  # ~8 KiB payload each
         # Distinct mtimes so the LRU ordering is unambiguous.
-        payload = cache._base(key).with_suffix(".npy")
+        payload = cache._path(key, ".npy")
         stamp = time.time() - 100 + i
         for p in (payload, payload.with_suffix(".json")):
             os.utime(p, (stamp, stamp))

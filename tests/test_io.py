@@ -38,7 +38,7 @@ def test_roundtrip(tmp_path, rng):
     assert loaded.chip_seed == 1
     assert loaded.trojan_enables == ("trojan4",)
     assert loaded.extras == {"note": "unit test"}
-    assert loaded.n_traces == 8
+    assert loaded.traces.shape[0] == 8
 
 
 def test_digest_detects_corruption(tmp_path, rng):

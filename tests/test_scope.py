@@ -33,12 +33,14 @@ parameter names count as reads, for imported pytest fixtures).
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
 import textwrap
 from functools import lru_cache
 from pathlib import Path
 
 from repro.detectors import REGISTRY
+from tests import scope_exec
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -474,3 +476,110 @@ def test_fixture_imports_read_by_parameter_name_are_used(tmp_path):
     )
     assert _unused_imports(path, parameters_read=True) == ["np"]
     assert _unused_imports(path, parameters_read=False) == ["tiny_fleet", "np"]
+
+
+# ----------------------------------------------------------------------
+# The executed audit (tests/scope_exec.py), without running its roots
+# ----------------------------------------------------------------------
+_ENUMERATED = '''
+from typing import Protocol
+
+
+def outer():
+    def inner():
+        return [x for x in range(3)]
+    return lambda: inner()
+
+
+class Shape(Protocol):
+    def area(self) -> float: ...
+
+
+class Square:
+    @property
+    def side(self):
+        return (s for s in ())
+
+    if True:
+        def conditional(self):
+            pass
+'''
+
+
+def test_exec_audit_enumerates_definitions_not_expressions():
+    defs = scope_exec.definitions_in(_ENUMERATED, "m.py", "m")
+    assert [(d.name, d.line, d.parent) for d in defs] == [
+        ("m:outer", 5, None),
+        ("m:outer.inner", 6, "m:outer"),
+        ("m:Shape", 11, None),
+        ("m:Square", 15, None),
+        ("m:Square.side", 16, "m:Square"),
+        ("m:Square.conditional", 21, "m:Square"),
+    ]
+
+
+def test_exec_audit_reports_outermost_dead_definitions():
+    defs = scope_exec.definitions_in(_ENUMERATED, "m.py", "m")
+    seen = {("m.py", 15), ("m.py", 16)}  # Square's body and its property
+    dead = [d.name for d in scope_exec.never_run(defs, seen)]
+    # ``outer.inner`` is implied by ``outer``; a method is reported
+    # even though its class body ran.
+    assert dead == ["m:outer", "m:Shape", "m:Square.conditional"]
+
+
+def test_exec_audit_rejects_stale_exemptions():
+    defs = scope_exec.all_definitions()
+    assert scope_exec.check_exemptions(defs, scope_exec.EXEMPT) == []
+    stale = {**scope_exec.EXEMPT, "repro.em.noise:no_such_helper": "gone"}
+    assert scope_exec.check_exemptions(defs, stale) == [
+        "exempt but not defined: repro.em.noise:no_such_helper"
+    ]
+    blank = {"repro.detectors.roc:auc": " "}
+    assert scope_exec.check_exemptions(defs, blank) == [
+        "exempt without a reason: repro.detectors.roc:auc"
+    ]
+    assert len(scope_exec.EXEMPT) <= 8
+
+
+def _pipeline_parse_args():
+    spec = importlib.util.spec_from_file_location(
+        "pipeline_run", BENCHMARKS / "pipeline" / "run.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.parse_args
+
+
+def test_exec_audit_roots_name_real_commands(tmp_path, monkeypatch):
+    from repro.cli import _parser as repro_parser
+    from repro.fleet.cli import _parser as fleet_parser
+
+    monkeypatch.syspath_prepend(str(BENCHMARKS / "pipeline"))
+    pipeline_parse_args = _pipeline_parse_args()
+    documented = (REPO / "docs" / "CONFIG.md").read_text()
+    roots = scope_exec.roots()
+    assert len({r.name for r in roots}) == len(roots)
+    for root in roots:
+        argv = [a.replace("{work}", str(tmp_path)) for a in root.argv]
+        for var in root.env:
+            if var.startswith("REPRO_"):
+                assert f"`{var}`" in documented, (root.name, var)
+        if root.module() == "repro.cli" and argv[2] == "fleet":
+            fleet_parser().parse_args(argv[3:])  # as `repro.cli.main`
+        elif root.module() == "repro.cli":
+            repro_parser().parse_args(argv[2:])
+        elif root.module() == "repro.fleet.cli":
+            fleet_parser().parse_args(argv[2:])
+        elif root.module() == "pytest":
+            plugin = argv.index("-p")  # the audit's own plugin
+            assert argv[plugin + 1] == "scope_exec_plugin", root
+            paths = [a.split("=", 1)[-1] for a in argv[plugin + 2:]
+                     if not a.startswith("-") or a.startswith("--ignore=")]
+            assert paths and all((REPO / p).exists() for p in paths), root
+        elif root.script() == "benchmarks/pipeline/run.py":
+            pipeline_parse_args(argv[1:])
+        elif root.script() is not None:
+            assert (REPO / root.script()).is_file() and len(argv) == 1, root
+        else:
+            assert argv == ["-"] and root.stdin, root
+            ast.parse(root.stdin)
