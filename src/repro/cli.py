@@ -66,11 +66,12 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--metrics", action="store_true",
                      help="print each run's metrics snapshot")
 
-    fleet = sub.add_parser(
+    # Listed for `repro --help` only: main() forwards `repro fleet ...`
+    # before this parser runs.
+    sub.add_parser(
         "fleet", add_help=False,
         help="fleet monitoring campaign (see `repro fleet --help`)",
     )
-    fleet.add_argument("fleet_args", nargs=argparse.REMAINDER)
     return p
 
 
@@ -166,13 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_list()
     if args.command == "detectors":
         return _cmd_detectors()
-    if args.command == "run":
-        return _cmd_run(args)
-    # Unreachable fallback (fleet is dispatched above); keep argparse
-    # help honest if that ever changes.
-    from repro.fleet.cli import main as fleet_main
-
-    return fleet_main(args.fleet_args)
+    return _cmd_run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CI job

@@ -216,8 +216,15 @@ def ed_campaign(
     encryptions per batch column, segments each receiver record into
     one window per encryption, and band-limits/decimates to the
     analysis rate (set ``decimate=1`` for raw traces).
+
+    *batch* is an upper bound: the campaign runs ``min(batch,
+    n_traces)`` lanes, since lanes past ``n_traces`` would only hold
+    windows segmentation throws away.  With ``n_traces <= batch``
+    every lane holds one usable window either way, so the record
+    length does not change.
     """
     receivers = tuple(receivers)
+    batch = min(batch, n_traces)
     windows_per_col = -(-n_traces // batch) + WARMUP_WINDOWS
     spc = chip.config.samples_per_cycle
 

@@ -17,7 +17,6 @@ from repro.chip.chip import Chip
 from repro.chip.scenario import Scenario
 from repro.experiments.campaign import get_or_fit_detector
 from repro.experiments.parallel import campaign_spec, run_campaigns
-from repro.io.cache import cache_stats
 
 #: Paper's simulated EDs (on-chip sensor).
 PAPER_EUCLIDEAN = {
@@ -38,8 +37,6 @@ class EuclideanExperimentResult:
     threshold: float
     separations: dict[str, float]
     reports: dict[str, DistanceReport] = field(default_factory=dict)
-    #: Trace-cache hit/miss counters at report time (None = cache off).
-    cache: dict | None = field(default=None, repr=False)
 
     def format(self) -> str:
         """Render with the paper's values alongside."""
@@ -57,8 +54,6 @@ class EuclideanExperimentResult:
                 else ""
             )
             lines.append(f"  {name:<9} ED = {sep:.3f}{extra}{ref_txt}")
-        if self.cache is not None:
-            lines.append(f"  trace cache: {self.cache}")
         return "\n".join(lines)
 
 
@@ -117,5 +112,4 @@ def run_euclidean_experiment(
         threshold=detector.threshold,
         separations=separations,
         reports=reports,
-        cache=cache_stats(),
     )

@@ -14,7 +14,7 @@ Two uses of Welch's t-test:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,9 @@ from repro.errors import ExperimentError
 from repro.experiments.campaign import (
     DEFAULT_KEY,
     ED_PERIOD,
+    acquire_campaigns,
     collect_ed_traces,
+    ed_campaign,
 )
 
 
@@ -81,35 +83,26 @@ def run_fixed_vs_random_tvla(
     receiver: str = "sensor",
     key: bytes = DEFAULT_KEY,
 ) -> LeakageReport:
-    """First-order fixed-vs-random TVLA on the sensor traces."""
-    from repro.chip.acquire import AcquisitionEngine
-    from repro.experiments.campaign import WARMUP_WINDOWS
+    """First-order fixed-vs-random TVLA on the sensor traces.
 
-    engine = AcquisitionEngine(chip, scenario)
-    spc = chip.config.samples_per_cycle
-    window = ED_PERIOD * spc
-
-    def campaign(workload, role):
-        batch = min(64, n_traces)
-        windows = -(-n_traces // batch) + WARMUP_WINDOWS
-        result = engine.acquire(
-            workload,
-            n_cycles=windows * ED_PERIOD,
-            batch=batch,
-            receivers=(receiver,),
-            rng_role=role,
-        )
-        usable = windows - WARMUP_WINDOWS
-        rec = result.traces[receiver]
-        segs = rec[:, WARMUP_WINDOWS * window : (WARMUP_WINDOWS + usable) * window]
-        segs = segs.reshape(batch, usable, window).transpose(1, 0, 2)
-        return segs.reshape(batch * usable, window)[:n_traces]
-
-    fixed = campaign(
-        FixedPlaintextWorkload(chip.aes, key, TVLA_FIXED_PLAINTEXT),
-        "tvla/fixed",
+    Both classes are ``ed`` campaigns of one shape, acquired in one
+    lane-packed pass; the fixed class replays TVLA's fixed plaintext.
+    """
+    fixed_plan, random_plan = (
+        ed_campaign(chip, scenario, n_traces, receivers=(receiver,),
+                    rng_role=f"tvla/{cls}", key=key, decimate=1)
+        for cls in ("fixed", "random")
     )
-    random_ = campaign(EncryptionWorkload(chip.aes, key, period=ED_PERIOD), "tvla/random")
+    fixed_plan = replace(fixed_plan, member=replace(
+        fixed_plan.member,
+        workload=FixedPlaintextWorkload(chip.aes, key, TVLA_FIXED_PLAINTEXT),
+    ))
+    fixed, random_ = (
+        traces[receiver]
+        for traces in acquire_campaigns(
+            chip, scenario, [fixed_plan, random_plan]
+        )
+    )
     result = welch_t_test(fixed, random_)
     return LeakageReport(
         result=result,

@@ -10,7 +10,7 @@ numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.chip.chip import Chip
 from repro.chip.scenario import Scenario
@@ -19,7 +19,6 @@ from repro.experiments.campaign import (
     DEFAULT_KEY,
     get_or_generate_campaigns,
 )
-from repro.io.cache import cache_stats
 
 #: Paper values for side-by-side reporting (dB).
 PAPER_SNR = {
@@ -34,8 +33,6 @@ class SnrExperimentResult:
 
     scenario: str
     per_receiver: dict[str, SnrResult]
-    #: Trace-cache hit/miss counters at report time (None = cache off).
-    cache: dict | None = field(default=None, repr=False)
 
     def format(self) -> str:
         """Render with the paper's values alongside."""
@@ -49,8 +46,6 @@ class SnrExperimentResult:
                 f"(signal {res.signal_rms:.3e} V, noise {res.noise_rms:.3e} V)"
                 f"{ref_txt}"
             )
-        if self.cache is not None:
-            lines.append(f"  trace cache: {self.cache}")
         return "\n".join(lines)
 
 
@@ -82,5 +77,4 @@ def run_snr_experiment(
     return SnrExperimentResult(
         scenario=scenario.name,
         per_receiver=per_receiver,
-        cache=cache_stats(),
     )

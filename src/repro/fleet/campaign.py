@@ -124,7 +124,9 @@ class FleetConfig:
             # RNG roles / multi-APPEND streaming path while keeping
             # the marginal trojan1 verdict consistent with one-shot
             # (smaller chunks shift the noise realisation enough to
-            # split the streaming and one-shot decisions).
+            # split the streaming and one-shot decisions).  Each
+            # 48-window chunk runs 48 lanes per chip: an ``ed``
+            # campaign caps its batch at its window count.
             chunk=48,
             spectral_cycles=768,
             # At smoke scale the bootstrap floor sits right on top of

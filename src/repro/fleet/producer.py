@@ -134,6 +134,9 @@ class GroupChunkSource:
     one activity fold for the whole fleet.  A streamed chunk is
     therefore byte-identical to a solo ``collect_ed_traces`` campaign
     under the chunk's role.
+
+    *batch* is an upper bound on the lanes per chip: like every ``ed``
+    campaign, a chunk of fewer windows runs one lane per window.
     """
 
     def __init__(

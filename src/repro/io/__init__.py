@@ -16,7 +16,6 @@ from repro.io.cache import (
     CacheStats,
     PipelineKey,
     TraceCache,
-    cache_stats,
     canonical_json,
     configured_cache,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "STORE_FORMAT_VERSION",
     "TraceBundle",
     "TraceCache",
-    "cache_stats",
     "canonical_json",
     "configured_cache",
     "load_traces",

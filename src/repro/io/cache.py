@@ -64,7 +64,10 @@ from repro.io.store import (
 #: (8: the Neumann kernel's near-pair threshold is scaled by the whole
 #: source cloud, not by each chunk, so couplings no longer depend on
 #: the chunk size — they shift by up to 5.6e-15 of peak.)
-CACHE_SALT = "repro-pipeline-8"
+#: (9: an ``ed`` campaign runs ``min(batch, n_traces)`` lanes, so a
+#: request with fewer traces than lanes draws new stimulus and noise
+#: streams under the same key.)
+CACHE_SALT = "repro-pipeline-9"
 
 
 def _canon(obj):
@@ -172,14 +175,6 @@ class CacheStats:
     misses: int = 0
     puts: int = 0
     evictions: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-        }
 
     def format(self) -> str:
         return (
@@ -376,13 +371,3 @@ def configured_cache() -> TraceCache | None:
         return None
     key = (str(cache.root), cache.max_bytes)
     return _ACTIVE_CACHES.setdefault(key, cache)
-
-
-def cache_stats() -> dict | None:
-    """Statistics of the active environment cache (None when off).
-
-    Per-process: campaigns executed in :mod:`repro.experiments.parallel`
-    workers count their hits in the worker, not here.
-    """
-    cache = configured_cache()
-    return cache.stats.as_dict() if cache is not None else None

@@ -7,6 +7,7 @@ serial entry point and the parallel campaign runner.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -203,7 +204,7 @@ def test_cache_miss_then_hit_updates_stats(tmp_path, rng):
     assert hit is not None
     assert np.array_equal(np.asarray(hit.traces), bundle.traces)
     assert not hit.traces.flags.writeable
-    assert cache.stats.as_dict() == {
+    assert dataclasses.asdict(cache.stats) == {
         "hits": 1, "misses": 1, "puts": 1, "evictions": 0,
     }
     assert "1 hit(s)" in cache.stats.format()
