@@ -2,8 +2,9 @@
 
 Timings (and speedups against the retained loop reference
 implementations) for the hot paths every figure funnels through: the
-Biot–Savart field solver, the Neumann mutual-inductance quadrature,
-the netlist lowering, the cycle-by-cycle acquisition engine and its
+Biot–Savart field solver, the Neumann mutual-inductance kernel (the
+probe's closed-form sides included), the charge accounting, the
+netlist lowering, the cycle-by-cycle acquisition engine and its
 activity fold — plus the parallel campaign runner.  Sizes mirror real use: a full-die field map is ~2000 power-grid
 segments × a 40×40 surface grid, and the coil couples through a 64-side
 spiral approximation.
@@ -39,7 +40,9 @@ from repro.obs import use_metrics
 from repro.logic.simulator import CompiledNetlist, packed_words, unpack_bits
 from repro.em.biot_savart import b_field_of_segments
 from repro.em.mutual import mutual_inductance_to_loops
+from repro.em.probe import PROBE_QUADRATURE
 from repro.em.sensor import SensorArray
+from repro.power.charges import clock_charges, switching_charges
 from repro.power.pulse import emf_kernel, step_kernel, synthesize_events
 from repro.experiments import campaign_spec, run_campaigns
 from repro.experiments.campaign import (
@@ -56,6 +59,7 @@ from tests.em.reference_kernels import (
     b_field_of_segments_loop,
     mutual_inductance_to_loop_loop,
 )
+from tests.power.charge_oracle import clock_charges_loop, switching_charges_loop
 from tests.power.reference_synthesis import synthesize_events_fft
 
 N_SEGMENTS = 2000
@@ -113,12 +117,15 @@ def test_biot_savart_kernel(benchmark):
 
 
 def test_mutual_inductance_kernel(benchmark, chip):
-    """Vectorised Neumann quadrature beats the per-coil-segment loop.
+    """Vectorised Neumann kernel beats the per-coil-segment loop.
 
-    A 64-side circle over synthetic rails, then the seed-1 chip's own
-    power grid against its Manhattan spiral and against a 4x4 array,
-    where the parallel-pair grouping skips the orthogonal pairs.  Every
-    case must stay within 1e-12 of the loop reference.
+    A 64-side circle over synthetic rails (its sides integrated in
+    closed form), then the seed-1 chip's own power grid against its
+    Manhattan spiral and against a 4x4 array, where the parallel-pair
+    grouping skips the orthogonal pairs.  Every case must stay within
+    1e-12 of the loop reference.  Last, the chip's external probe: its
+    closed-form sides against today's 3x3 Gauss, timed, and both against
+    16x16 Gauss per turn on every 8th grid segment.
     """
     rng = np.random.default_rng(2021)
     s, e, _currents, _points = _grid_geometry(rng)
@@ -191,6 +198,62 @@ def test_mutual_inductance_kernel(benchmark, chip):
             f"max rel err {err:.1e}"
         )
         assert err <= 1e-12, (label, err)
+
+    probe = chip.probe
+    t_probe = _best_of(lambda: probe.coupling(gs, ge))
+    t0 = time.perf_counter()
+    for loop in probe.loops:
+        mutual_inductance_to_loop_loop(gs, ge, loop, n_quad=3, exact_sides=False)
+    t_gauss3 = time.perf_counter() - t0
+    ss, se = chip.grid.seg_start[::8], chip.grid.seg_end[::8]
+    rows = mutual_inductance_to_loops(ss, se, probe.loops, n_quad=PROBE_QUADRATURE)
+    err_closed = err_gauss3 = 0.0
+    for row, loop in zip(rows, probe.loops):
+        exact = mutual_inductance_to_loop_loop(
+            ss, se, loop, n_quad=16, exact_sides=False
+        )
+        gauss3 = mutual_inductance_to_loop_loop(
+            ss, se, loop, n_quad=3, exact_sides=False
+        )
+        peak = np.max(np.abs(exact))
+        err_closed = max(err_closed, np.max(np.abs(row - exact)) / peak)
+        err_gauss3 = max(err_gauss3, np.max(np.abs(gauss3 - exact)) / peak)
+    record_timing(
+        "mutual_probe", t_probe, gauss3_loop_s=t_gauss3,
+        segments=int(gs.shape[0]),
+        coil_segments=int(sum(len(lp) - 1 for lp in probe.loops)),
+        max_rel_err=float(err_closed), gauss3_max_rel_err=float(err_gauss3),
+        smoke=smoke,
+    )
+    print(
+        f"\nmutual_probe ({gs.shape[0]} grid segments x {probe.turns} turns): "
+        f"{t_probe * 1e3:.0f} ms vs 3x3 Gauss loop {t_gauss3 * 1e3:.0f} ms; "
+        f"error vs 16x16 Gauss {err_closed:.1e} (3x3: {err_gauss3:.1e})"
+    )
+    assert err_closed <= 1e-9, err_closed
+    assert err_closed < err_gauss3, (err_closed, err_gauss3)
+
+
+def test_charge_accounting_kernel(benchmark, chip):
+    """Vectorised switching and clock charges equal the per-instance
+    loop byte for byte on the seed-1 chip, timed against it."""
+    lowered, names, tech = chip.sim.lowered, chip.sim.instance_names, chip.tech
+    q = run_once(benchmark, switching_charges, lowered, tech)
+    assert q.tobytes() == switching_charges_loop(chip.netlist, names, tech).tobytes()
+    assert (
+        clock_charges(lowered, tech).tobytes()
+        == clock_charges_loop(chip.netlist, names, tech).tobytes()
+    )
+    t_vec = _best_of(lambda: switching_charges(lowered, tech))
+    t_loop = _best_of(lambda: switching_charges_loop(chip.netlist, names, tech))
+    record_timing(
+        "charge_accounting", t_vec, loop_s=t_loop, speedup=t_loop / t_vec,
+        instances=len(names),
+    )
+    print(
+        f"\nswitching_charges ({len(names)} instances): {t_vec * 1e3:.1f} ms "
+        f"vs loop {t_loop * 1e3:.1f} ms"
+    )
 
 
 def test_netlist_compile_kernel(benchmark, chip):

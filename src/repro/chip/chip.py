@@ -162,10 +162,8 @@ class Chip:
             xs, ys = self.placement.arrays_for(self.sim.instance_names)
             self.current_map: CurrentMap = build_current_map(self.grid, xs, ys)
         with metrics.time("stage.chip.charges.seconds"):
-            self.q_switch = switching_charges(
-                netlist, self.sim.instance_names, tech
-            )
-            self.q_clock = clock_charges(netlist, self.sim.instance_names, tech)
+            self.q_switch = switching_charges(self.sim.lowered, tech)
+            self.q_clock = clock_charges(self.sim.lowered, tech)
 
         #: Flat list of all analog taps across Trojans.
         self.taps: list[AnalogTap] = [
@@ -177,8 +175,18 @@ class Chip:
             #: Channel groups: every receiver name appears in exactly one
             #: group; standalone receivers are singleton groups.
             self.receiver_groups: dict[str, tuple[str, ...]] = {}
-            self._install_receiver("sensor", self.sensor, external=False)
-            self._install_receiver("probe", self.probe, external=True)
+            gs, ge = self.grid.seg_start, self.grid.seg_end
+            self._install_receiver(
+                "sensor",
+                self.sensor,
+                self.sensor.coupling(
+                    gs, ge, n_quad=config.coupling_quadrature
+                ),
+                external=False,
+            )
+            self._install_receiver(
+                "probe", self.probe, self.probe.coupling(gs, ge), external=True
+            )
             if config.include_power_monitor:
                 self._install_power_monitor()
             if self.sensor_array is not None:
@@ -243,13 +251,11 @@ class Chip:
             trojans=attached,
         )
 
-    def _install_receiver(self, name: str, coil, external: bool) -> None:
-        """Install a standalone (singleton-group) receiver."""
-        coupling_seg = coil.coupling(
-            self.grid.seg_start,
-            self.grid.seg_end,
-            n_quad=self.config.coupling_quadrature,
-        )
+    def _install_receiver(
+        self, name: str, coil, coupling_seg: np.ndarray, external: bool
+    ) -> None:
+        """Install a standalone (singleton-group) receiver from its
+        per-segment coupling."""
         resistance = coil.resistance() if hasattr(coil, "resistance") else 0.5
         self.receivers[name] = self._receiver_from_coupling(
             name,

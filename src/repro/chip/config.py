@@ -65,7 +65,9 @@ class ChipConfig:
     probe_turns: int = 8
 
     # ----- EM solver --------------------------------------------------
-    #: Gauss–Legendre order of the Neumann coupling integral.
+    #: Gauss–Legendre order of the on-chip coils' Neumann coupling
+    #: integral (the spiral and the array); the external probe keeps
+    #: its own order, :data:`repro.em.probe.PROBE_QUADRATURE`.
     coupling_quadrature: int = 3
     #: Mutual inductance between the package/bondwire supply loop and
     #: the *external* probe [H].  At a 100 µm standoff the probe mostly

@@ -455,11 +455,14 @@ def campaign_pipeline_key(
 
     Parameter defaults are bound before hashing, so spelling a default
     out explicitly (``batch=64``) addresses the same cache entry as
-    omitting it.
+    omitting it.  An ``ed`` campaign is keyed on the lanes it runs,
+    ``min(batch, n_traces)`` (:func:`ed_campaign`), so requests that
+    differ only in a batch above their window count share one entry.
     """
-    return PipelineKey.for_campaign(
-        chip, scenario, kind, _bound_params(kind, params)
-    )
+    bound = _bound_params(kind, params)
+    if kind == "ed":
+        bound["batch"] = min(bound["batch"], bound["n_traces"])
+    return PipelineKey.for_campaign(chip, scenario, kind, bound)
 
 
 def get_or_generate_campaigns(

@@ -67,7 +67,11 @@ from repro.io.store import (
 #: (9: an ``ed`` campaign runs ``min(batch, n_traces)`` lanes, so a
 #: request with fewer traces than lanes draws new stimulus and noise
 #: streams under the same key.)
-CACHE_SALT = "repro-pipeline-9"
+#: (10: the external probe's turns are integrated in closed form along
+#: each side, with a two-point rule along the sources — probe traces
+#: shift by up to 5e-8 of peak; ``ed`` keys hash ``min(batch,
+#: n_traces)``, the lanes the campaign runs.)
+CACHE_SALT = "repro-pipeline-10"
 
 
 def _canon(obj):

@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from repro.errors import NetlistError
+from repro.logic.library import get_cell
 from repro.logic.netlist import Netlist
 
 Bus = list[str]
@@ -107,11 +108,9 @@ class NetlistBuilder:
     # ------------------------------------------------------------------
     def gate(self, cell_name: str, *in_nets: str, hint: str | None = None) -> str:
         """Instantiate *cell_name* over *in_nets*; return the output net."""
-        from repro.logic.library import get_cell
-
         cell = get_cell(cell_name)
         out = self.net(hint or cell_name.lower())
-        pins = {pin: net for pin, net in zip(cell.inputs, in_nets)}
+        pins = dict(zip(cell.inputs, in_nets))
         if len(pins) != len(cell.inputs):
             raise NetlistError(
                 f"{cell_name} needs {len(cell.inputs)} inputs, got {len(in_nets)}"

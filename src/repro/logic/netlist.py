@@ -22,7 +22,7 @@ from repro.logic.cells import CellKind, StdCell
 from repro.logic.library import LIBRARY, get_cell
 
 
-@dataclass
+@dataclass(slots=True)
 class Net:
     """A single-bit signal wire.
 
@@ -40,7 +40,7 @@ class Net:
         return len(self.loads)
 
 
-@dataclass
+@dataclass(slots=True)
 class Instance:
     """A placed-by-name standard cell with pin→net bindings."""
 
@@ -70,6 +70,10 @@ _ARITY = np.array([cell.arity for cell in _CELLS])
 _COMBINATIONAL = np.array(
     [cell.kind is CellKind.COMBINATIONAL for cell in _CELLS], dtype=bool
 )
+#: Every library cell's pin names, inputs and output together.
+_PINS = {
+    cell.name: frozenset(cell.inputs) | {cell.output} for cell in _CELLS
+}
 
 
 @dataclass(frozen=True)
@@ -171,18 +175,19 @@ class Netlist:
         if name in self.instances:
             raise NetlistError(f"instance {name!r} already exists")
         cell = get_cell(cell_name)
-        expected = set(cell.inputs) | {cell.output}
-        if set(pins) != expected:
+        expected = _PINS[cell.name]
+        if pins.keys() != expected:
             raise NetlistError(
                 f"instance {name!r} of {cell_name}: pins {sorted(pins)} "
                 f"do not match cell pins {sorted(expected)}"
             )
+        nets = self.nets
         for pin, net_name in pins.items():
-            if net_name not in self.nets:
+            if net_name not in nets:
                 raise NetlistError(
                     f"instance {name!r} pin {pin}: unknown net {net_name!r}"
                 )
-        out_net = self.nets[pins[cell.output]]
+        out_net = nets[pins[cell.output]]
         if out_net.driver is not None:
             raise NetlistError(
                 f"net {out_net.name!r} already driven by {out_net.driver!r}; "
@@ -192,7 +197,7 @@ class Netlist:
         self.instances[name] = inst
         out_net.driver = name
         for pin in cell.inputs:
-            self.nets[pins[pin]].loads.append((name, pin))
+            nets[pins[pin]].loads.append((name, pin))
         return inst
 
     # ------------------------------------------------------------------

@@ -190,6 +190,9 @@ class CompiledNetlist:
         netlist.validate()
         self.netlist = netlist
         lowered = netlist.lower()
+        #: The flat arrays the schedule below is built from; the charge
+        #: accounting reads them too (:mod:`repro.power.charges`).
+        self.lowered = lowered
         self.net_index: dict[str, int] = lowered.net_index
         self.num_nets = len(self.net_index)
 

@@ -85,8 +85,8 @@ def measure_power(
     if n_cycles <= 0 or batch <= 0:
         raise SimulationError("workload reported no cycles")
     names = sim.instance_names
-    q_sw = switching_charges(netlist, names, tech)
-    q_clk = clock_charges(netlist, names, tech)
+    q_sw = switching_charges(sim.lowered, tech)
+    q_clk = clock_charges(sim.lowered, tech)
 
     denom = n_cycles * batch
     dyn_power = toggle_counts / denom * q_sw * tech.vdd * f_clk

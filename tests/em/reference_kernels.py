@@ -67,8 +67,16 @@ def mutual_inductance_to_loop_loop(
     loop_points: np.ndarray,
     n_quad: int = 4,
     min_distance: float = 0.5 * UM,
+    exact_sides: bool = True,
 ) -> np.ndarray:
-    """Segment-to-loop mutual inductance, one coil segment per iteration."""
+    """Segment-to-loop mutual inductance, one coil segment per iteration.
+
+    Like the production kernel, a coil segment that is not axis-aligned
+    is integrated in closed form along its length and by *n_quad*-point
+    Gauss–Legendre along the sources.  ``exact_sides=False`` takes the
+    tensor-product Gauss rule for every coil segment instead: at a high
+    order, the independent accuracy reference for that closed form.
+    """
     s0 = np.asarray(seg_start, dtype=np.float64)
     s1 = np.asarray(seg_end, dtype=np.float64)
     loop = np.asarray(loop_points, dtype=np.float64)
@@ -91,6 +99,16 @@ def mutual_inductance_to_loop_loop(
         dots = d_src @ d_coil  # (N,)
         active = np.abs(dots) > 0.0
         if not active.any():
+            continue
+        if exact_sides and np.count_nonzero(d_coil) != 1:
+            # Inner integral of 1/r along the side: ln((Ra+Rb+L)/(Ra+Rb-L)).
+            r_a = np.linalg.norm(p_src[active] - c0, axis=-1)  # (n_active, A)
+            r_b = np.linalg.norm(p_src[active] - c1, axis=-1)
+            gap = np.maximum(
+                r_a + r_b - coil_len, 2.0 * min_distance**2 / coil_len
+            )
+            kernel = (w * np.log1p(2.0 * coil_len / gap)).sum(axis=1)
+            result[active] += dots[active] / coil_len * kernel
             continue
         p_coil = c0[None, :] + u[:, None] * d_coil[None, :]  # (B, 3)
         diff = p_src[active][:, :, None, :] - p_coil[None, None, :, :]

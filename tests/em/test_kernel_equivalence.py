@@ -1,9 +1,10 @@
 """Equivalence of the vectorised EM kernels with their loop references.
 
 The vectorised :func:`b_field_of_segments` (axis-aligned segments only)
-and :func:`mutual_inductance_to_loops` (GEMM distance
-expansion with exact recompute of near-coincident pairs) must agree
-with the per-segment loop references in
+and :func:`mutual_inductance_to_loops` (GEMM distance expansion with
+exact recompute of near-coincident pairs for axis-aligned coil
+segments, closed-form sides for the others) must agree with the
+per-segment loop references in
 :mod:`tests.em.reference_kernels` to 1e-12 relative
 error — on randomised segments (oblique for the coupling kernel,
 axis-aligned in random directions for the field), on power-grid-style axis

@@ -128,6 +128,27 @@ def test_cache_mix_acquires_and_writes_only_the_misses(
     assert got[0]["sensor"].flags.writeable  # freshly generated
 
 
+def test_ed_batch_above_the_window_count_shares_one_entry(
+    chip, sim_scenario, tmp_path
+):
+    """An ``ed`` campaign runs ``min(batch, n_traces)`` lanes, so batch 64
+    and batch 16 of 16 traces are one campaign and one cache entry."""
+    cache = TraceCache(tmp_path / "cache")
+    params = dict(n_traces=16, receivers=("sensor",), rng_role="cap")
+    with use_metrics() as metrics:
+        wide = get_or_generate_campaigns(
+            chip, sim_scenario, [("ed", dict(params, batch=64))], cache=cache
+        )
+        capped = get_or_generate_campaigns(
+            chip, sim_scenario, [("ed", dict(params, batch=16))], cache=cache
+        )
+    counters = metrics.snapshot()["counters"]
+    assert counters["traces.cache.miss"] == 1
+    assert counters["traces.cache.hit"] == 1
+    assert counters["acquire.passes"] == 1
+    _assert_equal(capped[0], wide[0], "batch 16 vs 64")
+
+
 def test_packing_lowers_passes_not_cycles(chip, sim_scenario):
     requests = _mixed_requests()
     with use_metrics() as solo:

@@ -35,7 +35,7 @@ def small_netlist():
 def test_switching_charges_positive_and_fanout_sensitive(small_netlist):
     tech = make_tech180()
     names = list(small_netlist.instances)
-    q = switching_charges(small_netlist, names, tech)
+    q = switching_charges(small_netlist.lower(), tech)
     assert (q > 0).all()
     # The first inverter drives 11 loads and must carry the most charge.
     idx = {n: i for i, n in enumerate(names)}
@@ -48,7 +48,7 @@ def test_switching_charges_positive_and_fanout_sensitive(small_netlist):
 def test_clock_charges_only_for_flops(small_netlist):
     tech = make_tech180()
     names = list(small_netlist.instances)
-    qc = clock_charges(small_netlist, names, tech)
+    qc = clock_charges(small_netlist.lower(), tech)
     for name, value in zip(names, qc):
         inst = small_netlist.instances[name]
         if inst.cell.is_sequential:

@@ -38,35 +38,35 @@ PIN_BUILD = (
 #: ``{pin: (CACHE_SALT it was taken under, SHA-256 of the traces)}``.
 TRACE_PINS: dict[str, tuple[str, str]] = {
     # CAMPAIGN_PLANNERS kinds on the tiny configs of tests/test_trace_pins.py.
-    "collector/ed": ("repro-pipeline-9", "e43b272d2cecade7ff99723dce2e8130b173ee85cfed86540a86483d5ee8013f"),
-    "collector/spectral": ("repro-pipeline-9", "e31c1c03ff41309a13cf48af951674ae23f7f1b912c7e2d9542ca5e2f064b6a7"),
-    "collector/raw": ("repro-pipeline-9", "b7600001e531787d78febfca2fe8fe4320e9a88868fac4e344d04c7a8cbf7845"),
+    "collector/ed": ("repro-pipeline-10", "6f68013257f611af3f91173dd236cb5cbf5797f5810de5ad699489017821edae"),
+    "collector/spectral": ("repro-pipeline-10", "e31c1c03ff41309a13cf48af951674ae23f7f1b912c7e2d9542ca5e2f064b6a7"),
+    "collector/raw": ("repro-pipeline-10", "1bd8bcbd2b29b2746589bf11ad8e5779180068c80b309fc36472efafcee26038"),
     # All 18 receivers of the seed-1 4x4 array chip, per Trojan and batch.
-    "acquire/array/golden/1": ("repro-pipeline-9", "2591c9ef6f4f298102da5ef3b912fc22de655a49040184236c156a89d65bcea0"),
-    "acquire/array/golden/8": ("repro-pipeline-9", "b78037e37bb8eb02e59552671d02dc5af6972eb302f3d72886d9e004fd8c993c"),
-    "acquire/array/golden/33": ("repro-pipeline-9", "92fd89647de7bf1465d4d71990a59dc2c343d220de50935618a8acf7da098428"),
-    "acquire/array/trojan1/1": ("repro-pipeline-9", "b4dd5e63fd9ac8930f38347323e8607c8c6f01e802bf14b85e710afc202b5c09"),
-    "acquire/array/trojan1/8": ("repro-pipeline-9", "570255e5280c7a033b81a754dcce112bc88de7cc70280e2920c720f61c1d8101"),
-    "acquire/array/trojan1/33": ("repro-pipeline-9", "588e4b1580750acc1bbb6bd4e1d735bd63453c2c6bea101ca6acacd5b32ac4f1"),
-    "acquire/array/trojan2/1": ("repro-pipeline-9", "957d5748ab610202e57af310243cd04d87ffbae026baae56f027075e37a6ce08"),
-    "acquire/array/trojan2/8": ("repro-pipeline-9", "98e4b4b404b0c55b3709dba30a715ff7aa90ec53027fd80cae30c68a102da96b"),
-    "acquire/array/trojan2/33": ("repro-pipeline-9", "6951c447fe1db8deddccdde3f56f95718e0324eec50734ebdaa99c204c560fe2"),
-    "acquire/array/trojan3/1": ("repro-pipeline-9", "d41e25cd761cd471679d66781f2e9837b2d6f13c10bf21ef5039d40266bf5d17"),
-    "acquire/array/trojan3/8": ("repro-pipeline-9", "f0b24562d5dca7fc97c1e6085236185436624c7acb4fe2eb8841e4f42d2e22b6"),
-    "acquire/array/trojan3/33": ("repro-pipeline-9", "5595a1f4b87d048868d0dfb68196dad8fd689b7f983ba157942b6c36a7f343c4"),
-    "acquire/array/trojan4/1": ("repro-pipeline-9", "04a494dcea93fcb20f89a99f84978f6dd75a9256c89a3a2fb48eeb92bd571c51"),
-    "acquire/array/trojan4/8": ("repro-pipeline-9", "f94c876318b9f2d4db0da415e5e696a65dfafddf524386a6f696c7dec7b71140"),
-    "acquire/array/trojan4/33": ("repro-pipeline-9", "5bc3157f9dece48cbd2a00adeee9591958f24026270bac51a0aa2af4aba6394e"),
-    "acquire/array/a2/1": ("repro-pipeline-9", "9bdfbb91716f6e12ed76ce8c168c75b6bfa070279b21cc89a7683a2bf19b97dd"),
-    "acquire/array/a2/8": ("repro-pipeline-9", "619eb5f69ed83a72206e54d02e11cba26c27b6ec38a262e4fb834414bad8d0cd"),
-    "acquire/array/a2/33": ("repro-pipeline-9", "07ba2d09506f07e0ffae263ae9d7aab1c5fb02d1a088e32159576f9be805b65b"),
+    "acquire/array/golden/1": ("repro-pipeline-10", "99ae6aba3f1b81f341c6cd08eea0880c9e8bff62a9b38d84a3c1f671d9c7a59d"),
+    "acquire/array/golden/8": ("repro-pipeline-10", "5d7d56c7fadca1e3c373bd661cc7f514f4c6964f667b60914d0473299495a3b4"),
+    "acquire/array/golden/33": ("repro-pipeline-10", "9bf3ad8720fbd5616d0a88fff34081525ebb68c09ffcfe9cbb451e705b674e87"),
+    "acquire/array/trojan1/1": ("repro-pipeline-10", "5c9195f6ca463144e576e225ec7c0fcbf04d28a91d42f09b327eb0e97394dc10"),
+    "acquire/array/trojan1/8": ("repro-pipeline-10", "16c2a86ab04fd0bc3e9b1e9a6732b5624491705452ecd694a66db6a09f891b1e"),
+    "acquire/array/trojan1/33": ("repro-pipeline-10", "508bb22f7979772ee0998e3c47e7ab8a4334c7a85fd7c11e4b2a67655c779fea"),
+    "acquire/array/trojan2/1": ("repro-pipeline-10", "096234cf3ded8a129a5b533c481b9fbab5f3e0c3ac1f039b4a67ac0d3f70bad5"),
+    "acquire/array/trojan2/8": ("repro-pipeline-10", "6b6585508a5d6af45b98235b1955f0b8797254a41f5bb0930ac5fd91a8ac02e4"),
+    "acquire/array/trojan2/33": ("repro-pipeline-10", "af6e0220be44179c664dd835aeb5eca34ab97a61db7af2e5d59942894dcd24b6"),
+    "acquire/array/trojan3/1": ("repro-pipeline-10", "ec1e21e009fbe8dbce31555240fe90196209b09c213b46dd9a3af8085bdf910b"),
+    "acquire/array/trojan3/8": ("repro-pipeline-10", "ebd4bda7f34f850c9af2f776493fca493ddac881450965c3c54047d48b4c97d6"),
+    "acquire/array/trojan3/33": ("repro-pipeline-10", "c7cfe8eafe093d1842d5b5d323ee9a1efdec78dc235ea3b8dbda81b072300d91"),
+    "acquire/array/trojan4/1": ("repro-pipeline-10", "462bcc46884e45d5007e40179ff973921af685085256ce653f5ba83b32e21278"),
+    "acquire/array/trojan4/8": ("repro-pipeline-10", "385a0c03e16e2bb7da0e3a5f11e211df21e8c6e610a97a193b8a51148de1905e"),
+    "acquire/array/trojan4/33": ("repro-pipeline-10", "0912a99e425c1e11b8edb017b3d3b24acaff0dcf1cf5dd66284997e24b25a638"),
+    "acquire/array/a2/1": ("repro-pipeline-10", "bbc9f501ee026e7385507988f87b14febebccfdcc70298dfb295ff412bfdc3af"),
+    "acquire/array/a2/8": ("repro-pipeline-10", "569d979a9f701d2d79988755c0bc7866dc0b8f46b3d1a3dd79d37402f0e0949c"),
+    "acquire/array/a2/33": ("repro-pipeline-10", "32dcbc0e1acb56e6192cb56cbca7a6979da86a19f9711c9fcc04c3e5536b4981"),
     # Noise-off coil subset of the array chip, Trojan 3 at batch 8.
-    "acquire/array/subset": ("repro-pipeline-9", "c7ba7ed41eebcb24ebe78595e0266e4ba584ef1f009d3c1762a32ea4ae3aa5cc"),
+    "acquire/array/subset": ("repro-pipeline-10", "c7ba7ed41eebcb24ebe78595e0266e4ba584ef1f009d3c1762a32ea4ae3aa5cc"),
     # Power-monitor chip, silicon scenario, Trojan 2 at batch 8.
-    "acquire/power": ("repro-pipeline-9", "9d83a13b1df47817688a9ab745e86b857486c18df48f0699c68182bf1b36e7d3"),
+    "acquire/power": ("repro-pipeline-10", "4e8496a966f104a78e102ef9add4d033b5ce1613d0002673a48e040bdd329023"),
     # Flushed journal of the chip-backed fleet campaign in
     # tests/fleet/test_campaign_pin.py (SHA-256 of the JSONL bytes).
-    "fleet/campaign-journal": ("repro-pipeline-9", "866aabde7b8f59ca2f1a043b660e9d98dd985a5185266fcf151f63a6a49770c6"),
+    "fleet/campaign-journal": ("repro-pipeline-10", "866aabde7b8f59ca2f1a043b660e9d98dd985a5185266fcf151f63a6a49770c6"),
 }
 
 
